@@ -38,6 +38,12 @@ class GridRateResult:
     points_feasible: int
 
 
+@dataclass(frozen=True)
+class GridDcResult:
+    value: float
+    bound: float        # a-priori bound on value minus the continuous optimum
+
+
 def tight_constraint_matrix(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     """Coefficient matrix of the rate constraints set to equality.
 
@@ -169,6 +175,75 @@ def _best_feasible_split(points, demands, h, q, bandwidth):
     return GridRateResult(powers=points[best], sum_rate=float(rates[best]),
                           points_searched=points.shape[0],
                           points_feasible=n_feasible)
+
+
+def grid_dc_subproblem(topology: NetworkTopology, demands: RateDemands, i: int,
+                       x_lin, caps: np.ndarray, budget: float,
+                       q: np.ndarray) -> GridDcResult:
+    """Exhaustive search of one BS's linearized DC subproblem.
+
+    Minimizes over BS ``i``'s q_m and x_m the sum of  -B log2(x_strong +
+    p_strong) + B (x_strong - L)/(ln2 L) + B log2 L,  with p_strong the
+    strong user's power when the weak users get exactly their demands at
+    x_m and total q_m (a linear solve) and L the strong proxy of ``x_lin``,
+    subject to x_m >= the effective interference, p_strong >= (2^(R/B)-1)
+    x_strong, q_m <= max(cap_m, current q_m) and the budget.  Each q_m
+    takes 200 levels, each with about 3600 proxy points spaced evenly per
+    user; the best per level is combined under the budget.  ``bound``
+    limits the excess over the continuous optimum, whose weak proxies sit
+    on the grid at their lower bounds: rounding its q_m and strong proxy
+    down to feasible grid points lowers a log argument of at least
+    (1 + rho) lb_strong by at most one x step plus (1 + 1/rho) times the
+    rise of p_strong over one q step.
+    """
+    if topology.num_subchannels > 2:
+        raise ValueError("grid oracle accepts at most 2 subchannels")
+    bw = topology.bandwidth
+    others = np.delete(np.arange(topology.num_cells), i)
+    levels, values = [], []
+    bound = 0.0
+    for m in range(topology.num_subchannels):
+        dem = np.asarray(demands.rates[i][m], dtype=float)
+        n = dem.size
+        if n > 3:
+            raise ValueError("grid oracle accepts at most 3 users per group")
+        g = topology.gains[i][m]
+        ratio = (q[others, m] @ g[others] + topology.noise_power) / g[i]
+        lb = np.maximum.accumulate(ratio[::-1])[::-1]
+        growth = np.exp2(dem / bw) - 1.0
+        system = tight_constraint_matrix(dem, bw)
+        system[-1] = 1.0                        # total-power row
+        last = np.linalg.inv(system)[-1]        # p_strong = last . (growth*x_weak, q)
+        weights = minimal_group_powers(dem, np.eye(n), bw).sum(axis=1)
+        lo = float(minimal_group_powers(dem, lb, bw).sum())
+        hi = min(max(float(caps[m]), float(q[i, m])), budget)
+        q_axis = np.linspace(lo, hi, 200)
+        per_user = round(3600 ** (1.0 / n))
+        axes = [np.linspace(lb[j], lb[j] + (hi - lo) / weights[j], per_user)
+                for j in range(n)]
+        x = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+        p_strong = ((x[:, :-1] * growth[:-1]) @ last[:-1])[None, :] \
+            + last[-1] * q_axis[:, None]
+        x_strong = x[None, :, -1]
+        L = float(x_lin[m][-1])
+        with np.errstate(invalid="ignore"):
+            value = -bw * np.log2(x_strong + p_strong) \
+                + bw * ((x_strong - L) / (np.log(2.0) * L) + np.log2(L))
+        feasible = p_strong >= growth[-1] * x_strong * (1.0 - 1e-12)
+        levels.append(q_axis)
+        values.append(np.where(feasible, value, np.inf).min(axis=1))
+        rise = axes[-1][1] - axes[-1][0] \
+            + last[-1] * (q_axis[1] - q_axis[0]) * (1.0 + 1.0 / growth[-1])
+        bound += bw * np.log2(1.0 + rise / ((1.0 + growth[-1]) * lb[-1]))
+
+    totals, spent = np.zeros(()), np.zeros(())
+    for q_axis, value in zip(levels, values):
+        totals = np.add.outer(totals, value)
+        spent = np.add.outer(spent, q_axis)
+    value = float(np.min(np.where(spent <= budget * (1.0 + 1e-12), totals, np.inf)))
+    if not np.isfinite(value):
+        raise OracleInfeasibleError("none found at this resolution")
+    return GridDcResult(value=value, bound=float(bound))
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ auxiliary per-user interference proxies ``x`` (``x`` plays the role of
 the effective interference and equals it at any sensible point).  Each
 BS alternately solves a difference-of-convex subproblem in its own
 (q_i, x_i) with every other cell frozen: the concave part is linearized
-at the current point and the resulting convex program is solved by a
-dense barrier method.  Caps on q_im derived from the other cells' proxy
-slack keep every update globally feasible, which makes the objective
-trace non-increasing.
+at the current point and the resulting convex program, separable across
+subchannels except for the power budget, is solved in closed form by
+box-constrained water-filling.  Caps on q_im derived from the other
+cells' proxy slack keep every update globally feasible, which makes the
+objective trace non-increasing.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import LogAffineObjective, solve_barrier
 from .network import (LN2, NetworkTopology, PowerAllocation, RateDemands,
                       effective_interference, group_rates)
 from .power_min import demand_weights, dpc_spm, interference_map
@@ -43,8 +43,6 @@ class DcIterate:
     q_i: np.ndarray
     x_i: tuple
     objective_value: float      # surrogate value at the returned point
-    inner_iterations: int       # Newton steps spent by the barrier solver
-    kkt_residual: float
     improved: bool
 
 
@@ -60,7 +58,7 @@ class SrmReport:
     trace: np.ndarray
     converged: bool
     subproblem_solves: int
-    newton_steps: int
+    newton_steps: int = 0       # always 0: subproblems are solved in closed form
     diagnostic: str = ""
 
 
@@ -168,9 +166,14 @@ def cell_objective(topology: NetworkTopology, demands: RateDemands,
 
 def surrogate_objective(topology: NetworkTopology, demands: RateDemands,
                         q_i: np.ndarray, x_i, x_lin, i: int) -> float:
-    """Convex majorant of F - G at linearization point ``x_lin``."""
+    """Convex majorant of F - G at linearization point ``x_lin``.
+
+    G(x_lin) depends on the strong users' proxies alone, so ``x_lin``
+    need not satisfy the demand coupling at ``q_i``.
+    """
     f_val, _ = dc_objective_parts(topology, demands, q_i, x_i, i)
-    _, g_lin = dc_objective_parts(topology, demands, q_i, x_lin, i)
+    g_lin = -topology.bandwidth * sum(float(np.log2(x_lin[m][-1]))
+                                      for m in range(topology.num_subchannels))
     grad = g_gradient(topology, x_lin, i)
     inner = sum(float(grad[m] @ (np.asarray(x_i[m]) - np.asarray(x_lin[m])))
                 for m in range(topology.num_subchannels))
@@ -179,25 +182,25 @@ def surrogate_objective(topology: NetworkTopology, demands: RateDemands,
 
 def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
                             i: int, x_lin, caps: np.ndarray, budget: float,
-                            q: np.ndarray, gap_tol: float = 1e-7) -> DcIterate:
-    """One BS's convex program at a linearization point.
+                            q: np.ndarray) -> DcIterate:
+    """One BS's convex program at a linearization point, in closed form.
 
     Minimizes the surrogate objective over (q_i, x_i) subject to the
-    demand coupling, the proxy lower bounds (the effective interference
-    at the frozen other-cell powers), the per-subchannel caps and the
-    power budget.  Variables are normalized internally; the warm start is
-    the current row of ``q`` with proxies ``x_lin``, and the returned
-    point never has a worse surrogate value than the warm start.
+    demand coupling, the proxy lower bounds ``lb`` (the effective
+    interference at the frozen other-cell powers), the per-subchannel
+    caps and the power budget.  Weak proxies sit at ``lb``; the strong
+    proxy is ``clip(L - a, lb_strong, a / rho)`` with ``L`` that of
+    ``x_lin``, ``a = alpha q_m - beta . lb_weak`` and ``rho =
+    2^(R_strong/B) - 1``; q_i water-fills the budget over ``[w . lb,
+    min(max(cap, q_warm), budget)]``.  The warm start (row i of ``q``,
+    proxies ``x_lin``) is returned unless the surrogate value drops.
     """
     bw = topology.bandwidth
     M = topology.num_subchannels
-    sizes = [topology.group_size(i, m) for m in range(M)]
-    offsets = np.concatenate(([M], M + np.cumsum(sizes)))[:-1].astype(int)
-    dim = M + int(np.sum(sizes))
-
     lb = [effective_interference(topology, q, i, m) for m in range(M)]
     q_warm = np.asarray(q[i], dtype=float).copy()
     x_warm = [np.asarray(x_lin[m], dtype=float).copy() for m in range(M)]
+    weights = [demand_weights(demands.rates[i][m], bw) for m in range(M)]
 
     # reject genuinely infeasible inputs before any numeric work
     rel = 1e-7
@@ -205,8 +208,7 @@ def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
         if np.any(x_warm[m] < lb[m] * (1.0 - rel) - 1e-300):
             raise InfeasibleSubproblemError(
                 "interference lower bounds", f"(cell {i}, subchannel {m})")
-        w = demand_weights(demands.rates[i][m], bw)
-        if w @ x_warm[m] > q_warm[m] * (1.0 + rel) + 1e-300:
+        if weights[m] @ x_warm[m] > q_warm[m] * (1.0 + rel) + 1e-300:
             raise InfeasibleSubproblemError(
                 "demand coupling", f"(cell {i}, subchannel {m})")
         if q_warm[m] > max(caps[m], 0.0) * (1.0 + rel) + 1e-300:
@@ -215,123 +217,50 @@ def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
     if q_warm.sum() > budget * (1.0 + rel):
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
 
-    caps_eff = np.minimum(np.maximum(caps, q_warm), budget)
-    q_scale = np.maximum(caps_eff, 1e-300)
+    coefficients = [_group_coefficients(demands.rates[i][m], bw) for m in range(M)]
+    alpha = np.array([c[0] for c in coefficients])
+    weak = np.array([c[1] @ lb[m][:-1] for m, c in enumerate(coefficients)])
+    rho = np.array([np.exp2(demands.rates[i][m][-1] / bw) - 1.0 for m in range(M)])
+    lb_strong = np.array([lb[m][-1] for m in range(M)])
+    L = np.array([x_warm[m][-1] for m in range(M)])
+    hi = np.minimum(np.maximum(caps, q_warm), budget)
+    lo = np.minimum([weights[m] @ lb[m] for m in range(M)], hi)
 
-    def pack(qv, xv):
-        z = np.empty(dim)
-        z[:M] = qv / q_scale
-        for m in range(M):
-            z[offsets[m]:offsets[m] + sizes[m]] = xv[m] / lb[m]
-        return z
+    def totals(lam):
+        # the marginal value of q_m (per B/ln2) is alpha/a - alpha/(rho L)
+        # while the coupling binds, then the constant alpha/L, then
+        # alpha/(lb_strong + a); invert it at lam and clip to the box
+        a = np.where(lam > alpha / L, alpha / (lam + alpha / (rho * L)),
+                     alpha / lam - lb_strong)
+        return np.clip((a + weak) / alpha, lo, hi)
 
-    def unpack(z):
-        qv = z[:M] * q_scale
-        xv = [z[offsets[m]:offsets[m] + sizes[m]] * lb[m] for m in range(M)]
-        return qv, xv
+    q_new = hi
+    if hi.sum() > budget:
+        # marginal values lie strictly between alpha/(L + lb_strong + a) and alpha/a
+        lam_lo = float(np.min(alpha / (alpha * hi - weak + L + lb_strong)))
+        lam_hi = float(np.max(alpha / (alpha * lo - weak)))
+        while lam_lo < (mid := np.sqrt(lam_lo * lam_hi)) < lam_hi:
+            if totals(mid).sum() > budget:
+                lam_lo = mid
+            else:
+                lam_hi = mid
+        # totals() jumps across the constant piece, so the budget left
+        # between the last two brackets is split along the jump
+        q_lo, q_hi = totals(lam_lo), totals(lam_hi)
+        spread = q_lo.sum() - q_hi.sum()
+        t = (budget - q_hi.sum()) / spread if spread > 0.0 else 0.0
+        q_new = q_hi + min(max(t, 0.0), 1.0) * (q_lo - q_hi)
+    a = alpha * q_new - weak
+    strong = np.minimum(np.maximum(L - a, lb_strong), a / rho)
+    x_new = [np.append(lb[m][:-1], strong[m]) for m in range(M)]
 
-    # objective: per group -1/ln2 * ln(argument) plus the linearized term,
-    # everything divided by the bandwidth
-    rows = np.zeros((M, dim))
-    linear = np.zeros(dim)
-    for m in range(M):
-        alpha, beta = _group_coefficients(demands.rates[i][m], bw)
-        rows[m, m] = alpha * q_scale[m]
-        rows[m, offsets[m] + sizes[m] - 1] = lb[m][-1]
-        rows[m, offsets[m]:offsets[m] + sizes[m] - 1] = -beta * lb[m][:-1]
-        linear[offsets[m] + sizes[m] - 1] = lb[m][-1] / (LN2 * x_warm[m][-1])
-    objective = LogAffineObjective(weights=np.full(M, 1.0 / LN2),
-                                   offsets=np.zeros(M), rows=rows, linear=linear)
-
-    constraints = []
-    rhs = []
-    for m in range(M):
-        w = demand_weights(demands.rates[i][m], bw)
-        row = np.zeros(dim)
-        row[offsets[m]:offsets[m] + sizes[m]] = w * lb[m]
-        row[m] = -q_scale[m]
-        constraints.append(row)
-        rhs.append(0.0)
-        for j in range(sizes[m]):
-            row = np.zeros(dim)
-            row[offsets[m] + j] = -1.0
-            constraints.append(row)
-            rhs.append(-1.0)
-        row = np.zeros(dim)
-        row[m] = -1.0
-        constraints.append(row)
-        rhs.append(0.0)
-        if np.isfinite(caps[m]):
-            row = np.zeros(dim)
-            row[m] = q_scale[m]
-            constraints.append(row)
-            rhs.append(max(caps[m], q_warm[m]))
-    row = np.zeros(dim)
-    row[:M] = q_scale
-    constraints.append(row)
-    rhs.append(budget)
-    A = np.array(constraints)
-    b = np.array(rhs)
-    norms = np.maximum(np.max(np.abs(A), axis=1), 1e-300)
-    A /= norms[:, None]
-    b /= norms
-
-    warm_surrogate = surrogate_objective(topology, demands, q_warm, x_warm,
-                                         x_lin, i)
-
-    z0 = _interior_point(pack, x_warm, lb, q_warm, caps_eff, budget,
-                         demands, bw, i, M, A, b, objective)
-    if z0 is None:
-        # region has (numerically) no interior; the warm point is optimal
-        return DcIterate(q_i=q_warm, x_i=tuple(np.array(v) for v in x_warm),
-                         objective_value=warm_surrogate, inner_iterations=0,
-                         kkt_residual=np.nan, improved=False)
-
-    result = solve_barrier(objective, A, b, z0, gap_tol=gap_tol)
-    q_new, x_new = unpack(result.z)
-    new_surrogate = surrogate_objective(topology, demands, q_new, x_new, x_lin, i)
-    if not np.isfinite(new_surrogate) or new_surrogate > warm_surrogate:
-        # keep the warm point; the barrier certificate does not describe it
-        return DcIterate(q_i=q_warm, x_i=tuple(np.array(v) for v in x_warm),
-                         objective_value=warm_surrogate, inner_iterations=result.newton_steps,
-                         kkt_residual=np.nan, improved=False)
-    return DcIterate(q_i=q_new, x_i=tuple(np.array(v) for v in x_new),
-                     objective_value=new_surrogate, inner_iterations=result.newton_steps,
-                     kkt_residual=result.kkt_residual, improved=True)
-
-
-def _interior_point(pack, x_warm, lb, q_warm, caps_eff, budget,
-                    demands, bw, i, M, A, b, objective):
-    """Deterministic strictly feasible start, or None when the interior
-    is (numerically) empty."""
-    for bump in (1e-6, 1e-4, 1e-2):
-        x_start = [np.maximum(x_warm[m], lb[m] * (1.0 + bump)) for m in range(M)]
-        q_start = np.empty(M)
-        ok = True
-        for m in range(M):
-            w = demand_weights(demands.rates[i][m], bw)
-            lower = float(w @ x_start[m]) * (1.0 + bump)
-            upper = caps_eff[m] * (1.0 - min(bump, 0.5))
-            if lower >= upper:
-                ok = False
-                break
-            q_start[m] = min(max(q_warm[m], lower), upper)
-        if not ok:
-            continue
-        total = q_start.sum()
-        limit = budget * (1.0 - min(bump, 0.5))
-        if total > limit:
-            lowers = np.array([
-                float(demand_weights(demands.rates[i][m], bw) @ x_start[m])
-                * (1.0 + bump) for m in range(M)])
-            room = total - lowers.sum()
-            if lowers.sum() >= limit or room <= 0.0:
-                continue
-            q_start = lowers + (q_start - lowers) * (limit - lowers.sum()) / room
-        z0 = pack(q_start, x_start)
-        if np.all(b - A @ z0 > 0.0) and objective.in_domain(z0):
-            return z0
-    return None
+    warm_value = surrogate_objective(topology, demands, q_warm, x_warm, x_lin, i)
+    new_value = surrogate_objective(topology, demands, q_new, x_new, x_lin, i)
+    if not new_value < warm_value:
+        return DcIterate(q_i=q_warm, x_i=tuple(x_warm),
+                         objective_value=warm_value, improved=False)
+    return DcIterate(q_i=q_new, x_i=tuple(x_new), objective_value=new_value,
+                     improved=True)
 
 
 def dpc_srm(topology: NetworkTopology, demands: RateDemands,
@@ -375,7 +304,6 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     converged = False
     diagnostic = ""
     solves = 0
-    newton = 0
     outer = 0
     for outer in range(1, max_outer + 1):
         for i in range(topology.num_cells):
@@ -390,7 +318,6 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                     diagnostic = str(exc)
                     break
                 solves += 1
-                newton += iterate.inner_iterations
                 if not iterate.improved:
                     break
                 k_new = cell_objective(topology, demands, iterate.q_i,
@@ -428,7 +355,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                      allocation=allocation, sum_rate=sum_rate,
                      outer_iterations=outer, trace=np.array(trace),
                      converged=converged and not diagnostic,
-                     subproblem_solves=solves, newton_steps=newton,
+                     subproblem_solves=solves,
                      diagnostic=diagnostic)
 
 

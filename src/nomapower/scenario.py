@@ -329,26 +329,23 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     failures = []
     for seed in range(config.seed, config.seed + config.num_seeds):
         for budget_dbm in config.budget_dbm_sweep:
-            row, trace, allocation = _solve_point(config, seed, budget_dbm)
+            point = dataclasses.replace(config, budget_dbm_sweep=[budget_dbm])
+            topology = generate_channels(point, seed)
+            demands = build_demands(point, topology)
+            row, trace, allocation = _solve_point(config, topology, demands,
+                                                  seed, budget_dbm)
             summary.append(row)
             traces[row.trace_file] = trace
             if allocation is not None:
                 allocations[row.trace_file] = allocation
-                problem = _validate(config, seed, budget_dbm, allocation)
+                problem = _validate(topology, demands, allocation)
                 if problem:
                     failures.append(f"seed {seed}, budget {budget_dbm} dBm: {problem}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
 
 
-def _point_topology(config, seed, budget_dbm):
-    point = dataclasses.replace(config, budget_dbm_sweep=[budget_dbm])
-    topology = generate_channels(point, seed)
-    return topology, build_demands(point, topology)
-
-
-def _solve_point(config, seed, budget_dbm):
-    topology, demands = _point_topology(config, seed, budget_dbm)
+def _solve_point(config, topology, demands, seed, budget_dbm):
     name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
     if config.algorithm == "power-min":
         report = dpc_spm(topology, demands, tol=config.power_tol_w,
@@ -395,8 +392,7 @@ def _total_rate(topology, allocation, q):
     return total
 
 
-def _validate(config, seed, budget_dbm, allocation):
-    topology, demands = _point_topology(config, seed, budget_dbm)
+def _validate(topology, demands, allocation):
     q = allocation.cell_powers()
     if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
         return "budget exceeded"

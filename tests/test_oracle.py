@@ -4,12 +4,14 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, interference_map,
                        min_power_user_allocation, optimal_single_cell_rate,
-                       single_cell_feasible)
+                       power_cap, random_feasible_start, single_cell_feasible,
+                       solve_convex_subproblem)
 from nomapower.fixtures import symmetric_two_cell
-from nomapower.network import group_rates
+from nomapower.network import effective_interference, group_rates
 from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
-                              grid_power_min, grid_rate_max_group,
-                              minimal_group_powers, standard_function_probe)
+                              grid_dc_subproblem, grid_power_min,
+                              grid_rate_max_group, minimal_group_powers,
+                              standard_function_probe)
 
 
 class TestGridPowerMin:
@@ -96,6 +98,55 @@ class TestGridRateMax:
             best = grid_rate_max_group(demands, h, q, resolution=q / 150)
             closed = optimal_single_cell_rate(demands, h, q, 1.0)
             assert best.sum_rate <= closed + 1e-9
+
+
+class TestGridDcSubproblem:
+    def test_closed_form_never_loses_to_the_grid(self):
+        rng = np.random.default_rng(47)
+        solves = budget_binding = finite_caps = infinite_caps = 0
+        while solves < 120:
+            cells = int(rng.integers(1, 3))
+            M = int(rng.integers(1, 3))
+            top = sample_topology(rng, num_cells=cells, num_subchannels=M,
+                                  users=(1, 4), budget=rng.uniform(2.0, 6.0))
+            dem = sample_demands(rng, top, rate=(0.2, 0.8))
+            q0, x0 = random_feasible_start(top, dem, rng)
+            for i in range(cells):
+                caps = np.array([power_cap(top, q0, x0, i, m) for m in range(M)])
+                budget = float(top.budgets[i])
+                closed = solve_convex_subproblem(top, dem, i, x0[i], caps,
+                                                 budget, q0)
+                grid = grid_dc_subproblem(top, dem, i, x0[i], caps, budget, q0)
+                assert closed.objective_value - grid.value <= 1e-12 * abs(grid.value)
+                assert grid.value - closed.objective_value <= grid.bound
+                assert closed.q_i.sum() <= budget * (1 + 1e-12)
+                assert np.all(closed.q_i <= np.maximum(caps, q0[i]) * (1 + 1e-12))
+                for m in range(M):
+                    x = closed.x_i[m]
+                    lb = effective_interference(top, q0, i, m)
+                    assert np.all(x >= lb * (1 - 1e-12))
+                    need = minimal_group_powers(dem.rates[i][m], x,
+                                                top.bandwidth).sum()
+                    assert need <= closed.q_i[m] * (1 + 1e-12)
+                solves += 1
+                budget_binding += np.minimum(np.maximum(caps, q0[i]),
+                                             budget).sum() > budget
+                finite_caps += int(np.isfinite(caps).sum())
+                infinite_caps += int(np.isinf(caps).sum())
+        assert 0 < budget_binding < solves
+        assert finite_caps > 0 and infinite_caps > 0
+
+    def test_refuses_large_instances(self):
+        rng = np.random.default_rng(48)
+        for M, users in ((3, 2), (1, 4)):
+            top = sample_topology(rng, num_cells=1, num_subchannels=M,
+                                  users=users)
+            dem = sample_demands(rng, top, rate=(0.2, 0.4))
+            q = np.full((1, M), 0.9 * top.budgets[0] / M)
+            x = [effective_interference(top, q, 0, m) for m in range(M)]
+            with pytest.raises(ValueError, match="at most"):
+                grid_dc_subproblem(top, dem, 0, x, np.full(M, np.inf),
+                                   float(top.budgets[0]), q)
 
 
 def negative_sum_rate(h, bandwidth=1.0):

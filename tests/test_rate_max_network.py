@@ -111,6 +111,14 @@ class TestDcObjective:
             assert fm <= 0.5 * (fa + fb) + 1e-9
             assert gm <= 0.5 * (ga + gb) + 1e-9
 
+    def test_surrogate_takes_g_from_strong_proxies_only(self):
+        # x_lin's weak proxy needs more than q_i = 4 W; G(x_lin) must not care
+        top, dem = rate_max_single_cell()
+        value = surrogate_objective(top, dem, np.array([4.0]),
+                                    [np.array([2.0, 1.0])],
+                                    [np.array([10.0, 1.0])], 0)
+        assert value == pytest.approx(-1.0, rel=1e-12)
+
     def test_surrogate_majorizes_true_objective(self):
         top, dem = symmetric_two_cell()
         rng = np.random.default_rng(33)
@@ -134,8 +142,23 @@ class TestSubproblem:
         caps = np.array([np.inf, np.inf])
         out = solve_convex_subproblem(top, dem, 0, x[0], caps, 10.0, q)
         assert out.improved
-        assert out.q_i == pytest.approx([5.0, 5.0], rel=1e-6)
-        assert out.kkt_residual <= 1e-6
+        assert out.q_i == pytest.approx([5.0, 5.0], rel=1e-12)
+
+    def test_pinned_subchannel_hands_budget_to_the_other(self):
+        # subchannel 0 is pinned at q = 4 by its cap and the coupling, so
+        # the region has no interior; the spare 2 W go to subchannel 1
+        g = np.array([[1.0, 2.0]])
+        top = NetworkTopology(bandwidth=1.0, noise_power=2.0,
+                              budgets=np.array([10.0]), gains=((g, g),))
+        dem = RateDemands.uniform(top, 1.0)
+        q = np.array([[4.0, 4.0]])
+        x = interference_profile(top, np.zeros((1, 2)))
+        out = solve_convex_subproblem(top, dem, 0, x[0],
+                                      np.array([4.0, np.inf]), 10.0, q)
+        assert out.improved
+        assert out.q_i == pytest.approx([4.0, 6.0], rel=1e-12)
+        assert out.objective_value == pytest.approx(-1.0 - np.log2(3.0),
+                                                    rel=1e-12)
 
     def test_single_subchannel_recovers_closed_form(self):
         top, dem = rate_max_single_cell()
