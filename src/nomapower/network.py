@@ -40,6 +40,19 @@ class NetworkTopology:
 
     ``user_ids[i][m]`` carries the caller's user identifiers in the sorted
     order, for traceability.
+
+    A dense view of the same gains is built once at construction, with
+    every group front-padded to ``n_max`` users (padding first, real users
+    in sorted order last):
+
+    * ``cross_ratio`` is (I, M, n_max, I): entry ``[i, m, s, k]`` is the
+      gain from BS ``k`` over the own gain at slot ``s`` of group (i, m),
+      with the own-cell entry ``k == i`` set to 0;
+    * ``noise_ratio`` is (I, M, n_max): noise power over own gain.
+
+    Padded slots hold 0 in both, and padded users carry zero demand
+    weight and zero power, so they change no sum.  :meth:`pad` and
+    :meth:`unpad` convert between nested per-group arrays and this layout.
     """
 
     bandwidth: float
@@ -47,6 +60,8 @@ class NetworkTopology:
     budgets: np.ndarray
     gains: tuple
     user_ids: tuple = field(default=None)
+    cross_ratio: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_ratio: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.bandwidth <= 0:
@@ -98,6 +113,19 @@ class NetworkTopology:
         object.__setattr__(self, "gains", tuple(sorted_gains))
         object.__setattr__(self, "user_ids", tuple(sorted_ids))
 
+        n_max = max((g.shape[1] for row in sorted_gains for g in row), default=0)
+        shape = (num_cells, len(sorted_gains[0]), n_max)
+        cross = np.zeros(shape + (num_cells,))
+        noise = np.zeros(shape)
+        for i, row in enumerate(sorted_gains):
+            for m, g in enumerate(row):
+                start = n_max - g.shape[1]
+                cross[i, m, start:] = (g / g[i]).T
+                cross[i, m, start:, i] = 0.0
+                noise[i, m, start:] = self.noise_power / g[i]
+        object.__setattr__(self, "cross_ratio", _freeze(cross))
+        object.__setattr__(self, "noise_ratio", _freeze(noise))
+
     @property
     def num_cells(self) -> int:
         return self.budgets.size
@@ -112,11 +140,34 @@ class NetworkTopology:
     def own_gains(self, i: int, m: int) -> np.ndarray:
         return self.gains[i][m][i]
 
+    @property
+    def max_group_size(self) -> int:
+        return self.noise_ratio.shape[-1]
+
     def groups(self):
         """Iterate over all (cell, subchannel) pairs."""
         for i in range(self.num_cells):
             for m in range(self.num_subchannels):
                 yield i, m
+
+    def pad(self, nested) -> np.ndarray:
+        """Front-padded (I, M, n_max) array of per-group values, 0 in padding."""
+        out = np.zeros(self.noise_ratio.shape)
+        n_max = self.max_group_size
+        for i, m in self.groups():
+            v = np.asarray(nested[i][m], dtype=float)
+            if v.shape != (self.group_size(i, m),):
+                raise ValueError(f"group ({i},{m}): values do not match the group size")
+            out[i, m, n_max - v.size:] = v
+        return out
+
+    def unpad(self, dense: np.ndarray) -> tuple:
+        """Per-group views into a front-padded (I, M, n_max) array."""
+        n_max = self.max_group_size
+        return tuple(
+            tuple(dense[i, m, n_max - self.group_size(i, m):]
+                  for m in range(self.num_subchannels))
+            for i in range(self.num_cells))
 
 
 @dataclass(frozen=True)
@@ -169,14 +220,21 @@ class PowerAllocation:
         return bool(np.all(np.abs(totals - q) <= rtol * np.maximum(np.abs(q), 1e-300)))
 
 
-def interference_noise_ratio(topology: NetworkTopology, q: np.ndarray,
-                             i: int, m: int) -> np.ndarray:
-    """(inter-cell interference + noise) / own gain, per user of group (i, m)."""
-    g = topology.gains[i][m]
-    q = np.asarray(q, dtype=float)
-    other = np.delete(np.arange(topology.num_cells), i)
-    z = q[other, m] @ g[other] + topology.noise_power
-    return z / g[i]
+def dense_interference(topology: NetworkTopology, q: np.ndarray,
+                       cell: int | None = None) -> np.ndarray:
+    """Effective interference of every user, front-padded like the topology.
+
+    (I, M, n_max) for the whole network, or (M, n_max) for one ``cell``.
+    Entry ``[i, m, j]`` is the worst case, over the users that must decode
+    user j (j itself and every stronger user), of inter-cell interference
+    plus noise divided by that user's own gain.  Padded slots repeat the
+    weakest real user's value.
+    """
+    ratio, noise = topology.cross_ratio, topology.noise_ratio
+    if cell is not None:
+        ratio, noise = ratio[cell], noise[cell]
+    z = np.einsum("...msk,km->...ms", ratio, np.asarray(q, dtype=float)) + noise
+    return np.maximum.accumulate(z[..., ::-1], axis=-1)[..., ::-1]
 
 
 def effective_interference(topology: NetworkTopology, q: np.ndarray,
@@ -186,10 +244,10 @@ def effective_interference(topology: NetworkTopology, q: np.ndarray,
     For user ``j`` this is the maximum, over users ``l >= j`` that must
     decode ``j``'s message, of (inter-cell interference at ``l`` + noise)
     divided by ``l``'s own gain.  Returns the whole group as an array when
-    ``j`` is None.
+    ``j`` is None.  One group of :func:`dense_interference`.
     """
-    ratio = interference_noise_ratio(topology, q, i, m)
-    h = np.maximum.accumulate(ratio[::-1])[::-1]
+    n = topology.group_size(i, m)
+    h = dense_interference(topology, q, i)[m, topology.max_group_size - n:]
     return h if j is None else h[j]
 
 
@@ -203,37 +261,22 @@ def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
 
 
 def group_rates(p: np.ndarray, h: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Rates for one group given its powers and effective interference."""
+    """Rates for one group given its powers and effective interference.
+
+    Users run along the last axis, so front-padded (I, M, n_max) arrays
+    give every group at once; a padded slot with zero power has rate 0.
+    """
     p = np.asarray(p, dtype=float)
     tail = suffix_sums(p)
     return bandwidth * np.log1p(p / (tail + h)) / LN2
 
 
 def suffix_sums(p: np.ndarray) -> np.ndarray:
-    """suffix_sums(p)[j] = sum of p[j+1:]."""
-    out = np.zeros_like(p, dtype=float)
-    if p.size > 1:
-        out[:-1] = np.cumsum(p[::-1])[::-1][1:]
+    """suffix_sums(p)[..., j] = sum of p[..., j+1:], along the last axis."""
+    p = np.asarray(p, dtype=float)
+    out = np.zeros_like(p)
+    out[..., :-1] = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return out
-
-
-def rate_via_decoding_chain(topology: NetworkTopology, allocation: PowerAllocation,
-                            q: np.ndarray, i: int, m: int) -> np.ndarray:
-    """Rates as the explicit minimum over decoding users l >= j.
-
-    Algebraically identical to :func:`achievable_rate`; kept as an
-    independent evaluation path for validation.
-    """
-    p = allocation.powers[i][m]
-    ratio = interference_noise_ratio(topology, q, i, m)
-    tail = suffix_sums(p)
-    b = topology.bandwidth
-    n = p.size
-    rates = np.empty(n)
-    for j in range(n):
-        rates[j] = min(
-            b * np.log1p(p[j] / (tail[j] + ratio[l])) / LN2 for l in range(j, n))
-    return rates
 
 
 def rate_constraint_slack(p: np.ndarray, h: np.ndarray, demands: np.ndarray,
@@ -253,12 +296,13 @@ def check_rate_constraints(topology: NetworkTopology, allocation: PowerAllocatio
     Returns (satisfied, slack) with the same nested (cell, subchannel)
     layout as the allocation; slack is in watts.
     """
+    profile = topology.unpad(dense_interference(topology, q))
     satisfied = []
     slack = []
     for i in range(topology.num_cells):
         ok_row, sl_row = [], []
         for m in range(topology.num_subchannels):
-            h = effective_interference(topology, q, i, m)
+            h = profile[i][m]
             s = rate_constraint_slack(allocation.powers[i][m], h,
                                       demands.rates[i][m], topology.bandwidth)
             sl_row.append(s)

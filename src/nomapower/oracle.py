@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkTopology, RateDemands
+from .network import NetworkTopology, PowerAllocation, RateDemands
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -68,6 +68,64 @@ def minimal_group_powers(demands: np.ndarray, h_points: np.ndarray,
     coef = np.exp2(np.asarray(demands, dtype=float) / bandwidth) - 1.0
     t_inv = np.linalg.inv(tight_constraint_matrix(demands, bandwidth))
     return (coef * np.atleast_2d(h_points)) @ t_inv.T
+
+
+def interference_over_gain(topology: NetworkTopology, q: np.ndarray,
+                           i: int, m: int) -> np.ndarray:
+    """(inter-cell interference + noise) / own gain, per user of group (i, m).
+
+    Explicit loops over the users and the other cells, reading the nested
+    gains only, never the topology's dense view.
+    """
+    g = topology.gains[i][m]
+    out = np.empty(g.shape[1])
+    for l in range(g.shape[1]):
+        z = topology.noise_power
+        for k in range(topology.num_cells):
+            if k != i:
+                z += float(q[k, m]) * float(g[k, l])
+        out[l] = z / g[i, l]
+    return out
+
+
+def reference_interference_map(topology: NetworkTopology, demands: RateDemands,
+                               q: np.ndarray) -> np.ndarray:
+    """f(q) by explicit loops, independent of the dense map.
+
+    Each user's effective interference is the largest value of
+    :func:`interference_over_gain` over the users that decode it (itself
+    and every stronger user); the group's minimum power then comes from
+    the tight rate constraints solved as a linear system.
+    """
+    q = np.asarray(q, dtype=float)
+    out = np.zeros((topology.num_cells, topology.num_subchannels))
+    for i, m in topology.groups():
+        ratio = interference_over_gain(topology, q, i, m)
+        n = ratio.size
+        if n == 0:
+            continue
+        h = np.array([max(ratio[l] for l in range(j, n)) for j in range(n)])
+        out[i, m] = float(minimal_group_powers(demands.rates[i][m], h,
+                                               topology.bandwidth).sum())
+    return out
+
+
+def rate_via_decoding_chain(topology: NetworkTopology, allocation: PowerAllocation,
+                            q: np.ndarray, i: int, m: int) -> np.ndarray:
+    """Rates of group (i, m) as the explicit minimum over decoding users l >= j.
+
+    Algebraically identical to :func:`nomapower.network.achievable_rate`.
+    """
+    p = np.asarray(allocation.powers[i][m], dtype=float)
+    ratio = interference_over_gain(topology, np.asarray(q, dtype=float), i, m)
+    b = topology.bandwidth
+    n = p.size
+    rates = np.empty(n)
+    for j in range(n):
+        tail = float(p[j + 1:].sum())
+        rates[j] = min(b * np.log1p(p[j] / (tail + ratio[l])) / np.log(2.0)
+                       for l in range(j, n))
+    return rates
 
 
 def grid_power_min(topology: NetworkTopology, demands: RateDemands,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      effective_interference)
+                      dense_interference)
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,12 @@ def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     """Weights w_j = (2^(R_j/B) - 1) * 2^(sum_{s<j} R_s/B) for one group.
 
     The minimum total power of a group is the dot product of these weights
-    with the per-user effective interference.
+    with the per-user effective interference.  Users run along the last
+    axis; a front-padded slot with zero demand gets weight 0.
     """
     r = np.asarray(demands, dtype=float) / bandwidth
-    before = np.concatenate(([0.0], np.cumsum(r)[:-1]))
+    before = np.zeros_like(r)
+    before[..., 1:] = np.cumsum(r, axis=-1)[..., :-1]
     return (np.exp2(r) - 1.0) * np.exp2(before)
 
 
@@ -56,16 +58,18 @@ def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
         b_j = 2^(R_j/B) * b_{j+1} + (2^(R_j/B) - 1) * H_j
 
     Every user ends up exactly at its rate demand and all powers are
-    strictly positive.
+    strictly positive.  Users run along the last axis, so front-padded
+    (I, M, n_max) arrays split every group at once; a padded slot with
+    zero demand gets power 0.
     """
     r = np.asarray(demands, dtype=float) / bandwidth
     h = np.asarray(h, dtype=float)
     growth = np.exp2(r)
-    n = r.size
-    b = np.zeros(n + 1)
+    n = r.shape[-1]
+    b = np.zeros(r.shape[:-1] + (n + 1,))
     for j in range(n - 1, -1, -1):
-        b[j] = growth[j] * b[j + 1] + (growth[j] - 1.0) * h[j]
-    return b[:-1] - b[1:]
+        b[..., j] = growth[..., j] * b[..., j + 1] + (growth[..., j] - 1.0) * h[..., j]
+    return b[..., :-1] - b[..., 1:]
 
 
 def interference_map(topology: NetworkTopology, demands: RateDemands,
@@ -76,12 +80,14 @@ def interference_map(topology: NetworkTopology, demands: RateDemands,
     its users' demands against the interference produced by ``q``; it
     equals the group total of :func:`min_power_user_allocation`.
     """
-    out = np.empty((topology.num_cells, topology.num_subchannels))
-    for i, m in topology.groups():
-        w = demand_weights(demands.rates[i][m], topology.bandwidth)
-        h = effective_interference(topology, q, i, m)
-        out[i, m] = w @ h
-    return out
+    weights = demand_weights(topology.pad(demands.rates), topology.bandwidth)
+    return _reduced_map(topology, weights, q)
+
+
+def _reduced_map(topology, weights, q, cell=None):
+    """f(q) from front-padded demand weights; only row ``cell`` if given."""
+    w = weights if cell is None else weights[cell]
+    return (w * dense_interference(topology, q, cell)).sum(axis=-1)
 
 
 def dpc_spm(topology: NetworkTopology, demands: RateDemands,
@@ -90,11 +96,14 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             sweep: str = "gauss-seidel") -> FixedPointReport:
     """Distributed power control for sum-power minimization.
 
-    Iterates q_im <- f_im(q) in ascending (cell, subchannel) order.  The
-    default sweep refreshes q in place (Gauss-Seidel); ``sweep="jacobi"``
-    updates all entries from the previous iterate instead.  Stops once the
-    largest element change is <= ``tol`` and the relative sum-power change
-    is <= ``rel_tol``, or after ``max_iter`` sweeps.
+    Iterates q_im <- f_im(q).  The default sweep refreshes q in place
+    (Gauss-Seidel), cell by cell in ascending order, each cell updating
+    its whole row q[i, :] at once.  That is exactly the ascending (cell,
+    subchannel) order: f_im reads only q[k, m] for k != i, so no entry of
+    row i feeds another entry of row i.  ``sweep="jacobi"`` updates all
+    entries from the previous iterate instead.  Stops once the largest
+    element change is <= ``tol`` and the relative sum-power change is <=
+    ``rel_tol``, or after ``max_iter`` sweeps.
 
     Non-convergence is reported, not raised: it indicates the demands are
     likely infeasible at any power level.
@@ -113,18 +122,17 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
         if np.any(q < 0):
             raise ValueError("q0 must be non-negative")
 
+    weights = demand_weights(topology.pad(demands.rates), topology.bandwidth)
     trace = []
     converged = False
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
         if sweep == "jacobi":
-            q = interference_map(topology, demands, q)
+            q = _reduced_map(topology, weights, q)
         else:
-            for i, m in topology.groups():
-                w = demand_weights(demands.rates[i][m], topology.bandwidth)
-                h = effective_interference(topology, q, i, m)
-                q[i, m] = w @ h
+            for i in range(topology.num_cells):
+                q[i] = _reduced_map(topology, weights, q, i)
         trace.append(q.sum())
         if not np.all(np.isfinite(q)) or q.max() > 1e9 * topology.budgets.max():
             # expansive coupling: the iteration runs away, no fixed point
@@ -132,7 +140,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             break
         # the residual equals the next sweep's element change, so testing it
         # directly applies the stopping rule without a confirming sweep
-        mapped = interference_map(topology, demands, q)
+        mapped = _reduced_map(topology, weights, q)
         residual = float(np.max(np.abs(q - mapped)))
         rel_change = abs(q.sum() - mapped.sum()) / max(q.sum(), 1e-300)
         if residual <= tol and rel_change <= rel_tol:
@@ -151,19 +159,15 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     """Per-user powers at a converged fixed point.
 
     Evaluates the effective interference at ``q_star`` and applies the
-    closed-form split per group; group totals reproduce ``q_star``.
+    closed-form split to every group at once; group totals reproduce
+    ``q_star``.
     """
-    f = interference_map(topology, demands, q_star)
+    rates = topology.pad(demands.rates)
+    h = dense_interference(topology, q_star)
+    f = (demand_weights(rates, topology.bandwidth) * h).sum(axis=-1)
     residual = float(np.max(np.abs(q_star - f)))
     if residual > residual_tol:
         raise ValueError(
             f"q_star is not a fixed point (residual {residual:.3e} > {residual_tol:.1e})")
-    powers = []
-    for i in range(topology.num_cells):
-        row = []
-        for m in range(topology.num_subchannels):
-            h = effective_interference(topology, q_star, i, m)
-            row.append(min_power_user_allocation(demands.rates[i][m], h,
-                                                 topology.bandwidth))
-        powers.append(tuple(row))
-    return PowerAllocation(tuple(powers))
+    return PowerAllocation(topology.unpad(
+        min_power_user_allocation(rates, h, topology.bandwidth)))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (LN2, NetworkTopology, PowerAllocation, RateDemands,
-                      effective_interference, group_rates)
+                      dense_interference, group_rates)
 from .power_min import demand_weights, dpc_spm, interference_map
 from .rate_max_cell import optimal_single_cell_allocation, required_group_power
 
@@ -64,9 +64,7 @@ class SrmReport:
 
 def interference_profile(topology: NetworkTopology, q: np.ndarray) -> list:
     """Effective interference for every group, nested like an allocation."""
-    return [[effective_interference(topology, q, i, m)
-             for m in range(topology.num_subchannels)]
-            for i in range(topology.num_cells)]
+    return [list(row) for row in topology.unpad(dense_interference(topology, q))]
 
 
 def power_cap(topology: NetworkTopology, q: np.ndarray, x, i: int, m: int) -> float:
@@ -197,7 +195,7 @@ def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
     """
     bw = topology.bandwidth
     M = topology.num_subchannels
-    lb = [effective_interference(topology, q, i, m) for m in range(M)]
+    lb = interference_profile(topology, q)[i]
     q_warm = np.asarray(q[i], dtype=float).copy()
     x_warm = [np.asarray(x_lin[m], dtype=float).copy() for m in range(M)]
     weights = [demand_weights(demands.rates[i][m], bw) for m in range(M)]
@@ -428,11 +426,12 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     if not (budgets_ok and np.all(q >= interference_map(topology, demands, q)
                                   * (1.0 - 1e-9))):
         q = fixed_point * float(np.min(headroom))
+    profile = interference_profile(topology, q)
     x = []
     for i in range(topology.num_cells):
         row = []
         for m in range(topology.num_subchannels):
-            h = effective_interference(topology, q, i, m)
+            h = profile[i][m]
             w = demand_weights(demands.rates[i][m], topology.bandwidth)
             margin = q[i, m] - w @ h
             share = rng.uniform(0.0, 1.0, size=h.size)

@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from . import fixtures
-from .network import NetworkTopology, RateDemands, achievable_rate
+from .network import NetworkTopology, RateDemands, dense_interference, group_rates
 from .power_min import assemble_full_solution, dpc_spm
 from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
                                random_feasible_start)
@@ -283,16 +283,21 @@ def _distances(points, site, wrap):
 
 
 def build_demands(config: ScenarioConfig, topology: NetworkTopology) -> RateDemands:
-    """Demands from the config; per-user lists are indexed by gain rank."""
+    """Demands from the config.
+
+    A per-user list is indexed by own-gain rank within the cell: entry 0
+    goes to the cell's weakest user, the last entry to its strongest.
+    Ties rank by user id, as in :func:`generate_channels`.
+    """
     if not isinstance(config.rate_demand_bps, (list, tuple)):
         return RateDemands.uniform(topology, float(config.rate_demand_bps))
     table = {}
     for i in range(topology.num_cells):
-        ranked = np.concatenate([topology.user_ids[i][m]
-                                 for m in range(topology.num_subchannels)])
-        base = i * config.users_per_cell
-        for u in ranked:
-            table[int(u)] = float(config.rate_demand_bps[int(u) - base])
+        ids = np.concatenate(topology.user_ids[i])
+        own = np.concatenate([topology.own_gains(i, m)
+                              for m in range(topology.num_subchannels)])
+        for rank, u in enumerate(ids[np.lexsort((ids, own))]):
+            table[int(u)] = float(config.rate_demand_bps[rank])
     return RateDemands.by_user(topology, table)
 
 
@@ -385,22 +390,26 @@ def _solve_point(config, topology, demands, seed, budget_dbm):
     return row, trace, best.allocation
 
 
+def _rates(topology, allocation, q):
+    """Achievable rate of every user, front-padded (I, M, n_max); 0 in padding."""
+    return group_rates(topology.pad(allocation.powers),
+                       dense_interference(topology, q), topology.bandwidth)
+
+
 def _total_rate(topology, allocation, q):
-    total = 0.0
-    for i, m in topology.groups():
-        total += float(np.sum(achievable_rate(topology, allocation, q, i, m)))
-    return total
+    return float(_rates(topology, allocation, q).sum())
 
 
 def _validate(topology, demands, allocation):
     q = allocation.cell_powers()
     if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
         return "budget exceeded"
-    for i, m in topology.groups():
-        achieved = achievable_rate(topology, allocation, q, i, m)
-        wanted = demands.rates[i][m]
-        if np.any(achieved < wanted * (1.0 - 1e-6)):
-            return f"rate demand missed in group ({i},{m})"
+    achieved = _rates(topology, allocation, q)
+    wanted = topology.pad(demands.rates)
+    missed = np.argwhere(np.any(achieved < wanted * (1.0 - 1e-6), axis=-1))
+    if missed.size:
+        i, m = missed[0]
+        return f"rate demand missed in group ({i},{m})"
     return None
 
 

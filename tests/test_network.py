@@ -7,7 +7,8 @@ from conftest import sample_topology
 from nomapower import NetworkTopology, PowerAllocation, RateDemands
 from nomapower.network import (check_rate_constraints, effective_interference,
                                group_rates, rate_constraint_slack,
-                               rate_via_decoding_chain, suffix_sums)
+                               suffix_sums)
+from nomapower.oracle import rate_via_decoding_chain
 
 
 def two_cell_example():
@@ -181,6 +182,10 @@ class TestTopologyConstruction:
             top.gains[0][0][0, 0] = 2.0
         with pytest.raises(ValueError):
             top.budgets[0] = 1.0
+        with pytest.raises(ValueError):
+            top.cross_ratio[0, 0, 0, 1] = 2.0
+        with pytest.raises(ValueError):
+            top.noise_ratio[0, 0, 0] = 2.0
 
     def test_single_user_groups_allowed(self):
         g = np.array([[1.0]])

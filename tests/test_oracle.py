@@ -11,7 +11,62 @@ from nomapower.network import effective_interference, group_rates
 from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
                               grid_dc_subproblem, grid_power_min,
                               grid_rate_max_group, minimal_group_powers,
+                              reference_interference_map,
                               standard_function_probe)
+
+
+class TestReferenceInterferenceMap:
+    """The dense interference map against explicit per-user loops."""
+
+    @staticmethod
+    def assert_maps_agree(top, dem, q):
+        np.testing.assert_allclose(interference_map(top, dem, q),
+                                   reference_interference_map(top, dem, q),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_ragged_groups_exercise_the_padding(self):
+        rng = np.random.default_rng(61)
+        sizes = set()
+        for _ in range(40):
+            top = sample_topology(rng, num_cells=3, num_subchannels=3,
+                                  users=(1, 5))
+            sizes.update(top.group_size(i, m) for i, m in top.groups())
+            dem = sample_demands(rng, top)
+            self.assert_maps_agree(top, dem, rng.uniform(0.0, 2.0, size=(3, 3)))
+        assert sizes == {1, 2, 3, 4}
+
+    def test_zero_cross_gains(self):
+        rng = np.random.default_rng(62)
+        for _ in range(20):
+            top = sample_topology(rng, num_cells=3, num_subchannels=2,
+                                  users=(1, 5), cross_ratio=(0.0, 0.0))
+            dem = sample_demands(rng, top)
+            q = rng.uniform(0.0, 2.0, size=(3, 2))
+            self.assert_maps_agree(top, dem, q)
+            # no coupling: the map is the noise-only map
+            np.testing.assert_allclose(interference_map(top, dem, q),
+                                       interference_map(top, dem, np.zeros((3, 2))),
+                                       rtol=1e-15, atol=0.0)
+            # some cross gains zero, the others not
+            mixed = sample_topology(rng, num_cells=3, num_subchannels=2,
+                                    users=(1, 5), cross_ratio=(0.05, 0.3))
+            gains = tuple(
+                tuple(np.where((np.arange(3)[:, None] != i)
+                               & (rng.random(g.shape) < 0.5), 0.0, g)
+                      for g in row)
+                for i, row in enumerate(mixed.gains))
+            mixed = NetworkTopology(bandwidth=mixed.bandwidth,
+                                    noise_power=mixed.noise_power,
+                                    budgets=mixed.budgets, gains=gains)
+            self.assert_maps_agree(mixed, sample_demands(rng, mixed), q)
+
+    def test_single_cell(self):
+        rng = np.random.default_rng(63)
+        for _ in range(20):
+            top = sample_topology(rng, num_cells=1, num_subchannels=3,
+                                  users=(1, 5))
+            dem = sample_demands(rng, top)
+            self.assert_maps_agree(top, dem, rng.uniform(0.0, 2.0, size=(1, 3)))
 
 
 class TestGridPowerMin:

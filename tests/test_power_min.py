@@ -8,6 +8,7 @@ from nomapower import (RateDemands, assemble_full_solution, demand_weights,
                        dpc_spm, interference_map, min_power_user_allocation)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import effective_interference, rate_constraint_slack
+from nomapower.oracle import interference_over_gain, reference_interference_map
 
 
 class TestClosedForm:
@@ -185,6 +186,48 @@ class TestFixedPoint:
             dpc_spm(top, dem, q0=np.full((2, 1), -1.0))
         with pytest.raises(ValueError):
             dpc_spm(top, dem, sweep="chaotic")
+
+
+def per_group_dpc_spm(top, dem, sweep, tol=1e-8, rel_tol=1e-10, max_iter=10_000):
+    """dpc_spm's iteration and stopping rule, one (i, m) group at a time."""
+    def f(q, i, m):
+        ratio = interference_over_gain(top, q, i, m)
+        h = np.maximum.accumulate(ratio[::-1])[::-1]
+        return demand_weights(dem.rates[i][m], top.bandwidth) @ h
+
+    q = np.repeat(top.budgets[:, None] / top.num_subchannels,
+                  top.num_subchannels, axis=1)
+    converged = False
+    for iterations in range(1, max_iter + 1):
+        previous = q.copy()
+        for i, m in top.groups():
+            q[i, m] = f(q if sweep == "gauss-seidel" else previous, i, m)
+        if not np.all(np.isfinite(q)) or q.max() > 1e9 * top.budgets.max():
+            break
+        mapped = reference_interference_map(top, dem, q)
+        if (np.max(np.abs(q - mapped)) <= tol
+                and abs(q.sum() - mapped.sum()) / q.sum() <= rel_tol):
+            converged = True
+            break
+    return q, iterations, converged
+
+
+class TestSweepOrder:
+    @pytest.mark.parametrize("sweep", ["gauss-seidel", "jacobi"])
+    def test_by_cell_sweep_matches_per_group_order(self, sweep):
+        rng = np.random.default_rng(71)
+        outcomes = set()
+        for _ in range(15):
+            top = sample_topology(rng, num_cells=3, num_subchannels=3,
+                                  users=(1, 4), cross_ratio=(0.05, 0.4))
+            dem = sample_demands(rng, top)
+            report = dpc_spm(top, dem, sweep=sweep)
+            q, iterations, converged = per_group_dpc_spm(top, dem, sweep)
+            assert report.converged == converged
+            assert report.iterations == iterations
+            np.testing.assert_allclose(report.q_star, q, rtol=1e-12, atol=0.0)
+            outcomes.add(converged)
+        assert outcomes == {True, False}     # both exits are exercised
 
 
 class TestAssemble:

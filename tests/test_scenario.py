@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from nomapower import load_config, pair_users, run_scenario, write_outputs
+from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
+                       load_config, pair_users, run_scenario, write_outputs)
 from nomapower.cli import main
-from nomapower.scenario import (ConfigError, ScenarioConfig, build_demands,
-                                dbm_to_watts, generate_channels, link_gain_db,
-                                run_fixture_checks)
+from nomapower.scenario import (ConfigError, ScenarioConfig, _validate,
+                                build_demands, dbm_to_watts, generate_channels,
+                                link_gain_db, run_fixture_checks)
 
 GOOD_CONFIG = """\
 scenario:
@@ -144,6 +145,21 @@ class TestChannels:
         assert sorted(np.concatenate([demands.rates[0][0],
                                       demands.rates[0][1]]).tolist()) == \
             [1e5, 2e5, 3e5, 4e5]
+        assert demands.rates[0][0].tolist() == [1e5, 4e5]
+        assert demands.rates[0][1].tolist() == [2e5, 3e5]
+
+    def test_demand_list_follows_own_gain_rank(self):
+        rates = [1e5, 2e5, 3e5, 4e5]
+        for pairing in ("SS", "SW", "SM"):
+            config = small_config(rate_demand_bps=rates, pairing=pairing)
+            for seed in range(10):
+                top = generate_channels(config, seed)
+                demands = build_demands(config, top)
+                for i in range(top.num_cells):
+                    own = np.concatenate([top.own_gains(i, m) for m in range(2)])
+                    wanted = np.concatenate(demands.rates[i])
+                    # entry 0 of the list belongs to the cell's weakest user
+                    assert wanted[np.argsort(own)].tolist() == rates
 
     def test_custom_layout(self):
         config = small_config(layout="custom",
@@ -226,6 +242,21 @@ class TestRunScenario:
         artifacts = run_scenario(config)
         assert not artifacts.summary[0].converged
         assert artifacts.ok      # a recorded failure is not a validation error
+
+    def test_validation_names_the_first_missed_group(self):
+        config = small_config()
+        top = generate_channels(config, 3)
+        demands = build_demands(config, top)
+        allocation = assemble_full_solution(top, demands,
+                                            dpc_spm(top, demands).q_star)
+        assert _validate(top, demands, allocation) is None
+        # halving a weak user's power lowers only that user's rate; the
+        # other cell sees less interference
+        powers = [list(row) for row in allocation.powers]
+        powers[1][1] = powers[1][1] * np.array([0.5, 1.0])
+        starved = PowerAllocation(tuple(tuple(row) for row in powers))
+        assert _validate(top, demands, starved) == \
+            "rate demand missed in group (1,1)"
 
 
 class TestFixturesAndCli:
