@@ -16,8 +16,8 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
-                       generate_channels)
+from nomapower import (ScenarioConfig, build_demands, dpc_srm,
+                       generate_channels, solve_spm)
 
 PAIRINGS = ("SS", "SW", "SM")
 
@@ -44,7 +44,7 @@ def main():
                 rate_demand_bps=args.rate_mbps * 1e6)
             topology = generate_channels(config, seed)
             demands = build_demands(config, topology)
-            spm = dpc_spm(topology, demands)
+            spm = solve_spm(topology, demands)
             if not spm.feasible:
                 rows.append((seed, pairing, float("nan"), float("nan"), False))
                 continue

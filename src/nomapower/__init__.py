@@ -4,7 +4,8 @@ Two problems over the same system model: minimizing total transmit power
 subject to per-user rate demands, and maximizing the sum rate subject to
 the same demands and per-BS budgets.  Both exploit the closed-form
 per-group power splits; the network coupling is handled by a standard
-interference-function fixed point (power minimization) and a distributed
+interference-function fixed point (power minimization, solved exactly by
+``solve_spm`` or by the distributed sweep ``dpc_spm``) and a distributed
 difference-of-convex loop (rate maximization).
 """
 
@@ -12,7 +13,8 @@ from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       achievable_rate, check_rate_constraints,
                       effective_interference)
 from .power_min import (FixedPointReport, assemble_full_solution, demand_weights,
-                        dpc_spm, interference_map, min_power_user_allocation)
+                        dpc_spm, interference_map, min_power_user_allocation,
+                        solve_spm)
 from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
                             optimal_single_cell_rate, single_cell_feasible)
 from .rate_max_network import (DcIterate, SrmReport, dc_objective_parts,
@@ -26,7 +28,7 @@ __all__ = [
     "NetworkTopology", "PowerAllocation", "RateDemands",
     "achievable_rate", "check_rate_constraints", "effective_interference",
     "FixedPointReport", "assemble_full_solution", "demand_weights",
-    "dpc_spm", "interference_map", "min_power_user_allocation",
+    "dpc_spm", "interference_map", "min_power_user_allocation", "solve_spm",
     "InfeasiblePowerError", "optimal_single_cell_allocation",
     "optimal_single_cell_rate", "single_cell_feasible",
     "DcIterate", "SrmReport", "dc_objective_parts", "dpc_srm", "power_cap",

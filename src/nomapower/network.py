@@ -220,21 +220,38 @@ class PowerAllocation:
         return bool(np.all(np.abs(totals - q) <= rtol * np.maximum(np.abs(q), 1e-300)))
 
 
+def normalized_interference(topology: NetworkTopology, q: np.ndarray,
+                            cell: int | None = None) -> np.ndarray:
+    """Inter-cell interference plus noise at every user over its own gain.
+
+    Front-padded like the topology: (I, M, n_max) for the whole network,
+    or (M, n_max) for one ``cell``; padded slots hold 0.
+    """
+    ratio, noise = topology.cross_ratio, topology.noise_ratio
+    if cell is not None:
+        ratio, noise = ratio[cell], noise[cell]
+    return np.einsum("...msk,km->...ms", ratio, np.asarray(q, dtype=float)) + noise
+
+
 def dense_interference(topology: NetworkTopology, q: np.ndarray,
                        cell: int | None = None) -> np.ndarray:
     """Effective interference of every user, front-padded like the topology.
 
     (I, M, n_max) for the whole network, or (M, n_max) for one ``cell``.
     Entry ``[i, m, j]`` is the worst case, over the users that must decode
-    user j (j itself and every stronger user), of inter-cell interference
-    plus noise divided by that user's own gain.  Padded slots repeat the
-    weakest real user's value.
+    user j (j itself and every stronger user), of
+    :func:`normalized_interference`.  Padded slots repeat the weakest real
+    user's value.
     """
-    ratio, noise = topology.cross_ratio, topology.noise_ratio
-    if cell is not None:
-        ratio, noise = ratio[cell], noise[cell]
-    z = np.einsum("...msk,km->...ms", ratio, np.asarray(q, dtype=float)) + noise
+    z = normalized_interference(topology, q, cell)
     return np.maximum.accumulate(z[..., ::-1], axis=-1)[..., ::-1]
+
+
+def dense_rates(topology: NetworkTopology, allocation: PowerAllocation,
+                q: np.ndarray) -> np.ndarray:
+    """Achievable rate of every user, front-padded (I, M, n_max); 0 in padding."""
+    return group_rates(topology.pad(allocation.powers),
+                       dense_interference(topology, q), topology.bandwidth)
 
 
 def effective_interference(topology: NetworkTopology, q: np.ndarray,

@@ -5,8 +5,10 @@ so a backward recursion over the cumulative tail powers yields the user
 powers directly.  Substituting the closed form into the network problem
 leaves only the per-BS totals ``q``, coupled through the interference map
 ``f``; ``f`` is a standard interference function, so the distributed
-fixed-point sweep converges to the component-wise minimal solution
-whenever one exists.
+fixed-point sweep (:func:`dpc_spm`) converges to the component-wise
+minimal solution whenever one exists.  :func:`solve_spm` reaches the same
+point exactly in a few small linear solves and certifies when there is
+none.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference)
+                      dense_interference, normalized_interference)
 
 
 @dataclass(frozen=True)
 class FixedPointReport:
-    """Outcome of the fixed-point power-control iteration."""
+    """Outcome of a sum-power fixed-point solve (dpc_spm or solve_spm)."""
 
     q_star: np.ndarray
     iterations: int
@@ -149,6 +151,72 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
 
     budget_ok = q.sum(axis=1) <= topology.budgets * (1.0 + 1e-12)
     return FixedPointReport(q_star=q, iterations=iterations, residual=residual,
+                            budget_feasible=budget_ok, converged=converged,
+                            trace=np.array(trace))
+
+
+def solve_spm(topology: NetworkTopology, demands: RateDemands,
+              max_iter: int = 100) -> FixedPointReport:
+    """Least fixed point of the interference map, by policy iteration.
+
+    Fixing, for every user j, the decoding user l >= j that sets its
+    effective interference (the choice sigma) makes f affine on each
+    subchannel: f(q)[:, m] = A q[:, m] + b with a non-negative A and a
+    positive b, and f is the maximum of these maps over all choices.
+    Starting at q = 0, each step records the choice that attains f at
+    the current q and solves the M systems (I - A) q = b at once; once
+    the choice repeats, f(q) = q.  The iterates rise monotonically and
+    never pass the least fixed point, so that is where they stop
+    (Howard's policy iteration on Yates' standard function).
+
+    Since f >= A q + b with b > 0, a solve that is not finite and
+    positive certifies that A has spectral radius >= 1 and f has no
+    fixed point: ``converged`` is False and ``q_star`` is +inf.  As with
+    :func:`dpc_spm`, a fixed point beyond a budget reports ``converged``
+    True and ``budget_feasible`` False.  ``iterations`` counts linear
+    solves, ``trace`` holds the sum power after each, and ``max_iter``
+    caps the solves against floating-point ties.
+    """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    weights = demand_weights(topology.pad(demands.rates), topology.bandwidth)
+    ratio, noise = topology.cross_ratio, topology.noise_ratio
+    num_cells, _, n_max = noise.shape
+    later = np.triu(np.ones((n_max, n_max), dtype=bool))    # [j, l]: l >= j
+    identity = np.eye(num_cells)
+    q = np.zeros((num_cells, topology.num_subchannels))
+    choice = None
+    trace = []
+    converged = False
+    while True:
+        z = normalized_interference(topology, q)
+        decoder = np.argmax(np.where(later, z[..., None, :], -np.inf), axis=-1)
+        if choice is not None and np.array_equal(decoder, choice):
+            converged = True
+            break
+        if len(trace) == max_iter:
+            break
+        choice = decoder
+        # the demand weight each decoding user carries under this choice
+        load = np.einsum("imj,imjl->iml", weights,
+                         choice[..., None] == np.arange(n_max))
+        a = np.einsum("iml,imlk->mik", load, ratio)
+        b = np.einsum("iml,iml->mi", load, noise)
+        try:
+            q = np.linalg.solve(identity - a, b[..., None])[..., 0].T
+        except np.linalg.LinAlgError:      # I - A singular: radius >= 1 too
+            q = np.full_like(q, np.inf)
+        if not np.all(np.isfinite(q) & ((q > 0.0) | (b.T == 0.0))):
+            q = np.full_like(q, np.inf)
+        trace.append(q.sum())
+        if np.isinf(trace[-1]):
+            break
+
+    residual = np.inf
+    if np.all(np.isfinite(q)):
+        residual = float(np.max(np.abs(q - _reduced_map(topology, weights, q))))
+    budget_ok = q.sum(axis=1) <= topology.budgets * (1.0 + 1e-12)
+    return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
                             budget_feasible=budget_ok, converged=converged,
                             trace=np.array(trace))
 

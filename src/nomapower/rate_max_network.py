@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (LN2, NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates)
-from .power_min import demand_weights, dpc_spm, interference_map
+                      dense_interference, dense_rates)
+from .power_min import demand_weights, interference_map, solve_spm
 from .rate_max_cell import optimal_single_cell_allocation, required_group_power
 
 
@@ -273,7 +273,8 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     intact.  Stops once the total objective changes by at most ``tol``
     between sweeps.
 
-    Without an explicit start the sum-power fixed point is computed,
+    Without an explicit start the sum-power fixed point is computed
+    exactly (:func:`~nomapower.power_min.solve_spm`),
     scaled uniformly by the tightest cell's budget headroom, and the
     proxies are set to the effective interference at that point; this is
     feasible by construction.  An explicit infeasible start raises
@@ -282,7 +283,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     if inner_tol is None:
         inner_tol = tol / 10.0
     if q0 is None:
-        fp = dpc_spm(topology, demands)
+        fp = solve_spm(topology, demands)
         if not fp.feasible:
             raise InfeasibleInitialPointError(
                 "rate demands admit no feasible power allocation within budgets")
@@ -345,10 +346,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     trace.append(float(np.sum(k_cells)))
 
     allocation = _assemble(topology, demands, q, profile)
-    sum_rate = 0.0
-    for i, m in topology.groups():
-        sum_rate += float(group_rates(allocation.powers[i][m], profile[i][m],
-                                      topology.bandwidth).sum())
+    sum_rate = float(dense_rates(topology, allocation, q).sum())
     return SrmReport(q=q, x=tuple(tuple(v for v in row) for row in x),
                      allocation=allocation, sum_rate=sum_rate,
                      outer_iterations=outer, trace=np.array(trace),
@@ -409,7 +407,7 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     random slack above the effective interference.
     """
     if fixed_point is None:
-        fp = dpc_spm(topology, demands)
+        fp = solve_spm(topology, demands)
         if not fp.feasible:
             raise InfeasibleInitialPointError(
                 "rate demands admit no feasible power allocation within budgets")

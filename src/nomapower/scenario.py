@@ -20,8 +20,8 @@ import numpy as np
 import yaml
 
 from . import fixtures
-from .network import NetworkTopology, RateDemands, dense_interference, group_rates
-from .power_min import assemble_full_solution, dpc_spm
+from .network import NetworkTopology, RateDemands, dense_rates
+from .power_min import assemble_full_solution, solve_spm
 from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
                                random_feasible_start)
 
@@ -65,8 +65,8 @@ class ScenarioConfig:
     antenna_gain_dbi: float = 14.0
     min_distance_m: float = 10.0
     # solver
-    power_tol_w: float = 1.0e-8
-    max_iterations: int = 10_000
+    power_tol_w: float = 1.0e-8     # unread: the power-min solve is exact
+    max_iterations: int = 10_000    # caps solve_spm's linear solves
     rate_tol: float = 1.0e-3
     max_outer: int = 100
 
@@ -353,8 +353,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
 def _solve_point(config, topology, demands, seed, budget_dbm):
     name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
     if config.algorithm == "power-min":
-        report = dpc_spm(topology, demands, tol=config.power_tol_w,
-                         max_iter=config.max_iterations)
+        report = solve_spm(topology, demands, max_iter=config.max_iterations)
         trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
         if not report.feasible:
             row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
@@ -362,7 +361,7 @@ def _solve_point(config, topology, demands, seed, budget_dbm):
                              False, name)
             return row, trace, None
         allocation = assemble_full_solution(topology, demands, report.q_star)
-        sum_rate = _total_rate(topology, allocation, report.q_star)
+        sum_rate = float(dense_rates(topology, allocation, report.q_star).sum())
         row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
                          float(report.q_star.sum()), sum_rate,
                          report.iterations, True, name)
@@ -390,21 +389,11 @@ def _solve_point(config, topology, demands, seed, budget_dbm):
     return row, trace, best.allocation
 
 
-def _rates(topology, allocation, q):
-    """Achievable rate of every user, front-padded (I, M, n_max); 0 in padding."""
-    return group_rates(topology.pad(allocation.powers),
-                       dense_interference(topology, q), topology.bandwidth)
-
-
-def _total_rate(topology, allocation, q):
-    return float(_rates(topology, allocation, q).sum())
-
-
 def _validate(topology, demands, allocation):
     q = allocation.cell_powers()
     if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
         return "budget exceeded"
-    achieved = _rates(topology, allocation, q)
+    achieved = dense_rates(topology, allocation, q)
     wanted = topology.pad(demands.rates)
     missed = np.argwhere(np.any(achieved < wanted * (1.0 - 1e-6), axis=-1))
     if missed.size:
@@ -456,7 +445,7 @@ def run_fixture_checks(echo=print) -> bool:
     ok = True
 
     topology, demands = fixtures.symmetric_two_cell()
-    report = dpc_spm(topology, demands)
+    report = solve_spm(topology, demands)
     total = float(report.q_star.sum())
     good = report.feasible and abs(total - fixtures.SYMMETRIC_TWO_CELL_SUM_POWER) <= 1e-6
     allocation = assemble_full_solution(topology, demands, report.q_star)

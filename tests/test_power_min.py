@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_demands, sample_topology
-from nomapower import (RateDemands, assemble_full_solution, demand_weights,
-                       dpc_spm, interference_map, min_power_user_allocation)
+from nomapower import (NetworkTopology, RateDemands, assemble_full_solution,
+                       demand_weights, dpc_spm, interference_map,
+                       min_power_user_allocation, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import effective_interference, rate_constraint_slack
 from nomapower.oracle import interference_over_gain, reference_interference_map
@@ -228,6 +229,137 @@ class TestSweepOrder:
             np.testing.assert_allclose(report.q_star, q, rtol=1e-12, atol=0.0)
             outcomes.add(converged)
         assert outcomes == {True, False}     # both exits are exercised
+
+
+class TestSolveSpm:
+    """The exact least fixed point against the distributed sweep."""
+
+    def test_agrees_with_dpc_spm_on_random_instances(self):
+        rng = np.random.default_rng(81)
+        outcomes = set()
+        sizes = set()
+        for _ in range(40):
+            top = sample_topology(rng, num_cells=int(rng.integers(2, 5)),
+                                  num_subchannels=int(rng.integers(1, 4)),
+                                  users=(1, 5), cross_ratio=(0.02, 0.2),
+                                  budget=float(rng.uniform(0.5, 5.0)))
+            sizes.update(top.group_size(i, m) for i, m in top.groups())
+            dem = sample_demands(rng, top)
+            reference = dpc_spm(top, dem)
+            exact = solve_spm(top, dem)
+            outcomes.add((reference.converged, reference.feasible))
+            if not reference.converged:
+                # dpc_spm ran away; there is no fixed point to find
+                assert not exact.converged
+                continue
+            assert exact.converged
+            assert exact.feasible == reference.feasible
+            np.testing.assert_array_equal(exact.budget_feasible,
+                                          reference.budget_feasible)
+            # dpc_spm stops at a residual of 1e-8, up to (I - A)^-1 * 1e-8 from q*
+            np.testing.assert_allclose(exact.q_star, reference.q_star,
+                                       rtol=1e-7, atol=0.0)
+        assert outcomes == {(True, True), (True, False), (False, False)}
+        assert sizes == {1, 2, 3, 4}
+
+    def test_residual_is_at_rounding_level(self):
+        rng = np.random.default_rng(82)
+        for _ in range(30):
+            top = sample_topology(rng, num_cells=3, num_subchannels=2,
+                                  users=(1, 5))
+            dem = sample_demands(rng, top, rate=(0.2, 0.6))
+            report = solve_spm(top, dem)
+            assert report.converged
+            q = report.q_star
+            assert report.residual <= 1e-12 * q.max()
+            np.testing.assert_allclose(reference_interference_map(top, dem, q), q,
+                                       rtol=1e-12, atol=0.0)
+
+    def test_trace_is_non_decreasing(self):
+        rng = np.random.default_rng(83)
+        solves = set()
+        for _ in range(30):
+            top = sample_topology(rng, num_cells=3, num_subchannels=2,
+                                  users=(1, 5), cross_ratio=(0.02, 0.3))
+            report = solve_spm(top, sample_demands(rng, top, rate=(0.2, 0.6)))
+            assert report.converged
+            assert len(report.trace) == report.iterations
+            assert np.all(np.diff(report.trace) >= 0.0)
+            solves.add(report.iterations)
+        assert max(solves) >= 2
+
+    def test_component_wise_minimality(self):
+        rng = np.random.default_rng(15)
+        top = sample_topology(rng, num_cells=2, users=2)
+        dem = sample_demands(rng, top)
+        report = solve_spm(top, dem)
+        assert report.converged
+        q_star = report.q_star
+        found = 0
+        for _ in range(500):
+            q_c = rng.uniform(0.0, 2.0 * float(q_star.max()), size=q_star.shape)
+            f_c = interference_map(top, dem, q_c)
+            if np.all(q_c >= f_c) and np.all(q_c.sum(axis=1) <= top.budgets):
+                found += 1
+                assert np.all(q_c >= q_star - 1e-9)
+        assert found > 0
+
+    def test_no_fixed_point_is_certified_after_one_solve(self):
+        # cross gains above own make the map expansive: no fixed point
+        g0 = np.array([[1.0, 1.0], [3.0, 3.0]])
+        g1 = np.array([[3.0, 3.0], [1.0, 1.0]])
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                              budgets=np.array([10.0, 10.0]),
+                              gains=((g0,), (g1,)))
+        report = solve_spm(top, RateDemands.uniform(top, 1.0))
+        assert not report.converged
+        assert report.iterations == 1
+        assert not report.feasible
+
+    def test_over_budget_fixed_point_still_converges(self):
+        top, dem = symmetric_two_cell()
+        small = NetworkTopology(bandwidth=top.bandwidth,
+                                noise_power=top.noise_power,
+                                budgets=np.array([0.5, 0.5]), gains=top.gains)
+        report = solve_spm(small, dem)
+        assert report.converged
+        assert report.q_star == pytest.approx(np.ones((2, 1)), rel=1e-12)
+        assert not np.any(report.budget_feasible)
+        assert not report.feasible
+
+    def test_near_singular_coupling(self):
+        # the symmetric fixture with cross gains of 0.333 x own: the map is
+        # q = 0.999 q' + 0.4, with its fixed point at 400 W per cell
+        own = np.array([0.5, 1.0])
+        group0 = np.array([own, 0.333 * own])
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                              budgets=np.array([1000.0, 1000.0]),
+                              gains=((group0,), (group0[::-1],)))
+        dem = RateDemands.uniform(top, 1.0)
+        assert not dpc_spm(top, dem, max_iter=200).converged
+        report = solve_spm(top, dem)
+        assert report.converged and report.feasible
+        assert report.q_star.ravel() == pytest.approx([400.0, 400.0], rel=1e-9)
+
+    def test_empty_group_carries_no_power(self):
+        # an empty group adds a zero row to b; that is no certificate
+        g0 = np.array([[0.5, 1.0], [0.1, 0.2]])
+        g3 = np.array([[0.1, 0.2], [0.5, 1.0]])
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                              budgets=np.array([5.0, 5.0]),
+                              gains=((g0, np.zeros((2, 0))),
+                                     (np.array([[0.1], [0.5]]), g3)))
+        dem = RateDemands.uniform(top, 1.0)
+        report = solve_spm(top, dem)
+        assert report.converged and report.feasible
+        assert report.q_star[0, 1] == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(report.q_star, dpc_spm(top, dem).q_star,
+                                   rtol=1e-8, atol=0.0)
+
+    def test_validates_arguments(self):
+        top, dem = symmetric_two_cell()
+        with pytest.raises(ValueError):
+            solve_spm(top, dem, max_iter=0)
 
 
 class TestAssemble:
