@@ -24,7 +24,7 @@ LN2 = np.log(2.0)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=float))
+    a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
     return a
 
@@ -33,26 +33,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class NetworkTopology:
     """Static description of the network.
 
-    ``gains[i][m]`` is an (I, n) array for the group served by BS ``i`` on
-    subchannel ``m`` with ``n`` users: entry ``[k, j]`` is the linear power
-    gain from BS ``k`` to user ``j`` of that group.  Row ``i`` holds the
-    own-cell gains and is non-decreasing (users sorted at construction).
+    The gains live in front-padded arrays, built and validated once at
+    construction: every (cell, subchannel) group is padded to ``n_max``
+    users, padding first, then the real users in ascending own-cell gain
+    (ties keep the input order).
 
-    ``user_ids[i][m]`` carries the caller's user identifiers in the sorted
-    order, for traceability.
-
-    A dense view of the same gains is built once at construction, with
-    every group front-padded to ``n_max`` users (padding first, real users
-    in sorted order last):
-
+    * ``dense_gains`` is (I, M, I, n_max): entry ``[i, m, k, s]`` is the
+      linear power gain from BS ``k`` to the user at slot ``s`` of the
+      group served by BS ``i`` on subchannel ``m``;
+    * ``dense_ids`` is (I, M, n_max): the caller's user identifiers in the
+      same order (consecutive integers in input order when none are given);
+    * ``occupied`` is (I, M, n_max) and True at the real users' slots;
     * ``cross_ratio`` is (I, M, n_max, I): entry ``[i, m, s, k]`` is the
-      gain from BS ``k`` over the own gain at slot ``s`` of group (i, m),
-      with the own-cell entry ``k == i`` set to 0;
+      gain from BS ``k`` over the own gain at slot ``s``, with the
+      own-cell entry ``k == i`` set to 0;
     * ``noise_ratio`` is (I, M, n_max): noise power over own gain.
 
-    Padded slots hold 0 in both, and padded users carry zero demand
-    weight and zero power, so they change no sum.  :meth:`pad` and
-    :meth:`unpad` convert between nested per-group arrays and this layout.
+    Padded slots hold 0 in all of them, and padded users carry zero demand
+    weight and zero power, so they change no sum.
+
+    The constructor takes the groups nested: ``gains[i][m]`` is an (I, n)
+    array for a group of ``n`` users, entry ``[k, j]`` the gain from BS
+    ``k`` to user ``j``, and ``user_ids[i][m]`` holds the group's
+    identifiers.  After construction both are read-only views of the
+    sorted dense arrays, so row ``i`` of ``gains[i][m]`` is
+    non-decreasing.  :meth:`pad` and :meth:`unpad` convert between nested
+    per-group arrays and the padded layout.
     """
 
     bandwidth: float
@@ -60,6 +66,9 @@ class NetworkTopology:
     budgets: np.ndarray
     gains: tuple
     user_ids: tuple = field(default=None)
+    dense_gains: np.ndarray = field(init=False, repr=False, compare=False)
+    dense_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    occupied: np.ndarray = field(init=False, repr=False, compare=False)
     cross_ratio: np.ndarray = field(init=False, repr=False, compare=False)
     noise_ratio: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -69,62 +78,73 @@ class NetworkTopology:
         if self.noise_power <= 0:
             raise ValueError("noise power must be positive")
         budgets = _freeze(self.budgets)
-        if budgets.ndim != 1 or np.any(budgets <= 0):
+        if budgets.ndim != 1 or (budgets <= 0).any():
             raise ValueError("budgets must be a 1-D positive array")
         num_cells = budgets.size
+        if len(self.gains) != num_cells:
+            raise ValueError("gains must hold one row of groups per cell")
 
-        sorted_gains = []
-        sorted_ids = []
-        next_id = 0
-        seen = set()
+        groups = []
         for i, per_cell in enumerate(self.gains):
             if len(per_cell) != len(self.gains[0]):
                 raise ValueError("every cell must cover the same subchannels")
-            row_gains = []
-            row_ids = []
             for m, g in enumerate(per_cell):
                 g = np.asarray(g, dtype=float)
                 if g.ndim != 2 or g.shape[0] != num_cells:
                     raise ValueError(
                         f"group ({i},{m}): gains must be (num_cells, n_users)")
-                if np.any(g[i] <= 0):
-                    raise ValueError(f"group ({i},{m}): own gains must be > 0")
-                if np.any(g < 0):
-                    raise ValueError(f"group ({i},{m}): gains must be >= 0")
-                if self.user_ids is not None:
-                    ids = np.asarray(self.user_ids[i][m])
-                else:
-                    ids = np.arange(next_id, next_id + g.shape[1])
-                    next_id += g.shape[1]
-                if ids.size != g.shape[1]:
+                groups.append(g)
+        sizes = np.array([g.shape[1] for g in groups], dtype=int)
+        n_max = int(sizes.max(initial=0))
+        shape = (num_cells, len(self.gains[0]), n_max)
+        occupied = np.arange(n_max) >= n_max - sizes.reshape(shape[:2] + (1,))
+        gains = np.zeros(shape[:2] + (num_cells, n_max))
+        for row, g in zip(gains.reshape(-1, num_cells, n_max), groups):
+            row[:, n_max - g.shape[1]:] = g
+        ids = np.zeros(shape, dtype=int)
+        if self.user_ids is None:
+            ids[occupied] = np.arange(sizes.sum())
+        else:
+            for (i, m), row, n in zip(np.ndindex(shape[:2]),
+                                      ids.reshape(-1, n_max), sizes):
+                given = np.asarray(self.user_ids[i][m])
+                if given.size != n:
                     raise ValueError(f"group ({i},{m}): user id count mismatch")
-                for u in ids.tolist():
-                    if u in seen:
-                        raise ValueError(f"user {u} appears in two groups")
-                    seen.add(u)
-                # ascending own gain; ties keep the original user order
-                order = np.argsort(g[i], kind="stable")
-                row_gains.append(_freeze(g[:, order]))
-                row_ids.append(_freeze(ids[order]).astype(int))
-            sorted_gains.append(tuple(row_gains))
-            sorted_ids.append(tuple(row_ids))
+                row[n_max - n:] = given
 
-        object.__setattr__(self, "budgets", budgets)
-        object.__setattr__(self, "gains", tuple(sorted_gains))
-        object.__setattr__(self, "user_ids", tuple(sorted_ids))
+        cells = np.arange(num_cells)
+        own = gains[cells, :, cells]                        # (I, M, n_max)
+        own_bad = (occupied & (own <= 0)).any(axis=-1)
+        bad = own_bad | (gains < 0).any(axis=(2, 3))
+        if bad.any():
+            i, m = np.argwhere(bad)[0]
+            rule = "own gains must be > 0" if own_bad[i, m] else "gains must be >= 0"
+            raise ValueError(f"group ({i},{m}): {rule}")
+        real = ids[occupied]
+        ranked = np.sort(real)
+        if (ranked[1:] == ranked[:-1]).any():
+            repeated = np.ones(real.size, dtype=bool)
+            repeated[np.unique(real, return_index=True)[1]] = False
+            raise ValueError(f"user {real[repeated][0]} appears in two groups")
 
-        n_max = max((g.shape[1] for row in sorted_gains for g in row), default=0)
-        shape = (num_cells, len(sorted_gains[0]), n_max)
-        cross = np.zeros(shape + (num_cells,))
-        noise = np.zeros(shape)
-        for i, row in enumerate(sorted_gains):
-            for m, g in enumerate(row):
-                start = n_max - g.shape[1]
-                cross[i, m, start:] = (g / g[i]).T
-                cross[i, m, start:, i] = 0.0
-                noise[i, m, start:] = self.noise_power / g[i]
-        object.__setattr__(self, "cross_ratio", _freeze(cross))
-        object.__setattr__(self, "noise_ratio", _freeze(noise))
+        # ascending own gain; ties keep the input order and the padding
+        # (own gain 0) stays in front
+        if not (own[..., :-1] <= own[..., 1:]).all():
+            order = np.argsort(own, axis=-1, kind="stable")
+            gains = np.take_along_axis(gains, order[:, :, None, :], axis=-1)
+            ids = np.take_along_axis(ids, order, axis=-1)
+            own = np.take_along_axis(own, order, axis=-1)
+        own = np.where(occupied, own, np.inf)
+        cross = (gains / own[:, :, None, :]).transpose(0, 1, 3, 2).copy()
+        cross[cells, :, :, cells] = 0.0
+        for name, value in (("budgets", budgets), ("dense_gains", gains),
+                            ("dense_ids", ids), ("occupied", occupied),
+                            ("cross_ratio", cross),
+                            ("noise_ratio", self.noise_power / own)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "gains", self.unpad(gains))
+        object.__setattr__(self, "user_ids", self.unpad(ids))
 
     @property
     def num_cells(self) -> int:
@@ -132,7 +152,7 @@ class NetworkTopology:
 
     @property
     def num_subchannels(self) -> int:
-        return len(self.gains[0])
+        return self.occupied.shape[1]
 
     def group_size(self, i: int, m: int) -> int:
         return self.gains[i][m].shape[1]
@@ -142,7 +162,7 @@ class NetworkTopology:
 
     @property
     def max_group_size(self) -> int:
-        return self.noise_ratio.shape[-1]
+        return self.occupied.shape[-1]
 
     def groups(self):
         """Iterate over all (cell, subchannel) pairs."""
@@ -152,22 +172,26 @@ class NetworkTopology:
 
     def pad(self, nested) -> np.ndarray:
         """Front-padded (I, M, n_max) array of per-group values, 0 in padding."""
-        out = np.zeros(self.noise_ratio.shape)
-        n_max = self.max_group_size
-        for i, m in self.groups():
-            v = np.asarray(nested[i][m], dtype=float)
-            if v.shape != (self.group_size(i, m),):
-                raise ValueError(f"group ({i},{m}): values do not match the group size")
-            out[i, m, n_max - v.size:] = v
+        values = [np.asarray(v, dtype=float) for row in nested for v in row]
+        shapes = [(n,) for n in self.occupied.sum(axis=-1).ravel().tolist()]
+        if [v.shape for v in values] != shapes:
+            k = next((k for k, (v, shape) in enumerate(zip(values, shapes))
+                      if v.shape != shape), min(len(values), len(shapes)))
+            i, m = divmod(k, self.num_subchannels)
+            raise ValueError(f"group ({i},{m}): values do not match the group size")
+        out = np.zeros(self.occupied.shape)
+        if values:
+            out[self.occupied] = np.concatenate(values)
         return out
 
     def unpad(self, dense: np.ndarray) -> tuple:
-        """Per-group views into a front-padded (I, M, n_max) array."""
+        """Per-group views into a front-padded array, padded along its last axis."""
+        if self.occupied.all():                 # no padding: whole rows
+            return tuple(map(tuple, dense))
         n_max = self.max_group_size
         return tuple(
-            tuple(dense[i, m, n_max - self.group_size(i, m):]
-                  for m in range(self.num_subchannels))
-            for i in range(self.num_cells))
+            tuple(dense[i, m, ..., n_max - n:] for m, n in enumerate(row))
+            for i, row in enumerate(self.occupied.sum(axis=-1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -179,26 +203,22 @@ class RateDemands:
     def __post_init__(self):
         frozen = tuple(
             tuple(_freeze(r) for r in per_cell) for per_cell in self.rates)
-        for per_cell in frozen:
-            for r in per_cell:
-                if np.any(r <= 0):
-                    raise ValueError("rate demands must be positive")
+        values = [r for per_cell in frozen for r in per_cell]
+        if values and np.any(np.concatenate(values, axis=None) <= 0):
+            raise ValueError("rate demands must be positive")
         object.__setattr__(self, "rates", frozen)
 
     @classmethod
     def uniform(cls, topology: NetworkTopology, rate: float) -> "RateDemands":
-        return cls(tuple(
-            tuple(np.full(topology.group_size(i, m), float(rate))
-                  for m in range(topology.num_subchannels))
-            for i in range(topology.num_cells)))
+        return cls(topology.unpad(np.full(topology.occupied.shape, float(rate))))
 
     @classmethod
     def by_user(cls, topology: NetworkTopology, table: dict) -> "RateDemands":
         """Build from a {user_id: rate} mapping covering every user."""
-        return cls(tuple(
-            tuple(np.array([table[u] for u in topology.user_ids[i][m]], dtype=float)
-                  for m in range(topology.num_subchannels))
-            for i in range(topology.num_cells)))
+        rates = np.zeros(topology.occupied.shape)
+        rates[topology.occupied] = [
+            table[u] for u in topology.dense_ids[topology.occupied].tolist()]
+        return cls(topology.unpad(rates))
 
 
 @dataclass(frozen=True)

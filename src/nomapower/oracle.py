@@ -5,7 +5,10 @@ machinery of the solver modules: group feasibility is decided by solving
 the tight rate constraints as a plain linear system, optima are located
 by exhaustive grid search, and curvature is probed with finite
 differences.  Instances are bounded at entry because the searches are
-combinatorial.
+combinatorial.  Two validation-only companions of the per-group closed
+forms live here too: :func:`boundary_allocation_matches_minimum` checks
+one closed form against another, :func:`group_sum_rate` sums the
+per-user rates directly.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkTopology, PowerAllocation, RateDemands
+from .network import NetworkTopology, PowerAllocation, RateDemands, group_rates
+from .power_min import min_power_user_allocation
+from .rate_max_cell import optimal_single_cell_allocation, required_group_power
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -68,6 +73,20 @@ def minimal_group_powers(demands: np.ndarray, h_points: np.ndarray,
     coef = np.exp2(np.asarray(demands, dtype=float) / bandwidth) - 1.0
     t_inv = np.linalg.inv(tight_constraint_matrix(demands, bandwidth))
     return (coef * np.atleast_2d(h_points)) @ t_inv.T
+
+
+def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
+                                        bandwidth: float, rtol: float = 1e-9) -> bool:
+    """At the feasibility boundary both closed forms coincide."""
+    required = required_group_power(demands, h, bandwidth)
+    p_rate = optimal_single_cell_allocation(demands, h, required, bandwidth)
+    p_min = min_power_user_allocation(demands, h, bandwidth)
+    return bool(np.allclose(p_rate, p_min, rtol=rtol, atol=0.0))
+
+
+def group_sum_rate(p: np.ndarray, h: np.ndarray, bandwidth: float) -> float:
+    """Direct sum of per-user rates; validation companion to the closed form."""
+    return float(group_rates(p, h, bandwidth).sum())
 
 
 def interference_over_gain(topology: NetworkTopology, q: np.ndarray,

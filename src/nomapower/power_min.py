@@ -37,6 +37,11 @@ class FixedPointReport:
         return self.converged and bool(np.all(self.budget_feasible))
 
 
+def within_budgets(topology: NetworkTopology, q: np.ndarray) -> np.ndarray:
+    """Per-BS check of the totals of an (I, M) power array against the budgets."""
+    return q.sum(axis=1) <= topology.budgets * (1.0 + 1e-12)
+
+
 def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     """Weights w_j = (2^(R_j/B) - 1) * 2^(sum_{s<j} R_s/B) for one group.
 
@@ -149,7 +154,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             converged = True
             break
 
-    budget_ok = q.sum(axis=1) <= topology.budgets * (1.0 + 1e-12)
+    budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=iterations, residual=residual,
                             budget_feasible=budget_ok, converged=converged,
                             trace=np.array(trace))
@@ -215,7 +220,7 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     residual = np.inf
     if np.all(np.isfinite(q)):
         residual = float(np.max(np.abs(q - _reduced_map(topology, weights, q))))
-    budget_ok = q.sum(axis=1) <= topology.budgets * (1.0 + 1e-12)
+    budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
                             budget_feasible=budget_ok, converged=converged,
                             trace=np.array(trace))

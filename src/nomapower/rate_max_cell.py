@@ -12,8 +12,8 @@ import warnings
 
 import numpy as np
 
-from .network import LN2, group_rates
-from .power_min import demand_weights, min_power_user_allocation
+from .network import LN2
+from .power_min import demand_weights
 
 
 class InfeasiblePowerError(ValueError):
@@ -104,17 +104,3 @@ def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im: float,
     if weak.size:
         argument -= np.sum((np.exp2(weak) - 1.0) * h[:-1] / (np.exp2(tail) * h_strong))
     return float(bandwidth * np.log2(argument) + bandwidth * weak.sum())
-
-
-def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
-                                        bandwidth: float, rtol: float = 1e-9) -> bool:
-    """At the feasibility boundary both closed forms coincide."""
-    required = required_group_power(demands, h, bandwidth)
-    p_rate = optimal_single_cell_allocation(demands, h, required, bandwidth)
-    p_min = min_power_user_allocation(demands, h, bandwidth)
-    return bool(np.allclose(p_rate, p_min, rtol=rtol, atol=0.0))
-
-
-def group_sum_rate(p: np.ndarray, h: np.ndarray, bandwidth: float) -> float:
-    """Direct sum of per-user rates; validation companion to the closed form."""
-    return float(group_rates(p, h, bandwidth).sum())

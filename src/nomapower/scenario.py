@@ -21,7 +21,7 @@ import yaml
 
 from . import fixtures
 from .network import NetworkTopology, RateDemands, dense_rates
-from .power_min import assemble_full_solution, solve_spm
+from .power_min import assemble_full_solution, solve_spm, within_budgets
 from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
                                random_feasible_start)
 
@@ -218,41 +218,25 @@ def generate_channels(config: ScenarioConfig, seed: int) -> NetworkTopology:
     rng = np.random.default_rng(seed)
     sites, wrap = _site_layout(config)
     num_cells = sites.shape[0]
-    users = []
-    for i in range(num_cells):
-        for _ in range(config.users_per_cell):
-            users.append(_drop_user(rng, sites[i], config))
-    users = np.array(users)
+    per_cell = config.users_per_cell
+    users = _drop_users(rng, sites, per_cell, config)
     shadow = rng.normal(0.0, config.shadowing_std_db,
                         size=(len(users), num_cells))
+    gain_db = link_gain_db(config, _distances(users, sites, wrap), shadow)
+    gain = 10.0 ** (gain_db / 10.0)                 # (users, sites)
 
-    gain_db = np.empty((len(users), num_cells))
-    for k in range(num_cells):
-        gain_db[:, k] = link_gain_db(config, _distances(users, sites[k], wrap),
-                                     shadow[:, k])
-    gain = 10.0 ** (gain_db / 10.0)
-
+    # rank each cell's users by own gain (ties by user index), then group
+    # the ranks by the pairing's fixed pattern
+    cells = np.arange(num_cells)
+    own = gain.reshape(num_cells, per_cell, num_cells)[cells, :, cells]
+    ranked = np.argsort(own, axis=1, kind="stable") + per_cell * cells[:, None]
+    members = ranked[:, pair_users(range(per_cell), config.pairing)]   # (I, M, 2)
     budget = dbm_to_watts(config.budget_dbm_sweep[0])
-    per_cell_gains = []
-    per_cell_ids = []
-    for i in range(num_cells):
-        rows = np.arange(i * config.users_per_cell, (i + 1) * config.users_per_cell)
-        order = np.argsort(gain[rows, i], kind="stable")
-        ranked = rows[order]
-        groups = pair_users(range(config.users_per_cell), config.pairing)
-        cell_groups = []
-        cell_ids = []
-        for pair in groups:
-            members = ranked[list(pair)]
-            cell_groups.append(gain[members].T)     # (num_cells, 2)
-            cell_ids.append(members)
-        per_cell_gains.append(tuple(cell_groups))
-        per_cell_ids.append(tuple(cell_ids))
     return NetworkTopology(bandwidth=config.bandwidth_hz,
                            noise_power=dbm_to_watts(config.noise_power_dbm),
                            budgets=np.full(num_cells, budget),
-                           gains=tuple(per_cell_gains),
-                           user_ids=tuple(per_cell_ids))
+                           gains=tuple(map(tuple, gain[members].transpose(0, 1, 3, 2))),
+                           user_ids=tuple(map(tuple, members)))
 
 
 def _site_layout(config):
@@ -265,21 +249,44 @@ def _site_layout(config):
     return sites, wrap
 
 
-def _drop_user(rng, site, config):
+_MAX_DRAWS = 1000       # per user
+
+
+def _drop_users(rng, sites, count, config):
+    """``count`` positions per site, at distance [min_distance_m, radius].
+
+    Rejection sampling over a square, site by site, with the draws in the
+    order a one-user-at-a-time loop makes them: each round draws exactly
+    as many trials as the site still misses users, so no draw is wasted.
+    A user that needs more than ``_MAX_DRAWS`` draws raises RuntimeError.
+    """
     radius = config.radius
-    for _ in range(1000):
-        pos = site + rng.uniform(-radius, radius, size=2)
-        d = np.linalg.norm(pos - site)
-        if config.min_distance_m <= d <= radius:
-            return pos
-    raise RuntimeError("could not place a user after 1000 draws")
+    placed = []
+    for site in sites:
+        need = count
+        missed = 0          # rejected draws since the last accepted one
+        while need:
+            pos = site + rng.uniform(-radius, radius, size=(need, 2))
+            delta = pos - site
+            d = np.sqrt(np.vecdot(delta, delta))    # rounds as np.linalg.norm does
+            hits = ((config.min_distance_m <= d) & (d <= radius)).nonzero()[0]
+            if missed + need >= _MAX_DRAWS:
+                runs = np.diff(hits, prepend=-1 - missed, append=need) - 1
+                if runs.max() >= _MAX_DRAWS:
+                    raise RuntimeError(
+                        f"could not place a user after {_MAX_DRAWS} draws")
+            missed = need - 1 - hits[-1] if hits.size else missed + need
+            placed.append(pos[hits])
+            need -= hits.size
+    return np.concatenate(placed)
 
 
-def _distances(points, site, wrap):
-    delta = np.abs(points - site[None, :])
+def _distances(points, sites, wrap):
+    """(points, sites) distances, on the wrap-around torus when ``wrap`` is set."""
+    delta = np.abs(points[:, None, :] - sites[None, :, :])
     if wrap is not None:
-        delta = np.minimum(delta, wrap[None, :] - delta)
-    return np.sqrt((delta ** 2).sum(axis=1))
+        delta = np.minimum(delta, wrap - delta)
+    return np.sqrt((delta ** 2).sum(axis=-1))
 
 
 def build_demands(config: ScenarioConfig, topology: NetworkTopology) -> RateDemands:
@@ -291,14 +298,17 @@ def build_demands(config: ScenarioConfig, topology: NetworkTopology) -> RateDema
     """
     if not isinstance(config.rate_demand_bps, (list, tuple)):
         return RateDemands.uniform(topology, float(config.rate_demand_bps))
-    table = {}
-    for i in range(topology.num_cells):
-        ids = np.concatenate(topology.user_ids[i])
-        own = np.concatenate([topology.own_gains(i, m)
-                              for m in range(topology.num_subchannels)])
-        for rank, u in enumerate(ids[np.lexsort((ids, own))]):
-            table[int(u)] = float(config.rate_demand_bps[rank])
-    return RateDemands.by_user(topology, table)
+    real = topology.occupied
+    cells = np.arange(topology.num_cells)
+    cell = np.nonzero(real)[0]                  # of every user, ascending
+    own = topology.dense_gains[cells, :, cells][real]
+    order = np.lexsort((topology.dense_ids[real], own, cell))
+    # position in the (cell, own gain, id) order minus the cell's first one
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size) - np.searchsorted(cell, cell)
+    rates = np.zeros(real.shape)
+    rates[real] = np.asarray(config.rate_demand_bps)[rank]
+    return RateDemands(topology.unpad(rates))
 
 
 @dataclass
@@ -327,46 +337,70 @@ class RunArtifacts:
 
 
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
-    """Solve every (seed, budget) point of the sweep and collect artifacts."""
+    """Solve every (seed, budget) point of the sweep and collect artifacts.
+
+    Each seed's channels and demands are built once; a budget point swaps
+    only the topology's budgets.
+    """
     summary = []
     traces = {}
     allocations = {}
     failures = []
+    solve = _power_min_points if config.algorithm == "power-min" else _rate_max_points
     for seed in range(config.seed, config.seed + config.num_seeds):
-        for budget_dbm in config.budget_dbm_sweep:
-            point = dataclasses.replace(config, budget_dbm_sweep=[budget_dbm])
-            topology = generate_channels(point, seed)
-            demands = build_demands(point, topology)
-            row, trace, allocation = _solve_point(config, topology, demands,
-                                                  seed, budget_dbm)
+        topology = generate_channels(config, seed)
+        demands = build_demands(config, topology)
+        for topology, row, trace, allocation in solve(config, topology, demands, seed):
             summary.append(row)
             traces[row.trace_file] = trace
             if allocation is not None:
                 allocations[row.trace_file] = allocation
                 problem = _validate(topology, demands, allocation)
                 if problem:
-                    failures.append(f"seed {seed}, budget {budget_dbm} dBm: {problem}")
+                    failures.append(
+                        f"seed {seed}, budget {row.budget_dbm} dBm: {problem}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
 
 
-def _solve_point(config, topology, demands, seed, budget_dbm):
-    name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
-    if config.algorithm == "power-min":
-        report = solve_spm(topology, demands, max_iter=config.max_iterations)
-        trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
-        if not report.feasible:
-            row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
-                             float("nan"), float("nan"), report.iterations,
-                             False, name)
-            return row, trace, None
-        allocation = assemble_full_solution(topology, demands, report.q_star)
-        sum_rate = float(dense_rates(topology, allocation, report.q_star).sum())
-        row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
-                         float(report.q_star.sum()), sum_rate,
-                         report.iterations, True, name)
-        return row, trace, allocation
+def _budget_points(config, topology, seed):
+    """(topology, budget, trace file name) for every budget of the sweep."""
+    for budget_dbm in config.budget_dbm_sweep:
+        budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
+        if not np.array_equal(budgets, topology.budgets):
+            topology = dataclasses.replace(topology, budgets=budgets)
+        yield topology, budget_dbm, f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
 
+
+def _power_min_points(config, topology, demands, seed):
+    """Power-min rows of one seed.  q* does not depend on the budget: it is
+    solved once, and each budget re-checks only the per-BS totals."""
+    report = solve_spm(topology, demands, max_iter=config.max_iterations)
+    trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
+    allocation = None
+    power = rate = float("nan")
+    for topology, budget_dbm, name in _budget_points(config, topology, seed):
+        feasible = report.converged and bool(
+            within_budgets(topology, report.q_star).all())
+        if feasible and allocation is None:
+            allocation = assemble_full_solution(topology, demands, report.q_star)
+            power = float(report.q_star.sum())
+            rate = float(dense_rates(topology, allocation, report.q_star).sum())
+        row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
+                         power if feasible else float("nan"),
+                         rate if feasible else float("nan"),
+                         report.iterations, feasible, name)
+        yield topology, row, trace, allocation if feasible else None
+
+
+def _rate_max_points(config, topology, demands, seed):
+    """Rate-max rows of one seed, one solve per budget."""
+    for topology, budget_dbm, name in _budget_points(config, topology, seed):
+        yield topology, *_rate_max_point(config, topology, demands, seed,
+                                         budget_dbm, name)
+
+
+def _rate_max_point(config, topology, demands, seed, budget_dbm, name):
     best = None
     try:
         best = dpc_srm(topology, demands, tol=config.rate_tol,
@@ -416,7 +450,8 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
                 for k, a in sorted(artifacts.allocations.items())},
         }
         path = out / "run.json"
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        path.write_text(json.dumps(_finite_or_null(payload), indent=2,
+                                   sort_keys=True, allow_nan=False) + "\n")
         return [path]
     header = ("seed,budget (dBm),algorithm,pairing,sum_power (W),"
               "sum_rate (bit/s),iterations,converged,trace_file\n")
@@ -438,6 +473,17 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
         tpath.write_text("".join(body))
         written.append(tpath)
     return written
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None (JSON null)."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def run_fixture_checks(echo=print) -> bool:

@@ -194,6 +194,98 @@ class TestTopologyConstruction:
         assert top.group_size(0, 0) == 1
 
 
+class TestRaggedTopology:
+    SIZES = ((1, 4), (3, 2), (2, 1))        # users per (cell, subchannel)
+
+    def ragged_gains(self, rng):
+        """Unsorted positive gains for 3 cells x 2 subchannels of 1-4 users."""
+        return tuple(
+            tuple(rng.uniform(0.1, 2.0, size=(3, n)) for n in row)
+            for row in self.SIZES)
+
+    def build(self, gains, user_ids=None):
+        return NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                               budgets=np.ones(3), gains=gains,
+                               user_ids=user_ids)
+
+    def test_padding_never_trips_a_check(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            gains = self.ragged_gains(rng)
+            top = self.build(gains)
+            assert top.max_group_size == 4
+            next_id = 0
+            for i, m in top.groups():
+                g = gains[i][m]
+                n = g.shape[1]
+                order = np.argsort(g[i], kind="stable")
+                assert top.group_size(i, m) == n
+                assert np.array_equal(top.gains[i][m], g[:, order])
+                assert np.array_equal(top.user_ids[i][m], next_id + order)
+                next_id += n
+                assert top.occupied[i, m].tolist() == [False] * (4 - n) + [True] * n
+                # the padding holds 0 in every dense array
+                assert not top.dense_gains[i, m, :, :4 - n].any()
+                assert not top.cross_ratio[i, m, :4 - n].any()
+                assert not top.noise_ratio[i, m, :4 - n].any()
+                assert np.array_equal(top.cross_ratio[i, m, 4 - n:],
+                                      (g[:, order] / g[i, order]).T
+                                      * (np.arange(3) != i))
+                assert np.array_equal(top.noise_ratio[i, m, 4 - n:], 0.1 / g[i, order])
+            values = tuple(tuple(rng.uniform(size=n) for n in row) for row in self.SIZES)
+            back = top.unpad(top.pad(values))
+            for i, m in top.groups():
+                assert np.array_equal(back[i][m], values[i][m])
+
+    def test_bad_gains_name_the_first_group_in_order(self):
+        rng = np.random.default_rng(9)
+        gains = [list(row) for row in self.ragged_gains(rng)]
+        gains[2][0] = gains[2][0].copy()
+        gains[2][0][0, 1] = -0.5                  # negative cross gain in (2,0)
+        gains[1][1] = gains[1][1].copy()
+        gains[1][1][1, 0] = 0.0                   # zero own gain in (1,1)
+        with pytest.raises(ValueError, match=r"group \(1,1\): own gains must be > 0"):
+            self.build(tuple(map(tuple, gains)))
+        gains[0][1] = gains[0][1].copy()
+        gains[0][1][2, 3] = -1e-9                 # negative cross gain in (0,1)
+        with pytest.raises(ValueError, match=r"group \(0,1\): gains must be >= 0"):
+            self.build(tuple(map(tuple, gains)))
+        gains[0][0] = np.array([[0.0], [0.3], [0.2]])   # single-user group (0,0)
+        with pytest.raises(ValueError, match=r"group \(0,0\): own gains must be > 0"):
+            self.build(tuple(map(tuple, gains)))
+        gains[0][0] = np.array([[0.0], [-0.3], [0.2]])  # both faults: own first
+        with pytest.raises(ValueError, match=r"group \(0,0\): own gains must be > 0"):
+            self.build(tuple(map(tuple, gains)))
+
+    def test_duplicate_id_across_groups_of_different_sizes(self):
+        gains = self.ragged_gains(np.random.default_rng(10))
+        ids = (((0,), (1, 2, 3, 4)), ((5, 6, 7), (8, 9)), ((10, 4), (11,)))
+        with pytest.raises(ValueError, match="user 4 appears in two groups"):
+            self.build(gains, ids)
+        ids = (((0,), (1, 2, 3, 4)), ((5, 6, 7), (8, 9)), ((10, 12), (11,)))
+        assert self.build(gains, ids).dense_ids[2, 0, 2:].tolist() in ([10, 12], [12, 10])
+
+    def test_id_count_must_match_the_group(self):
+        gains = self.ragged_gains(np.random.default_rng(11))
+        ids = (((0,), (1, 2, 3, 4)), ((5, 6, 7), (8, 9)), ((10, 12, 13), (11,)))
+        with pytest.raises(ValueError, match=r"group \(2,0\): user id count mismatch"):
+            self.build(gains, ids)
+
+    def test_ties_keep_the_input_order(self):
+        def group(i, own):
+            g = np.full((3, len(own)), 0.1)
+            g[i] = own
+            return g
+
+        gains = ((group(0, [1.0]), group(0, [1.0, 0.5, 1.0, 0.5])),
+                 (group(1, [0.7, 0.7, 0.2]), group(1, [0.3, 0.3])),
+                 (group(2, [0.9, 0.4]), group(2, [0.6])))
+        top = self.build(gains)
+        assert [[ids.tolist() for ids in row] for row in top.user_ids] == [
+            [[0], [2, 4, 1, 3]], [[7, 5, 6], [8, 9]], [[11, 10], [12]]]
+        assert top.own_gains(0, 1).tolist() == [0.5, 0.5, 1.0, 1.0]
+
+
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
 def test_suffix_sums_property(values):

@@ -8,8 +8,8 @@ from nomapower import (InfeasiblePowerError, min_power_user_allocation,
                        optimal_single_cell_allocation, optimal_single_cell_rate,
                        single_cell_feasible)
 from nomapower.network import group_rates
-from nomapower.rate_max_cell import (boundary_allocation_matches_minimum,
-                                     group_sum_rate, required_group_power)
+from nomapower.oracle import boundary_allocation_matches_minimum, group_sum_rate
+from nomapower.rate_max_cell import required_group_power
 
 R2 = np.array([1.0, 1.0])
 H2 = np.array([2.0, 1.0])

@@ -1,10 +1,17 @@
+import dataclasses
+import hashlib
+import json
+import math
+
 import numpy as np
 import pytest
 
 from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
-                       load_config, pair_users, run_scenario, write_outputs)
+                       load_config, pair_users, run_scenario, scenario,
+                       write_outputs)
 from nomapower.cli import main
-from nomapower.scenario import (ConfigError, ScenarioConfig, _validate,
+from nomapower.scenario import (ALGORITHMS, ConfigError, ScenarioConfig,
+                                _drop_users, _site_layout, _validate,
                                 build_demands, dbm_to_watts, generate_channels,
                                 link_gain_db, run_fixture_checks)
 
@@ -112,6 +119,102 @@ class TestChannels:
         for i, m in a.groups():
             assert np.array_equal(a.gains[i][m], b.gains[i][m])
             assert np.array_equal(a.user_ids[i][m], b.user_ids[i][m])
+
+    # sha256 prefixes of the topology bytes (gains and user ids per group,
+    # cross_ratio, noise_ratio), recorded with the one-user-at-a-time,
+    # one-group-at-a-time implementation; they pin the random stream and
+    # every floating-point step of the channel model (numpy's PCG64 and the
+    # platform's libm)
+    CHANNEL_DIGESTS = {
+        "3x2-SS-0": "c06574e00249c3a4", "3x2-SS-1": "95fa7e5eb7808763",
+        "3x2-SS-7": "14c982dcb96faf0d", "3x2-SS-300000": "f0735f35a81bccfd",
+        "3x2-SW-0": "3ecf55d6a47aafa5", "3x2-SW-1": "90b1550a0d8b827d",
+        "3x2-SW-7": "4b874b56324ba54b", "3x2-SW-300000": "a855b09a290fa394",
+        "3x2-SM-0": "fdaab5a437b77427", "3x2-SM-1": "b09cd176bcf4b420",
+        "3x2-SM-7": "7f5168bf4e84e768", "3x2-SM-300000": "53b5cc3045db64e6",
+        "7x4-SS-0": "e109a78ef777b736", "7x4-SS-1": "ca612aeb6ecd2c56",
+        "7x4-SS-7": "bf1f2a811dd2ff43", "7x4-SS-300000": "09dcb3959f1d01a9",
+        "7x4-SW-0": "96f7d43545ad2e29", "7x4-SW-1": "79e9940d77b7cca2",
+        "7x4-SW-7": "113228fb6df17eb3", "7x4-SW-300000": "d89e419077caa7ec",
+        "7x4-SM-0": "a48eb5ee592b2587", "7x4-SM-1": "79890ddf365f2dc2",
+        "7x4-SM-7": "421162b1279e43f4", "7x4-SM-300000": "85e81a5b576d8ef8",
+    }
+
+    def test_channel_stream_is_pinned(self):
+        for key, want in self.CHANNEL_DIGESTS.items():
+            size, pairing, seed = key.split("-")
+            cells, subchannels = map(int, size.split("x"))
+            config = ScenarioConfig(num_cells=cells, num_subchannels=subchannels,
+                                    users_per_cell=2 * subchannels,
+                                    pairing=pairing)
+            top = generate_channels(config, int(seed))
+            digest = hashlib.sha256()
+            for i, m in top.groups():
+                digest.update(np.ascontiguousarray(top.gains[i][m]).tobytes())
+                digest.update(np.asarray(top.user_ids[i][m], np.int64).tobytes())
+            digest.update(top.cross_ratio.tobytes())
+            digest.update(top.noise_ratio.tobytes())
+            assert digest.hexdigest()[:16] == want, key
+
+    @staticmethod
+    def one_user_at_a_time(config, seed):
+        """The users a plain per-user rejection loop places, same stream."""
+        rng = np.random.default_rng(seed)
+        users = []
+        for site in _site_layout(config)[0]:
+            for _ in range(config.users_per_cell):
+                for _ in range(1000):
+                    pos = site + rng.uniform(-config.radius, config.radius, size=2)
+                    if config.min_distance_m <= np.linalg.norm(pos - site) <= config.radius:
+                        users.append(pos)
+                        break
+                else:
+                    raise RuntimeError("could not place a user after 1000 draws")
+        return np.array(users)
+
+    def test_batched_placement_matches_one_user_at_a_time(self):
+        # thin rings: users need ~50 (395 m) or ~500 (399.5 m) draws, so
+        # runs of rejections span many rounds and some reach the limit
+        outcomes = set()
+        for min_distance in (395.0, 399.5):
+            config = small_config(min_distance_m=min_distance)
+            for seed in range(6):
+                try:
+                    want = self.one_user_at_a_time(config, seed)
+                except RuntimeError:
+                    with pytest.raises(RuntimeError, match="after 1000 draws"):
+                        _drop_users(np.random.default_rng(seed),
+                                    _site_layout(config)[0],
+                                    config.users_per_cell, config)
+                    outcomes.add("raised")
+                    continue
+                got = _drop_users(np.random.default_rng(seed),
+                                  _site_layout(config)[0],
+                                  config.users_per_cell, config)
+                assert np.array_equal(got, want)
+                outcomes.add("placed")
+        assert outcomes == {"placed", "raised"}
+
+    def test_unplaceable_user_raises_after_1000_draws(self, monkeypatch):
+        class CountingRng:
+            def __init__(self, rng):
+                self.rng, self.trials = rng, 0
+
+            def uniform(self, low, high, size):
+                self.trials += size[0]
+                assert self.trials <= 2000, "rejection sampling did not stop"
+                return self.rng.uniform(low, high, size)
+
+        made = []
+        real = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: made.append(CountingRng(real(seed))) or made[-1])
+        with pytest.raises(RuntimeError,
+                           match="could not place a user after 1000 draws"):
+            generate_channels(ScenarioConfig(min_distance_m=500.0), 3)
+        # the first user of the first cell fails, after as many draws as a
+        # one-user-at-a-time loop makes
+        assert made[0].trials == 1000
 
     def test_different_seeds_differ(self):
         config = small_config()
@@ -236,6 +339,64 @@ class TestRunScenario:
         assert payload["summary"][0]["seed"] == 3
         assert payload["summary"][0]["converged"] is True
         assert payload["traces"]
+
+    def test_channels_are_drawn_once_per_seed(self, monkeypatch):
+        calls = []
+        draw = scenario.generate_channels
+        monkeypatch.setattr(scenario, "generate_channels",
+                            lambda config, seed: calls.append(seed) or draw(config, seed))
+        config = small_config(num_seeds=2, budget_dbm_sweep=[20.0, 30.0, 40.0])
+        artifacts = run_scenario(config)
+        assert calls == [3, 4]
+        assert [(r.seed, r.budget_dbm) for r in artifacts.summary] == [
+            (3, 20.0), (3, 30.0), (3, 40.0), (4, 20.0), (4, 30.0), (4, 40.0)]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_budget_sweep_equals_one_budget_at_a_time(self, algorithm):
+        # at 2 Mbit/s per user: over-budget rows, rows without a fixed
+        # point and feasible rows; a feasible budget comes before an
+        # infeasible one
+        config = small_config(algorithm=algorithm, num_seeds=4,
+                              rate_demand_bps=2.0e6,
+                              budget_dbm_sweep=[40.0, 0.0, 20.0])
+        swept = run_scenario(config)
+        for budget in config.budget_dbm_sweep:
+            single = run_scenario(dataclasses.replace(config,
+                                                      budget_dbm_sweep=[budget]))
+            rows = [r for r in swept.summary if r.budget_dbm == budget]
+            assert [json.dumps(dataclasses.asdict(r)) for r in rows] == \
+                [json.dumps(dataclasses.asdict(r)) for r in single.summary]
+            for name, trace in single.traces.items():
+                assert json.dumps(swept.traces[name]) == json.dumps(trace)
+            for name, allocation in single.allocations.items():
+                for a, b in zip(swept.allocations[name].powers, allocation.powers):
+                    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+            assert swept.validation_failures == single.validation_failures == []
+        if algorithm == "power-min":
+            assert {r.converged for r in swept.summary} == {True, False}
+
+    def test_json_output_is_strict(self, tmp_path):
+        config = small_config(num_seeds=4, rate_demand_bps=2.0e6,
+                              budget_dbm_sweep=[0.0, 20.0])
+        artifacts = run_scenario(config)
+        assert any(math.isnan(r.sum_power_w) for r in artifacts.summary)
+        assert any(math.isinf(v) for rows in artifacts.traces.values()
+                   for _, v in rows)
+        (path,) = write_outputs(artifacts, tmp_path, fmt="json")
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        payload = json.loads(path.read_text(), parse_constant=refuse)
+        for row, written in zip(artifacts.summary, payload["summary"]):
+            if math.isnan(row.sum_power_w):
+                assert written["sum_power_w"] is None
+                assert written["sum_rate_bps"] is None
+            else:
+                assert written["sum_power_w"] == row.sum_power_w
+        for name, rows in artifacts.traces.items():
+            assert payload["traces"][name] == [
+                [k, v if math.isfinite(v) else None] for k, v in rows]
 
     def test_infeasible_demand_recorded_not_raised(self):
         config = small_config(rate_demand_bps=5.0e7, budget_dbm_sweep=[0.0])
