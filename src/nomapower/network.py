@@ -98,24 +98,24 @@ class NetworkTopology:
         n_max = int(sizes.max(initial=0))
         shape = (num_cells, len(self.gains[0]), n_max)
         occupied = np.arange(n_max) >= n_max - sizes.reshape(shape[:2] + (1,))
-        gains = np.zeros(shape[:2] + (num_cells, n_max))
-        for row, g in zip(gains.reshape(-1, num_cells, n_max), groups):
-            row[:, n_max - g.shape[1]:] = g
+        per_slot = np.zeros(shape + (num_cells,))      # gains, BS last
+        for row, g in zip(per_slot.reshape(len(groups), n_max, num_cells), groups):
+            row[n_max - g.shape[1]:] = g.T
         ids = np.zeros(shape, dtype=int)
         if self.user_ids is None:
             ids[occupied] = np.arange(sizes.sum())
         else:
             for (i, m), row, n in zip(np.ndindex(shape[:2]),
-                                      ids.reshape(-1, n_max), sizes):
+                                      ids.reshape(len(groups), n_max), sizes):
                 given = np.asarray(self.user_ids[i][m])
                 if given.size != n:
                     raise ValueError(f"group ({i},{m}): user id count mismatch")
                 row[n_max - n:] = given
 
         cells = np.arange(num_cells)
-        own = gains[cells, :, cells]                        # (I, M, n_max)
+        own = per_slot[cells, :, :, cells]                  # (I, M, n_max)
         own_bad = (occupied & (own <= 0)).any(axis=-1)
-        bad = own_bad | (gains < 0).any(axis=(2, 3))
+        bad = own_bad | (per_slot < 0).any(axis=(2, 3))
         if bad.any():
             i, m = np.argwhere(bad)[0]
             rule = "own gains must be > 0" if own_bad[i, m] else "gains must be >= 0"
@@ -128,14 +128,15 @@ class NetworkTopology:
             raise ValueError(f"user {real[repeated][0]} appears in two groups")
 
         # ascending own gain; ties keep the input order and the padding
-        # (own gain 0) stays in front
-        if not (own[..., :-1] <= own[..., 1:]).all():
-            order = np.argsort(own, axis=-1, kind="stable")
-            gains = np.take_along_axis(gains, order[:, :, None, :], axis=-1)
-            ids = np.take_along_axis(ids, order, axis=-1)
-            own = np.take_along_axis(own, order, axis=-1)
-        own = np.where(occupied, own, np.inf)
-        cross = (gains / own[:, :, None, :]).transpose(0, 1, 3, 2).copy()
+        # (own gain 0) stays in front.  ``slot`` numbers the slots of all
+        # groups in a row, so one fancy index sorts each array.
+        order = np.argsort(own, axis=-1, kind="stable")
+        slot = order + n_max * np.arange(len(groups)).reshape(shape[:2] + (1,))
+        per_slot = per_slot.reshape(-1, num_cells)[slot]
+        gains = np.ascontiguousarray(per_slot.swapaxes(2, 3))
+        ids = ids.ravel()[slot]
+        own = np.where(occupied, own.ravel()[slot], np.inf)
+        cross = per_slot / own[..., None]
         cross[cells, :, :, cells] = 0.0
         for name, value in (("budgets", budgets), ("dense_gains", gains),
                             ("dense_ids", ids), ("occupied", occupied),
@@ -172,22 +173,24 @@ class NetworkTopology:
 
     def pad(self, nested) -> np.ndarray:
         """Front-padded (I, M, n_max) array of per-group values, 0 in padding."""
-        values = [np.asarray(v, dtype=float) for row in nested for v in row]
-        shapes = [(n,) for n in self.occupied.sum(axis=-1).ravel().tolist()]
-        if [v.shape for v in values] != shapes:
-            k = next((k for k, (v, shape) in enumerate(zip(values, shapes))
-                      if v.shape != shape), min(len(values), len(shapes)))
-            i, m = divmod(k, self.num_subchannels)
-            raise ValueError(f"group ({i},{m}): values do not match the group size")
+        if len(nested) != self.num_cells:
+            raise ValueError("values must hold one row of groups per cell")
+        sizes = self.occupied.sum(axis=-1).tolist()
+        n_max = self.max_group_size
         out = np.zeros(self.occupied.shape)
-        if values:
-            out[self.occupied] = np.concatenate(values)
+        for i, row in enumerate(nested):
+            if len(row) != self.num_subchannels:
+                raise ValueError(f"cell {i}: values must hold one group per subchannel")
+            for m, v in enumerate(row):
+                v = np.asarray(v, dtype=float)
+                if v.shape != (sizes[i][m],):
+                    raise ValueError(
+                        f"group ({i},{m}): values do not match the group size")
+                out[i, m, n_max - v.size:] = v
         return out
 
     def unpad(self, dense: np.ndarray) -> tuple:
         """Per-group views into a front-padded array, padded along its last axis."""
-        if self.occupied.all():                 # no padding: whole rows
-            return tuple(map(tuple, dense))
         n_max = self.max_group_size
         return tuple(
             tuple(dense[i, m, ..., n_max - n:] for m, n in enumerate(row))

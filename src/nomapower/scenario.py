@@ -268,7 +268,8 @@ def _drop_users(rng, sites, count, config):
         while need:
             pos = site + rng.uniform(-radius, radius, size=(need, 2))
             delta = pos - site
-            d = np.sqrt(np.vecdot(delta, delta))    # rounds as np.linalg.norm does
+            # one dot product per row, rounding as np.linalg.norm(delta[k]) does
+            d = np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
             hits = ((config.min_distance_m <= d) & (d <= radius)).nonzero()[0]
             if missed + need >= _MAX_DRAWS:
                 runs = np.diff(hits, prepend=-1 - missed, append=need) - 1
@@ -339,65 +340,53 @@ class RunArtifacts:
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Solve every (seed, budget) point of the sweep and collect artifacts.
 
-    Each seed's channels and demands are built once; a budget point swaps
-    only the topology's budgets.
+    Each seed's channels and demands are drawn and built once; each
+    further budget point rebuilds the topology with its own budgets
+    (``dataclasses.replace``, which re-runs its construction and checks).
+    Power-min solves once per seed, since q* does not depend on the
+    budget, and each budget point re-checks only the per-BS totals.
     """
     summary = []
     traces = {}
     allocations = {}
     failures = []
-    solve = _power_min_points if config.algorithm == "power-min" else _rate_max_points
     for seed in range(config.seed, config.seed + config.num_seeds):
         topology = generate_channels(config, seed)
         demands = build_demands(config, topology)
-        for topology, row, trace, allocation in solve(config, topology, demands, seed):
+        if config.algorithm == "power-min":
+            report = solve_spm(topology, demands, max_iter=config.max_iterations)
+            trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
+            solved = None       # (allocation, sum power, sum rate) of q*
+        for budget_dbm in config.budget_dbm_sweep:
+            budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
+            if not np.array_equal(budgets, topology.budgets):
+                topology = dataclasses.replace(topology, budgets=budgets)
+            name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
+            if config.algorithm == "power-min":
+                feasible = report.converged and bool(
+                    within_budgets(topology, report.q_star).all())
+                if feasible and solved is None:
+                    allocation = assemble_full_solution(topology, demands,
+                                                        report.q_star)
+                    solved = (allocation, float(report.q_star.sum()), float(
+                        dense_rates(topology, allocation, report.q_star).sum()))
+                allocation, power, rate = (solved if feasible else
+                                           (None, float("nan"), float("nan")))
+                row = SummaryRow(seed, budget_dbm, config.algorithm,
+                                 config.pairing, power, rate,
+                                 report.iterations, feasible, name)
+            else:
+                row, trace, allocation = _rate_max_point(
+                    config, topology, demands, seed, budget_dbm, name)
             summary.append(row)
-            traces[row.trace_file] = trace
+            traces[name] = trace
             if allocation is not None:
-                allocations[row.trace_file] = allocation
+                allocations[name] = allocation
                 problem = _validate(topology, demands, allocation)
                 if problem:
-                    failures.append(
-                        f"seed {seed}, budget {row.budget_dbm} dBm: {problem}")
+                    failures.append(f"seed {seed}, budget {budget_dbm} dBm: {problem}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
-
-
-def _budget_points(config, topology, seed):
-    """(topology, budget, trace file name) for every budget of the sweep."""
-    for budget_dbm in config.budget_dbm_sweep:
-        budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-        if not np.array_equal(budgets, topology.budgets):
-            topology = dataclasses.replace(topology, budgets=budgets)
-        yield topology, budget_dbm, f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
-
-
-def _power_min_points(config, topology, demands, seed):
-    """Power-min rows of one seed.  q* does not depend on the budget: it is
-    solved once, and each budget re-checks only the per-BS totals."""
-    report = solve_spm(topology, demands, max_iter=config.max_iterations)
-    trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
-    allocation = None
-    power = rate = float("nan")
-    for topology, budget_dbm, name in _budget_points(config, topology, seed):
-        feasible = report.converged and bool(
-            within_budgets(topology, report.q_star).all())
-        if feasible and allocation is None:
-            allocation = assemble_full_solution(topology, demands, report.q_star)
-            power = float(report.q_star.sum())
-            rate = float(dense_rates(topology, allocation, report.q_star).sum())
-        row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
-                         power if feasible else float("nan"),
-                         rate if feasible else float("nan"),
-                         report.iterations, feasible, name)
-        yield topology, row, trace, allocation if feasible else None
-
-
-def _rate_max_points(config, topology, demands, seed):
-    """Rate-max rows of one seed, one solve per budget."""
-    for topology, budget_dbm, name in _budget_points(config, topology, seed):
-        yield topology, *_rate_max_point(config, topology, demands, seed,
-                                         budget_dbm, name)
 
 
 def _rate_max_point(config, topology, demands, seed, budget_dbm, name):

@@ -237,6 +237,26 @@ class TestRaggedTopology:
             for i, m in top.groups():
                 assert np.array_equal(back[i][m], values[i][m])
 
+    def test_groups_may_all_be_empty(self):
+        empty = tuple((np.zeros((3, 0)), np.zeros((3, 0))) for _ in range(3))
+        top = self.build(empty)
+        assert top.max_group_size == 0
+        assert top.cross_ratio.shape == (3, 2, 0, 3)
+        values = tuple((np.zeros(0), np.zeros(0)) for _ in range(3))
+        assert top.pad(values).shape == (3, 2, 0)
+        assert top.unpad(top.pad(values))[2][1].size == 0
+
+    def test_pad_rejects_mis_nested_values(self):
+        top = self.build(self.ragged_gains(np.random.default_rng(12)))
+        a, b, c, d, e, f = (np.ones(n) for row in self.SIZES for n in row)
+        # the flat sizes (1, 4, 3, 2, 2, 1) line up, the nesting does not
+        with pytest.raises(ValueError, match="cell 0: values must hold one group"):
+            top.pad(((a, b, c), (d, e), (f,)))
+        with pytest.raises(ValueError, match="one row of groups per cell"):
+            top.pad(((a, b), (c, d)))
+        with pytest.raises(ValueError, match=r"group \(1,1\): values do not match"):
+            top.pad(((a, b), (c, np.ones(3)), (e, f)))
+
     def test_bad_gains_name_the_first_group_in_order(self):
         rng = np.random.default_rng(9)
         gains = [list(row) for row in self.ragged_gains(rng)]

@@ -398,6 +398,26 @@ class TestRunScenario:
             assert payload["traces"][name] == [
                 [k, v if math.isfinite(v) else None] for k, v in rows]
 
+    # sha256 prefixes of the CSV artifacts of 4 rate-max seeds x 3 budgets
+    # at paper size, recorded with the per-group topology construction;
+    # they pin the whole rate-max path down to the last bit, which also
+    # depends on the memory layout of the per-group gain arrays
+    RATE_MAX_DIGESTS = {(0, "SW"): "e86d440fa0cb104a", (7, "SS"): "6a5ae3c21659b1e5"}
+
+    def test_rate_max_artifacts_are_pinned(self, tmp_path):
+        for (seed, pairing), want in self.RATE_MAX_DIGESTS.items():
+            config = ScenarioConfig(seed=seed, num_seeds=4, algorithm="rate-max",
+                                    num_cells=3, users_per_cell=4,
+                                    users_per_subchannel=2, num_subchannels=2,
+                                    pairing=pairing,
+                                    budget_dbm_sweep=[20.0, 30.0, 40.0],
+                                    rate_demand_bps=3.0e5)
+            paths = write_outputs(run_scenario(config), tmp_path / str(seed))
+            digest = hashlib.sha256()
+            for path in sorted(paths):
+                digest.update(path.read_bytes())
+            assert digest.hexdigest()[:16] == want, (seed, pairing)
+
     def test_infeasible_demand_recorded_not_raised(self):
         config = small_config(rate_demand_bps=5.0e7, budget_dbm_sweep=[0.0])
         artifacts = run_scenario(config)
