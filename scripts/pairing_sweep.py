@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Compare SS / SW / SM user pairing over many random drops.
 
-Runs both solvers at a fixed budget and prints per-pairing averages of
-the minimum sum power and the maximum sum rate, plus how often each
-pairing admits a feasible solution at all.
+Runs both solvers through ``run_scenario`` at a fixed budget (rate-max
+only where power-min finds a feasible point) and prints per-pairing
+averages of the minimum sum power and the maximum sum rate, plus how
+often each pairing admits a feasible solution at all.
 
 Usage: python scripts/pairing_sweep.py [--seeds N] [--cells I] [--out CSV]
 """
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -16,8 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nomapower import (ScenarioConfig, build_demands, dpc_srm,
-                       generate_channels, solve_spm)
+from nomapower import ScenarioConfig, run_scenario
 
 PAIRINGS = ("SS", "SW", "SM")
 
@@ -42,18 +43,16 @@ def main():
                 num_subchannels=args.users_per_cell // 2, pairing=pairing,
                 budget_dbm_sweep=[args.budget_dbm],
                 rate_demand_bps=args.rate_mbps * 1e6)
-            topology = generate_channels(config, seed)
-            demands = build_demands(config, topology)
-            spm = solve_spm(topology, demands)
-            if not spm.feasible:
+            (spm,) = run_scenario(config).summary
+            if not spm.converged:
                 rows.append((seed, pairing, float("nan"), float("nan"), False))
                 continue
-            srm = dpc_srm(topology, demands)
+            rate = run_scenario(dataclasses.replace(
+                config, algorithm="rate-max")).summary[0].sum_rate_bps
             stats[pairing]["feasible"] += 1
-            stats[pairing]["power"].append(float(spm.q_star.sum()))
-            stats[pairing]["rate"].append(srm.sum_rate)
-            rows.append((seed, pairing, float(spm.q_star.sum()),
-                         srm.sum_rate, True))
+            stats[pairing]["power"].append(spm.sum_power_w)
+            stats[pairing]["rate"].append(rate)
+            rows.append((seed, pairing, spm.sum_power_w, rate, True))
 
     print(f"{args.seeds} seeds, {args.cells} cells, "
           f"{args.users_per_cell} users/cell, Q={args.budget_dbm} dBm, "

@@ -9,14 +9,12 @@ interference-function fixed point (power minimization, solved exactly by
 difference-of-convex loop (rate maximization).
 """
 
-from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      achievable_rate, check_rate_constraints,
-                      effective_interference)
+from .network import NetworkTopology, PowerAllocation, RateDemands
 from .power_min import (FixedPointReport, assemble_full_solution, demand_weights,
                         dpc_spm, interference_map, min_power_user_allocation,
                         solve_spm)
 from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
-                            optimal_single_cell_rate, single_cell_feasible)
+                            single_cell_feasible)
 from .rate_max_network import (DcIterate, SrmReport, dc_objective_parts,
                                dpc_srm, power_cap, random_feasible_start,
                                solve_convex_subproblem)
@@ -26,11 +24,10 @@ from .scenario import (RunArtifacts, ScenarioConfig, build_demands,
 
 __all__ = [
     "NetworkTopology", "PowerAllocation", "RateDemands",
-    "achievable_rate", "check_rate_constraints", "effective_interference",
     "FixedPointReport", "assemble_full_solution", "demand_weights",
     "dpc_spm", "interference_map", "min_power_user_allocation", "solve_spm",
     "InfeasiblePowerError", "optimal_single_cell_allocation",
-    "optimal_single_cell_rate", "single_cell_feasible",
+    "single_cell_feasible",
     "DcIterate", "SrmReport", "dc_objective_parts", "dpc_srm", "power_cap",
     "random_feasible_start", "solve_convex_subproblem",
     "RunArtifacts", "ScenarioConfig", "build_demands", "generate_channels",

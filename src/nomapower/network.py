@@ -23,10 +23,29 @@ import numpy as np
 LN2 = np.log(2.0)
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
-    return a
+def front_pad(nested, dtype=float):
+    """Per-group arrays ``nested[i][m]``, users along their last axis, as
+    one (I, M, ..., n_max) array front-padded with zeros to the largest
+    group; returns it and the (I, M, n_max) mask of the users' slots."""
+    shape = (len(nested), len(nested[0]) if len(nested) else 0)
+    if any(len(row) != shape[1] for row in nested):
+        raise ValueError("every cell must cover the same subchannels")
+    groups = [np.asarray(v, dtype=dtype) for row in nested for v in row]
+    sizes = np.array([g.shape[-1] for g in groups], dtype=int).reshape(shape)
+    n_max = int(sizes.max(initial=0))
+    lead = groups[0].shape[:-1] if groups else ()
+    out = np.zeros((len(groups),) + lead + (n_max,), dtype=dtype)
+    for row, g in zip(out, groups):
+        row[..., n_max - g.shape[-1]:] = g
+    return out.reshape(shape + out.shape[1:]), np.arange(n_max) >= n_max - sizes[..., None]
+
+
+def unpad(padded: np.ndarray, occupied: np.ndarray) -> tuple:
+    """Per-group views ``[i][m]`` of an array front-padded along its last axis."""
+    n_max = occupied.shape[-1]
+    return tuple(
+        tuple(padded[i, m, ..., n_max - n:] for m, n in enumerate(row))
+        for i, row in enumerate(occupied.sum(axis=-1).tolist()))
 
 
 @dataclass(frozen=True)
@@ -77,40 +96,31 @@ class NetworkTopology:
             raise ValueError("bandwidth must be positive")
         if self.noise_power <= 0:
             raise ValueError("noise power must be positive")
-        budgets = _freeze(self.budgets)
+        budgets = np.array(self.budgets, dtype=float)
         if budgets.ndim != 1 or (budgets <= 0).any():
             raise ValueError("budgets must be a 1-D positive array")
         num_cells = budgets.size
         if len(self.gains) != num_cells:
             raise ValueError("gains must hold one row of groups per cell")
-
-        groups = []
         for i, per_cell in enumerate(self.gains):
-            if len(per_cell) != len(self.gains[0]):
-                raise ValueError("every cell must cover the same subchannels")
             for m, g in enumerate(per_cell):
-                g = np.asarray(g, dtype=float)
-                if g.ndim != 2 or g.shape[0] != num_cells:
+                if np.ndim(g) != 2 or np.shape(g)[0] != num_cells:
                     raise ValueError(
                         f"group ({i},{m}): gains must be (num_cells, n_users)")
-                groups.append(g)
-        sizes = np.array([g.shape[1] for g in groups], dtype=int)
-        n_max = int(sizes.max(initial=0))
-        shape = (num_cells, len(self.gains[0]), n_max)
-        occupied = np.arange(n_max) >= n_max - sizes.reshape(shape[:2] + (1,))
-        per_slot = np.zeros(shape + (num_cells,))      # gains, BS last
-        for row, g in zip(per_slot.reshape(len(groups), n_max, num_cells), groups):
-            row[n_max - g.shape[1]:] = g.T
-        ids = np.zeros(shape, dtype=int)
+
+        gains, occupied = front_pad(self.gains)
+        per_slot = gains.swapaxes(2, 3)                 # gains, BS last
+        shape = occupied.shape
+        n_max = shape[-1]
         if self.user_ids is None:
-            ids[occupied] = np.arange(sizes.sum())
+            ids = np.zeros(shape, dtype=int)
+            ids[occupied] = np.arange(occupied.sum())
         else:
-            for (i, m), row, n in zip(np.ndindex(shape[:2]),
-                                      ids.reshape(len(groups), n_max), sizes):
-                given = np.asarray(self.user_ids[i][m])
-                if given.size != n:
-                    raise ValueError(f"group ({i},{m}): user id count mismatch")
-                row[n_max - n:] = given
+            ids, given = front_pad(self.user_ids, dtype=int)
+            short = given.sum(axis=-1) != occupied.sum(axis=-1)
+            if short.any():
+                i, m = np.argwhere(short)[0]
+                raise ValueError(f"group ({i},{m}): user id count mismatch")
 
         cells = np.arange(num_cells)
         own = per_slot[cells, :, :, cells]                  # (I, M, n_max)
@@ -131,7 +141,7 @@ class NetworkTopology:
         # (own gain 0) stays in front.  ``slot`` numbers the slots of all
         # groups in a row, so one fancy index sorts each array.
         order = np.argsort(own, axis=-1, kind="stable")
-        slot = order + n_max * np.arange(len(groups)).reshape(shape[:2] + (1,))
+        slot = order + n_max * np.arange(shape[0] * shape[1]).reshape(shape[:2] + (1,))
         per_slot = per_slot.reshape(-1, num_cells)[slot]
         gains = np.ascontiguousarray(per_slot.swapaxes(2, 3))
         ids = ids.ravel()[slot]
@@ -176,44 +186,56 @@ class NetworkTopology:
         if len(nested) != self.num_cells:
             raise ValueError("values must hold one row of groups per cell")
         sizes = self.occupied.sum(axis=-1).tolist()
-        n_max = self.max_group_size
-        out = np.zeros(self.occupied.shape)
         for i, row in enumerate(nested):
             if len(row) != self.num_subchannels:
                 raise ValueError(f"cell {i}: values must hold one group per subchannel")
             for m, v in enumerate(row):
-                v = np.asarray(v, dtype=float)
-                if v.shape != (sizes[i][m],):
+                if np.shape(v) != (sizes[i][m],):
                     raise ValueError(
                         f"group ({i},{m}): values do not match the group size")
-                out[i, m, n_max - v.size:] = v
-        return out
+        return front_pad(nested)[0]
 
     def unpad(self, dense: np.ndarray) -> tuple:
         """Per-group views into a front-padded array, padded along its last axis."""
-        n_max = self.max_group_size
-        return tuple(
-            tuple(dense[i, m, ..., n_max - n:] for m, n in enumerate(row))
-            for i, row in enumerate(self.occupied.sum(axis=-1).tolist()))
+        return unpad(dense, self.occupied)
+
+
+def _store(container, name: str, what: str):
+    """Keep a container's input, the padded array or nested groups, as one
+    read-only array ``padded`` with per-group views ``name``.  Every user's
+    value must be positive, so the users' slots are the positive ones."""
+    values = getattr(container, name)
+    if isinstance(values, np.ndarray):
+        padded = np.array(values, dtype=float)
+        n_max = padded.shape[-1]
+        occupied = np.arange(n_max) >= n_max - (padded > 0).sum(axis=-1, keepdims=True)
+    else:
+        padded, occupied = front_pad(values)
+    if not np.array_equal(np.sign(padded), occupied):
+        raise ValueError(f"{what} must be positive")
+    padded.flags.writeable = False
+    object.__setattr__(container, "padded", padded)
+    object.__setattr__(container, name, unpad(padded, occupied))
 
 
 @dataclass(frozen=True)
 class RateDemands:
-    """Minimum rate demand (bit/s) per user, aligned with topology order."""
+    """Minimum rate demand (bit/s) per user, aligned with topology order.
+
+    Stored as one read-only (I, M, n_max) array ``padded``, front-padded
+    like the topology with 0 in padding, that the constructor takes as is
+    or from nested per-group arrays; ``rates[i][m]`` are views of it.
+    """
 
     rates: tuple
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        frozen = tuple(
-            tuple(_freeze(r) for r in per_cell) for per_cell in self.rates)
-        values = [r for per_cell in frozen for r in per_cell]
-        if values and np.any(np.concatenate(values, axis=None) <= 0):
-            raise ValueError("rate demands must be positive")
-        object.__setattr__(self, "rates", frozen)
+        _store(self, "rates", "rate demands")
 
     @classmethod
     def uniform(cls, topology: NetworkTopology, rate: float) -> "RateDemands":
-        return cls(topology.unpad(np.full(topology.occupied.shape, float(rate))))
+        return cls(np.where(topology.occupied, float(rate), 0.0))
 
     @classmethod
     def by_user(cls, topology: NetworkTopology, table: dict) -> "RateDemands":
@@ -221,22 +243,29 @@ class RateDemands:
         rates = np.zeros(topology.occupied.shape)
         rates[topology.occupied] = [
             table[u] for u in topology.dense_ids[topology.occupied].tolist()]
-        return cls(topology.unpad(rates))
+        return cls(rates)
+
+    def padded_for(self, topology: NetworkTopology) -> np.ndarray:
+        """``padded``, once checked to hold one demand per user of ``topology``."""
+        if not np.array_equal(self.padded > 0, topology.occupied):
+            raise ValueError("rate demands must be positive, one per user of the topology")
+        return self.padded
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user transmit powers (W), aligned with topology order."""
+    """Per-user transmit powers (W), aligned with topology order and stored
+    like :class:`RateDemands`: ``padded`` with views ``powers[i][m]``."""
 
     powers: tuple
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(
-            tuple(_freeze(p) for p in per_cell) for per_cell in self.powers))
+        _store(self, "powers", "powers")
 
     def cell_powers(self) -> np.ndarray:
         """Group totals as an (I, M) array."""
-        return np.array([[p.sum() for p in per_cell] for per_cell in self.powers])
+        return self.padded.sum(axis=-1)
 
     def consistent_with(self, q: np.ndarray, rtol: float = 1e-9) -> bool:
         totals = self.cell_powers()
@@ -273,31 +302,8 @@ def dense_interference(topology: NetworkTopology, q: np.ndarray,
 def dense_rates(topology: NetworkTopology, allocation: PowerAllocation,
                 q: np.ndarray) -> np.ndarray:
     """Achievable rate of every user, front-padded (I, M, n_max); 0 in padding."""
-    return group_rates(topology.pad(allocation.powers),
-                       dense_interference(topology, q), topology.bandwidth)
-
-
-def effective_interference(topology: NetworkTopology, q: np.ndarray,
-                           i: int, m: int, j: int | None = None):
-    """Worst-case normalized interference-plus-noise for SIC decoding.
-
-    For user ``j`` this is the maximum, over users ``l >= j`` that must
-    decode ``j``'s message, of (inter-cell interference at ``l`` + noise)
-    divided by ``l``'s own gain.  Returns the whole group as an array when
-    ``j`` is None.  One group of :func:`dense_interference`.
-    """
-    n = topology.group_size(i, m)
-    h = dense_interference(topology, q, i)[m, topology.max_group_size - n:]
-    return h if j is None else h[j]
-
-
-def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
-                    q: np.ndarray, i: int, m: int, j: int | None = None):
-    """Achievable rate (bit/s) of group (i, m) users under SIC decoding."""
-    p = allocation.powers[i][m]
-    h = effective_interference(topology, q, i, m)
-    rates = group_rates(p, h, topology.bandwidth)
-    return rates if j is None else rates[j]
+    return group_rates(allocation.padded, dense_interference(topology, q),
+                       topology.bandwidth)
 
 
 def group_rates(p: np.ndarray, h: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -323,30 +329,9 @@ def rate_constraint_slack(p: np.ndarray, h: np.ndarray, demands: np.ndarray,
                           bandwidth: float) -> np.ndarray:
     """Signed slack (W) of the linearized rate constraint for one group.
 
-    Positive where p_j >= (2^(R_j/B) - 1) * (sum of later powers + H_j).
+    Positive where p_j >= (2^(R_j/B) - 1) * (sum of later powers + H_j);
+    users run along the last axis, so padded arrays give every group's.
     """
+    p = np.asarray(p, dtype=float)
     growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth) - 1.0
-    return np.asarray(p, dtype=float) - growth * (suffix_sums(np.asarray(p, dtype=float)) + h)
-
-
-def check_rate_constraints(topology: NetworkTopology, allocation: PowerAllocation,
-                           q: np.ndarray, demands: RateDemands):
-    """Per-user demand check across the network.
-
-    Returns (satisfied, slack) with the same nested (cell, subchannel)
-    layout as the allocation; slack is in watts.
-    """
-    profile = topology.unpad(dense_interference(topology, q))
-    satisfied = []
-    slack = []
-    for i in range(topology.num_cells):
-        ok_row, sl_row = [], []
-        for m in range(topology.num_subchannels):
-            h = profile[i][m]
-            s = rate_constraint_slack(allocation.powers[i][m], h,
-                                      demands.rates[i][m], topology.bandwidth)
-            sl_row.append(s)
-            ok_row.append(s >= -1e-12 * np.maximum(np.abs(allocation.powers[i][m]), 1.0))
-        satisfied.append(tuple(ok_row))
-        slack.append(tuple(sl_row))
-    return tuple(satisfied), tuple(slack)
+    return p - growth * (suffix_sums(p) + h)

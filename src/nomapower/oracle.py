@@ -5,10 +5,10 @@ machinery of the solver modules: group feasibility is decided by solving
 the tight rate constraints as a plain linear system, optima are located
 by exhaustive grid search, and curvature is probed with finite
 differences.  Instances are bounded at entry because the searches are
-combinatorial.  Two validation-only companions of the per-group closed
-forms live here too: :func:`boundary_allocation_matches_minimum` checks
-one closed form against another, :func:`group_sum_rate` sums the
-per-user rates directly.
+combinatorial.  Per-group companions of the closed forms and the dense
+views live here too, for validation only: one group's interference,
+rates and optimal sum rate, a check of one closed form against another
+and a direct sum of per-user rates.
 """
 
 from __future__ import annotations
@@ -17,9 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkTopology, PowerAllocation, RateDemands, group_rates
+from .network import (NetworkTopology, PowerAllocation, RateDemands,
+                      dense_interference, group_rates)
 from .power_min import min_power_user_allocation
-from .rate_max_cell import optimal_single_cell_allocation, required_group_power
+from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
+                            required_group_power, single_cell_feasible)
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -73,6 +75,51 @@ def minimal_group_powers(demands: np.ndarray, h_points: np.ndarray,
     coef = np.exp2(np.asarray(demands, dtype=float) / bandwidth) - 1.0
     t_inv = np.linalg.inv(tight_constraint_matrix(demands, bandwidth))
     return (coef * np.atleast_2d(h_points)) @ t_inv.T
+
+
+def effective_interference(topology: NetworkTopology, q: np.ndarray,
+                           i: int, m: int, j: int | None = None):
+    """Effective interference of user ``j`` of group (i, m), or of the
+    whole group when ``j`` is None: one group of
+    :func:`~nomapower.network.dense_interference`.
+    """
+    h = topology.unpad(dense_interference(topology, q))[i][m]
+    return h if j is None else h[j]
+
+
+def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
+                    q: np.ndarray, i: int, m: int, j: int | None = None):
+    """Achievable rate (bit/s) of group (i, m) users under SIC decoding."""
+    rates = group_rates(allocation.powers[i][m],
+                        effective_interference(topology, q, i, m), topology.bandwidth)
+    return rates if j is None else rates[j]
+
+
+def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im: float,
+                             bandwidth: float) -> float:
+    """Closed-form optimal sum rate (bit/s) of one group.
+
+    Equal to the weak users' demands plus the strongest user's rate at the
+    optimal split:
+
+        B log2(1 + q / (2^S H_n) - sum_j (2^(R_j/B)-1) H_j / (2^T_j H_n))
+          + sum_weak R_j
+
+    with S the cumulative weak demand and T_j the cumulative demand from
+    user j through the last weak user.
+    """
+    feasible, required = single_cell_feasible(demands, h, q_im, bandwidth)
+    if not feasible:
+        raise InfeasiblePowerError(required, q_im)
+    r = np.asarray(demands, dtype=float) / bandwidth
+    h = np.asarray(h, dtype=float)
+    weak = r[:-1]
+    h_strong = h[-1]
+    # T_j = sum_{l=j}^{n-2} r_l, cumulative from each weak user to the last weak one
+    tail = np.cumsum(weak[::-1])[::-1]
+    argument = 1.0 + q_im / (np.exp2(weak.sum()) * h_strong) \
+        - np.sum((np.exp2(weak) - 1.0) * h[:-1] / (np.exp2(tail) * h_strong))
+    return float(bandwidth * np.log2(argument) + bandwidth * weak.sum())
 
 
 def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
@@ -133,7 +180,7 @@ def rate_via_decoding_chain(topology: NetworkTopology, allocation: PowerAllocati
                             q: np.ndarray, i: int, m: int) -> np.ndarray:
     """Rates of group (i, m) as the explicit minimum over decoding users l >= j.
 
-    Algebraically identical to :func:`nomapower.network.achievable_rate`.
+    Algebraically identical to :func:`achievable_rate`.
     """
     p = np.asarray(allocation.powers[i][m], dtype=float)
     ratio = interference_over_gain(topology, np.asarray(q, dtype=float), i, m)

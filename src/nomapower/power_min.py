@@ -87,7 +87,7 @@ def interference_map(topology: NetworkTopology, demands: RateDemands,
     its users' demands against the interference produced by ``q``; it
     equals the group total of :func:`min_power_user_allocation`.
     """
-    weights = demand_weights(topology.pad(demands.rates), topology.bandwidth)
+    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
     return _reduced_map(topology, weights, q)
 
 
@@ -129,7 +129,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
         if np.any(q < 0):
             raise ValueError("q0 must be non-negative")
 
-    weights = demand_weights(topology.pad(demands.rates), topology.bandwidth)
+    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
     trace = []
     converged = False
     iterations = 0
@@ -184,7 +184,7 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    weights = demand_weights(topology.pad(demands.rates), topology.bandwidth)
+    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     num_cells, _, n_max = noise.shape
     later = np.triu(np.ones((n_max, n_max), dtype=bool))    # [j, l]: l >= j
@@ -235,12 +235,11 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     closed-form split to every group at once; group totals reproduce
     ``q_star``.
     """
-    rates = topology.pad(demands.rates)
+    rates = demands.padded_for(topology)
     h = dense_interference(topology, q_star)
     f = (demand_weights(rates, topology.bandwidth) * h).sum(axis=-1)
     residual = float(np.max(np.abs(q_star - f)))
     if residual > residual_tol:
         raise ValueError(
             f"q_star is not a fixed point (residual {residual:.3e} > {residual_tol:.1e})")
-    return PowerAllocation(topology.unpad(
-        min_power_user_allocation(rates, h, topology.bandwidth)))
+    return PowerAllocation(min_power_user_allocation(rates, h, topology.bandwidth))

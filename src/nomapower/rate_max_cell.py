@@ -20,20 +20,19 @@ class InfeasiblePowerError(ValueError):
     """Total power below the minimum needed to meet all rate demands."""
 
     def __init__(self, required: float, available: float):
-        super().__init__(
-            f"group needs at least {required!r} W to meet demands, "
-            f"got {available!r} W")
-        self.required = required
-        self.available = available
+        self.required, self.available = float(required), float(available)
+        super().__init__(f"group needs at least {self.required!r} W to meet "
+                         f"demands, got {self.available!r} W")
 
 
 def required_group_power(demands: np.ndarray, h: np.ndarray,
-                         bandwidth: float) -> float:
-    """Minimum group total power that can meet every rate demand."""
-    return float(demand_weights(demands, bandwidth) @ np.asarray(h, dtype=float))
+                         bandwidth: float):
+    """Minimum group total power that can meet every rate demand; users
+    run along the last axis, so padded arrays give every group's at once."""
+    return (demand_weights(demands, bandwidth) * np.asarray(h, dtype=float)).sum(axis=-1)
 
 
-def single_cell_feasible(demands: np.ndarray, h: np.ndarray, q_im: float,
+def single_cell_feasible(demands: np.ndarray, h: np.ndarray, q_im,
                          bandwidth: float):
     """Whether total power ``q_im`` suffices; returns (feasible, required)."""
     required = required_group_power(demands, h, bandwidth)
@@ -41,7 +40,7 @@ def single_cell_feasible(demands: np.ndarray, h: np.ndarray, q_im: float,
 
 
 def optimal_single_cell_allocation(demands: np.ndarray, h: np.ndarray,
-                                   q_im: float, bandwidth: float) -> np.ndarray:
+                                   q_im, bandwidth: float) -> np.ndarray:
     """Rate-optimal split of total power ``q_im`` for one group.
 
     Weak users receive exactly the power for their demand; the remainder
@@ -50,57 +49,31 @@ def optimal_single_cell_allocation(demands: np.ndarray, h: np.ndarray,
 
         b_{j+1} = b_j / 2^(R_j/B) - (2^(R_j/B) - 1) H_j / 2^(R_j/B)
 
-    Raises :class:`InfeasiblePowerError` when ``q_im`` is below the
-    feasibility threshold.
+    Users run along the last axis, so padded (I, M, n_max) arrays with
+    (I, M) totals split every group at once; a padded slot's zero demand
+    passes b on and gets power 0.  Raises :class:`InfeasiblePowerError`
+    for the first group, in (i, m) order, below its feasibility threshold.
     """
     feasible, required = single_cell_feasible(demands, h, q_im, bandwidth)
-    if not feasible:
-        raise InfeasiblePowerError(required, q_im)
-    r = np.asarray(demands, dtype=float) / bandwidth
+    short = np.flatnonzero(~np.asarray(feasible))
+    if short.size:
+        raise InfeasiblePowerError(np.ravel(required)[short[0]],
+                                   np.ravel(q_im)[short[0]])
+    demands = np.asarray(demands, dtype=float)
     h = np.asarray(h, dtype=float)
-    growth = np.exp2(r)
-    n = r.size
-    b = np.empty(n)
-    b[0] = q_im
-    for j in range(n - 1):
-        b[j + 1] = (b[j] - (growth[j] - 1.0) * h[j]) / growth[j]
-    p = np.empty(n)
-    p[:-1] = b[:-1] - b[1:]
-    p[-1] = b[-1]
+    growth = np.exp2(demands / bandwidth)
+    b = np.empty(demands.shape)
+    b[..., 0] = q_im
+    for j in range(demands.shape[-1] - 1):
+        b[..., j + 1] = (b[..., j] - (growth[..., j] - 1.0) * h[..., j]) / growth[..., j]
+    p = b.copy()
+    p[..., :-1] -= b[..., 1:]
 
-    strong_rate = bandwidth * np.log1p(p[-1] / h[-1]) / LN2
-    if strong_rate < demands[-1] * (1.0 - 1e-9):
+    strong_rate = bandwidth * np.log1p(p[..., -1] / h[..., -1]) / LN2
+    if np.any(strong_rate < demands[..., -1] * (1.0 - 1e-9)):
         # feasible by the aggregate condition yet the strongest user falls
         # short; mathematically excluded, kept as a guard
         warnings.warn(
             "strongest user below its rate demand at the rate-optimal split",
             RuntimeWarning, stacklevel=2)
     return p
-
-
-def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im: float,
-                             bandwidth: float) -> float:
-    """Closed-form optimal sum rate (bit/s) of one group.
-
-    Equal to the weak users' demands plus the strongest user's rate at the
-    optimal split:
-
-        B log2(1 + q / (2^S H_n) - sum_j (2^(R_j/B)-1) H_j / (2^T_j H_n))
-          + sum_weak R_j
-
-    with S the cumulative weak demand and T_j the cumulative demand from
-    user j through the last weak user.
-    """
-    feasible, required = single_cell_feasible(demands, h, q_im, bandwidth)
-    if not feasible:
-        raise InfeasiblePowerError(required, q_im)
-    r = np.asarray(demands, dtype=float) / bandwidth
-    h = np.asarray(h, dtype=float)
-    weak = r[:-1]
-    h_strong = h[-1]
-    # T_j = sum_{l=j}^{n-2} r_l, cumulative from each weak user to the last weak one
-    tail = np.cumsum(weak[::-1])[::-1] if weak.size else np.empty(0)
-    argument = 1.0 + q_im / (np.exp2(weak.sum()) * h_strong)
-    if weak.size:
-        argument -= np.sum((np.exp2(weak) - 1.0) * h[:-1] / (np.exp2(tail) * h_strong))
-    return float(bandwidth * np.log2(argument) + bandwidth * weak.sum())

@@ -345,7 +345,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
         k_cells[i] = cell_objective(topology, demands, q[i], x[i], i)
     trace.append(float(np.sum(k_cells)))
 
-    allocation = _assemble(topology, demands, q, profile)
+    allocation = _assemble(topology, demands, q)
     sum_rate = float(dense_rates(topology, allocation, q).sum())
     return SrmReport(q=q, x=tuple(tuple(v for v in row) for row in x),
                      allocation=allocation, sum_rate=sum_rate,
@@ -374,24 +374,18 @@ def _validate_start(topology, demands, q, x):
                 f"q0 cannot cover the demands implied by x0 at group ({i},{m})")
 
 
-def _assemble(topology, demands, q, profile) -> PowerAllocation:
-    powers = []
-    for i in range(topology.num_cells):
-        row = []
-        for m in range(topology.num_subchannels):
-            h = np.asarray(profile[i][m])
-            required = required_group_power(demands.rates[i][m], h,
-                                            topology.bandwidth)
-            total = q[i, m]
-            if total < required:
-                if total < required * (1.0 - 1e-9):
-                    raise InfeasibleInitialPointError(
-                        f"group ({i},{m}) ended below its required power")
-                total = required
-            row.append(optimal_single_cell_allocation(
-                demands.rates[i][m], h, total, topology.bandwidth))
-        powers.append(tuple(row))
-    return PowerAllocation(tuple(powers))
+def _assemble(topology, demands, q) -> PowerAllocation:
+    """Rate-optimal split of the totals ``q`` in every group at once."""
+    rates = demands.padded_for(topology)
+    h = dense_interference(topology, q)
+    required = required_group_power(rates, h, topology.bandwidth)
+    below = np.argwhere(q < required * (1.0 - 1e-9))
+    if below.size:
+        i, m = below[0]
+        raise InfeasibleInitialPointError(
+            f"group ({i},{m}) ended below its required power")
+    return PowerAllocation(optimal_single_cell_allocation(
+        rates, h, np.maximum(q, required), topology.bandwidth))
 
 
 def random_feasible_start(topology: NetworkTopology, demands: RateDemands,

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,7 +66,7 @@ class ScenarioConfig:
     antenna_gain_dbi: float = 14.0
     min_distance_m: float = 10.0
     # solver
-    power_tol_w: float = 1.0e-8     # unread: the power-min solve is exact
+    power_tol_w: float = 1.0e-8     # deprecated and unread: the power-min solve is exact
     max_iterations: int = 10_000    # caps solve_spm's linear solves
     rate_tol: float = 1.0e-3
     max_outer: int = 100
@@ -175,6 +176,9 @@ def load_config(path) -> ScenarioConfig:
             if key not in _SECTIONS[section]:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
             values[key] = value
+    if "power_tol_w" in values:
+        warnings.warn("solver.power_tol_w is deprecated and unread: the power-min"
+                      " solve is exact", DeprecationWarning, stacklevel=2)
     try:
         return ScenarioConfig(**values)
     except TypeError as exc:
@@ -309,7 +313,7 @@ def build_demands(config: ScenarioConfig, topology: NetworkTopology) -> RateDema
     rank[order] = np.arange(order.size) - np.searchsorted(cell, cell)
     rates = np.zeros(real.shape)
     rates[real] = np.asarray(config.rate_demand_bps)[rank]
-    return RateDemands(topology.unpad(rates))
+    return RateDemands(rates)
 
 
 @dataclass
@@ -417,8 +421,7 @@ def _validate(topology, demands, allocation):
     if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
         return "budget exceeded"
     achieved = dense_rates(topology, allocation, q)
-    wanted = topology.pad(demands.rates)
-    missed = np.argwhere(np.any(achieved < wanted * (1.0 - 1e-6), axis=-1))
+    missed = np.argwhere(np.any(achieved < demands.padded * (1.0 - 1e-6), axis=-1))
     if missed.size:
         i, m = missed[0]
         return f"rate demand missed in group ({i},{m})"

@@ -13,14 +13,14 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
                        generate_channels, interference_map,
-                       min_power_user_allocation, optimal_single_cell_rate,
-                       random_feasible_start, run_scenario, write_outputs)
+                       min_power_user_allocation, random_feasible_start,
+                       run_scenario, write_outputs)
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
-from nomapower.network import effective_interference, group_rates, \
-    rate_constraint_slack
-from nomapower.oracle import (fd_hessian_psd, grid_power_min,
-                              grid_rate_max_group, minimal_group_powers,
+from nomapower.network import group_rates, rate_constraint_slack
+from nomapower.oracle import (effective_interference, fd_hessian_psd,
+                              grid_power_min, grid_rate_max_group,
+                              minimal_group_powers, optimal_single_cell_rate,
                               standard_function_probe)
 from nomapower.rate_max_cell import required_group_power
 

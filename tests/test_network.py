@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_topology
-from nomapower import NetworkTopology, PowerAllocation, RateDemands
-from nomapower.network import (check_rate_constraints, effective_interference,
-                               group_rates, rate_constraint_slack,
-                               suffix_sums)
-from nomapower.oracle import rate_via_decoding_chain
+from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
+                       assemble_full_solution, dpc_srm, interference_map,
+                       solve_spm)
+from nomapower.network import (dense_interference, group_rates,
+                               rate_constraint_slack, suffix_sums)
+from nomapower.oracle import (achievable_rate, effective_interference,
+                              rate_via_decoding_chain)
 
 
 def two_cell_example():
@@ -74,7 +76,6 @@ class TestAchievableRate:
                               budgets=np.array([5.0]), gains=((g,),))
         alloc = PowerAllocation(((np.array([1.0]),),))
         q = np.array([[1.0]])
-        from nomapower import achievable_rate
         assert achievable_rate(top, alloc, q, 0, 0) == pytest.approx([1.0])
 
     def test_two_user_worked_values(self):
@@ -83,7 +84,6 @@ class TestAchievableRate:
         top = NetworkTopology(bandwidth=1.0, noise_power=3.0,
                               budgets=np.array([10.0]), gains=((g,),))
         alloc = PowerAllocation(((np.array([4.0, 1.0]),),))
-        from nomapower import achievable_rate
         rates = achievable_rate(top, alloc, np.array([[5.0]]), 0, 0)
         assert rates == pytest.approx([1.0, 1.0])
 
@@ -104,7 +104,6 @@ class TestAchievableRate:
             p = [[rng.uniform(0.05, 2.0, size=top.group_size(i, 0))
                   for _ in range(1)] for i in range(2)]
             alloc = PowerAllocation(tuple(tuple(row) for row in p))
-            from nomapower import achievable_rate
             for i in range(2):
                 direct = achievable_rate(top, alloc, q, i, 0)
                 chained = rate_via_decoding_chain(top, alloc, q, i, 0)
@@ -133,9 +132,11 @@ class TestRateConstraint:
         q = np.array([[1.0], [1.0]])
         alloc = PowerAllocation(((np.array([0.7, 0.3]),),
                                  (np.array([0.7, 0.3]),)))
-        ok, slack = check_rate_constraints(top, alloc, q, demands)
-        assert all(bool(v.all()) for row in ok for v in row)
-        assert abs(slack[0][0][0]) < 1e-12
+        slack = rate_constraint_slack(alloc.padded, dense_interference(top, q),
+                                      demands.padded, top.bandwidth)
+        assert slack.shape == (2, 1, 2)
+        assert np.all(slack >= -1e-12 * np.maximum(alloc.padded, 1.0))
+        assert abs(slack[0, 0, 0]) < 1e-12
 
 
 class TestTopologyConstruction:
@@ -186,6 +187,14 @@ class TestTopologyConstruction:
             top.cross_ratio[0, 0, 0, 1] = 2.0
         with pytest.raises(ValueError):
             top.noise_ratio[0, 0, 0] = 2.0
+        demands = RateDemands.uniform(top, 1.0)
+        nested = ((np.array([0.7, 0.3]),), (np.array([0.7, 0.3]),))
+        for alloc in (PowerAllocation(nested), PowerAllocation(np.array(nested))):
+            for array in (demands.padded, demands.rates[1][0],
+                          alloc.padded, alloc.powers[1][0]):
+                with pytest.raises(ValueError):
+                    array[...] = 1.0
+        assert nested[0][0].flags.writeable     # the input is copied, not frozen
 
     def test_single_user_groups_allowed(self):
         g = np.array([[1.0]])
@@ -319,6 +328,40 @@ def test_allocation_consistency_check():
     alloc = PowerAllocation(((np.array([0.7, 0.3]),),))
     assert alloc.consistent_with(np.array([[1.0]]))
     assert not alloc.consistent_with(np.array([[1.1]]))
+
+
+def test_demands_for_other_groups_are_rejected():
+    # same users in total (4 per cell, 8 overall) and the same largest group,
+    # split (1, 3) / (3, 1) in one topology and (3, 1) / (1, 3) in the other
+    rng = np.random.default_rng(13)
+
+    def build(sizes):
+        gains = tuple(tuple(rng.uniform(0.5, 1.0, size=(2, n)) * np.where(
+            np.arange(2)[:, None] == i, 1.0, 0.1) for n in row)
+            for i, row in enumerate(sizes))
+        return NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                               budgets=np.full(2, 100.0), gains=gains)
+
+    top, other = build(((1, 3), (3, 1))), build(((3, 1), (1, 3)))
+    q_star = solve_spm(top, RateDemands.uniform(top, 0.5)).q_star
+    demands = RateDemands.uniform(other, 0.5)
+    assert demands.padded.shape == top.occupied.shape
+    for call in (lambda: solve_spm(top, demands),
+                 lambda: interference_map(top, demands, q_star),
+                 lambda: assemble_full_solution(top, demands, q_star),
+                 lambda: dpc_srm(top, demands)):
+        with pytest.raises(ValueError, match="one per user of the topology"):
+            call()
+
+
+def test_padded_input_is_positive_with_padding_first():
+    demands = RateDemands(np.array([[[0.0, 1.0, 2.0]], [[0.0, 0.0, 3.0]]]))
+    assert [r.tolist() for row in demands.rates for r in row] == [[1.0, 2.0], [3.0]]
+    for bad in ([[[1.0, 0.0, 2.0]]], [[[0.0, -1.0, 2.0]]], [[[np.nan, 1.0, 2.0]]]):
+        with pytest.raises(ValueError, match="powers must be positive"):
+            PowerAllocation(np.array(bad))
+    with pytest.raises(ValueError, match="powers must be positive"):
+        PowerAllocation(((np.array([0.0, 1.0]),),))
 
 
 def test_demands_must_be_positive():

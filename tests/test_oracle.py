@@ -3,14 +3,15 @@ import pytest
 
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, interference_map,
-                       min_power_user_allocation, optimal_single_cell_rate,
-                       power_cap, random_feasible_start, single_cell_feasible,
+                       min_power_user_allocation, power_cap,
+                       random_feasible_start, single_cell_feasible,
                        solve_convex_subproblem)
 from nomapower.fixtures import symmetric_two_cell
-from nomapower.network import effective_interference, group_rates
-from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
-                              grid_dc_subproblem, grid_power_min,
-                              grid_rate_max_group, minimal_group_powers,
+from nomapower.network import group_rates
+from nomapower.oracle import (OracleInfeasibleError, effective_interference,
+                              fd_hessian_psd, grid_dc_subproblem,
+                              grid_power_min, grid_rate_max_group,
+                              minimal_group_powers, optimal_single_cell_rate,
                               reference_interference_map,
                               standard_function_probe)
 

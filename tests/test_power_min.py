@@ -8,8 +8,9 @@ from nomapower import (NetworkTopology, RateDemands, assemble_full_solution,
                        demand_weights, dpc_spm, interference_map,
                        min_power_user_allocation, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
-from nomapower.network import effective_interference, rate_constraint_slack
-from nomapower.oracle import interference_over_gain, reference_interference_map
+from nomapower.network import rate_constraint_slack
+from nomapower.oracle import (achievable_rate, effective_interference,
+                              interference_over_gain, reference_interference_map)
 
 
 class TestClosedForm:
@@ -396,7 +397,6 @@ class TestAssemble:
 
     def test_rates_meet_demands_exactly(self):
         rng = np.random.default_rng(16)
-        from nomapower import achievable_rate
         for _ in range(10):
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=(2, 4))
             dem = sample_demands(rng, top)

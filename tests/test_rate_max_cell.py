@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import sample_group
 from nomapower import (InfeasiblePowerError, min_power_user_allocation,
-                       optimal_single_cell_allocation, optimal_single_cell_rate,
-                       single_cell_feasible)
-from nomapower.network import group_rates
-from nomapower.oracle import boundary_allocation_matches_minimum, group_sum_rate
+                       optimal_single_cell_allocation, single_cell_feasible)
+from nomapower.network import front_pad, group_rates
+from nomapower.oracle import (boundary_allocation_matches_minimum, group_sum_rate,
+                              optimal_single_cell_rate)
 from nomapower.rate_max_cell import required_group_power
 
 R2 = np.array([1.0, 1.0])
@@ -94,6 +94,51 @@ class TestAllocation:
         rng = np.random.default_rng(seed)
         demands, h = sample_group(rng)
         assert boundary_allocation_matches_minimum(demands, h, 1.0)
+
+
+class TestPaddedGroups:
+    """The closed forms over front-padded (I, M, n_max) arrays."""
+
+    SIZES = ((1, 4, 2), (3, 2, 4), (4, 1, 3))      # users per (cell, subchannel)
+
+    def padded_instance(self, rng):
+        groups = [[sample_group(rng, users=(n, n)) for n in row] for row in self.SIZES]
+        demands, occupied = front_pad([[r for r, _ in row] for row in groups])
+        h = front_pad([[h for _, h in row] for row in groups])[0]
+        # padded slots repeat the weakest user's interference, as in
+        # dense_interference
+        h = np.where(occupied, h, np.take_along_axis(
+            h, np.argmax(occupied, axis=-1)[..., None], axis=-1))
+        return groups, demands, h
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equal_to_the_per_group_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        groups, demands, h = self.padded_instance(rng)
+        required = required_group_power(demands, h, 1.0)
+        q = required * rng.uniform(1.0, 3.0, size=required.shape)
+        p = optimal_single_cell_allocation(demands, h, q, 1.0)
+        assert required.shape == q.shape == (3, 3)
+        for i, row in enumerate(groups):
+            for m, (r, hg) in enumerate(row):
+                n = r.size
+                assert np.array_equal(required[i, m],
+                                      required_group_power(r, hg, 1.0))
+                assert np.array_equal(p[i, m, 4 - n:],
+                                      optimal_single_cell_allocation(r, hg, q[i, m], 1.0))
+                assert not p[i, m, :4 - n].any()
+
+    def test_infeasible_names_the_first_short_group(self):
+        rng = np.random.default_rng(31)
+        _, demands, h = self.padded_instance(rng)
+        required = required_group_power(demands, h, 1.0)
+        q = 2.0 * required
+        q[2, 0] = 0.5 * required[2, 0]
+        q[1, 2] = 0.9 * required[1, 2]
+        with pytest.raises(InfeasiblePowerError) as err:
+            optimal_single_cell_allocation(demands, h, q, 1.0)
+        assert err.value.required == required[1, 2]
+        assert err.value.available == q[1, 2]
 
 
 class TestOptimalRate:

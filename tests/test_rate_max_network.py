@@ -3,12 +3,13 @@ import pytest
 
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, dc_objective_parts,
-                       dpc_srm, optimal_single_cell_allocation,
-                       optimal_single_cell_rate, power_cap,
+                       dpc_srm, optimal_single_cell_allocation, power_cap,
                        random_feasible_start, solve_convex_subproblem)
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
-from nomapower.network import LN2, effective_interference
+from nomapower.network import LN2
+from nomapower.oracle import (achievable_rate, effective_interference,
+                              optimal_single_cell_rate)
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
                                         cell_objective, g_gradient,
                                         interference_profile,
@@ -257,7 +258,6 @@ class TestDpcSrm:
     def test_sum_rate_matches_per_user_rates(self):
         top, dem = symmetric_two_cell()
         report = dpc_srm(top, dem)
-        from nomapower import achievable_rate
         direct = sum(float(np.sum(achievable_rate(top, report.allocation,
                                                   report.q, i, m)))
                      for i, m in top.groups())
@@ -299,7 +299,6 @@ class TestDpcSrm:
         report = dpc_srm(top, dem)
         assert np.all(np.diff(report.trace) <= 1e-9)
         assert report.allocation.consistent_with(report.q, rtol=1e-6)
-        from nomapower import achievable_rate
         for i, m in top.groups():
             rates = achievable_rate(top, report.allocation, report.q, i, m)
             assert np.all(rates >= 0.4 * (1 - 1e-9))

@@ -2,12 +2,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
-                       load_config, pair_users, run_scenario, scenario,
+from nomapower import (NetworkTopology, PowerAllocation, assemble_full_solution,
+                       dpc_spm, load_config, pair_users, run_scenario, scenario,
                        write_outputs)
 from nomapower.cli import main
 from nomapower.scenario import (ALGORITHMS, ConfigError, ScenarioConfig,
@@ -59,6 +61,17 @@ class TestConfig:
         path.write_text(GOOD_CONFIG + "extras:\n  x: 1\n")
         with pytest.raises(ConfigError, match="unknown section"):
             load_config(path)
+
+    def test_power_tol_w_is_deprecated(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG + "solver:\n  power_tol_w: 1.0e-8\n")
+        with pytest.warns(DeprecationWarning, match="power_tol_w"):
+            assert load_config(path).power_tol_w == 1e-8
+        # the shipped example no longer carries the key
+        example = Path(__file__).resolve().parents[1] / "scripts" / "three_cell.yaml"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            load_config(example)
 
     def test_validation_rules(self):
         with pytest.raises(ConfigError):
@@ -417,6 +430,25 @@ class TestRunScenario:
             for path in sorted(paths):
                 digest.update(path.read_bytes())
             assert digest.hexdigest()[:16] == want, (seed, pairing)
+
+    @pytest.mark.parametrize("algorithm, cells, subchannels",
+                             [("power-min", 7, 4), ("rate-max", 3, 2)])
+    def test_run_path_never_pads(self, monkeypatch, tmp_path, algorithm,
+                                 cells, subchannels):
+        # demands and allocations are stored padded, so no solve, check or
+        # output of a run converts nested per-group values again
+        def refuse(self, nested):
+            raise AssertionError("NetworkTopology.pad called on the run path")
+
+        monkeypatch.setattr(NetworkTopology, "pad", refuse)
+        config = small_config(algorithm=algorithm, num_cells=cells,
+                              users_per_cell=2 * subchannels,
+                              num_subchannels=subchannels, rate_demand_bps=1.0e5,
+                              budget_dbm_sweep=[20.0, 30.0, 40.0])
+        artifacts = run_scenario(config)
+        assert artifacts.ok and len(artifacts.allocations) == 3
+        for fmt in ("csv", "json"):
+            write_outputs(artifacts, tmp_path / fmt, fmt=fmt)
 
     def test_infeasible_demand_recorded_not_raised(self):
         config = small_config(rate_demand_bps=5.0e7, budget_dbm_sweep=[0.0])
