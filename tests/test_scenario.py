@@ -431,6 +431,25 @@ class TestRunScenario:
                 digest.update(path.read_bytes())
             assert digest.hexdigest()[:16] == want, (seed, pairing)
 
+    # the same runs with two random starts per point besides the default
+    # one; the DC loop leaves those starts, so these pin its moving steps
+    RATE_MAX_MULTISTART_DIGESTS = {(0, "SW"): "da93c7930dbffa12",
+                                   (7, "SS"): "3b264d9be6d45a54"}
+
+    def test_rate_max_multistart_artifacts_are_pinned(self, tmp_path):
+        for (seed, pairing), want in self.RATE_MAX_MULTISTART_DIGESTS.items():
+            config = ScenarioConfig(seed=seed, num_seeds=4, algorithm="rate-max",
+                                    num_cells=3, users_per_cell=4,
+                                    users_per_subchannel=2, num_subchannels=2,
+                                    pairing=pairing,
+                                    budget_dbm_sweep=[20.0, 30.0, 40.0],
+                                    rate_demand_bps=3.0e5, multistart=3)
+            paths = write_outputs(run_scenario(config), tmp_path / str(seed))
+            digest = hashlib.sha256()
+            for path in sorted(paths):
+                digest.update(path.read_bytes())
+            assert digest.hexdigest()[:16] == want, (seed, pairing)
+
     @pytest.mark.parametrize("algorithm, cells, subchannels",
                              [("power-min", 7, 4), ("rate-max", 3, 2)])
     def test_run_path_never_pads(self, monkeypatch, tmp_path, algorithm,
