@@ -15,9 +15,7 @@ from .power_min import (FixedPointReport, assemble_full_solution, demand_weights
                         solve_spm)
 from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
                             single_cell_feasible)
-from .rate_max_network import (DcIterate, SrmReport, dc_objective_parts,
-                               dpc_srm, power_cap, random_feasible_start,
-                               solve_convex_subproblem)
+from .rate_max_network import SrmReport, dpc_srm, random_feasible_start
 from .scenario import (RunArtifacts, ScenarioConfig, build_demands,
                        generate_channels, load_config, pair_users,
                        run_scenario, write_outputs)
@@ -28,8 +26,7 @@ __all__ = [
     "dpc_spm", "interference_map", "min_power_user_allocation", "solve_spm",
     "InfeasiblePowerError", "optimal_single_cell_allocation",
     "single_cell_feasible",
-    "DcIterate", "SrmReport", "dc_objective_parts", "dpc_srm", "power_cap",
-    "random_feasible_start", "solve_convex_subproblem",
+    "SrmReport", "dpc_srm", "random_feasible_start",
     "RunArtifacts", "ScenarioConfig", "build_demands", "generate_channels",
     "load_config", "pair_users", "run_scenario", "write_outputs",
 ]

@@ -3,9 +3,8 @@ import pytest
 
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, interference_map,
-                       min_power_user_allocation, power_cap,
-                       random_feasible_start, single_cell_feasible,
-                       solve_convex_subproblem)
+                       min_power_user_allocation, random_feasible_start,
+                       single_cell_feasible)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import group_rates
 from nomapower.oracle import (OracleInfeasibleError, effective_interference,
@@ -14,6 +13,7 @@ from nomapower.oracle import (OracleInfeasibleError, effective_interference,
                               minimal_group_powers, optimal_single_cell_rate,
                               reference_interference_map,
                               standard_function_probe)
+from nomapower.rate_max_network import power_cap, solve_convex_subproblem
 
 
 class TestReferenceInterferenceMap:
@@ -168,7 +168,7 @@ class TestGridDcSubproblem:
             dem = sample_demands(rng, top, rate=(0.2, 0.8))
             q0, x0 = random_feasible_start(top, dem, rng)
             for i in range(cells):
-                caps = np.array([power_cap(top, q0, x0, i, m) for m in range(M)])
+                caps = power_cap(top, q0, x0, i)
                 budget = float(top.budgets[i])
                 closed = solve_convex_subproblem(top, dem, i, x0[i], caps,
                                                  budget, q0)
@@ -178,7 +178,7 @@ class TestGridDcSubproblem:
                 assert closed.q_i.sum() <= budget * (1 + 1e-12)
                 assert np.all(closed.q_i <= np.maximum(caps, q0[i]) * (1 + 1e-12))
                 for m in range(M):
-                    x = closed.x_i[m]
+                    x = closed.x_i[m, top.occupied[i, m]]
                     lb = effective_interference(top, q0, i, m)
                     assert np.all(x >= lb * (1 - 1e-12))
                     need = minimal_group_powers(dem.rates[i][m], x,
