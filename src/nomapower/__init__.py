@@ -10,25 +10,21 @@ difference-of-convex loop (rate maximization).
 """
 
 from .network import NetworkTopology, PowerAllocation, RateDemands
-from .power_min import (FixedPointReport, assemble_full_solution, demand_weights,
-                        dpc_spm, interference_map, min_power_user_allocation,
+from .power_min import (FixedPointReport, assemble_full_solution, dpc_spm,
                         solve_spm)
-from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
-                            single_cell_feasible)
-from .rate_max_network import SrmReport, dpc_srm, random_feasible_start
+from .rate_max_network import (InfeasibleInitialPointError, SrmReport, dpc_srm,
+                               random_feasible_start)
 from .scenario import (RunArtifacts, ScenarioConfig, build_demands,
-                       generate_channels, load_config, pair_users,
-                       run_scenario, write_outputs)
+                       generate_channels, load_config, run_scenario,
+                       write_outputs)
 
 __all__ = [
     "NetworkTopology", "PowerAllocation", "RateDemands",
-    "FixedPointReport", "assemble_full_solution", "demand_weights",
-    "dpc_spm", "interference_map", "min_power_user_allocation", "solve_spm",
-    "InfeasiblePowerError", "optimal_single_cell_allocation",
-    "single_cell_feasible",
-    "SrmReport", "dpc_srm", "random_feasible_start",
+    "FixedPointReport", "assemble_full_solution", "dpc_spm", "solve_spm",
+    "InfeasibleInitialPointError", "SrmReport", "dpc_srm",
+    "random_feasible_start",
     "RunArtifacts", "ScenarioConfig", "build_demands", "generate_channels",
-    "load_config", "pair_users", "run_scenario", "write_outputs",
+    "load_config", "run_scenario", "write_outputs",
 ]
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """Downlink multi-cell NOMA system model.
 
-Topology, channel data, effective interference, achievable rates and
-rate-demand checks.  Conventions used throughout the package:
+Topology, channel data, effective interference and achievable rates.
+Conventions used throughout the package:
 
 * channel gains are linear power gains (|h|^2); dB quantities are
   converted before construction,
@@ -237,14 +237,6 @@ class RateDemands:
     def uniform(cls, topology: NetworkTopology, rate: float) -> "RateDemands":
         return cls(np.where(topology.occupied, float(rate), 0.0))
 
-    @classmethod
-    def by_user(cls, topology: NetworkTopology, table: dict) -> "RateDemands":
-        """Build from a {user_id: rate} mapping covering every user."""
-        rates = np.zeros(topology.occupied.shape)
-        rates[topology.occupied] = [
-            table[u] for u in topology.dense_ids[topology.occupied].tolist()]
-        return cls(rates)
-
     def padded_for(self, topology: NetworkTopology) -> np.ndarray:
         """``padded``, once checked to hold one demand per user of ``topology``."""
         if not np.array_equal(self.padded > 0, topology.occupied):
@@ -266,10 +258,6 @@ class PowerAllocation:
     def cell_powers(self) -> np.ndarray:
         """Group totals as an (I, M) array."""
         return self.padded.sum(axis=-1)
-
-    def consistent_with(self, q: np.ndarray, rtol: float = 1e-9) -> bool:
-        totals = self.cell_powers()
-        return bool(np.all(np.abs(totals - q) <= rtol * np.maximum(np.abs(q), 1e-300)))
 
 
 def normalized_interference(topology: NetworkTopology, q: np.ndarray,
@@ -323,15 +311,3 @@ def suffix_sums(p: np.ndarray) -> np.ndarray:
     out = np.zeros_like(p)
     out[..., :-1] = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     return out
-
-
-def rate_constraint_slack(p: np.ndarray, h: np.ndarray, demands: np.ndarray,
-                          bandwidth: float) -> np.ndarray:
-    """Signed slack (W) of the linearized rate constraint for one group.
-
-    Positive where p_j >= (2^(R_j/B) - 1) * (sum of later powers + H_j);
-    users run along the last axis, so padded arrays give every group's.
-    """
-    p = np.asarray(p, dtype=float)
-    growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth) - 1.0
-    return p - growth * (suffix_sums(p) + h)

@@ -7,8 +7,8 @@ by exhaustive grid search, and curvature is probed with finite
 differences.  Instances are bounded at entry because the searches are
 combinatorial.  Per-group companions of the closed forms and the dense
 views live here too, for validation only: one group's interference,
-rates and optimal sum rate, a check of one closed form against another
-and a direct sum of per-user rates.
+rates and optimal sum rate, a check of one closed form against another,
+a direct sum of per-user rates and the slack of the rate constraints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates)
+                      dense_interference, group_rates, suffix_sums)
 from .power_min import min_power_user_allocation
 from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
                             required_group_power, single_cell_feasible)
@@ -134,6 +134,18 @@ def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
 def group_sum_rate(p: np.ndarray, h: np.ndarray, bandwidth: float) -> float:
     """Direct sum of per-user rates; validation companion to the closed form."""
     return float(group_rates(p, h, bandwidth).sum())
+
+
+def rate_constraint_slack(p: np.ndarray, h: np.ndarray, demands: np.ndarray,
+                          bandwidth: float) -> np.ndarray:
+    """Signed slack (W) of the linearized rate constraint for one group.
+
+    Positive where p_j >= (2^(R_j/B) - 1) * (sum of later powers + H_j);
+    users run along the last axis, so padded arrays give every group's.
+    """
+    p = np.asarray(p, dtype=float)
+    growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth) - 1.0
+    return p - growth * (suffix_sums(p) + h)
 
 
 def interference_over_gain(topology: NetworkTopology, q: np.ndarray,

@@ -20,6 +20,12 @@ import numpy as np
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, normalized_interference)
 
+# dpc_spm also needs the relative sum-power change to fall to REL_TOL;
+# assemble_full_solution rejects a q_star off the fixed point by more
+# than RESIDUAL_TOL (W)
+REL_TOL = 1e-10
+RESIDUAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class FixedPointReport:
@@ -99,26 +105,22 @@ def _reduced_map(topology, weights, q, cell=None):
 
 def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             q0: np.ndarray | None = None, tol: float = 1e-8,
-            rel_tol: float = 1e-10, max_iter: int = 10_000,
-            sweep: str = "gauss-seidel") -> FixedPointReport:
+            max_iter: int = 10_000) -> FixedPointReport:
     """Distributed power control for sum-power minimization.
 
-    Iterates q_im <- f_im(q).  The default sweep refreshes q in place
-    (Gauss-Seidel), cell by cell in ascending order, each cell updating
-    its whole row q[i, :] at once.  That is exactly the ascending (cell,
+    Iterates q_im <- f_im(q) as a Gauss-Seidel sweep: q is refreshed in
+    place, cell by cell in ascending order, each cell updating its whole
+    row q[i, :] at once.  That is exactly the ascending (cell,
     subchannel) order: f_im reads only q[k, m] for k != i, so no entry of
-    row i feeds another entry of row i.  ``sweep="jacobi"`` updates all
-    entries from the previous iterate instead.  Stops once the largest
-    element change is <= ``tol`` and the relative sum-power change is <=
-    ``rel_tol``, or after ``max_iter`` sweeps.
+    row i feeds another entry of row i.  Stops once the largest element
+    change is <= ``tol`` and the relative sum-power change is <=
+    ``REL_TOL``, or after ``max_iter`` sweeps.
 
     Non-convergence is reported, not raised: it indicates the demands are
     likely infeasible at any power level.
     """
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be > 0 and max_iter >= 1")
-    if sweep not in ("gauss-seidel", "jacobi"):
-        raise ValueError(f"unknown sweep mode {sweep!r}")
     if q0 is None:
         q = np.repeat(topology.budgets[:, None] / topology.num_subchannels,
                       topology.num_subchannels, axis=1)
@@ -135,22 +137,19 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
-        if sweep == "jacobi":
-            q = _reduced_map(topology, weights, q)
-        else:
-            for i in range(topology.num_cells):
-                q[i] = _reduced_map(topology, weights, q, i)
+        for i in range(topology.num_cells):
+            q[i] = _reduced_map(topology, weights, q, i)
         trace.append(q.sum())
         if not np.all(np.isfinite(q)) or q.max() > 1e9 * topology.budgets.max():
             # expansive coupling: the iteration runs away, no fixed point
             residual = np.inf
             break
-        # the residual equals the next sweep's element change, so testing it
-        # directly applies the stopping rule without a confirming sweep
+        # the stopping rule reads the residual |q - f(q)|, so a fixed point
+        # is confirmed without a further sweep
         mapped = _reduced_map(topology, weights, q)
         residual = float(np.max(np.abs(q - mapped)))
         rel_change = abs(q.sum() - mapped.sum()) / max(q.sum(), 1e-300)
-        if residual <= tol and rel_change <= rel_tol:
+        if residual <= tol and rel_change <= REL_TOL:
             converged = True
             break
 
@@ -227,19 +226,19 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
 
 
 def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
-                           q_star: np.ndarray,
-                           residual_tol: float = 1e-6) -> PowerAllocation:
+                           q_star: np.ndarray) -> PowerAllocation:
     """Per-user powers at a converged fixed point.
 
     Evaluates the effective interference at ``q_star`` and applies the
     closed-form split to every group at once; group totals reproduce
-    ``q_star``.
+    ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
+    by more than ``RESIDUAL_TOL``.
     """
     rates = demands.padded_for(topology)
     h = dense_interference(topology, q_star)
     f = (demand_weights(rates, topology.bandwidth) * h).sum(axis=-1)
     residual = float(np.max(np.abs(q_star - f)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ValueError(
-            f"q_star is not a fixed point (residual {residual:.3e} > {residual_tol:.1e})")
+            f"q_star is not a fixed point (residual {residual:.3e} > {RESIDUAL_TOL:.1e})")
     return PowerAllocation(min_power_user_allocation(rates, h, topology.bandwidth))

@@ -281,12 +281,8 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     """
     rates = demands.padded_for(topology)
     if q0 is None:
-        fp = solve_spm(topology, demands)
-        if not fp.feasible:
-            raise InfeasibleInitialPointError(
-                "rate demands admit no feasible power allocation within budgets")
-        factors = topology.budgets / fp.q_star.sum(axis=1)
-        q = fp.q_star * float(np.min(factors))
+        q_star, headroom = _fixed_point_headroom(topology, demands)
+        q = q_star * float(np.min(headroom))
     else:
         q = np.array(q0, dtype=float)
     if x0 is None:
@@ -384,9 +380,17 @@ def _assemble(topology, rates, q, h) -> PowerAllocation:
         rates, h, np.maximum(q, required), topology.bandwidth))
 
 
+def _fixed_point_headroom(topology, demands):
+    """The sum-power fixed point and each cell's budget over its total."""
+    fp = solve_spm(topology, demands)
+    if not fp.feasible:
+        raise InfeasibleInitialPointError(
+            "rate demands admit no feasible power allocation within budgets")
+    return fp.q_star, topology.budgets / fp.q_star.sum(axis=1)
+
+
 def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
-                          rng: np.random.Generator,
-                          fixed_point: np.ndarray | None = None):
+                          rng: np.random.Generator):
     """Random feasible (q0, x0) for multi-start exploration.
 
     Scales the sum-power fixed point by random per-cell factors within
@@ -395,15 +399,10 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     falls back to a uniform factor when the repair leaves a budget
     violated.  Each group's spare power is then handed to the proxies as
     random slack above the effective interference.  ``x0`` is padded like
-    the topology, 0 in padding.
+    the topology, 0 in padding.  Raises :class:`InfeasibleInitialPointError`
+    when the demands admit no allocation within the budgets.
     """
-    if fixed_point is None:
-        fp = solve_spm(topology, demands)
-        if not fp.feasible:
-            raise InfeasibleInitialPointError(
-                "rate demands admit no feasible power allocation within budgets")
-        fixed_point = fp.q_star
-    headroom = topology.budgets / fixed_point.sum(axis=1)
+    fixed_point, headroom = _fixed_point_headroom(topology, demands)
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
     q = fixed_point * factors[:, None]
     for _ in range(100):

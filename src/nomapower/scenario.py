@@ -107,7 +107,7 @@ class ScenarioConfig:
             if not self.site_positions_m:
                 raise ConfigError("custom layout needs site_positions_m")
             self.num_cells = len(self.site_positions_m)
-        positives = ["inter_site_distance_m", "users_per_cell",
+        positives = ["inter_site_distance_m", "cell_radius_m", "users_per_cell",
                      "users_per_subchannel", "num_subchannels", "num_cells",
                      "bandwidth_hz", "shadowing_std_db", "min_distance_m",
                      "power_tol_w", "max_iterations", "rate_tol", "max_outer",
@@ -478,7 +478,7 @@ def _finite_or_null(value):
     return value
 
 
-def run_fixture_checks(echo=print) -> bool:
+def run_fixture_checks() -> bool:
     """Run the built-in analytic fixtures through the real solvers."""
     ok = True
 
@@ -489,7 +489,7 @@ def run_fixture_checks(echo=print) -> bool:
     allocation = assemble_full_solution(topology, demands, report.q_star)
     good &= bool(np.allclose(allocation.powers[0][0],
                              fixtures.SYMMETRIC_TWO_CELL_USER_POWERS, atol=1e-6))
-    echo(f"{'PASS' if good else 'FAIL'}: symmetric two-cell minimum sum power "
+    print(f"{'PASS' if good else 'FAIL'}: symmetric two-cell minimum sum power "
          f"(got {total!r}, want {fixtures.SYMMETRIC_TWO_CELL_SUM_POWER})")
     ok &= good
 
@@ -497,7 +497,7 @@ def run_fixture_checks(echo=print) -> bool:
     srm = dpc_srm(topology, demands)
     want = fixtures.RATE_MAX_SINGLE_CELL_SUM_RATE
     good = abs(srm.sum_rate - want) <= 1e-6
-    echo(f"{'PASS' if good else 'FAIL'}: single-cell maximum sum rate "
+    print(f"{'PASS' if good else 'FAIL'}: single-cell maximum sum rate "
          f"(got {srm.sum_rate!r}, want {want!r})")
     ok &= good
     return bool(ok)

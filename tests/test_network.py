@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from conftest import sample_topology
 from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
-                       assemble_full_solution, dpc_srm, interference_map,
-                       solve_spm)
-from nomapower.network import (dense_interference, group_rates,
-                               rate_constraint_slack, suffix_sums)
+                       assemble_full_solution, dpc_srm, solve_spm)
+from nomapower.network import dense_interference, group_rates, suffix_sums
 from nomapower.oracle import (achievable_rate, effective_interference,
-                              rate_via_decoding_chain)
+                              rate_constraint_slack, rate_via_decoding_chain)
+from nomapower.power_min import interference_map
 
 
 def two_cell_example():
@@ -322,12 +321,6 @@ def test_suffix_sums_property(values):
     out = suffix_sums(p)
     for j in range(p.size):
         assert out[j] == pytest.approx(p[j + 1:].sum(), rel=1e-12, abs=1e-12)
-
-
-def test_allocation_consistency_check():
-    alloc = PowerAllocation(((np.array([0.7, 0.3]),),))
-    assert alloc.consistent_with(np.array([[1.0]]))
-    assert not alloc.consistent_with(np.array([[1.1]]))
 
 
 def test_demands_for_other_groups_are_rejected():

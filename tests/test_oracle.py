@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import sample_demands, sample_topology
-from nomapower import (NetworkTopology, RateDemands, interference_map,
-                       min_power_user_allocation, random_feasible_start,
-                       single_cell_feasible)
+from nomapower import NetworkTopology, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import group_rates
 from nomapower.oracle import (OracleInfeasibleError, effective_interference,
@@ -13,6 +11,8 @@ from nomapower.oracle import (OracleInfeasibleError, effective_interference,
                               minimal_group_powers, optimal_single_cell_rate,
                               reference_interference_map,
                               standard_function_probe)
+from nomapower.power_min import interference_map, min_power_user_allocation
+from nomapower.rate_max_cell import single_cell_feasible
 from nomapower.rate_max_network import power_cap, solve_convex_subproblem
 
 

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_group
-from nomapower import (InfeasiblePowerError, min_power_user_allocation,
-                       optimal_single_cell_allocation, single_cell_feasible)
 from nomapower.network import front_pad, group_rates
 from nomapower.oracle import (boundary_allocation_matches_minimum, group_sum_rate,
                               optimal_single_cell_rate)
-from nomapower.rate_max_cell import required_group_power
+from nomapower.power_min import min_power_user_allocation
+from nomapower.rate_max_cell import (InfeasiblePowerError,
+                                     optimal_single_cell_allocation,
+                                     required_group_power, single_cell_feasible)
 
 R2 = np.array([1.0, 1.0])
 H2 = np.array([2.0, 1.0])

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import sample_demands, sample_topology
-from nomapower import (NetworkTopology, RateDemands, dpc_srm,
-                       optimal_single_cell_allocation, random_feasible_start)
+from nomapower import NetworkTopology, RateDemands, dpc_srm, random_feasible_start
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import dense_interference
 from nomapower.oracle import (achievable_rate, effective_interference,
                               optimal_single_cell_rate)
+from nomapower.rate_max_cell import optimal_single_cell_allocation
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
                                         cell_objective, dc_objective_parts,
                                         power_cap, solve_convex_subproblem,
@@ -324,7 +324,8 @@ class TestDpcSrm:
         dem = RateDemands.uniform(top, 0.4)
         report = dpc_srm(top, dem)
         assert np.all(np.diff(report.trace) <= 1e-9)
-        assert report.allocation.consistent_with(report.q, rtol=1e-6)
+        np.testing.assert_allclose(report.allocation.cell_powers(), report.q,
+                                   rtol=1e-6, atol=0)
         for i, m in top.groups():
             rates = achievable_rate(top, report.allocation, report.q, i, m)
             assert np.all(rates >= 0.4 * (1 - 1e-9))

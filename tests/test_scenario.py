@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from nomapower import (NetworkTopology, PowerAllocation, assemble_full_solution,
-                       dpc_spm, load_config, pair_users, run_scenario, scenario,
+                       dpc_spm, load_config, run_scenario, scenario,
                        write_outputs)
 from nomapower.cli import main
 from nomapower.scenario import (ALGORITHMS, ConfigError, ScenarioConfig,
                                 _drop_users, _site_layout, _validate,
                                 build_demands, dbm_to_watts, generate_channels,
-                                link_gain_db, run_fixture_checks)
+                                link_gain_db, pair_users, run_fixture_checks)
 
 GOOD_CONFIG = """\
 scenario:
@@ -88,6 +88,16 @@ class TestConfig:
             small_config(budget_dbm_sweep=[])
         with pytest.raises(ConfigError):
             small_config(layout="custom")        # missing positions
+
+    @pytest.mark.parametrize("radius", [-5.0, 0.0])
+    def test_cell_radius_must_be_positive(self, radius, tmp_path):
+        with pytest.raises(ConfigError, match="cell_radius_m"):
+            small_config(cell_radius_m=radius)
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG.replace(
+            "  pairing: SW\n", f"  pairing: SW\n  cell_radius_m: {radius}\n"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_per_user_rate_list_length_checked(self):
         with pytest.raises(ConfigError):
