@@ -11,11 +11,15 @@ Conventions used throughout the package:
   in watts.
 
 All containers are immutable after construction; every operation here is
-a pure function, safe to call concurrently.
+a pure function, safe to call concurrently.  The nested per-group views
+are built on first read and then kept, so two first reads racing each
+other may build them twice, which is harmless: both results are equal
+read-only views of the same array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +52,42 @@ def unpad(padded: np.ndarray, occupied: np.ndarray) -> tuple:
         for i, row in enumerate(occupied.sum(axis=-1).tolist()))
 
 
+class GroupViews(Sequence):
+    """Read-only per-group views ``[i][m]`` of a front-padded array.
+
+    Indexing, iteration and ``len`` work as on the tuple of tuples that
+    :func:`unpad` returns, which is built on first read and then kept;
+    ``padded`` is the array itself and ``occupied`` its users' slots.
+    """
+
+    __slots__ = ("padded", "occupied", "_views")
+
+    def __init__(self, padded: np.ndarray, occupied: np.ndarray):
+        self.padded, self.occupied, self._views = padded, occupied, None
+
+    def _built(self) -> tuple:
+        if self._views is None:
+            self._views = unpad(self.padded, self.occupied)
+        return self._views
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self.padded)
+
+    def __repr__(self) -> str:
+        return repr(self._built())
+
+
+def _unviewed(values):
+    """``values``, or the padded array behind them when they are views."""
+    return values.padded if isinstance(values, GroupViews) else values
+
+
 @dataclass(frozen=True)
 class NetworkTopology:
     """Static description of the network.
@@ -71,20 +111,28 @@ class NetworkTopology:
     Padded slots hold 0 in all of them, and padded users carry zero demand
     weight and zero power, so they change no sum.
 
-    The constructor takes the groups nested: ``gains[i][m]`` is an (I, n)
-    array for a group of ``n`` users, entry ``[k, j]`` the gain from BS
-    ``k`` to user ``j``, and ``user_ids[i][m]`` holds the group's
-    identifiers.  After construction both are read-only views of the
-    sorted dense arrays, so row ``i`` of ``gains[i][m]`` is
-    non-decreasing.  :meth:`pad` and :meth:`unpad` convert between nested
-    per-group arrays and the padded layout.
+    The constructor takes the gains in either layout.  Padded, ``gains``
+    is an (I, M, I, n_max) array laid out as ``dense_gains`` but in any
+    order within a group: the real users are the slots with a positive
+    own gain, padding comes first and holds zero gains; ``user_ids`` is
+    then an (I, M, n_max) array whose padded slots are ignored.  Nested,
+    ``gains[i][m]`` is an (I, n) array for a group of ``n`` users, entry
+    ``[k, j]`` the gain from BS ``k`` to user ``j``, and ``user_ids[i][m]``
+    holds the group's identifiers; :func:`front_pad` pads them once and
+    the same checks and sort follow.  After construction ``gains`` and
+    ``user_ids`` are :class:`GroupViews` of the sorted dense arrays,
+    built on first read, so row ``i`` of ``gains[i][m]`` is
+    non-decreasing; passed back to the constructor (as
+    ``dataclasses.replace`` does) they hand over the dense arrays.
+    :meth:`pad` and :meth:`unpad` convert between nested per-group arrays
+    and the padded layout.
     """
 
     bandwidth: float
     noise_power: float
     budgets: np.ndarray
-    gains: tuple
-    user_ids: tuple = field(default=None)
+    gains: object
+    user_ids: object = field(default=None)
     dense_gains: np.ndarray = field(init=False, repr=False, compare=False)
     dense_ids: np.ndarray = field(init=False, repr=False, compare=False)
     occupied: np.ndarray = field(init=False, repr=False, compare=False)
@@ -92,43 +140,62 @@ class NetworkTopology:
     noise_ratio: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.noise_power <= 0:
-            raise ValueError("noise power must be positive")
+        if not 0 < self.bandwidth < np.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        if not 0 < self.noise_power < np.inf:
+            raise ValueError("noise power must be positive and finite")
         budgets = np.array(self.budgets, dtype=float)
-        if budgets.ndim != 1 or (budgets <= 0).any():
-            raise ValueError("budgets must be a 1-D positive array")
+        if budgets.ndim != 1 or not ((0 < budgets) & (budgets < np.inf)).all():
+            raise ValueError("budgets must be a 1-D positive finite array")
         num_cells = budgets.size
-        if len(self.gains) != num_cells:
-            raise ValueError("gains must hold one row of groups per cell")
-        for i, per_cell in enumerate(self.gains):
-            for m, g in enumerate(per_cell):
-                if np.ndim(g) != 2 or np.shape(g)[0] != num_cells:
-                    raise ValueError(
-                        f"group ({i},{m}): gains must be (num_cells, n_users)")
+        cells = np.arange(num_cells)
+        gains = _unviewed(self.gains)
+        if isinstance(gains, np.ndarray):
+            gains = np.asarray(gains, dtype=float)
+            if gains.ndim != 4 or gains.shape[0] != num_cells \
+                    or gains.shape[2] != num_cells:
+                raise ValueError("padded gains must be (num_cells, num_subchannels,"
+                                 " num_cells, n_max)")
+            n_max = gains.shape[-1]
+            users = (gains[cells, :, cells] > 0).sum(axis=-1, keepdims=True)
+            occupied = np.arange(n_max) >= n_max - users
+        else:
+            if len(gains) != num_cells:
+                raise ValueError("gains must hold one row of groups per cell")
+            for i, per_cell in enumerate(gains):
+                for m, g in enumerate(per_cell):
+                    if np.ndim(g) != 2 or np.shape(g)[0] != num_cells:
+                        raise ValueError(
+                            f"group ({i},{m}): gains must be (num_cells, n_users)")
+            gains, occupied = front_pad(gains)
 
-        gains, occupied = front_pad(self.gains)
         per_slot = gains.swapaxes(2, 3)                 # gains, BS last
         shape = occupied.shape
         n_max = shape[-1]
-        if self.user_ids is None:
+        ids = _unviewed(self.user_ids)
+        if ids is None:
             ids = np.zeros(shape, dtype=int)
             ids[occupied] = np.arange(occupied.sum())
-        else:
-            ids, given = front_pad(self.user_ids, dtype=int)
+        elif not isinstance(ids, np.ndarray):
+            ids, given = front_pad(ids, dtype=int)
             short = given.sum(axis=-1) != occupied.sum(axis=-1)
             if short.any():
                 i, m = np.argwhere(short)[0]
                 raise ValueError(f"group ({i},{m}): user id count mismatch")
+        if np.shape(ids) != shape:
+            raise ValueError("user ids must be (num_cells, num_subchannels, n_max)"
+                             " like the gains")
+        ids = np.where(occupied, np.asarray(ids, dtype=int), 0)
 
-        cells = np.arange(num_cells)
         own = per_slot[cells, :, :, cells]                  # (I, M, n_max)
-        own_bad = (occupied & (own <= 0)).any(axis=-1)
-        bad = own_bad | (per_slot < 0).any(axis=(2, 3))
+        own_bad = (occupied & ~(own > 0)).any(axis=-1)
+        pad_bad = (~occupied[..., None] & (per_slot != 0)).any(axis=(2, 3))
+        bad = own_bad | pad_bad | ~(per_slot >= 0).all(axis=(2, 3))
         if bad.any():
             i, m = np.argwhere(bad)[0]
-            rule = "own gains must be > 0" if own_bad[i, m] else "gains must be >= 0"
+            rule = ("own gains must be > 0" if own_bad[i, m] else
+                    "padding must come first and hold zero gains" if pad_bad[i, m]
+                    else "gains must be >= 0")
             raise ValueError(f"group ({i},{m}): {rule}")
         real = ids[occupied]
         ranked = np.sort(real)
@@ -154,8 +221,8 @@ class NetworkTopology:
                             ("noise_ratio", self.noise_power / own)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "gains", self.unpad(gains))
-        object.__setattr__(self, "user_ids", self.unpad(ids))
+        object.__setattr__(self, "gains", GroupViews(gains, occupied))
+        object.__setattr__(self, "user_ids", GroupViews(ids, occupied))
 
     @property
     def num_cells(self) -> int:
@@ -201,10 +268,11 @@ class NetworkTopology:
 
 
 def _store(container, name: str, what: str):
-    """Keep a container's input, the padded array or nested groups, as one
-    read-only array ``padded`` with per-group views ``name``.  Every user's
-    value must be positive, so the users' slots are the positive ones."""
-    values = getattr(container, name)
+    """Keep a container's input, the padded array (or views of one) or
+    nested groups, as one read-only array ``padded`` with per-group
+    :class:`GroupViews` ``name``, built on first read.  Every user's value
+    must be positive, so the users' slots are the positive ones."""
+    values = _unviewed(getattr(container, name))
     if isinstance(values, np.ndarray):
         padded = np.array(values, dtype=float)
         n_max = padded.shape[-1]
@@ -215,7 +283,7 @@ def _store(container, name: str, what: str):
         raise ValueError(f"{what} must be positive")
     padded.flags.writeable = False
     object.__setattr__(container, "padded", padded)
-    object.__setattr__(container, name, unpad(padded, occupied))
+    object.__setattr__(container, name, GroupViews(padded, occupied))
 
 
 @dataclass(frozen=True)
@@ -224,10 +292,11 @@ class RateDemands:
 
     Stored as one read-only (I, M, n_max) array ``padded``, front-padded
     like the topology with 0 in padding, that the constructor takes as is
-    or from nested per-group arrays; ``rates[i][m]`` are views of it.
+    or from nested per-group arrays; ``rates[i][m]`` are read-only views
+    of it, built on first read (:class:`GroupViews`).
     """
 
-    rates: tuple
+    rates: object
     padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -249,7 +318,7 @@ class PowerAllocation:
     """Per-user transmit powers (W), aligned with topology order and stored
     like :class:`RateDemands`: ``padded`` with views ``powers[i][m]``."""
 
-    powers: tuple
+    powers: object
     padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

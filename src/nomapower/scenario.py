@@ -97,6 +97,14 @@ class ScenarioConfig:
                 self.rate_demand_bps = float(self.rate_demand_bps)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"non-numeric value: {exc}") from exc
+        for name in self._FLOAT_FIELDS + ("cell_radius_m", "budget_dbm_sweep",
+                                          "rate_demand_bps"):
+            value = getattr(self, name)
+            values = value if isinstance(value, list) else [value]
+            if value is not None and not all(map(math.isfinite, values)):
+                raise ConfigError(f"{name} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.algorithm not in ALGORITHMS:
             raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
         if self.pairing not in PAIRING_METHODS:
@@ -239,8 +247,8 @@ def generate_channels(config: ScenarioConfig, seed: int) -> NetworkTopology:
     return NetworkTopology(bandwidth=config.bandwidth_hz,
                            noise_power=dbm_to_watts(config.noise_power_dbm),
                            budgets=np.full(num_cells, budget),
-                           gains=tuple(map(tuple, gain[members].transpose(0, 1, 3, 2))),
-                           user_ids=tuple(map(tuple, members)))
+                           gains=gain[members].transpose(0, 1, 3, 2),
+                           user_ids=members)
 
 
 def _site_layout(config):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_topology
+from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
-                       assemble_full_solution, dpc_srm, solve_spm)
+                       assemble_full_solution, dpc_srm, network, scenario,
+                       solve_spm)
 from nomapower.network import dense_interference, group_rates, suffix_sums
 from nomapower.oracle import (achievable_rate, effective_interference,
                               rate_constraint_slack, rate_via_decoding_chain)
@@ -168,6 +171,17 @@ class TestTopologyConstruction:
             NetworkTopology(bandwidth=1.0, noise_power=0.1,
                             budgets=np.array([-1.0]), gains=((g,),))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_scalars(self, bad):
+        gains = two_cell_example().gains
+        for field, value in (("bandwidth", bad), ("noise_power", bad),
+                             ("budgets", np.array([5.0, bad]))):
+            kwargs = dict(bandwidth=1.0, noise_power=0.1,
+                          budgets=np.array([5.0, 5.0]), gains=gains)
+            kwargs[field] = value
+            with pytest.raises(ValueError, match="finite"):
+                NetworkTopology(**kwargs)
+
     def test_duplicate_user_ids_rejected(self):
         g = np.array([[1.0, 2.0]])
         with pytest.raises(ValueError, match="two groups"):
@@ -194,6 +208,10 @@ class TestTopologyConstruction:
                 with pytest.raises(ValueError):
                     array[...] = 1.0
         assert nested[0][0].flags.writeable     # the input is copied, not frozen
+        for array in (top.user_ids[1][0], top.gains.padded, top.user_ids.padded,
+                      top.dense_gains, top.dense_ids, top.occupied):
+            with pytest.raises(ValueError):
+                array[...] = 0
 
     def test_single_user_groups_allowed(self):
         g = np.array([[1.0]])
@@ -312,6 +330,171 @@ class TestRaggedTopology:
         assert [[ids.tolist() for ids in row] for row in top.user_ids] == [
             [[0], [2, 4, 1, 3]], [[7, 5, 6], [8, 9]], [[11, 10], [12]]]
         assert top.own_gains(0, 1).tolist() == [0.5, 0.5, 1.0, 1.0]
+
+
+def assert_same_topology(a, b):
+    for name in ("dense_gains", "dense_ids", "occupied", "cross_ratio", "noise_ratio"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("gains", "user_ids"):
+        views_a, views_b = getattr(a, name), getattr(b, name)
+        assert len(views_a) == len(views_b) == a.num_cells
+        for row_a, row_b in zip(views_a, views_b):
+            assert len(row_a) == len(row_b) == a.num_subchannels
+            for x, y in zip(row_a, row_b):
+                assert np.array_equal(x, y), name
+
+
+class TestDenseInput:
+    """The constructor takes front-padded gains and ids as well as nested
+    groups, and both build the same topology."""
+
+    @staticmethod
+    def ragged_instance(rng):
+        """Nested gains and ids: 2-5 cells, up to 3 subchannels, groups of
+        1-4 users in random order, own gains drawn from three values so
+        that ties are common."""
+        num_cells, num_sub = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+        sizes = rng.integers(1, 5, size=(num_cells, num_sub))
+        ids = iter(rng.permutation(int(sizes.sum())) * 3 + 7)
+        gains, user_ids = [], []
+        for i, row in enumerate(sizes):
+            gains.append([])
+            user_ids.append([])
+            for n in row:
+                g = rng.uniform(0.0, 0.3, size=(num_cells, n))
+                g[i] = rng.choice([0.5, 1.0, 1.5], size=n)
+                gains[-1].append(g)
+                user_ids[-1].append(np.array([next(ids) for _ in range(n)]))
+        return tuple(map(tuple, gains)), tuple(map(tuple, user_ids))
+
+    @staticmethod
+    def front_padded(nested, fill=0):
+        """The groups as one array, front-padded with ``fill``, slot by slot."""
+        n_max = max(np.shape(v)[-1] for row in nested for v in row)
+        lead = np.shape(nested[0][0])[:-1]
+        out = np.full((len(nested), len(nested[0])) + lead + (n_max,), fill,
+                      dtype=np.asarray(nested[0][0]).dtype)
+        for i, row in enumerate(nested):
+            for m, v in enumerate(row):
+                out[i, m, ..., n_max - np.shape(v)[-1]:] = v
+        return out
+
+    @staticmethod
+    def build(gains, user_ids=None):
+        num_cells = len(gains)
+        return NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                               budgets=np.ones(num_cells), gains=gains,
+                               user_ids=user_ids)
+
+    def test_ragged_instances_match_nested_input(self):
+        rng = np.random.default_rng(21)
+        for _ in range(40):
+            gains, ids = self.ragged_instance(rng)
+            # padded ids are ignored, so any value may sit there
+            dense_gains, dense_ids = self.front_padded(gains), self.front_padded(ids, -1)
+            nested = self.build(gains, ids)
+            assert_same_topology(nested, self.build(dense_gains, dense_ids))
+            assert_same_topology(self.build(gains), self.build(dense_gains))
+            # the views of a built topology hand over its sorted arrays
+            assert_same_topology(nested, self.build(nested.gains, nested.user_ids))
+            assert not nested.dense_ids[~nested.occupied].any()
+
+    def test_channel_drops_match_nested_input(self, monkeypatch):
+        calls = []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return NetworkTopology(**kwargs)
+
+        monkeypatch.setattr(scenario, "NetworkTopology", record)
+        for cells, subchannels, pairing in ((3, 2, "SW"), (7, 4, "SS"), (2, 1, "SM")):
+            config = scenario.ScenarioConfig(num_cells=cells,
+                                             users_per_cell=2 * subchannels,
+                                             num_subchannels=subchannels,
+                                             pairing=pairing)
+            for seed in range(4):
+                top = scenario.generate_channels(config, seed)
+                kwargs = calls.pop()
+                assert isinstance(kwargs["gains"], np.ndarray)
+                nested = dict(kwargs, gains=tuple(map(tuple, kwargs["gains"])),
+                              user_ids=tuple(map(tuple, kwargs["user_ids"])))
+                assert_same_topology(top, NetworkTopology(**nested))
+
+    def test_malformed_dense_input_raises(self):
+        rng = np.random.default_rng(22)
+        own = np.array([[0.0, 1.0, 2.0]])               # slot 0 is padding
+        gains = rng.uniform(0.1, 0.3, size=(2, 1, 2, 3)) * (own > 0)
+        gains[[0, 1], :, [0, 1]] = own
+        ids = np.array([[[0, 1, 2]], [[0, 3, 4]]])
+        assert self.build(gains, ids).dense_ids.tolist() == [[[0, 1, 2]], [[0, 3, 4]]]
+
+        def changed(index, value):
+            bad = gains.copy()
+            bad[index] = value
+            return bad
+
+        cases = {
+            "ndim": (gains[..., 0], ids),
+            "cells": (gains[:1], ids),
+            "base stations": (gains[:, :, :1], ids),
+            "padding not in front": (gains[..., [1, 0, 2]], ids),
+            "gain in a padded slot": (changed((0, 0, 1, 0), 0.3), ids),
+            "zero own gain": (changed((1, 0, 1, 1), 0.0), ids),
+            "negative own gain": (changed((0, 0, 0, 2), -1.0), ids),
+            "negative cross gain": (changed((0, 0, 1, 2), -0.1), ids),
+            "nan gain": (changed((1, 0, 0, 1), np.nan), ids),
+            "id shape": (gains, ids[..., 1:]),
+            "id ndim": (gains, ids[..., None]),
+            "duplicate ids": (gains, np.array([[[0, 1, 2]], [[0, 3, 1]]])),
+        }
+        for case, (bad_gains, bad_ids) in cases.items():
+            with pytest.raises(ValueError):
+                self.build(bad_gains, bad_ids)
+                pytest.fail(case)
+
+
+class TestLazyViews:
+    """Nested per-group views are built on first read and then kept."""
+
+    def instance(self):
+        rng = np.random.default_rng(23)
+        top = sample_topology(rng, num_cells=3, num_subchannels=2, users=(1, 5))
+        demands = sample_demands(rng, top)
+        return top, demands, PowerAllocation(demands.padded / 10.0)
+
+    def test_views_are_stable_and_read_only(self):
+        top, demands, alloc = self.instance()
+        for views in (top.gains, top.user_ids, demands.rates, alloc.powers):
+            assert isinstance(views, network.GroupViews)
+            first = [list(row) for row in views]
+            assert len(views) == len(first) == top.num_cells
+            for i, row in enumerate(views):
+                assert len(row) == top.num_subchannels
+                for m, view in enumerate(row):
+                    assert view is views[i][m] is first[i][m]
+                    assert np.shares_memory(view, views.padded)
+                    with pytest.raises(ValueError):
+                        view[...] = 1.0
+            with pytest.raises(ValueError):
+                views.padded[...] = 1.0
+        assert top.gains.padded is top.dense_gains
+        assert demands.rates.padded is demands.padded
+
+    def test_replace_reuses_the_dense_arrays(self, monkeypatch):
+        top, demands, alloc = self.instance()
+        with monkeypatch.context() as patch:
+            def refuse(padded, occupied):
+                raise AssertionError("nested views built")
+
+            patch.setattr(network, "unpad", refuse)
+            again = dataclasses.replace(top, budgets=2.0 * top.budgets)
+            copies = (RateDemands(demands.rates), PowerAllocation(alloc.powers))
+        assert_same_topology(top, again)
+        assert np.array_equal(again.budgets, 2.0 * top.budgets)
+        for copy, original in zip(copies, (demands, alloc)):
+            assert np.array_equal(copy.padded, original.padded)
+        for i, m in top.groups():
+            assert np.array_equal(copies[0].rates[i][m], demands.rates[i][m])
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=6))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nomapower import (NetworkTopology, PowerAllocation, assemble_full_solution,
-                       dpc_spm, load_config, run_scenario, scenario,
+                       dpc_spm, load_config, network, run_scenario, scenario,
                        write_outputs)
 from nomapower.cli import main
 from nomapower.scenario import (ALGORITHMS, ConfigError, ScenarioConfig,
@@ -98,6 +98,43 @@ class TestConfig:
             "  pairing: SW\n", f"  pairing: SW\n  cell_radius_m: {radius}\n"))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        ("budget_dbm_sweep: [30.0]", "budget_dbm_sweep: [.nan]"),
+        ("budget_dbm_sweep: [30.0]", "budget_dbm_sweep: [-.inf]"),
+        ("rate_demand_bps: 3.0e5", "rate_demand_bps: .inf"),
+        ("rate_demand_bps: 3.0e5", "rate_demand_bps: 3.0e5\n  bandwidth_hz: .nan"),
+        ("rate_demand_bps: 3.0e5", "rate_demand_bps: 3.0e5\n  noise_power_dbm: .nan"),
+    ], ids=["budget-nan", "budget-minus-inf", "rate-inf", "bandwidth-nan", "noise-nan"])
+    def test_non_finite_values_exit_2(self, old, new, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_every_number_must_be_finite(self):
+        for name in ScenarioConfig._FLOAT_FIELDS + ("cell_radius_m",):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ConfigError, match=f"{name} must be finite"):
+                    small_config(**{name: value})
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="budget_dbm_sweep must be finite"):
+                small_config(budget_dbm_sweep=[30.0, value])
+            with pytest.raises(ConfigError, match="rate_demand_bps must be finite"):
+                small_config(rate_demand_bps=[1e5, 2e5, value, 4e5])
+            with pytest.raises(ConfigError, match="rate_demand_bps must be finite"):
+                small_config(rate_demand_bps=value)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            small_config(seed=-1)
+        assert small_config(seed=0).seed == 0
+        example = Path(__file__).resolve().parents[1] / "scripts" / "three_cell.yaml"
+        out = tmp_path / "out"
+        assert main(["run", str(example), "--seed", "-3", "--out", str(out)]) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_per_user_rate_list_length_checked(self):
         with pytest.raises(ConfigError):
@@ -478,6 +515,32 @@ class TestRunScenario:
         assert artifacts.ok and len(artifacts.allocations) == 3
         for fmt in ("csv", "json"):
             write_outputs(artifacts, tmp_path / fmt, fmt=fmt)
+
+    RUN_PATH_JSON_DIGESTS = {"power-min": "720f6005560f2f89",
+                             "rate-max": "b080620bb84deea2"}
+
+    @pytest.mark.parametrize("algorithm, cells, subchannels",
+                             [("power-min", 7, 4), ("rate-max", 3, 2)])
+    def test_run_path_builds_no_nested_view(self, monkeypatch, tmp_path, algorithm,
+                                            cells, subchannels):
+        # topologies, demands and allocations build their nested per-group
+        # views on first read; no solve, budget rebuild (dataclasses.replace)
+        # or CSV output reads them.  The JSON output does, with the same bytes.
+        config = small_config(algorithm=algorithm, num_cells=cells,
+                              users_per_cell=2 * subchannels,
+                              num_subchannels=subchannels, rate_demand_bps=1.0e5,
+                              budget_dbm_sweep=[20.0, 30.0, 40.0])
+        with monkeypatch.context() as patch:
+            def refuse(padded, occupied):
+                raise AssertionError("nested views built on the run path")
+
+            patch.setattr(network, "unpad", refuse)
+            artifacts = run_scenario(config)
+            assert artifacts.ok and len(artifacts.allocations) == 3
+            write_outputs(artifacts, tmp_path / "csv", fmt="csv")
+        (path,) = write_outputs(artifacts, tmp_path / "json", fmt="json")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        assert digest == self.RUN_PATH_JSON_DIGESTS[algorithm]
 
     def test_infeasible_demand_recorded_not_raised(self):
         config = small_config(rate_demand_bps=5.0e7, budget_dbm_sweep=[0.0])
