@@ -10,8 +10,8 @@ import argparse
 import dataclasses
 import sys
 
-from .scenario import (ConfigError, load_config, run_fixture_checks,
-                       run_scenario, write_outputs)
+from .scenario import (OUTPUT_FORMATS, ConfigError, load_config,
+                       run_fixture_checks, run_scenario, write_outputs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--out", default="out", help="output directory")
     run_p.add_argument("--algo", choices=["power-min", "rate-max"],
                        help="override the configured algorithm")
-    run_p.add_argument("--format", choices=["csv", "json"], default="csv")
+    run_p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     return parser
 
 

@@ -27,17 +27,23 @@ import numpy as np
 LN2 = np.log(2.0)
 
 
-def front_pad(nested, dtype=float):
-    """Per-group arrays ``nested[i][m]``, users along their last axis, as
-    one (I, M, ..., n_max) array front-padded with zeros to the largest
-    group; returns it and the (I, M, n_max) mask of the users' slots."""
+def front_pad(nested, lead=(), dtype=float):
+    """Per-group arrays ``nested[i][m]`` of shape ``lead + (n,)``, users
+    along the last axis, as one (I, M) + lead + (n_max,) array front-padded
+    with zeros to the largest group; returns it and the (I, M, n_max) mask
+    of the users' slots.  A group of any other shape raises ValueError
+    naming it."""
     shape = (len(nested), len(nested[0]) if len(nested) else 0)
     if any(len(row) != shape[1] for row in nested):
         raise ValueError("every cell must cover the same subchannels")
     groups = [np.asarray(v, dtype=dtype) for row in nested for v in row]
+    for k, g in enumerate(groups):
+        if g.shape[:-1] != lead or g.ndim != len(lead) + 1:
+            i, m = divmod(k, shape[1])
+            want = ", ".join(map(str, lead + ("n",)))
+            raise ValueError(f"group ({i},{m}): values of shape {g.shape}, want ({want})")
     sizes = np.array([g.shape[-1] for g in groups], dtype=int).reshape(shape)
     n_max = int(sizes.max(initial=0))
-    lead = groups[0].shape[:-1] if groups else ()
     out = np.zeros((len(groups),) + lead + (n_max,), dtype=dtype)
     for row, g in zip(out, groups):
         row[..., n_max - g.shape[-1]:] = g
@@ -118,14 +124,12 @@ class NetworkTopology:
     then an (I, M, n_max) array whose padded slots are ignored.  Nested,
     ``gains[i][m]`` is an (I, n) array for a group of ``n`` users, entry
     ``[k, j]`` the gain from BS ``k`` to user ``j``, and ``user_ids[i][m]``
-    holds the group's identifiers; :func:`front_pad` pads them once and
-    the same checks and sort follow.  After construction ``gains`` and
-    ``user_ids`` are :class:`GroupViews` of the sorted dense arrays,
-    built on first read, so row ``i`` of ``gains[i][m]`` is
-    non-decreasing; passed back to the constructor (as
+    holds the group's identifiers; :func:`front_pad` checks each group's
+    shape and pads them once, and the same checks and sort follow.  After
+    construction ``gains`` and ``user_ids`` are :class:`GroupViews` of the
+    sorted dense arrays, built on first read, so row ``i`` of
+    ``gains[i][m]`` is non-decreasing; passed back to the constructor (as
     ``dataclasses.replace`` does) they hand over the dense arrays.
-    :meth:`pad` and :meth:`unpad` convert between nested per-group arrays
-    and the padded layout.
     """
 
     bandwidth: float
@@ -162,12 +166,7 @@ class NetworkTopology:
         else:
             if len(gains) != num_cells:
                 raise ValueError("gains must hold one row of groups per cell")
-            for i, per_cell in enumerate(gains):
-                for m, g in enumerate(per_cell):
-                    if np.ndim(g) != 2 or np.shape(g)[0] != num_cells:
-                        raise ValueError(
-                            f"group ({i},{m}): gains must be (num_cells, n_users)")
-            gains, occupied = front_pad(gains)
+            gains, occupied = front_pad(gains, lead=(num_cells,))
 
         per_slot = gains.swapaxes(2, 3)                 # gains, BS last
         shape = occupied.shape
@@ -232,12 +231,6 @@ class NetworkTopology:
     def num_subchannels(self) -> int:
         return self.occupied.shape[1]
 
-    def group_size(self, i: int, m: int) -> int:
-        return self.gains[i][m].shape[1]
-
-    def own_gains(self, i: int, m: int) -> np.ndarray:
-        return self.gains[i][m][i]
-
     @property
     def max_group_size(self) -> int:
         return self.occupied.shape[-1]
@@ -247,24 +240,6 @@ class NetworkTopology:
         for i in range(self.num_cells):
             for m in range(self.num_subchannels):
                 yield i, m
-
-    def pad(self, nested) -> np.ndarray:
-        """Front-padded (I, M, n_max) array of per-group values, 0 in padding."""
-        if len(nested) != self.num_cells:
-            raise ValueError("values must hold one row of groups per cell")
-        sizes = self.occupied.sum(axis=-1).tolist()
-        for i, row in enumerate(nested):
-            if len(row) != self.num_subchannels:
-                raise ValueError(f"cell {i}: values must hold one group per subchannel")
-            for m, v in enumerate(row):
-                if np.shape(v) != (sizes[i][m],):
-                    raise ValueError(
-                        f"group ({i},{m}): values do not match the group size")
-        return front_pad(nested)[0]
-
-    def unpad(self, dense: np.ndarray) -> tuple:
-        """Per-group views into a front-padded array, padded along its last axis."""
-        return unpad(dense, self.occupied)
 
 
 def _store(container, name: str, what: str):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates, suffix_sums)
+                      dense_interference, group_rates, suffix_sums, unpad)
 from .power_min import min_power_user_allocation
 from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
                             required_group_power, single_cell_feasible)
@@ -83,7 +83,7 @@ def effective_interference(topology: NetworkTopology, q: np.ndarray,
     whole group when ``j`` is None: one group of
     :func:`~nomapower.network.dense_interference`.
     """
-    h = topology.unpad(dense_interference(topology, q))[i][m]
+    h = unpad(dense_interference(topology, q), topology.occupied)[i][m]
     return h if j is None else h[j]
 
 
@@ -220,7 +220,7 @@ def grid_power_min(topology: NetworkTopology, demands: RateDemands,
     if topology.num_cells > 2 or topology.num_subchannels > 2:
         raise ValueError("grid oracle accepts at most 2 cells x 2 subchannels")
     for i, m in topology.groups():
-        if topology.group_size(i, m) > 3:
+        if topology.occupied[i, m].sum() > 3:
             raise ValueError("grid oracle accepts at most 3 users per group")
 
     axes = []

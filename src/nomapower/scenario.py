@@ -28,6 +28,7 @@ from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
 
 PAIRING_METHODS = ("SS", "SW", "SM")
 ALGORITHMS = ("power-min", "rate-max")
+OUTPUT_FORMATS = ("csv", "json")
 
 
 class ConfigError(ValueError):
@@ -112,9 +113,20 @@ class ScenarioConfig:
         if self.layout not in ("paper-default", "custom"):
             raise ConfigError("layout must be 'paper-default' or 'custom'")
         if self.layout == "custom":
-            if not self.site_positions_m:
+            if self.site_positions_m is None:
                 raise ConfigError("custom layout needs site_positions_m")
-            self.num_cells = len(self.site_positions_m)
+            try:
+                sites = np.array(self.site_positions_m, dtype=float)
+                pairs = sites.ndim == 2 and sites.shape[1] == 2 and sites.size > 0
+            except (TypeError, ValueError):
+                pairs = False
+            if not (pairs and np.isfinite(sites).all()):
+                raise ConfigError("site_positions_m must be a non-empty list of"
+                                  " finite [x, y] pairs")
+            self.site_positions_m = sites.tolist()
+            self.num_cells = len(sites)
+        elif self.site_positions_m is not None:
+            raise ConfigError("site_positions_m needs layout: custom")
         positives = ["inter_site_distance_m", "cell_radius_m", "users_per_cell",
                      "users_per_subchannel", "num_subchannels", "num_cells",
                      "bandwidth_hz", "shadowing_std_db", "min_distance_m",
@@ -437,7 +449,10 @@ def _validate(topology, demands, allocation):
 
 
 def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
-    """Emit the artifacts under ``out_dir``; returns the paths written."""
+    """Emit the artifacts under ``out_dir`` as ``fmt``, one of
+    :data:`OUTPUT_FORMATS`; returns the paths written."""
+    if fmt not in OUTPUT_FORMATS:
+        raise ValueError(f"output format must be one of {OUTPUT_FORMATS}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

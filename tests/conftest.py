@@ -34,7 +34,7 @@ def sample_topology(rng, num_cells=2, num_subchannels=1, users=2,
 def sample_demands(rng, topology, rate=(0.3, 1.2)):
     """Random per-user demands within the given range."""
     rates = tuple(
-        tuple(rng.uniform(*rate, size=topology.group_size(i, m))
+        tuple(rng.uniform(*rate, size=topology.occupied[i, m].sum())
               for m in range(topology.num_subchannels))
         for i in range(topology.num_cells))
     return RateDemands(rates)

@@ -9,7 +9,8 @@ from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
                        assemble_full_solution, dpc_srm, network, scenario,
                        solve_spm)
-from nomapower.network import dense_interference, group_rates, suffix_sums
+from nomapower.network import (dense_interference, front_pad, group_rates,
+                               suffix_sums, unpad)
 from nomapower.oracle import (achievable_rate, effective_interference,
                               rate_constraint_slack, rate_via_decoding_chain)
 from nomapower.power_min import interference_map
@@ -103,7 +104,7 @@ class TestAchievableRate:
         for _ in range(40):
             top = sample_topology(rng, num_cells=2, users=(2, 4))
             q = rng.uniform(0.0, 2.0, size=(2, 1))
-            p = [[rng.uniform(0.05, 2.0, size=top.group_size(i, 0))
+            p = [[rng.uniform(0.05, 2.0, size=top.occupied[i, 0].sum())
                   for _ in range(1)] for i in range(2)]
             alloc = PowerAllocation(tuple(tuple(row) for row in p))
             for i in range(2):
@@ -146,7 +147,7 @@ class TestTopologyConstruction:
         g = np.array([[2.0, 0.5, 1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
                               budgets=np.array([1.0]), gains=((g,),))
-        assert list(top.own_gains(0, 0)) == [0.5, 1.0, 2.0]
+        assert list(top.gains[0][0][0]) == [0.5, 1.0, 2.0]
         assert list(top.user_ids[0][0]) == [1, 2, 0]
 
     def test_ties_keep_original_order(self):
@@ -217,7 +218,7 @@ class TestTopologyConstruction:
         g = np.array([[1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.5,
                               budgets=np.array([1.0]), gains=((g,),))
-        assert top.group_size(0, 0) == 1
+        assert top.occupied[0, 0].sum() == 1
 
 
 class TestRaggedTopology:
@@ -245,7 +246,7 @@ class TestRaggedTopology:
                 g = gains[i][m]
                 n = g.shape[1]
                 order = np.argsort(g[i], kind="stable")
-                assert top.group_size(i, m) == n
+                assert top.occupied[i, m].sum() == n
                 assert np.array_equal(top.gains[i][m], g[:, order])
                 assert np.array_equal(top.user_ids[i][m], next_id + order)
                 next_id += n
@@ -259,7 +260,9 @@ class TestRaggedTopology:
                                       * (np.arange(3) != i))
                 assert np.array_equal(top.noise_ratio[i, m, 4 - n:], 0.1 / g[i, order])
             values = tuple(tuple(rng.uniform(size=n) for n in row) for row in self.SIZES)
-            back = top.unpad(top.pad(values))
+            padded, occupied = front_pad(values)
+            assert np.array_equal(occupied, top.occupied)
+            back = unpad(padded, top.occupied)
             for i, m in top.groups():
                 assert np.array_equal(back[i][m], values[i][m])
 
@@ -269,19 +272,39 @@ class TestRaggedTopology:
         assert top.max_group_size == 0
         assert top.cross_ratio.shape == (3, 2, 0, 3)
         values = tuple((np.zeros(0), np.zeros(0)) for _ in range(3))
-        assert top.pad(values).shape == (3, 2, 0)
-        assert top.unpad(top.pad(values))[2][1].size == 0
+        padded, occupied = front_pad(values)
+        assert padded.shape == occupied.shape == (3, 2, 0)
+        assert unpad(padded, top.occupied)[2][1].size == 0
 
-    def test_pad_rejects_mis_nested_values(self):
+    def test_mis_nested_demands_are_rejected(self):
         top = self.build(self.ragged_gains(np.random.default_rng(12)))
         a, b, c, d, e, f = (np.ones(n) for row in self.SIZES for n in row)
         # the flat sizes (1, 4, 3, 2, 2, 1) line up, the nesting does not
-        with pytest.raises(ValueError, match="cell 0: values must hold one group"):
-            top.pad(((a, b, c), (d, e), (f,)))
-        with pytest.raises(ValueError, match="one row of groups per cell"):
-            top.pad(((a, b), (c, d)))
-        with pytest.raises(ValueError, match=r"group \(1,1\): values do not match"):
-            top.pad(((a, b), (c, np.ones(3)), (e, f)))
+        with pytest.raises(ValueError, match="every cell must cover the same subchannels"):
+            RateDemands(((a, b, c), (d, e), (f,)))
+        for wrong in (((a, b), (c, d)), ((a, b), (c, np.ones(3)), (e, f))):
+            with pytest.raises(ValueError, match="one per user of the topology"):
+                RateDemands(wrong).padded_for(top)
+
+    @pytest.mark.parametrize("group", [np.array([[3.0, 4.0]]), np.array(3.0)],
+                             ids=["1-by-n", "0-d"])
+    @pytest.mark.parametrize("container", ["rates", "powers", "user_ids"])
+    def test_mis_shaped_group_is_named(self, container, group):
+        # a (1, n) group once broadcast into its (n,) slot, a 0-d one hit IndexError
+        nested = ((np.array([1.0, 2.0]),), (group,))
+        build = {"rates": RateDemands, "powers": PowerAllocation,
+                 "user_ids": lambda ids: NetworkTopology(
+                     bandwidth=1.0, noise_power=0.1, budgets=np.ones(2),
+                     gains=((np.ones((2, 2)),), (np.ones((2, 2)),)), user_ids=ids)}
+        with pytest.raises(ValueError, match=r"group \(1,0\): values of shape"):
+            build[container](nested)
+
+    def test_gain_group_must_cover_every_cell(self):
+        gains = [list(row) for row in self.ragged_gains(np.random.default_rng(14))]
+        gains[1][0] = gains[1][0][:2]
+        with pytest.raises(ValueError, match=r"group \(1,0\): values of shape \(2, 3\),"
+                                             r" want \(3, n\)"):
+            self.build(tuple(map(tuple, gains)))
 
     def test_bad_gains_name_the_first_group_in_order(self):
         rng = np.random.default_rng(9)
@@ -329,7 +352,7 @@ class TestRaggedTopology:
         top = self.build(gains)
         assert [[ids.tolist() for ids in row] for row in top.user_ids] == [
             [[0], [2, 4, 1, 3]], [[7, 5, 6], [8, 9]], [[11, 10], [12]]]
-        assert top.own_gains(0, 1).tolist() == [0.5, 0.5, 1.0, 1.0]
+        assert top.gains[0][1][0].tolist() == [0.5, 0.5, 1.0, 1.0]
 
 
 def assert_same_topology(a, b):

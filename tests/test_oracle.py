@@ -31,7 +31,7 @@ class TestReferenceInterferenceMap:
         for _ in range(40):
             top = sample_topology(rng, num_cells=3, num_subchannels=3,
                                   users=(1, 5))
-            sizes.update(top.group_size(i, m) for i, m in top.groups())
+            sizes.update(top.occupied[i, m].sum() for i, m in top.groups())
             dem = sample_demands(rng, top)
             self.assert_maps_agree(top, dem, rng.uniform(0.0, 2.0, size=(3, 3)))
         assert sizes == {1, 2, 3, 4}

@@ -235,7 +235,7 @@ class TestSolveSpm:
                                   num_subchannels=int(rng.integers(1, 4)),
                                   users=(1, 5), cross_ratio=(0.02, 0.2),
                                   budget=float(rng.uniform(0.5, 5.0)))
-            sizes.update(top.group_size(i, m) for i, m in top.groups())
+            sizes.update(top.occupied[i, m].sum() for i, m in top.groups())
             dem = sample_demands(rng, top)
             reference = dpc_spm(top, dem)
             exact = solve_spm(top, dem)
@@ -307,6 +307,19 @@ class TestSolveSpm:
         assert not report.converged
         assert report.iterations == 1
         assert not report.feasible
+
+    def test_singular_coupling_is_certified(self):
+        # one user per cell, cross gain equal to own and a demand weight of
+        # 2 ** (1 / 1) - 1 = 1, so I - A = [[1, -1], [-1, 1]] is exactly
+        # singular and the linear solve itself raises
+        g = np.array([[1.0], [1.0]])
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                              budgets=np.array([10.0, 10.0]), gains=((g,), (g,)))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(2) - top.cross_ratio[:, 0, 0], np.ones(2))
+        report = solve_spm(top, RateDemands.uniform(top, 1.0))
+        assert not report.converged and report.iterations == 1
+        assert np.all(report.q_star == np.inf) and report.residual == np.inf
 
     def test_over_budget_fixed_point_still_converges(self):
         top, dem = symmetric_two_cell()

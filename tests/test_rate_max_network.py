@@ -37,7 +37,7 @@ class TestPowerCap:
             top = sample_topology(rng, num_cells=3, num_subchannels=2,
                                   users=(1, 4))
             q = rng.uniform(0.1, 2.0, size=(3, 2))
-            x = top.pad(top.unpad(dense_interference(top, q)))   # 0 in padding
+            x = np.where(top.occupied, dense_interference(top, q), 0.0)
             for i in range(3):
                 caps = power_cap(top, q, x, i)
                 for m in range(2):

@@ -8,9 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nomapower import (NetworkTopology, PowerAllocation, assemble_full_solution,
-                       dpc_spm, load_config, network, run_scenario, scenario,
-                       write_outputs)
+from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
+                       load_config, network, run_scenario, scenario, write_outputs)
 from nomapower.cli import main
 from nomapower.scenario import (ALGORITHMS, ConfigError, ScenarioConfig,
                                 _drop_users, _site_layout, _validate,
@@ -135,6 +134,51 @@ class TestConfig:
         assert main(["run", str(example), "--seed", "-3", "--out", str(out)]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
+
+    CUSTOM = "  pairing: SW\n  layout: custom\n  site_positions_m: "
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("  pairing: SW\n", CUSTOM + "[[0.0, .nan], [800.0, 0.0]]\n",
+         "finite [x, y] pairs"),
+        ("  pairing: SW\n", CUSTOM + "[[0.0, 0.0, 0.0], [800.0, 0.0, 0.0]]\n",
+         "finite [x, y] pairs"),
+        ("  pairing: SW\n", CUSTOM + "[[0.0, north], [800.0, 0.0]]\n",
+         "finite [x, y] pairs"),
+        ("  pairing: SW\n", CUSTOM + "5\n", "finite [x, y] pairs"),
+        ("  pairing: SW\n", "  pairing: SW\n  layout: paper-default\n"
+         "  site_positions_m: [[0.0, 0.0], [800.0, 0.0]]\n",
+         "site_positions_m needs layout: custom"),
+        ("num_cells: 2", "num_cells: two", "non-numeric value"),
+        ("  pairing: SW\n", "  pairing: SW\n  layout: hex\n",
+         "layout must be 'paper-default' or 'custom'"),
+        ("users_per_cell: 4\n  users_per_subchannel: 2",
+         "users_per_cell: 6\n  users_per_subchannel: 3",
+         "defined for 2 users per subchannel"),
+        ("rate_demand_bps: 3.0e5", "rate_demand_bps: [1.0e+5, 0.0, 2.0e+5, 3.0e+5]",
+         "rate demands must be positive"),
+        ("  seed: 3\n", "  seed: [3\n", "malformed config"),
+        (GOOD_CONFIG, "- scenario\n- cells\n", "config must be a mapping of sections"),
+        ("radio:\n", "solver: [1, 2]\nradio:\n", "section 'solver' must be a mapping"),
+    ], ids=["site-nan", "site-three-columns", "site-non-numeric", "site-scalar",
+            "site-without-custom-layout", "non-numeric", "layout-hex",
+            "three-users-per-subchannel", "rate-list-zero", "malformed-yaml",
+            "top-level-list", "section-not-mapping"])
+    def test_bad_config_exits_2(self, old, new, message, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        assert old in GOOD_CONFIG
+        path.write_text(GOOD_CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_section_is_accepted(self, tmp_path):
+        path, plain = tmp_path / "scenario.yaml", tmp_path / "plain.yaml"
+        path.write_text(GOOD_CONFIG + "solver:\n")
+        plain.write_text(GOOD_CONFIG)
+        assert load_config(path) == load_config(plain)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "summary.csv").exists()
 
     def test_per_user_rate_list_length_checked(self):
         with pytest.raises(ConfigError):
@@ -319,7 +363,7 @@ class TestChannels:
                 top = generate_channels(config, seed)
                 demands = build_demands(config, top)
                 for i in range(top.num_cells):
-                    own = np.concatenate([top.own_gains(i, m) for m in range(2)])
+                    own = np.concatenate([top.gains[i][m][i] for m in range(2)])
                     wanted = np.concatenate(demands.rates[i])
                     # entry 0 of the list belongs to the cell's weakest user
                     assert wanted[np.argsort(own)].tolist() == rates
@@ -389,6 +433,12 @@ class TestRunScenario:
         trace_files = [p for p in paths if "traces" in str(p)]
         assert trace_files
         assert trace_files[0].read_text().startswith("iteration,objective (W)")
+
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        artifacts = run_scenario(small_config())
+        with pytest.raises(ValueError, match="output format"):
+            write_outputs(artifacts, tmp_path / "out", fmt="xml")
+        assert not (tmp_path / "out").exists()
 
     def test_json_output(self, tmp_path):
         import json
@@ -501,12 +551,12 @@ class TestRunScenario:
                              [("power-min", 7, 4), ("rate-max", 3, 2)])
     def test_run_path_never_pads(self, monkeypatch, tmp_path, algorithm,
                                  cells, subchannels):
-        # demands and allocations are stored padded, so no solve, check or
-        # output of a run converts nested per-group values again
-        def refuse(self, nested):
-            raise AssertionError("NetworkTopology.pad called on the run path")
+        # channels, demands and allocations are built padded, so no drop,
+        # solve, check or output of a run converts nested per-group values
+        def refuse(nested, lead=(), dtype=float):
+            raise AssertionError("nested values padded on the run path")
 
-        monkeypatch.setattr(NetworkTopology, "pad", refuse)
+        monkeypatch.setattr(network, "front_pad", refuse)
         config = small_config(algorithm=algorithm, num_cells=cells,
                               users_per_cell=2 * subchannels,
                               num_subchannels=subchannels, rate_demand_bps=1.0e5,
