@@ -10,16 +10,14 @@ Conventions used throughout the package:
 * ``q`` is always an (I, M) array of per-BS per-subchannel total powers
   in watts.
 
-All containers are immutable after construction; every operation here is
-a pure function, safe to call concurrently.  The nested per-group views
-are built on first read and then kept, so two first reads racing each
-other may build them twice, which is harmless: both results are equal
-read-only views of the same array.
+Each container holds every quantity as one read-only array, front-padded
+along the users' axis (:func:`front_pad`); :func:`unpad` gives its
+per-group slices.  All containers are immutable after construction; every
+operation here is a pure function, safe to call concurrently.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,62 +49,29 @@ def front_pad(nested, lead=(), dtype=float):
 
 
 def unpad(padded: np.ndarray, occupied: np.ndarray) -> tuple:
-    """Per-group views ``[i][m]`` of an array front-padded along its last axis."""
+    """Per-group views ``[i][m]`` of an array front-padded along its last
+    axis, each holding only the real users that the mask ``occupied``
+    marks."""
     n_max = occupied.shape[-1]
     return tuple(
         tuple(padded[i, m, ..., n_max - n:] for m, n in enumerate(row))
         for i, row in enumerate(occupied.sum(axis=-1).tolist()))
 
 
-class GroupViews(Sequence):
-    """Read-only per-group views ``[i][m]`` of a front-padded array.
-
-    Indexing, iteration and ``len`` work as on the tuple of tuples that
-    :func:`unpad` returns, which is built on first read and then kept;
-    ``padded`` is the array itself and ``occupied`` its users' slots.
-    """
-
-    __slots__ = ("padded", "occupied", "_views")
-
-    def __init__(self, padded: np.ndarray, occupied: np.ndarray):
-        self.padded, self.occupied, self._views = padded, occupied, None
-
-    def _built(self) -> tuple:
-        if self._views is None:
-            self._views = unpad(self.padded, self.occupied)
-        return self._views
-
-    def __getitem__(self, index):
-        return self._built()[index]
-
-    def __iter__(self):
-        return iter(self._built())
-
-    def __len__(self) -> int:
-        return len(self.padded)
-
-    def __repr__(self) -> str:
-        return repr(self._built())
-
-
-def _unviewed(values):
-    """``values``, or the padded array behind them when they are views."""
-    return values.padded if isinstance(values, GroupViews) else values
-
-
 @dataclass(frozen=True)
 class NetworkTopology:
     """Static description of the network.
 
-    The gains live in front-padded arrays, built and validated once at
-    construction: every (cell, subchannel) group is padded to ``n_max``
-    users, padding first, then the real users in ascending own-cell gain
-    (ties keep the input order).
+    Every quantity is one read-only front-padded array, built and
+    validated once at construction: every (cell, subchannel) group is
+    padded to ``n_max`` users, padding first, then the real users in
+    ascending own-cell gain (ties keep the input order).
 
-    * ``dense_gains`` is (I, M, I, n_max): entry ``[i, m, k, s]`` is the
-      linear power gain from BS ``k`` to the user at slot ``s`` of the
-      group served by BS ``i`` on subchannel ``m``;
-    * ``dense_ids`` is (I, M, n_max): the caller's user identifiers in the
+    * ``gains`` is (I, M, I, n_max): entry ``[i, m, k, s]`` is the linear
+      power gain from BS ``k`` to the user at slot ``s`` of the group
+      served by BS ``i`` on subchannel ``m``, so row ``i`` of
+      ``gains[i, m]`` is non-decreasing;
+    * ``user_ids`` is (I, M, n_max): the caller's user identifiers in the
       same order (consecutive integers in input order when none are given);
     * ``occupied`` is (I, M, n_max) and True at the real users' slots;
     * ``cross_ratio`` is (I, M, n_max, I): entry ``[i, m, s, k]`` is the
@@ -118,27 +83,23 @@ class NetworkTopology:
     weight and zero power, so they change no sum.
 
     The constructor takes the gains in either layout.  Padded, ``gains``
-    is an (I, M, I, n_max) array laid out as ``dense_gains`` but in any
-    order within a group: the real users are the slots with a positive
-    own gain, padding comes first and holds zero gains; ``user_ids`` is
-    then an (I, M, n_max) array whose padded slots are ignored.  Nested,
+    is an (I, M, I, n_max) array laid out as above but in any order within
+    a group: the real users are the slots with a positive own gain,
+    padding comes first and holds zero gains; ``user_ids`` is then an
+    (I, M, n_max) array whose padded slots are ignored.  Nested,
     ``gains[i][m]`` is an (I, n) array for a group of ``n`` users, entry
     ``[k, j]`` the gain from BS ``k`` to user ``j``, and ``user_ids[i][m]``
     holds the group's identifiers; :func:`front_pad` checks each group's
-    shape and pads them once, and the same checks and sort follow.  After
-    construction ``gains`` and ``user_ids`` are :class:`GroupViews` of the
-    sorted dense arrays, built on first read, so row ``i`` of
-    ``gains[i][m]`` is non-decreasing; passed back to the constructor (as
-    ``dataclasses.replace`` does) they hand over the dense arrays.
+    shape and pads them once, and the same checks and sort follow.  The
+    sorted arrays passed back to the constructor (as
+    ``dataclasses.replace`` does) build the same topology.
     """
 
     bandwidth: float
     noise_power: float
     budgets: np.ndarray
-    gains: object
-    user_ids: object = field(default=None)
-    dense_gains: np.ndarray = field(init=False, repr=False, compare=False)
-    dense_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    gains: np.ndarray
+    user_ids: np.ndarray | None = None
     occupied: np.ndarray = field(init=False, repr=False, compare=False)
     cross_ratio: np.ndarray = field(init=False, repr=False, compare=False)
     noise_ratio: np.ndarray = field(init=False, repr=False, compare=False)
@@ -153,7 +114,7 @@ class NetworkTopology:
             raise ValueError("budgets must be a 1-D positive finite array")
         num_cells = budgets.size
         cells = np.arange(num_cells)
-        gains = _unviewed(self.gains)
+        gains = self.gains
         if isinstance(gains, np.ndarray):
             gains = np.asarray(gains, dtype=float)
             if gains.ndim != 4 or gains.shape[0] != num_cells \
@@ -171,12 +132,16 @@ class NetworkTopology:
         per_slot = gains.swapaxes(2, 3)                 # gains, BS last
         shape = occupied.shape
         n_max = shape[-1]
-        ids = _unviewed(self.user_ids)
+        ids = self.user_ids
         if ids is None:
             ids = np.zeros(shape, dtype=int)
             ids[occupied] = np.arange(occupied.sum())
         elif not isinstance(ids, np.ndarray):
             ids, given = front_pad(ids, dtype=int)
+            if given.shape[:2] != shape[:2]:
+                raise ValueError("user ids nested over {} x {} (cell, subchannel)"
+                                 " groups, gains over {} x {}".format(
+                                     *given.shape[:2], *shape[:2]))
             short = given.sum(axis=-1) != occupied.sum(axis=-1)
             if short.any():
                 i, m = np.argwhere(short)[0]
@@ -214,14 +179,12 @@ class NetworkTopology:
         own = np.where(occupied, own.ravel()[slot], np.inf)
         cross = per_slot / own[..., None]
         cross[cells, :, :, cells] = 0.0
-        for name, value in (("budgets", budgets), ("dense_gains", gains),
-                            ("dense_ids", ids), ("occupied", occupied),
+        for name, value in (("budgets", budgets), ("gains", gains),
+                            ("user_ids", ids), ("occupied", occupied),
                             ("cross_ratio", cross),
                             ("noise_ratio", self.noise_power / own)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "gains", GroupViews(gains, occupied))
-        object.__setattr__(self, "user_ids", GroupViews(ids, occupied))
 
     @property
     def num_cells(self) -> int:
@@ -243,11 +206,10 @@ class NetworkTopology:
 
 
 def _store(container, name: str, what: str):
-    """Keep a container's input, the padded array (or views of one) or
-    nested groups, as one read-only array ``padded`` with per-group
-    :class:`GroupViews` ``name``, built on first read.  Every user's value
-    must be positive, so the users' slots are the positive ones."""
-    values = _unviewed(getattr(container, name))
+    """Keep a container's input, a front-padded array or nested groups, as
+    one read-only front-padded array ``name``.  Every user's value must be
+    positive, so the users' slots are the positive ones."""
+    values = getattr(container, name)
     if isinstance(values, np.ndarray):
         padded = np.array(values, dtype=float)
         n_max = padded.shape[-1]
@@ -257,22 +219,19 @@ def _store(container, name: str, what: str):
     if not np.array_equal(np.sign(padded), occupied):
         raise ValueError(f"{what} must be positive")
     padded.flags.writeable = False
-    object.__setattr__(container, "padded", padded)
-    object.__setattr__(container, name, GroupViews(padded, occupied))
+    object.__setattr__(container, name, padded)
 
 
 @dataclass(frozen=True)
 class RateDemands:
     """Minimum rate demand (bit/s) per user, aligned with topology order.
 
-    Stored as one read-only (I, M, n_max) array ``padded``, front-padded
-    like the topology with 0 in padding, that the constructor takes as is
-    or from nested per-group arrays; ``rates[i][m]`` are read-only views
-    of it, built on first read (:class:`GroupViews`).
+    ``rates`` is one read-only (I, M, n_max) array, front-padded like the
+    topology with 0 in padding, that the constructor takes as is or from
+    nested per-group arrays.
     """
 
-    rates: object
-    padded: np.ndarray = field(init=False, repr=False, compare=False)
+    rates: np.ndarray
 
     def __post_init__(self):
         _store(self, "rates", "rate demands")
@@ -282,26 +241,26 @@ class RateDemands:
         return cls(np.where(topology.occupied, float(rate), 0.0))
 
     def padded_for(self, topology: NetworkTopology) -> np.ndarray:
-        """``padded``, once checked to hold one demand per user of ``topology``."""
-        if not np.array_equal(self.padded > 0, topology.occupied):
+        """``rates``, once checked to hold one demand per user of ``topology``."""
+        if not np.array_equal(self.rates > 0, topology.occupied):
             raise ValueError("rate demands must be positive, one per user of the topology")
-        return self.padded
+        return self.rates
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Per-user transmit powers (W), aligned with topology order and stored
-    like :class:`RateDemands`: ``padded`` with views ``powers[i][m]``."""
+    """Per-user transmit powers (W), aligned with topology order: ``powers``
+    is one read-only (I, M, n_max) array stored like
+    :class:`RateDemands`' ``rates``."""
 
-    powers: object
-    padded: np.ndarray = field(init=False, repr=False, compare=False)
+    powers: np.ndarray
 
     def __post_init__(self):
         _store(self, "powers", "powers")
 
     def cell_powers(self) -> np.ndarray:
         """Group totals as an (I, M) array."""
-        return self.padded.sum(axis=-1)
+        return self.powers.sum(axis=-1)
 
 
 def normalized_interference(topology: NetworkTopology, q: np.ndarray,
@@ -334,7 +293,7 @@ def dense_interference(topology: NetworkTopology, q: np.ndarray,
 def dense_rates(topology: NetworkTopology, allocation: PowerAllocation,
                 q: np.ndarray) -> np.ndarray:
     """Achievable rate of every user, front-padded (I, M, n_max); 0 in padding."""
-    return group_rates(allocation.padded, dense_interference(topology, q),
+    return group_rates(allocation.powers, dense_interference(topology, q),
                        topology.bandwidth)
 
 

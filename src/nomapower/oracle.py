@@ -5,8 +5,8 @@ machinery of the solver modules: group feasibility is decided by solving
 the tight rate constraints as a plain linear system, optima are located
 by exhaustive grid search, and curvature is probed with finite
 differences.  Instances are bounded at entry because the searches are
-combinatorial.  Per-group companions of the closed forms and the dense
-views live here too, for validation only: one group's interference,
+combinatorial.  Per-group companions of the closed forms and the padded
+arrays live here too, for validation only: one group's interference,
 rates and optimal sum rate, a check of one closed form against another,
 a direct sum of per-user rates and the slack of the rate constraints.
 """
@@ -90,7 +90,7 @@ def effective_interference(topology: NetworkTopology, q: np.ndarray,
 def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
                     q: np.ndarray, i: int, m: int, j: int | None = None):
     """Achievable rate (bit/s) of group (i, m) users under SIC decoding."""
-    rates = group_rates(allocation.powers[i][m],
+    rates = group_rates(unpad(allocation.powers, topology.occupied)[i][m],
                         effective_interference(topology, q, i, m), topology.bandwidth)
     return rates if j is None else rates[j]
 
@@ -152,10 +152,10 @@ def interference_over_gain(topology: NetworkTopology, q: np.ndarray,
                            i: int, m: int) -> np.ndarray:
     """(inter-cell interference + noise) / own gain, per user of group (i, m).
 
-    Explicit loops over the users and the other cells, reading the nested
-    gains only, never the topology's dense view.
+    Explicit loops over the users and the other cells, reading the group's
+    gains only, never the topology's ratios.
     """
-    g = topology.gains[i][m]
+    g = unpad(topology.gains, topology.occupied)[i][m]
     out = np.empty(g.shape[1])
     for l in range(g.shape[1]):
         z = topology.noise_power
@@ -176,6 +176,7 @@ def reference_interference_map(topology: NetworkTopology, demands: RateDemands,
     the tight rate constraints solved as a linear system.
     """
     q = np.asarray(q, dtype=float)
+    rates = unpad(demands.rates, topology.occupied)
     out = np.zeros((topology.num_cells, topology.num_subchannels))
     for i, m in topology.groups():
         ratio = interference_over_gain(topology, q, i, m)
@@ -183,7 +184,7 @@ def reference_interference_map(topology: NetworkTopology, demands: RateDemands,
         if n == 0:
             continue
         h = np.array([max(ratio[l] for l in range(j, n)) for j in range(n)])
-        out[i, m] = float(minimal_group_powers(demands.rates[i][m], h,
+        out[i, m] = float(minimal_group_powers(rates[i][m], h,
                                                topology.bandwidth).sum())
     return out
 
@@ -194,7 +195,7 @@ def rate_via_decoding_chain(topology: NetworkTopology, allocation: PowerAllocati
 
     Algebraically identical to :func:`achievable_rate`.
     """
-    p = np.asarray(allocation.powers[i][m], dtype=float)
+    p = unpad(allocation.powers, topology.occupied)[i][m]
     ratio = interference_over_gain(topology, np.asarray(q, dtype=float), i, m)
     b = topology.bandwidth
     n = p.size
@@ -239,13 +240,15 @@ def grid_power_min(topology: NetworkTopology, demands: RateDemands,
 
     feasible = np.ones(grid.shape[0], dtype=bool)
     minimal = {}
+    gains = unpad(topology.gains, topology.occupied)
+    rates = unpad(demands.rates, topology.occupied)
     for i, m in topology.groups():
-        g = topology.gains[i][m]
+        g = gains[i][m]
         others = np.delete(np.arange(topology.num_cells), i)
         z = grid[:, others, m] @ g[others] + topology.noise_power
         ratio = z / g[i]
         h = np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]
-        p = minimal_group_powers(demands.rates[i][m], h, topology.bandwidth)
+        p = minimal_group_powers(rates[i][m], h, topology.bandwidth)
         minimal[(i, m)] = p
         feasible &= p.sum(axis=1) <= grid[:, i, m] + 1e-12
 
@@ -338,12 +341,14 @@ def grid_dc_subproblem(topology: NetworkTopology, demands: RateDemands, i: int,
     others = np.delete(np.arange(topology.num_cells), i)
     levels, values = [], []
     bound = 0.0
+    gains = unpad(topology.gains, topology.occupied)[i]
+    rates = unpad(demands.rates, topology.occupied)[i]
     for m in range(topology.num_subchannels):
-        dem = np.asarray(demands.rates[i][m], dtype=float)
+        dem = rates[m]
         n = dem.size
         if n > 3:
             raise ValueError("grid oracle accepts at most 3 users per group")
-        g = topology.gains[i][m]
+        g = gains[m]
         ratio = (q[others, m] @ g[others] + topology.noise_power) / g[i]
         lb = np.maximum.accumulate(ratio[::-1])[::-1]
         growth = np.exp2(dem / bw) - 1.0

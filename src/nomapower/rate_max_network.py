@@ -85,7 +85,7 @@ def power_cap(topology: NetworkTopology, q: np.ndarray, x: np.ndarray,
     cell every cap is +inf.  Can come out at or below the current q_im
     when the proxies are tight.
     """
-    gains = topology.dense_gains                    # (I, M, I, n_max)
+    gains = topology.gains                          # (I, M, I, n_max)
     q = np.asarray(q, dtype=float)
     cells = np.arange(topology.num_cells)
     own = gains[cells, :, cells]                    # BS n to its own users
@@ -119,7 +119,7 @@ def _group_coefficients(rates: np.ndarray, bandwidth: float):
 
 
 def _cell_rates(demands: RateDemands, i: int | None) -> np.ndarray:
-    return demands.padded if i is None else demands.padded[i]
+    return demands.rates if i is None else demands.rates[i]
 
 
 def dc_objective_parts(topology: NetworkTopology, demands: RateDemands,
@@ -194,7 +194,7 @@ def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
     drops.
     """
     bw = topology.bandwidth
-    rates = demands.padded[i]
+    rates = demands.rates[i]
     lb = np.where(topology.occupied[i], dense_interference(topology, q, i), 0.0)
     q_warm = np.array(q[i], dtype=float)
     x_warm = np.array(x_lin, dtype=float)
@@ -337,7 +337,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     trace.append(float(np.sum(cell_objective(topology, demands, q, x))))
 
     allocation = _assemble(topology, rates, q, h)
-    sum_rate = float(group_rates(allocation.padded, h, topology.bandwidth).sum())
+    sum_rate = float(group_rates(allocation.powers, h, topology.bandwidth).sum())
     return SrmReport(q=q, x=x, allocation=allocation, sum_rate=sum_rate,
                      outer_iterations=outer, trace=np.array(trace),
                      converged=converged and not diagnostic,
@@ -356,7 +356,7 @@ def _validate_start(topology, demands, q, x):
             "x0 must be an (I, M, n_max) array padded like the topology, 0 in padding")
     h = dense_interference(topology, q)
     below = (occupied & (x < h * (1.0 - 1e-9))).any(axis=-1)
-    w = demand_weights(demands.padded, topology.bandwidth)
+    w = demand_weights(demands.rates, topology.bandwidth)
     short = (w * x).sum(axis=-1) > q * (1.0 + 1e-9)
     if (below | short).any():
         i, m = np.argwhere(below | short)[0]
@@ -416,7 +416,7 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
         q = fixed_point * float(np.min(headroom))
     occupied = topology.occupied
     h = np.where(occupied, dense_interference(topology, q), 0.0)
-    w = demand_weights(demands.padded, topology.bandwidth)
+    w = demand_weights(demands.rates, topology.bandwidth)
     margin = q - (w * h).sum(axis=-1)
     # the draws run group by group in (i, m) order: one share per user,
     # then a scale for a group with a margin and a positive share

@@ -21,7 +21,7 @@ import numpy as np
 import yaml
 
 from . import fixtures
-from .network import NetworkTopology, RateDemands, dense_rates
+from .network import NetworkTopology, RateDemands, dense_rates, unpad
 from .power_min import assemble_full_solution, solve_spm, within_budgets
 from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
                                random_feasible_start)
@@ -82,6 +82,10 @@ class ScenarioConfig:
                    "num_subchannels", "max_iterations", "max_outer")
 
     def __post_init__(self):
+        for name in self._INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, float) and not value.is_integer():
+                raise ConfigError(f"{name} must be a whole number, got {value!r}")
         # YAML 1.1 reads unsigned scientific notation (3.0e5) as a string;
         # coerce every numeric field up front
         try:
@@ -199,10 +203,7 @@ def load_config(path) -> ScenarioConfig:
     if "power_tol_w" in values:
         warnings.warn("solver.power_tol_w is deprecated and unread: the power-min"
                       " solve is exact", DeprecationWarning, stacklevel=2)
-    try:
-        return ScenarioConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ScenarioConfig(**values)
 
 
 def pair_users(indices, method: str):
@@ -326,8 +327,8 @@ def build_demands(config: ScenarioConfig, topology: NetworkTopology) -> RateDema
     real = topology.occupied
     cells = np.arange(topology.num_cells)
     cell = np.nonzero(real)[0]                  # of every user, ascending
-    own = topology.dense_gains[cells, :, cells][real]
-    order = np.lexsort((topology.dense_ids[real], own, cell))
+    own = topology.gains[cells, :, cells][real]
+    order = np.lexsort((topology.user_ids[real], own, cell))
     # position in the (cell, own gain, id) order minus the cell's first one
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size) - np.searchsorted(cell, cell)
@@ -441,7 +442,7 @@ def _validate(topology, demands, allocation):
     if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
         return "budget exceeded"
     achieved = dense_rates(topology, allocation, q)
-    missed = np.argwhere(np.any(achieved < demands.padded * (1.0 - 1e-6), axis=-1))
+    missed = np.argwhere(np.any(achieved < demands.rates * (1.0 - 1e-6), axis=-1))
     if missed.size:
         i, m = missed[0]
         return f"rate demand missed in group ({i},{m})"
@@ -461,7 +462,7 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
             "summary": [dataclasses.asdict(r) for r in artifacts.summary],
             "traces": {k: v for k, v in sorted(artifacts.traces.items())},
             "allocations": {
-                k: [[list(map(float, p)) for p in row] for row in a.powers]
+                k: [[p.tolist() for p in row] for row in unpad(a.powers, a.powers > 0)]
                 for k, a in sorted(artifacts.allocations.items())},
         }
         path = out / "run.json"
@@ -510,7 +511,7 @@ def run_fixture_checks() -> bool:
     total = float(report.q_star.sum())
     good = report.feasible and abs(total - fixtures.SYMMETRIC_TWO_CELL_SUM_POWER) <= 1e-6
     allocation = assemble_full_solution(topology, demands, report.q_star)
-    good &= bool(np.allclose(allocation.powers[0][0],
+    good &= bool(np.allclose(allocation.powers[0, 0],
                              fixtures.SYMMETRIC_TWO_CELL_USER_POWERS, atol=1e-6))
     print(f"{'PASS' if good else 'FAIL'}: symmetric two-cell minimum sum power "
          f"(got {total!r}, want {fixtures.SYMMETRIC_TWO_CELL_SUM_POWER})")

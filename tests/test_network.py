@@ -135,10 +135,10 @@ class TestRateConstraint:
         q = np.array([[1.0], [1.0]])
         alloc = PowerAllocation(((np.array([0.7, 0.3]),),
                                  (np.array([0.7, 0.3]),)))
-        slack = rate_constraint_slack(alloc.padded, dense_interference(top, q),
-                                      demands.padded, top.bandwidth)
+        slack = rate_constraint_slack(alloc.powers, dense_interference(top, q),
+                                      demands.rates, top.bandwidth)
         assert slack.shape == (2, 1, 2)
-        assert np.all(slack >= -1e-12 * np.maximum(alloc.padded, 1.0))
+        assert np.all(slack >= -1e-12 * np.maximum(alloc.powers, 1.0))
         assert abs(slack[0, 0, 0]) < 1e-12
 
 
@@ -204,13 +204,12 @@ class TestTopologyConstruction:
         demands = RateDemands.uniform(top, 1.0)
         nested = ((np.array([0.7, 0.3]),), (np.array([0.7, 0.3]),))
         for alloc in (PowerAllocation(nested), PowerAllocation(np.array(nested))):
-            for array in (demands.padded, demands.rates[1][0],
-                          alloc.padded, alloc.powers[1][0]):
+            for array in (demands.rates, demands.rates[1][0],
+                          alloc.powers, alloc.powers[1][0]):
                 with pytest.raises(ValueError):
                     array[...] = 1.0
         assert nested[0][0].flags.writeable     # the input is copied, not frozen
-        for array in (top.user_ids[1][0], top.gains.padded, top.user_ids.padded,
-                      top.dense_gains, top.dense_ids, top.occupied):
+        for array in (top.user_ids[1][0], top.gains, top.user_ids, top.occupied):
             with pytest.raises(ValueError):
                 array[...] = 0
 
@@ -242,17 +241,19 @@ class TestRaggedTopology:
             top = self.build(gains)
             assert top.max_group_size == 4
             next_id = 0
+            sorted_gains = unpad(top.gains, top.occupied)
+            sorted_ids = unpad(top.user_ids, top.occupied)
             for i, m in top.groups():
                 g = gains[i][m]
                 n = g.shape[1]
                 order = np.argsort(g[i], kind="stable")
                 assert top.occupied[i, m].sum() == n
-                assert np.array_equal(top.gains[i][m], g[:, order])
-                assert np.array_equal(top.user_ids[i][m], next_id + order)
+                assert np.array_equal(sorted_gains[i][m], g[:, order])
+                assert np.array_equal(sorted_ids[i][m], next_id + order)
                 next_id += n
                 assert top.occupied[i, m].tolist() == [False] * (4 - n) + [True] * n
-                # the padding holds 0 in every dense array
-                assert not top.dense_gains[i, m, :, :4 - n].any()
+                # the padding holds 0 in every array
+                assert not top.gains[i, m, :, :4 - n].any()
                 assert not top.cross_ratio[i, m, :4 - n].any()
                 assert not top.noise_ratio[i, m, :4 - n].any()
                 assert np.array_equal(top.cross_ratio[i, m, 4 - n:],
@@ -332,7 +333,15 @@ class TestRaggedTopology:
         with pytest.raises(ValueError, match="user 4 appears in two groups"):
             self.build(gains, ids)
         ids = (((0,), (1, 2, 3, 4)), ((5, 6, 7), (8, 9)), ((10, 12), (11,)))
-        assert self.build(gains, ids).dense_ids[2, 0, 2:].tolist() in ([10, 12], [12, 10])
+        assert self.build(gains, ids).user_ids[2, 0, 2:].tolist() in ([10, 12], [12, 10])
+
+    def test_id_nesting_must_match_the_gains(self):
+        gains = self.ragged_gains(np.random.default_rng(15))
+        ids = (((0,), (1, 2, 3, 4), (20,)), ((5, 6, 7), (8, 9), (21,)),
+               ((10, 12), (11,), (22,)))
+        with pytest.raises(ValueError, match=r"user ids nested over 3 x 3 \(cell,"
+                                             r" subchannel\) groups, gains over 3 x 2"):
+            self.build(gains, ids)
 
     def test_id_count_must_match_the_group(self):
         gains = self.ragged_gains(np.random.default_rng(11))
@@ -350,21 +359,15 @@ class TestRaggedTopology:
                  (group(1, [0.7, 0.7, 0.2]), group(1, [0.3, 0.3])),
                  (group(2, [0.9, 0.4]), group(2, [0.6])))
         top = self.build(gains)
-        assert [[ids.tolist() for ids in row] for row in top.user_ids] == [
+        assert [[ids.tolist() for ids in row]
+                for row in unpad(top.user_ids, top.occupied)] == [
             [[0], [2, 4, 1, 3]], [[7, 5, 6], [8, 9]], [[11, 10], [12]]]
         assert top.gains[0][1][0].tolist() == [0.5, 0.5, 1.0, 1.0]
 
 
 def assert_same_topology(a, b):
-    for name in ("dense_gains", "dense_ids", "occupied", "cross_ratio", "noise_ratio"):
+    for name in ("gains", "user_ids", "occupied", "cross_ratio", "noise_ratio"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    for name in ("gains", "user_ids"):
-        views_a, views_b = getattr(a, name), getattr(b, name)
-        assert len(views_a) == len(views_b) == a.num_cells
-        for row_a, row_b in zip(views_a, views_b):
-            assert len(row_a) == len(row_b) == a.num_subchannels
-            for x, y in zip(row_a, row_b):
-                assert np.array_equal(x, y), name
 
 
 class TestDenseInput:
@@ -414,13 +417,14 @@ class TestDenseInput:
         for _ in range(40):
             gains, ids = self.ragged_instance(rng)
             # padded ids are ignored, so any value may sit there
-            dense_gains, dense_ids = self.front_padded(gains), self.front_padded(ids, -1)
+            padded_gains = self.front_padded(gains)
+            padded_ids = self.front_padded(ids, -1)
             nested = self.build(gains, ids)
-            assert_same_topology(nested, self.build(dense_gains, dense_ids))
-            assert_same_topology(self.build(gains), self.build(dense_gains))
-            # the views of a built topology hand over its sorted arrays
+            assert_same_topology(nested, self.build(padded_gains, padded_ids))
+            assert_same_topology(self.build(gains), self.build(padded_gains))
+            # a built topology's sorted arrays build it again
             assert_same_topology(nested, self.build(nested.gains, nested.user_ids))
-            assert not nested.dense_ids[~nested.occupied].any()
+            assert not nested.user_ids[~nested.occupied].any()
 
     def test_channel_drops_match_nested_input(self, monkeypatch):
         calls = []
@@ -449,7 +453,7 @@ class TestDenseInput:
         gains = rng.uniform(0.1, 0.3, size=(2, 1, 2, 3)) * (own > 0)
         gains[[0, 1], :, [0, 1]] = own
         ids = np.array([[[0, 1, 2]], [[0, 3, 4]]])
-        assert self.build(gains, ids).dense_ids.tolist() == [[[0, 1, 2]], [[0, 3, 4]]]
+        assert self.build(gains, ids).user_ids.tolist() == [[[0, 1, 2]], [[0, 3, 4]]]
 
         def changed(index, value):
             bad = gains.copy()
@@ -475,49 +479,23 @@ class TestDenseInput:
                 self.build(bad_gains, bad_ids)
                 pytest.fail(case)
 
-
-class TestLazyViews:
-    """Nested per-group views are built on first read and then kept."""
-
-    def instance(self):
+    def test_replace_and_copies_reuse_the_arrays(self, monkeypatch):
         rng = np.random.default_rng(23)
         top = sample_topology(rng, num_cells=3, num_subchannels=2, users=(1, 5))
         demands = sample_demands(rng, top)
-        return top, demands, PowerAllocation(demands.padded / 10.0)
-
-    def test_views_are_stable_and_read_only(self):
-        top, demands, alloc = self.instance()
-        for views in (top.gains, top.user_ids, demands.rates, alloc.powers):
-            assert isinstance(views, network.GroupViews)
-            first = [list(row) for row in views]
-            assert len(views) == len(first) == top.num_cells
-            for i, row in enumerate(views):
-                assert len(row) == top.num_subchannels
-                for m, view in enumerate(row):
-                    assert view is views[i][m] is first[i][m]
-                    assert np.shares_memory(view, views.padded)
-                    with pytest.raises(ValueError):
-                        view[...] = 1.0
-            with pytest.raises(ValueError):
-                views.padded[...] = 1.0
-        assert top.gains.padded is top.dense_gains
-        assert demands.rates.padded is demands.padded
-
-    def test_replace_reuses_the_dense_arrays(self, monkeypatch):
-        top, demands, alloc = self.instance()
+        alloc = PowerAllocation(demands.rates / 10.0)
         with monkeypatch.context() as patch:
-            def refuse(padded, occupied):
-                raise AssertionError("nested views built")
+            def refuse(nested, lead=(), dtype=float):
+                raise AssertionError("nested values padded")
 
-            patch.setattr(network, "unpad", refuse)
+            patch.setattr(network, "front_pad", refuse)
             again = dataclasses.replace(top, budgets=2.0 * top.budgets)
-            copies = (RateDemands(demands.rates), PowerAllocation(alloc.powers))
+            copies = (RateDemands(demands.rates).rates,
+                      PowerAllocation(alloc.powers).powers)
         assert_same_topology(top, again)
         assert np.array_equal(again.budgets, 2.0 * top.budgets)
-        for copy, original in zip(copies, (demands, alloc)):
-            assert np.array_equal(copy.padded, original.padded)
-        for i, m in top.groups():
-            assert np.array_equal(copies[0].rates[i][m], demands.rates[i][m])
+        for copy, original in zip(copies, (demands.rates, alloc.powers)):
+            assert np.array_equal(copy, original)
 
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=6))
@@ -544,7 +522,7 @@ def test_demands_for_other_groups_are_rejected():
     top, other = build(((1, 3), (3, 1))), build(((3, 1), (1, 3)))
     q_star = solve_spm(top, RateDemands.uniform(top, 0.5)).q_star
     demands = RateDemands.uniform(other, 0.5)
-    assert demands.padded.shape == top.occupied.shape
+    assert demands.rates.shape == top.occupied.shape
     for call in (lambda: solve_spm(top, demands),
                  lambda: interference_map(top, demands, q_star),
                  lambda: assemble_full_solution(top, demands, q_star),
@@ -555,7 +533,8 @@ def test_demands_for_other_groups_are_rejected():
 
 def test_padded_input_is_positive_with_padding_first():
     demands = RateDemands(np.array([[[0.0, 1.0, 2.0]], [[0.0, 0.0, 3.0]]]))
-    assert [r.tolist() for row in demands.rates for r in row] == [[1.0, 2.0], [3.0]]
+    groups = unpad(demands.rates, demands.rates > 0)
+    assert [r.tolist() for row in groups for r in row] == [[1.0, 2.0], [3.0]]
     for bad in ([[[1.0, 0.0, 2.0]]], [[[0.0, -1.0, 2.0]]], [[[np.nan, 1.0, 2.0]]]):
         with pytest.raises(ValueError, match="powers must be positive"):
             PowerAllocation(np.array(bad))

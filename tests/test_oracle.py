@@ -4,7 +4,7 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import NetworkTopology, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
-from nomapower.network import group_rates
+from nomapower.network import group_rates, unpad
 from nomapower.oracle import (OracleInfeasibleError, effective_interference,
                               fd_hessian_psd, grid_dc_subproblem,
                               grid_power_min, grid_rate_max_group,
@@ -55,7 +55,7 @@ class TestReferenceInterferenceMap:
                 tuple(np.where((np.arange(3)[:, None] != i)
                                & (rng.random(g.shape) < 0.5), 0.0, g)
                       for g in row)
-                for i, row in enumerate(mixed.gains))
+                for i, row in enumerate(unpad(mixed.gains, mixed.occupied)))
             mixed = NetworkTopology(bandwidth=mixed.bandwidth,
                                     noise_power=mixed.noise_power,
                                     budgets=mixed.budgets, gains=gains)
@@ -181,7 +181,7 @@ class TestGridDcSubproblem:
                     x = closed.x_i[m, top.occupied[i, m]]
                     lb = effective_interference(top, q0, i, m)
                     assert np.all(x >= lb * (1 - 1e-12))
-                    need = minimal_group_powers(dem.rates[i][m], x,
+                    need = minimal_group_powers(dem.rates[i, m, top.occupied[i, m]], x,
                                                 top.bandwidth).sum()
                     assert need <= closed.q_i[m] * (1 + 1e-12)
                 solves += 1

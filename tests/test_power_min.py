@@ -7,6 +7,7 @@ from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, assemble_full_solution,
                        dpc_spm, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
+from nomapower.network import unpad
 from nomapower.oracle import (achievable_rate, effective_interference,
                               interference_over_gain, rate_constraint_slack,
                               reference_interference_map)
@@ -82,9 +83,10 @@ class TestInterferenceMap:
             dem = sample_demands(rng, top)
             q = rng.uniform(0.0, 2.0, size=(2, 2))
             f = interference_map(top, dem, q)
+            rates = unpad(dem.rates, top.occupied)
             for i, m in top.groups():
                 h = effective_interference(top, q, i, m)
-                p = min_power_user_allocation(dem.rates[i][m], h, top.bandwidth)
+                p = min_power_user_allocation(rates[i][m], h, top.bandwidth)
                 assert f[i, m] == pytest.approx(p.sum(), rel=1e-12)
 
     def test_standard_function_properties(self):
@@ -185,10 +187,12 @@ class TestFixedPoint:
 def per_group_dpc_spm(top, dem, tol=1e-8, rel_tol=1e-10, max_iter=10_000):
     """dpc_spm's Gauss-Seidel iteration and stopping rule, one (i, m) group
     at a time."""
+    rates = unpad(dem.rates, top.occupied)
+
     def f(q, i, m):
         ratio = interference_over_gain(top, q, i, m)
         h = np.maximum.accumulate(ratio[::-1])[::-1]
-        return demand_weights(dem.rates[i][m], top.bandwidth) @ h
+        return demand_weights(rates[i][m], top.bandwidth) @ h
 
     q = np.repeat(top.budgets[:, None] / top.num_subchannels,
                   top.num_subchannels, axis=1)
@@ -408,6 +412,7 @@ class TestAssemble:
             report = dpc_spm(top, dem)
             assert report.converged
             alloc = assemble_full_solution(top, dem, report.q_star)
+            wanted = unpad(dem.rates, top.occupied)
             for i, m in top.groups():
                 rates = achievable_rate(top, alloc, report.q_star, i, m)
-                assert rates == pytest.approx(dem.rates[i][m], rel=1e-9)
+                assert rates == pytest.approx(wanted[i][m], rel=1e-9)

@@ -5,7 +5,7 @@ from conftest import sample_demands, sample_topology
 from nomapower import NetworkTopology, RateDemands, dpc_srm, random_feasible_start
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
-from nomapower.network import dense_interference
+from nomapower.network import dense_interference, unpad
 from nomapower.oracle import (achievable_rate, effective_interference,
                               optimal_single_cell_rate)
 from nomapower.rate_max_cell import optimal_single_cell_allocation
@@ -50,7 +50,7 @@ class TestPowerCap:
             for n in range(top.num_cells):
                 if n == i:
                     continue
-                g = top.gains[n][m]
+                g = unpad(top.gains, top.occupied)[n][m]
                 xs = x[n, m, top.occupied[n, m]]
                 for j in range(g.shape[1]):
                     for l in range(j, g.shape[1]):

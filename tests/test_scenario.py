@@ -159,10 +159,16 @@ class TestConfig:
         ("  seed: 3\n", "  seed: [3\n", "malformed config"),
         (GOOD_CONFIG, "- scenario\n- cells\n", "config must be a mapping of sections"),
         ("radio:\n", "solver: [1, 2]\nradio:\n", "section 'solver' must be a mapping"),
+        ("radio:\n", "solver:\n  max_outer: .inf\nradio:\n",
+         "max_outer must be a whole number, got inf"),
+        ("radio:\n", "solver:\n  max_outer: 2.5\nradio:\n",
+         "max_outer must be a whole number, got 2.5"),
+        ("num_cells: 2", "num_cells: 2.5", "num_cells must be a whole number, got 2.5"),
     ], ids=["site-nan", "site-three-columns", "site-non-numeric", "site-scalar",
             "site-without-custom-layout", "non-numeric", "layout-hex",
             "three-users-per-subchannel", "rate-list-zero", "malformed-yaml",
-            "top-level-list", "section-not-mapping"])
+            "top-level-list", "section-not-mapping", "int-infinite", "int-fraction",
+            "cells-fraction"])
     def test_bad_config_exits_2(self, old, new, message, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         assert old in GOOD_CONFIG
@@ -450,6 +456,16 @@ class TestRunScenario:
         assert payload["summary"][0]["converged"] is True
         assert payload["traces"]
 
+    def test_json_lists_only_real_users(self, tmp_path):
+        groups = [[[0.5], [0.25, 0.75, 1.0]], [[2.0, 3.0], [4.0]]]
+        ragged = PowerAllocation(tuple(tuple(map(np.array, row)) for row in groups))
+        assert ragged.powers.shape == (2, 2, 3)
+        artifacts = scenario.RunArtifacts(summary=[], traces={},
+                                          allocations={"drop": ragged},
+                                          validation_failures=[])
+        (path,) = write_outputs(artifacts, tmp_path, fmt="json")
+        assert json.loads(path.read_text())["allocations"] == {"drop": groups}
+
     def test_channels_are_drawn_once_per_seed(self, monkeypatch):
         calls = []
         draw = scenario.generate_channels
@@ -573,9 +589,9 @@ class TestRunScenario:
                              [("power-min", 7, 4), ("rate-max", 3, 2)])
     def test_run_path_builds_no_nested_view(self, monkeypatch, tmp_path, algorithm,
                                             cells, subchannels):
-        # topologies, demands and allocations build their nested per-group
-        # views on first read; no solve, budget rebuild (dataclasses.replace)
-        # or CSV output reads them.  The JSON output does, with the same bytes.
+        # no solve, budget rebuild (dataclasses.replace) or CSV output
+        # slices the padded arrays into per-group values; the JSON output
+        # does, through network.unpad, with the same bytes.
         config = small_config(algorithm=algorithm, num_cells=cells,
                               users_per_cell=2 * subchannels,
                               num_subchannels=subchannels, rate_demand_bps=1.0e5,
@@ -585,6 +601,7 @@ class TestRunScenario:
                 raise AssertionError("nested views built on the run path")
 
             patch.setattr(network, "unpad", refuse)
+            patch.setattr(scenario, "unpad", refuse)
             artifacts = run_scenario(config)
             assert artifacts.ok and len(artifacts.allocations) == 3
             write_outputs(artifacts, tmp_path / "csv", fmt="csv")
