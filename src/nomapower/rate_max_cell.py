@@ -8,11 +8,8 @@ goes to the user with the best channel.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .network import LN2
 from .power_min import demand_weights
 
 
@@ -68,12 +65,4 @@ def optimal_single_cell_allocation(demands: np.ndarray, h: np.ndarray,
         b[..., j + 1] = (b[..., j] - (growth[..., j] - 1.0) * h[..., j]) / growth[..., j]
     p = b.copy()
     p[..., :-1] -= b[..., 1:]
-
-    strong_rate = bandwidth * np.log1p(p[..., -1] / h[..., -1]) / LN2
-    if np.any(strong_rate < demands[..., -1] * (1.0 - 1e-9)):
-        # feasible by the aggregate condition yet the strongest user falls
-        # short; mathematically excluded, kept as a guard
-        warnings.warn(
-            "strongest user below its rate demand at the rate-optimal split",
-            RuntimeWarning, stacklevel=2)
     return p

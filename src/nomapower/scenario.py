@@ -13,8 +13,10 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,83 +41,104 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
+def _number(whole, name, value):
+    """Any real number but a boolean, numpy scalars and YAML 1.1 numeric
+    strings such as '3.0e5' included: an int when ``whole``, else a finite
+    float.  This and the kinds below raise ConfigError naming the key."""
+    if whole and type(value) is int:    # plain ints and floats skip the slow ABC checks
+        return value
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (numbers.Real, str)):
+            raise ConfigError(f"non-numeric value for {name}: {value!r}")
+        if whole and isinstance(value, numbers.Integral):
+            return int(value)
+        try:
+            value = float(value)
+        except ValueError:
+            raise ConfigError(f"non-numeric value for {name}: {value!r}") from None
+        except OverflowError:       # an int beyond the float range
+            raise ConfigError(f"{name} must be finite") from None
+    if whole:
+        if not value.is_integer():
+            raise ConfigError(f"{name} must be a whole number, got {value!r}")
+        return int(value)
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite")
+    return value
+
+
+_int = partial(_number, True)
+_float = partial(_number, False)
+
+
+def _floats(name, value):
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return [_float(name, v) for v in value]
+
+
+def _float_or_floats(name, value):
+    return (_floats if isinstance(value, (list, tuple)) else _float)(name, value)
+
+
+def _one_of(*choices):
+    def check(name, value):
+        if not (isinstance(value, str) and value in choices):
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, choices))}")
+        return value
+    return check
+
+
+def _key(section, default, kind, rule=None):
+    """Declare a config key: its YAML section, default, kind (one of the
+    coercions above, or None for a key the cross-key checks read) and range
+    rule ("positive", "non-negative" or None)."""
+    metadata = {"section": section, "kind": kind, "rule": rule}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=metadata)
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class ScenarioConfig:
-    # scenario
-    seed: int = 1
-    num_seeds: int = 1
-    algorithm: str = "power-min"
-    multistart: int = 1
-    # cells
-    layout: str = "paper-default"
-    site_positions_m: list | None = None
-    inter_site_distance_m: float = 800.0
-    cell_radius_m: float | None = None
-    num_cells: int = 3
-    users_per_cell: int = 4
-    users_per_subchannel: int = 2
-    num_subchannels: int = 2
-    pairing: str = "SW"
-    # radio
-    bandwidth_hz: float = 1.0e6
-    noise_power_dbm: float = -114.0
-    budget_dbm_sweep: list = field(default_factory=lambda: [30.0])
-    rate_demand_bps: object = 0.3e6        # scalar, or per-user list by gain rank
-    pathloss_intercept_db: float = 128.1
-    pathloss_slope_db: float = 37.6
-    shadowing_std_db: float = 8.0
-    antenna_gain_dbi: float = 14.0
-    min_distance_m: float = 10.0
-    # solver
-    power_tol_w: float = 1.0e-8     # deprecated and unread: the power-min solve is exact
-    max_iterations: int = 10_000    # caps solve_spm's linear solves
-    rate_tol: float = 1.0e-3
-    max_outer: int = 100
-
-    _FLOAT_FIELDS = ("inter_site_distance_m", "bandwidth_hz",
-                     "noise_power_dbm", "pathloss_intercept_db",
-                     "pathloss_slope_db", "shadowing_std_db",
-                     "antenna_gain_dbi", "min_distance_m", "power_tol_w",
-                     "rate_tol")
-    _INT_FIELDS = ("seed", "num_seeds", "multistart", "num_cells",
-                   "users_per_cell", "users_per_subchannel",
-                   "num_subchannels", "max_iterations", "max_outer")
+    """Scenario settings; each field is a config key declared with :func:`_key`."""
+    seed: int = _key("scenario", 1, _int, "non-negative")
+    num_seeds: int = _key("scenario", 1, _int, "positive")
+    algorithm: str = _key("scenario", "power-min", _one_of(*ALGORITHMS))
+    multistart: int = _key("scenario", 1, _int, "positive")
+    layout: str = _key("cells", "paper-default", _one_of("paper-default", "custom"))
+    site_positions_m: list | None = _key("cells", None, None)   # layout: custom only
+    inter_site_distance_m: float = _key("cells", 800.0, _float, "positive")
+    cell_radius_m: float | None = _key("cells", None, _float, "positive")
+    num_cells: int = _key("cells", 3, _int, "positive")
+    users_per_cell: int = _key("cells", 4, _int, "positive")
+    users_per_subchannel: int = _key("cells", 2, _int, "positive")
+    num_subchannels: int = _key("cells", 2, _int, "positive")
+    pairing: str = _key("cells", "SW", _one_of(*PAIRING_METHODS))
+    bandwidth_hz: float = _key("radio", 1.0e6, _float, "positive")
+    noise_power_dbm: float = _key("radio", -114.0, _float)
+    budget_dbm_sweep: list = _key("radio", [30.0], _floats)
+    # scalar, or per-user list by gain rank; checked positive with the list length
+    rate_demand_bps: object = _key("radio", 0.3e6, _float_or_floats)
+    pathloss_intercept_db: float = _key("radio", 128.1, _float)
+    pathloss_slope_db: float = _key("radio", 37.6, _float)
+    shadowing_std_db: float = _key("radio", 8.0, _float, "non-negative")
+    antenna_gain_dbi: float = _key("radio", 14.0, _float)
+    min_distance_m: float = _key("radio", 10.0, _float, "positive")
+    power_tol_w: float = _key("solver", 1.0e-8, _float, "positive")  # deprecated, unread
+    max_iterations: int = _key("solver", 10_000, _int, "positive")  # caps solve_spm
+    rate_tol: float = _key("solver", 1.0e-3, _float, "positive")
+    max_outer: int = _key("solver", 100, _int, "positive")
 
     def __post_init__(self):
-        for name in self._INT_FIELDS:
+        for name, kind, rule, optional in _KEYS:
             value = getattr(self, name)
-            if isinstance(value, float) and not value.is_integer():
-                raise ConfigError(f"{name} must be a whole number, got {value!r}")
-        # YAML 1.1 reads unsigned scientific notation (3.0e5) as a string;
-        # coerce every numeric field up front
-        try:
-            for name in self._FLOAT_FIELDS:
-                setattr(self, name, float(getattr(self, name)))
-            for name in self._INT_FIELDS:
-                setattr(self, name, int(getattr(self, name)))
-            if self.cell_radius_m is not None:
-                self.cell_radius_m = float(self.cell_radius_m)
-            self.budget_dbm_sweep = [float(v) for v in self.budget_dbm_sweep]
-            if isinstance(self.rate_demand_bps, (list, tuple)):
-                self.rate_demand_bps = [float(v) for v in self.rate_demand_bps]
-            else:
-                self.rate_demand_bps = float(self.rate_demand_bps)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"non-numeric value: {exc}") from exc
-        for name in self._FLOAT_FIELDS + ("cell_radius_m", "budget_dbm_sweep",
-                                          "rate_demand_bps"):
-            value = getattr(self, name)
-            values = value if isinstance(value, list) else [value]
-            if value is not None and not all(map(math.isfinite, values)):
-                raise ConfigError(f"{name} must be finite")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"algorithm must be one of {ALGORITHMS}")
-        if self.pairing not in PAIRING_METHODS:
-            raise ConfigError(f"pairing must be one of {PAIRING_METHODS}")
-        if self.layout not in ("paper-default", "custom"):
-            raise ConfigError("layout must be 'paper-default' or 'custom'")
+            if kind is None or value is None and optional:
+                continue
+            value = kind(name, value)
+            if rule == "positive" and value <= 0 or rule == "non-negative" and value < 0:
+                raise ConfigError(f"{name} must be {rule}")
+            setattr(self, name, value)
         if self.layout == "custom":
             if self.site_positions_m is None:
                 raise ConfigError("custom layout needs site_positions_m")
@@ -131,29 +154,21 @@ class ScenarioConfig:
             self.num_cells = len(sites)
         elif self.site_positions_m is not None:
             raise ConfigError("site_positions_m needs layout: custom")
-        positives = ["inter_site_distance_m", "cell_radius_m", "users_per_cell",
-                     "users_per_subchannel", "num_subchannels", "num_cells",
-                     "bandwidth_hz", "shadowing_std_db", "min_distance_m",
-                     "power_tol_w", "max_iterations", "rate_tol", "max_outer",
-                     "multistart", "num_seeds"]
-        for name in positives:
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                if name == "shadowing_std_db" and self.shadowing_std_db == 0:
-                    continue
-                raise ConfigError(f"{name} must be positive")
-        if self.users_per_cell % self.users_per_subchannel != 0:
-            raise ConfigError("users_per_subchannel must divide users_per_cell")
         if self.users_per_cell != self.users_per_subchannel * self.num_subchannels:
             raise ConfigError(
                 "users_per_cell must equal users_per_subchannel * num_subchannels")
         if self.users_per_subchannel != 2:
             raise ConfigError("pairing methods are defined for 2 users per subchannel")
-        if not self.budget_dbm_sweep:
+        names = [f"{b:g}" for b in self.budget_dbm_sweep]
+        if not names:
             raise ConfigError("budget_dbm_sweep must not be empty")
-        if isinstance(self.rate_demand_bps, (list, tuple)):
+        if len(set(names)) < len(names):
+            raise ConfigError(
+                f"budget_dbm_sweep entries must give distinct trace names, got {names}")
+        if isinstance(self.rate_demand_bps, list):
             if len(self.rate_demand_bps) != self.users_per_cell:
                 raise ConfigError("per-user rate list must have users_per_cell entries")
-            if any(r <= 0 for r in self.rate_demand_bps):
+            if min(self.rate_demand_bps) <= 0:
                 raise ConfigError("rate demands must be positive")
         elif self.rate_demand_bps <= 0:
             raise ConfigError("rate_demand_bps must be positive")
@@ -165,16 +180,9 @@ class ScenarioConfig:
         return self.inter_site_distance_m / 2.0
 
 
-_SECTIONS = {
-    "scenario": ["seed", "num_seeds", "algorithm", "multistart"],
-    "cells": ["layout", "site_positions_m", "inter_site_distance_m",
-              "cell_radius_m", "num_cells", "users_per_cell",
-              "users_per_subchannel", "num_subchannels", "pairing"],
-    "radio": ["bandwidth_hz", "noise_power_dbm", "budget_dbm_sweep",
-              "rate_demand_bps", "pathloss_intercept_db", "pathloss_slope_db",
-              "shadowing_std_db", "antenna_gain_dbi", "min_distance_m"],
-    "solver": ["power_tol_w", "max_iterations", "rate_tol", "max_outer"],
-}
+# (name, kind, rule, optional) per key, read once for every __post_init__
+_KEYS = [(f.name, f.metadata["kind"], f.metadata["rule"], f.default is None)
+         for f in dataclasses.fields(ScenarioConfig)]
 
 
 def load_config(path) -> ScenarioConfig:
@@ -188,16 +196,17 @@ def load_config(path) -> ScenarioConfig:
         raise ConfigError(f"malformed config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of sections")
+    section_of = {f.name: f.metadata["section"] for f in dataclasses.fields(ScenarioConfig)}
     values = {}
     for section, content in raw.items():
-        if section not in _SECTIONS:
+        if section not in section_of.values():
             raise ConfigError(f"unknown section {section!r}")
         if content is None:
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"section {section!r} must be a mapping")
         for key, value in content.items():
-            if key not in _SECTIONS[section]:
+            if section_of.get(key) != section:
                 raise ConfigError(f"unknown key {key!r} in section {section!r}")
             values[key] = value
     if "power_tol_w" in values:

@@ -85,9 +85,12 @@ class TestAllocation:
         assert err.value.required == pytest.approx(4.0)
         assert err.value.available == 3.0
 
-    def test_no_warning_at_the_boundary(self, recwarn):
-        optimal_single_cell_allocation(R2, H2, 4.0, 1.0)
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    def test_strongest_user_meets_its_demand_at_the_boundary(self):
+        rng = np.random.default_rng(24)
+        for demands, h in [(R2, H2), (R3, H3)] + [sample_group(rng) for _ in range(30)]:
+            q = required_group_power(demands, h, 1.0)
+            p = optimal_single_cell_allocation(demands, h, q, 1.0)
+            assert group_rates(p, h, 1.0)[-1] == pytest.approx(demands[-1], rel=1e-9)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60, deadline=None)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import warnings
 from pathlib import Path
 
@@ -104,7 +105,9 @@ class TestConfig:
         ("rate_demand_bps: 3.0e5", "rate_demand_bps: .inf"),
         ("rate_demand_bps: 3.0e5", "rate_demand_bps: 3.0e5\n  bandwidth_hz: .nan"),
         ("rate_demand_bps: 3.0e5", "rate_demand_bps: 3.0e5\n  noise_power_dbm: .nan"),
-    ], ids=["budget-nan", "budget-minus-inf", "rate-inf", "bandwidth-nan", "noise-nan"])
+        ("rate_demand_bps: 3.0e5", "rate_demand_bps: 1" + "0" * 400),
+    ], ids=["budget-nan", "budget-minus-inf", "rate-inf", "bandwidth-nan", "noise-nan",
+            "rate-int-beyond-float"])
     def test_non_finite_values_exit_2(self, old, new, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text(GOOD_CONFIG.replace(old, new))
@@ -113,7 +116,10 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_every_number_must_be_finite(self):
-        for name in ScenarioConfig._FLOAT_FIELDS + ("cell_radius_m",):
+        floats = [f.name for f in dataclasses.fields(ScenarioConfig)
+                  if f.metadata["kind"] is scenario._float]
+        assert "cell_radius_m" in floats and "rate_tol" in floats
+        for name in floats:
             for value in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ConfigError, match=f"{name} must be finite"):
                     small_config(**{name: value})
@@ -164,11 +170,22 @@ class TestConfig:
         ("radio:\n", "solver:\n  max_outer: 2.5\nradio:\n",
          "max_outer must be a whole number, got 2.5"),
         ("num_cells: 2", "num_cells: 2.5", "num_cells must be a whole number, got 2.5"),
+        ("  seed: 3\n", "  seed: 3\n  num_seeds: yes\n", "non-numeric value for num_seeds"),
+        ("  seed: 3\n", "  seed: no\n", "non-numeric value for seed"),
+        ("radio:\n", "solver:\n  rate_tol: true\nradio:\n",
+         "non-numeric value for rate_tol"),
+        ("[30.0]", '"30"', "budget_dbm_sweep must be a list of numbers, got '30'"),
+        ("[30.0]", "[20.0, true]", "non-numeric value for budget_dbm_sweep"),
+        ("[30.0]", "[30.0, 30.0]", "budget_dbm_sweep entries must give distinct trace names"),
+        ("[30.0]", "[30.0, 30.0000001]",
+         "budget_dbm_sweep entries must give distinct trace names"),
     ], ids=["site-nan", "site-three-columns", "site-non-numeric", "site-scalar",
             "site-without-custom-layout", "non-numeric", "layout-hex",
             "three-users-per-subchannel", "rate-list-zero", "malformed-yaml",
             "top-level-list", "section-not-mapping", "int-infinite", "int-fraction",
-            "cells-fraction"])
+            "cells-fraction", "num-seeds-bool", "seed-bool", "rate-tol-bool",
+            "budget-string", "budget-bool-entry", "budget-repeat",
+            "budget-same-trace-name"])
     def test_bad_config_exits_2(self, old, new, message, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         assert old in GOOD_CONFIG
@@ -177,6 +194,32 @@ class TestConfig:
         assert main(["run", str(path), "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_numeric_strings_and_whole_floats_load(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG.replace("3.0e5", '"3.0e5"')
+                        + "solver:\n  max_outer: 2.0\n")
+        config = load_config(path)
+        assert config.rate_demand_bps == 3.0e5 and type(config.rate_demand_bps) is float
+        assert config.max_outer == 2 and type(config.max_outer) is int
+        config = small_config(num_cells=np.int64(3), bandwidth_hz=np.float32(2e6))
+        assert type(config.num_cells) is int and type(config.bandwidth_hz) is float
+        with pytest.raises(ConfigError, match="num_cells must be a whole number"):
+            small_config(num_cells=np.float32(2.5))
+
+    def test_example_lists_every_key(self):
+        example = Path(__file__).resolve().parents[1] / "scripts" / "three_cell.yaml"
+        listed, section = set(), None
+        for line in example.read_text().splitlines():
+            top = re.match(r"(\w+):\s*$", line)
+            key = re.match(r"\s+(?:# )?(\w+):", line)    # commented keys count
+            if top:
+                section = top.group(1)
+            elif key:
+                listed.add((section, key.group(1)))
+        declared = {(f.metadata["section"], f.name)
+                    for f in dataclasses.fields(ScenarioConfig) if f.name != "power_tol_w"}
+        assert listed == declared
 
     def test_empty_section_is_accepted(self, tmp_path):
         path, plain = tmp_path / "scenario.yaml", tmp_path / "plain.yaml"
