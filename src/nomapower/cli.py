@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 import sys
 
-from .scenario import (OUTPUT_FORMATS, ConfigError, load_config,
+from .scenario import (ALGORITHMS, OUTPUT_FORMATS, ConfigError, load_config,
                        run_fixture_checks, run_scenario, write_outputs)
 
 
@@ -25,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="YAML scenario file")
     run_p.add_argument("--seed", type=int, help="override the base seed")
     run_p.add_argument("--out", default="out", help="output directory")
-    run_p.add_argument("--algo", choices=["power-min", "rate-max"],
+    run_p.add_argument("--algo", choices=ALGORITHMS,
                        help="override the configured algorithm")
     run_p.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     return parser

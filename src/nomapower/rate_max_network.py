@@ -16,6 +16,11 @@ front-padded like the topology with 0 in padding, so the strong user's
 proxy of every group sits at ``x[..., -1]`` and one cell's proxies are
 the (M, n_max) row ``x[i]``.  Every helper works on all subchannels (and
 cells) at once along the last axis.
+
+The closed forms rest on per-group constants that only the demands and
+the bandwidth fix.  :func:`dpc_srm` builds them once, as a
+:class:`_GroupConstants`, and hands that bundle to every helper in place
+of the demands; a helper given a cell ``i`` reads the bundle's row ``i``.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 from .network import (LN2, NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates)
 from .power_min import demand_weights, interference_map, solve_spm
-from .rate_max_cell import optimal_single_cell_allocation, required_group_power
+from .rate_max_cell import optimal_single_cell_allocation
 
 # each BS's inner DC loop stops after MAX_INNER steps, or once a step
 # lowers its objective by at most tol / INNER_TOL_DIVISOR
@@ -104,29 +109,46 @@ def power_cap(topology: NetworkTopology, q: np.ndarray, x: np.ndarray,
     return np.where(valid, ratio, np.inf).min(axis=(0, 2, 3), initial=np.inf)
 
 
-def _group_coefficients(rates: np.ndarray, bandwidth: float):
-    """(alpha, beta) of the transformed objective of padded groups.
+@dataclass(frozen=True)
+class _GroupConstants:
+    """The per-group constants of one set of padded (I, M, n_max) demands.
 
-    The log argument for a group is  x_strong + alpha * q - beta . x_weak
+    The log argument of a group is  x_strong + alpha * q - beta . x_weak
     with  alpha = 2^(-S),  beta_j = (2^(R_j/B)-1) * 2^(-T_j),  S the total
     weak demand and T_j its tail from user j on (all divided by B).
-    ``beta`` covers the n_max - 1 weak slots and is 0 in padding.
+    ``weights`` are the :func:`~nomapower.power_min.demand_weights`,
+    (I, M, n_max); ``alpha`` and ``rho = 2^(R_strong/B) - 1`` are (I, M);
+    ``beta`` covers the n_max - 1 weak slots and is 0 in padding; ``weak``
+    is each cell's weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
     """
-    weak = rates[..., :-1] / bandwidth
-    alpha = np.exp2(-weak.sum(axis=-1))
-    tail = np.cumsum(weak[..., ::-1], axis=-1)[..., ::-1]
-    return alpha, (np.exp2(weak) - 1.0) * np.exp2(-tail)
+
+    weights: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    rho: np.ndarray
+    weak: np.ndarray
+
+    @classmethod
+    def build(cls, rates: np.ndarray, bandwidth: float) -> _GroupConstants:
+        weak = rates[..., :-1] / bandwidth
+        tail = np.cumsum(weak[..., ::-1], axis=-1)[..., ::-1]
+        return cls(weights=demand_weights(rates, bandwidth),
+                   alpha=np.exp2(-weak.sum(axis=-1)),
+                   beta=(np.exp2(weak) - 1.0) * np.exp2(-tail),
+                   rho=np.exp2(rates[..., -1] / bandwidth) - 1.0,
+                   weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
+
+    def __getitem__(self, i: int) -> _GroupConstants:
+        return _GroupConstants(self.weights[i], self.alpha[i], self.beta[i],
+                               self.rho[i], self.weak[i])
 
 
-def _cell_rates(demands: RateDemands, i: int | None) -> np.ndarray:
-    return demands.rates if i is None else demands.rates[i]
-
-
-def dc_objective_parts(topology: NetworkTopology, demands: RateDemands,
+def dc_objective_parts(topology: NetworkTopology, constants: _GroupConstants,
                        q: np.ndarray, x: np.ndarray, i: int | None = None):
     """Convex components (F, G) of the transformed objective of BS ``i``,
-    at its (M,) totals ``q`` and (M, n_max) proxies ``x``; with ``i`` None,
-    of every BS at (I, M) and (I, M, n_max) arrays, as (I,) arrays.
+    at its (M,) totals ``q`` and (M, n_max) proxies ``x``, with row ``i``
+    of ``constants``; with ``i`` None, of every BS at (I, M) and
+    (I, M, n_max) arrays with all of ``constants``, as (I,) arrays.
 
     F collects the negative logs of the affine group arguments, G the
     negative logs of the strong users' proxies; both are convex and the
@@ -134,9 +156,9 @@ def dc_objective_parts(topology: NetworkTopology, demands: RateDemands,
     Raises on non-positive log arguments.
     """
     bw = topology.bandwidth
-    alpha, beta = _group_coefficients(_cell_rates(demands, i), bw)
+    c = constants if i is None else constants[i]
     strong = x[..., -1]
-    argument = strong + alpha * q - (beta * x[..., :-1]).sum(axis=-1)
+    argument = strong + c.alpha * q - (c.beta * x[..., :-1]).sum(axis=-1)
     bad = (argument <= 0.0) | (strong <= 0.0)
     if bad.any():
         group = ((i,) if i is not None else ()) + tuple(np.argwhere(bad)[0].tolist())
@@ -146,38 +168,38 @@ def dc_objective_parts(topology: NetworkTopology, demands: RateDemands,
             -(bw * np.log2(strong)).sum(axis=-1))
 
 
-def cell_objective(topology: NetworkTopology, demands: RateDemands,
+def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
                    q: np.ndarray, x: np.ndarray, i: int | None = None):
     """Negative closed-form sum rate of BS ``i``, bit/s; of every BS, as
     an (I,) array, when ``i`` is None (arguments as :func:`dc_objective_parts`).
 
-    Equals F - G minus the (constant) weak users' demand sum, i.e. the
-    negative of the per-group optimal rate with the proxies in place of
-    the effective interference.
+    Equals F - G minus the weak users' demand sum ``constants.weak``, i.e.
+    the negative of the per-group optimal rate with the proxies in place
+    of the effective interference.
     """
-    f_val, g_val = dc_objective_parts(topology, demands, q, x, i)
-    weak = _cell_rates(demands, i)[..., :-1].sum(axis=-1).sum(axis=-1)
-    return f_val - g_val - weak
+    f_val, g_val = dc_objective_parts(topology, constants, q, x, i)
+    return f_val - g_val - (constants.weak if i is None else constants.weak[i])
 
 
-def surrogate_objective(topology: NetworkTopology, demands: RateDemands,
+def surrogate_objective(topology: NetworkTopology, constants: _GroupConstants,
                         q_i: np.ndarray, x_i: np.ndarray, x_lin: np.ndarray,
                         i: int) -> float:
-    """Convex majorant of F - G at linearization point ``x_lin``.
+    """Convex majorant of BS ``i``'s F - G at linearization point ``x_lin``
+    (arguments as :func:`dc_objective_parts`).
 
     G is linearized in the strong proxies, its only arguments: the
     gradient is -B / (ln2 * L) at each strong proxy L of ``x_lin``.  So
     ``x_lin`` need not satisfy the demand coupling at ``q_i``.
     """
     bw = topology.bandwidth
-    f_val, _ = dc_objective_parts(topology, demands, q_i, x_i, i)
+    f_val, _ = dc_objective_parts(topology, constants, q_i, x_i, i)
     L = x_lin[..., -1]
     g_lin = -bw * np.log2(L).sum(axis=-1)
     inner = (-bw / (LN2 * L) * (x_i[..., -1] - L)).sum(axis=-1)
     return f_val - g_lin - inner
 
 
-def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
+def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstants,
                             i: int, x_lin: np.ndarray, caps: np.ndarray,
                             budget: float, q: np.ndarray) -> DcIterate:
     """One BS's convex program at a linearization point, in closed form.
@@ -187,41 +209,36 @@ def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
     interference at the frozen other-cell powers), the per-subchannel
     caps and the power budget.  Weak proxies sit at ``lb``; the strong
     proxy is ``clip(L - a, lb_strong, a / rho)`` with ``L`` that of
-    ``x_lin``, ``a = alpha q_m - beta . lb_weak`` and ``rho =
-    2^(R_strong/B) - 1``; q_i water-fills the budget over ``[w . lb,
+    ``x_lin``, ``a = alpha q_m - beta . lb_weak`` and ``rho``, all from
+    row ``i`` of ``constants``; q_i water-fills the budget over ``[w . lb,
     min(max(cap, q_warm), budget)]``.  The warm start (row i of ``q``,
     (M, n_max) proxies ``x_lin``) is returned unless the surrogate value
-    drops.
+    drops.  A cap below ``q_warm``, as rounding can leave a tight one,
+    pins its subchannel at ``q_warm``.
     """
-    bw = topology.bandwidth
-    rates = demands.rates[i]
+    c = constants[i]
     lb = np.where(topology.occupied[i], dense_interference(topology, q, i), 0.0)
     q_warm = np.array(q[i], dtype=float)
     x_warm = np.array(x_lin, dtype=float)
-    weights = demand_weights(rates, bw)
 
     # reject genuinely infeasible inputs before any numeric work; the
     # first violated subchannel is named, with its first violated family
     rel = 1e-7
-    failed = np.stack([
-        (x_warm < lb * (1.0 - rel) - 1e-300).any(axis=-1),
-        (weights * x_warm).sum(axis=-1) > q_warm * (1.0 + rel) + 1e-300,
-        q_warm > np.maximum(caps, 0.0) * (1.0 + rel) + 1e-300])
-    if failed.any():
-        m = int(np.argmax(failed.any(axis=0)))
-        family = ("interference lower bounds", "demand coupling",
-                  "power caps")[int(np.argmax(failed[:, m]))]
+    below = (x_warm < lb * (1.0 - rel) - 1e-300).any(axis=-1)
+    short = (c.weights * x_warm).sum(axis=-1) > q_warm * (1.0 + rel) + 1e-300
+    if below.any() or short.any():
+        m = int(np.argmax(below | short))
+        family = "interference lower bounds" if below[m] else "demand coupling"
         raise InfeasibleSubproblemError(family, f"(cell {i}, subchannel {m})")
     if q_warm.sum() > budget * (1.0 + rel):
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
 
-    alpha, beta = _group_coefficients(rates, bw)
-    weak = (beta * lb[:, :-1]).sum(axis=-1)
-    rho = np.exp2(rates[:, -1] / bw) - 1.0
+    alpha, rho = c.alpha, c.rho
+    weak = (c.beta * lb[:, :-1]).sum(axis=-1)
     lb_strong = lb[:, -1]
     L = x_warm[:, -1]
     hi = np.minimum(np.maximum(caps, q_warm), budget)
-    lo = np.minimum((weights * lb).sum(axis=-1), hi)
+    lo = np.minimum((c.weights * lb).sum(axis=-1), hi)
 
     def totals(lam):
         # the marginal value of q_m (per B/ln2) is alpha/a - alpha/(rho L)
@@ -251,8 +268,8 @@ def solve_convex_subproblem(topology: NetworkTopology, demands: RateDemands,
     x_new = lb.copy()
     x_new[:, -1] = np.minimum(np.maximum(L - a, lb_strong), a / rho)
 
-    warm_value = surrogate_objective(topology, demands, q_warm, x_warm, x_lin, i)
-    new_value = surrogate_objective(topology, demands, q_new, x_new, x_lin, i)
+    warm_value = surrogate_objective(topology, constants, q_warm, x_warm, x_lin, i)
+    new_value = surrogate_objective(topology, constants, q_new, x_new, x_lin, i)
     if not new_value < warm_value:
         return DcIterate(q_i=q_warm, x_i=x_warm, objective_value=warm_value,
                          improved=False)
@@ -280,19 +297,16 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     infeasible start raises :class:`InfeasibleInitialPointError`.
     """
     rates = demands.padded_for(topology)
+    constants = _GroupConstants.build(rates, topology.bandwidth)
     if q0 is None:
         q_star, headroom = _fixed_point_headroom(topology, demands)
         q = q_star * float(np.min(headroom))
     else:
         q = np.array(q0, dtype=float)
-    if x0 is None:
-        x = np.where(topology.occupied, dense_interference(topology, q), 0.0)
-    else:
-        x = np.array(x0, dtype=float)
-    _validate_start(topology, demands, q, x)
+    x = _validate_start(topology, constants, q, x0)
 
     inner_tol = tol / INNER_TOL_DIVISOR
-    k_cells = cell_objective(topology, demands, q, x)
+    k_cells = cell_objective(topology, constants, q, x)
     trace = [float(np.sum(k_cells))]
     converged = False
     diagnostic = ""
@@ -304,7 +318,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
             for _ in range(MAX_INNER):
                 try:
                     iterate = solve_convex_subproblem(
-                        topology, demands, i, x[i], caps,
+                        topology, constants, i, x[i], caps,
                         float(topology.budgets[i]), q)
                 except InfeasibleSubproblemError as exc:
                     diagnostic = str(exc)
@@ -312,7 +326,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                 solves += 1
                 if not iterate.improved:
                     break
-                k_new = cell_objective(topology, demands, iterate.q_i,
+                k_new = cell_objective(topology, constants, iterate.q_i,
                                        iterate.x_i, i)
                 if k_new > k_cells[i]:
                     break
@@ -334,9 +348,9 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     # only decrease the objective and restores tightness
     h = dense_interference(topology, q)
     x = np.where(topology.occupied, h, 0.0)
-    trace.append(float(np.sum(cell_objective(topology, demands, q, x))))
+    trace.append(float(np.sum(cell_objective(topology, constants, q, x))))
 
-    allocation = _assemble(topology, rates, q, h)
+    allocation = _assemble(topology, rates, constants, q, h)
     sum_rate = float(group_rates(allocation.powers, h, topology.bandwidth).sum())
     return SrmReport(q=q, x=x, allocation=allocation, sum_rate=sum_rate,
                      outer_iterations=outer, trace=np.array(trace),
@@ -345,19 +359,22 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                      diagnostic=diagnostic)
 
 
-def _validate_start(topology, demands, q, x):
+def _validate_start(topology, constants, q, x0):
+    """The start's proxies: ``x0``, or the effective interference at ``q``
+    when ``x0`` is None; raises :class:`InfeasibleInitialPointError` unless
+    ``q`` and the proxies are feasible."""
     if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
         raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
     if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
         raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
     occupied = topology.occupied
+    h = dense_interference(topology, q)
+    x = np.where(occupied, h, 0.0) if x0 is None else np.array(x0, dtype=float)
     if x.shape != occupied.shape or np.any(x[~occupied] != 0.0):
         raise InfeasibleInitialPointError(
             "x0 must be an (I, M, n_max) array padded like the topology, 0 in padding")
-    h = dense_interference(topology, q)
     below = (occupied & (x < h * (1.0 - 1e-9))).any(axis=-1)
-    w = demand_weights(demands.rates, topology.bandwidth)
-    short = (w * x).sum(axis=-1) > q * (1.0 + 1e-9)
+    short = (constants.weights * x).sum(axis=-1) > q * (1.0 + 1e-9)
     if (below | short).any():
         i, m = np.argwhere(below | short)[0]
         if below[i, m]:
@@ -365,12 +382,14 @@ def _validate_start(topology, demands, q, x):
                 f"x0 below the effective interference at group ({i},{m})")
         raise InfeasibleInitialPointError(
             f"q0 cannot cover the demands implied by x0 at group ({i},{m})")
+    return x
 
 
-def _assemble(topology, rates, q, h) -> PowerAllocation:
+def _assemble(topology, rates, constants, q, h) -> PowerAllocation:
     """Rate-optimal split of the totals ``q`` in every group at once, at
-    the effective interference ``h``."""
-    required = required_group_power(rates, h, topology.bandwidth)
+    the effective interference ``h``; the required power is
+    :func:`~nomapower.rate_max_cell.required_group_power` from ``constants``."""
+    required = (constants.weights * h).sum(axis=-1)
     below = np.argwhere(q < required * (1.0 - 1e-9))
     if below.size:
         i, m = below[0]

@@ -13,7 +13,8 @@ from nomapower.oracle import (OracleInfeasibleError, effective_interference,
                               standard_function_probe)
 from nomapower.power_min import interference_map, min_power_user_allocation
 from nomapower.rate_max_cell import single_cell_feasible
-from nomapower.rate_max_network import power_cap, solve_convex_subproblem
+from nomapower.rate_max_network import (_GroupConstants, power_cap,
+                                        solve_convex_subproblem)
 
 
 class TestReferenceInterferenceMap:
@@ -170,8 +171,9 @@ class TestGridDcSubproblem:
             for i in range(cells):
                 caps = power_cap(top, q0, x0, i)
                 budget = float(top.budgets[i])
-                closed = solve_convex_subproblem(top, dem, i, x0[i], caps,
-                                                 budget, q0)
+                closed = solve_convex_subproblem(
+                    top, _GroupConstants.build(dem.rates, top.bandwidth), i,
+                    x0[i], caps, budget, q0)
                 grid = grid_dc_subproblem(top, dem, i, x0[i], caps, budget, q0)
                 assert closed.objective_value - grid.value <= 1e-12 * abs(grid.value)
                 assert grid.value - closed.objective_value <= grid.bound

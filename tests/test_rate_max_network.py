@@ -1,18 +1,28 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import sample_demands, sample_topology
-from nomapower import NetworkTopology, RateDemands, dpc_srm, random_feasible_start
+from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
+                       dpc_srm, generate_channels, random_feasible_start)
+from nomapower import rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import dense_interference, unpad
 from nomapower.oracle import (achievable_rate, effective_interference,
                               optimal_single_cell_rate)
 from nomapower.rate_max_cell import optimal_single_cell_allocation
+from nomapower.scenario import dbm_to_watts
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
-                                        cell_objective, dc_objective_parts,
-                                        power_cap, solve_convex_subproblem,
+                                        _GroupConstants, cell_objective,
+                                        dc_objective_parts, power_cap,
+                                        solve_convex_subproblem,
                                         surrogate_objective)
+
+
+def constants(top, dem):
+    return _GroupConstants.build(dem.rates, top.bandwidth)
 
 
 def two_cell_single_user():
@@ -109,16 +119,17 @@ class TestDcObjective:
         top, dem = rate_max_single_cell()
         q_i = np.array([10.0])
         x_i = np.array([[2.0, 1.0]])
-        f_val, g_val = dc_objective_parts(top, dem, q_i, x_i, 0)
+        consts = constants(top, dem)
+        f_val, g_val = dc_objective_parts(top, consts, q_i, x_i, 0)
         assert g_val == pytest.approx(0.0)                       # -log2(1)
         assert f_val - g_val == pytest.approx(-np.log2(5.0))
-        assert cell_objective(top, dem, q_i, x_i, 0) == pytest.approx(
+        assert cell_objective(top, consts, q_i, x_i, 0) == pytest.approx(
             -np.log2(5.0) - 1.0)
 
     def test_domain_error_on_bad_iterate(self):
         top, dem = rate_max_single_cell()
         with pytest.raises(ValueError, match="log argument"):
-            dc_objective_parts(top, dem, np.array([0.0]),
+            dc_objective_parts(top, constants(top, dem), np.array([0.0]),
                                np.array([[100.0, 0.5]]), 0)
 
     def test_parts_are_convex_on_segments(self):
@@ -130,7 +141,8 @@ class TestDcObjective:
             mid = (0.5 * (za[0] + zb[0]), 0.5 * (za[1] + zb[1]))
 
             def value(z):
-                return dc_objective_parts(top, dem, np.array([z[0]]), z[1][None], 0)
+                return dc_objective_parts(top, constants(top, dem),
+                                          np.array([z[0]]), z[1][None], 0)
 
             fa, ga = value(za)
             fb, gb = value(zb)
@@ -141,7 +153,7 @@ class TestDcObjective:
     def test_surrogate_takes_g_from_strong_proxies_only(self):
         # x_lin's weak proxy needs more than q_i = 4 W; G(x_lin) must not care
         top, dem = rate_max_single_cell()
-        value = surrogate_objective(top, dem, np.array([4.0]),
+        value = surrogate_objective(top, constants(top, dem), np.array([4.0]),
                                     np.array([[2.0, 1.0]]),
                                     np.array([[10.0, 1.0]]), 0)
         assert value == pytest.approx(-1.0, rel=1e-12)
@@ -153,8 +165,9 @@ class TestDcObjective:
             q_i = np.array([rng.uniform(2.0, 6.0)])
             x_lin = np.sort(rng.uniform(0.3, 1.5, 2))[None, ::-1]
             x_i = np.sort(rng.uniform(0.3, 1.5, 2))[None, ::-1]
-            surrogate = surrogate_objective(top, dem, q_i, x_i, x_lin, 0)
-            f_val, g_val = dc_objective_parts(top, dem, q_i, x_i, 0)
+            consts = constants(top, dem)
+            surrogate = surrogate_objective(top, consts, q_i, x_i, x_lin, 0)
+            f_val, g_val = dc_objective_parts(top, consts, q_i, x_i, 0)
             assert surrogate >= f_val - g_val - 1e-9
 
 
@@ -167,7 +180,8 @@ class TestSubproblem:
         q = np.array([[4.2, 5.3]])      # feasible but lopsided start
         x = dense_interference(top, q)
         caps = np.array([np.inf, np.inf])
-        out = solve_convex_subproblem(top, dem, 0, x[0], caps, 10.0, q)
+        out = solve_convex_subproblem(top, constants(top, dem), 0, x[0], caps,
+                                      10.0, q)
         assert out.improved
         assert out.q_i == pytest.approx([5.0, 5.0], rel=1e-12)
 
@@ -180,7 +194,7 @@ class TestSubproblem:
         dem = RateDemands.uniform(top, 1.0)
         q = np.array([[4.0, 4.0]])
         x = dense_interference(top, np.zeros((1, 2)))
-        out = solve_convex_subproblem(top, dem, 0, x[0],
+        out = solve_convex_subproblem(top, constants(top, dem), 0, x[0],
                                       np.array([4.0, np.inf]), 10.0, q)
         assert out.improved
         assert out.q_i == pytest.approx([4.0, 6.0], rel=1e-12)
@@ -191,8 +205,8 @@ class TestSubproblem:
         top, dem = rate_max_single_cell()
         q = np.array([[4.0]])       # start at the feasibility boundary
         x = dense_interference(top, q)
-        out = solve_convex_subproblem(top, dem, 0, x[0], np.array([np.inf]),
-                                      10.0, q)
+        out = solve_convex_subproblem(top, constants(top, dem), 0, x[0],
+                                      np.array([np.inf]), 10.0, q)
         assert out.q_i == pytest.approx([10.0], rel=1e-6)
         p = optimal_single_cell_allocation(dem.rates[0][0],
                                            np.array(x[0][0]), float(out.q_i[0]), 1.0)
@@ -207,8 +221,9 @@ class TestSubproblem:
             q0, x0 = random_feasible_start(top, dem, rng)
             for i in range(2):
                 caps = power_cap(top, q0, x0, i)
-                warm = surrogate_objective(top, dem, q0[i], x0[i], x0[i], i)
-                out = solve_convex_subproblem(top, dem, i, x0[i], caps,
+                consts = constants(top, dem)
+                warm = surrogate_objective(top, consts, q0[i], x0[i], x0[i], i)
+                out = solve_convex_subproblem(top, consts, i, x0[i], caps,
                                               float(top.budgets[i]), q0)
                 assert out.objective_value <= warm + 1e-9
 
@@ -218,8 +233,8 @@ class TestSubproblem:
         x = dense_interference(top, q)
         from nomapower.rate_max_network import InfeasibleSubproblemError
         with pytest.raises(InfeasibleSubproblemError, match="demand coupling"):
-            solve_convex_subproblem(top, dem, 0, x[0], np.array([np.inf]),
-                                    10.0, q)
+            solve_convex_subproblem(top, constants(top, dem), 0, x[0],
+                                    np.array([np.inf]), 10.0, q)
 
 
 class TestDpcSrm:
@@ -272,7 +287,8 @@ class TestDpcSrm:
             fp = dpc_spm(top, dem)
             q = fp.q_star * rng.uniform(1.0, 1.5)
             profile = dense_interference(top, q)
-            total = sum(cell_objective(top, dem, q[i], profile[i], i)
+            consts = constants(top, dem)
+            total = sum(cell_objective(top, consts, q[i], profile[i], i)
                         for i in range(2))
             direct = -sum(
                 optimal_single_cell_rate(dem.rates[i][m],
@@ -302,6 +318,41 @@ class TestDpcSrm:
         dem = RateDemands.uniform(top, 10.0)       # needs far more than 10 W
         with pytest.raises(InfeasibleInitialPointError):
             dpc_srm(top, dem)
+
+    def test_group_constants_are_built_once_per_call(self, monkeypatch):
+        rng = np.random.default_rng(56)
+        top = sample_topology(rng, num_cells=3, num_subchannels=2, users=2,
+                              budget=4.0)
+        dem = sample_demands(rng, top, rate=(0.2, 0.6))
+        q0, x0 = random_feasible_start(top, dem, rng)
+        calls = []
+        build, weights = _GroupConstants.build, rate_max_network.demand_weights
+
+        def counted(name, fn):
+            return lambda *args: calls.append(name) or fn(*args)
+
+        monkeypatch.setattr(_GroupConstants, "build",
+                            staticmethod(counted("build", build)))
+        monkeypatch.setattr(rate_max_network, "demand_weights",
+                            counted("weights", weights))
+        report = dpc_srm(top, dem, q0=q0, x0=x0)
+        assert report.subproblem_solves >= 10
+        assert calls == ["build", "weights"]
+
+    def test_caps_rounded_below_the_start_do_not_stop_the_loop(self):
+        # on this paper-size drop the cancellation in power_cap leaves cell
+        # 1's caps up to 2e-7 (relative) below its q at 20 and 40 dBm; the
+        # subproblem pins such a subchannel at q instead of giving up
+        config = ScenarioConfig(seed=700090, algorithm="rate-max")
+        topology = generate_channels(config, config.seed)
+        demands = build_demands(config, topology)
+        for budget_dbm in (20.0, 30.0, 40.0):
+            budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
+            report = dpc_srm(dataclasses.replace(topology, budgets=budgets),
+                             demands, tol=config.rate_tol,
+                             max_outer=config.max_outer)
+            assert report.converged, budget_dbm
+            assert report.diagnostic == "", budget_dbm
 
     def test_random_starts_stay_feasible_and_never_beat_caps(self):
         rng = np.random.default_rng(38)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,9 +12,9 @@ import pytest
 
 from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
                        load_config, network, run_scenario, scenario, write_outputs)
-from nomapower.cli import main
-from nomapower.scenario import (ALGORITHMS, ConfigError, ScenarioConfig,
-                                _drop_users, _site_layout, _validate,
+from nomapower.cli import build_parser, main
+from nomapower.scenario import (ALGORITHMS, OUTPUT_FORMATS, ConfigError,
+                                ScenarioConfig, _drop_users, _site_layout, _validate,
                                 build_demands, dbm_to_watts, generate_channels,
                                 link_gain_db, pair_users, run_fixture_checks)
 
@@ -703,6 +704,15 @@ class TestFixturesAndCli:
         payload = json.loads((out / "run.json").read_text())
         assert payload["summary"][0]["seed"] == 9
         assert payload["summary"][0]["algorithm"] == "rate-max"
+
+    def test_cli_choices_are_the_declared_names(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        choices = {a.dest: a.choices for a in sub.choices["run"]._actions}
+        # the very tuples the config keys use, so a new name needs no CLI edit
+        assert choices["algo"] is ALGORITHMS
+        assert choices["format"] is OUTPUT_FORMATS
 
     def test_cli_bad_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
