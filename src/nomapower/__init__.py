@@ -6,7 +6,8 @@ the same demands and per-BS budgets.  Both exploit the closed-form
 per-group power splits; the network coupling is handled by a standard
 interference-function fixed point (power minimization, solved exactly by
 ``solve_spm`` or by the distributed sweep ``dpc_spm``) and a distributed
-difference-of-convex loop (rate maximization).
+loop of exact per-BS steps, each the single-cell closed form water-filled
+under the budget (rate maximization).
 """
 
 from .network import NetworkTopology, PowerAllocation, RateDemands

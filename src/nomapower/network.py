@@ -263,30 +263,25 @@ class PowerAllocation:
         return self.powers.sum(axis=-1)
 
 
-def normalized_interference(topology: NetworkTopology, q: np.ndarray,
-                            cell: int | None = None) -> np.ndarray:
+def normalized_interference(topology: NetworkTopology, q: np.ndarray) -> np.ndarray:
     """Inter-cell interference plus noise at every user over its own gain.
 
-    Front-padded like the topology: (I, M, n_max) for the whole network,
-    or (M, n_max) for one ``cell``; padded slots hold 0.
+    Front-padded (I, M, n_max) like the topology; padded slots hold 0.
     """
-    ratio, noise = topology.cross_ratio, topology.noise_ratio
-    if cell is not None:
-        ratio, noise = ratio[cell], noise[cell]
-    return np.einsum("...msk,km->...ms", ratio, np.asarray(q, dtype=float)) + noise
+    return np.einsum("...msk,km->...ms", topology.cross_ratio,
+                     np.asarray(q, dtype=float)) + topology.noise_ratio
 
 
-def dense_interference(topology: NetworkTopology, q: np.ndarray,
-                       cell: int | None = None) -> np.ndarray:
-    """Effective interference of every user, front-padded like the topology.
+def dense_interference(topology: NetworkTopology, q: np.ndarray) -> np.ndarray:
+    """Effective interference of every user, front-padded (I, M, n_max)
+    like the topology.
 
-    (I, M, n_max) for the whole network, or (M, n_max) for one ``cell``.
     Entry ``[i, m, j]`` is the worst case, over the users that must decode
     user j (j itself and every stronger user), of
     :func:`normalized_interference`.  Padded slots repeat the weakest real
     user's value.
     """
-    z = normalized_interference(topology, q, cell)
+    z = normalized_interference(topology, q)
     return np.maximum.accumulate(z[..., ::-1], axis=-1)[..., ::-1]
 
 

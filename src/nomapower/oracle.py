@@ -46,9 +46,9 @@ class GridRateResult:
 
 
 @dataclass(frozen=True)
-class GridDcResult:
-    value: float
-    bound: float        # a-priori bound on value minus the continuous optimum
+class GridSplitResult:
+    sum_rate: float
+    bound: float        # the continuous optimum exceeds sum_rate by at most this
 
 
 def tight_constraint_matrix(demands: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -95,9 +95,10 @@ def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
     return rates if j is None else rates[j]
 
 
-def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im: float,
-                             bandwidth: float) -> float:
-    """Closed-form optimal sum rate (bit/s) of one group.
+def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im,
+                             bandwidth: float):
+    """Closed-form optimal sum rate (bit/s) of one group, or an array of
+    them for an array of totals ``q_im``.
 
     Equal to the weak users' demands plus the strongest user's rate at the
     optimal split:
@@ -108,9 +109,10 @@ def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im: float,
     with S the cumulative weak demand and T_j the cumulative demand from
     user j through the last weak user.
     """
+    q_im = np.asarray(q_im, dtype=float)
     feasible, required = single_cell_feasible(demands, h, q_im, bandwidth)
-    if not feasible:
-        raise InfeasiblePowerError(required, q_im)
+    if not np.all(feasible):
+        raise InfeasiblePowerError(required, np.min(q_im))
     r = np.asarray(demands, dtype=float) / bandwidth
     h = np.asarray(h, dtype=float)
     weak = r[:-1]
@@ -119,7 +121,8 @@ def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im: float,
     tail = np.cumsum(weak[::-1])[::-1]
     argument = 1.0 + q_im / (np.exp2(weak.sum()) * h_strong) \
         - np.sum((np.exp2(weak) - 1.0) * h[:-1] / (np.exp2(tail) * h_strong))
-    return float(bandwidth * np.log2(argument) + bandwidth * weak.sum())
+    rate = bandwidth * np.log2(argument) + bandwidth * weak.sum()
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
@@ -316,75 +319,40 @@ def _best_feasible_split(points, demands, h, q, bandwidth):
                           points_feasible=n_feasible)
 
 
-def grid_dc_subproblem(topology: NetworkTopology, demands: RateDemands, i: int,
-                       x_lin, caps: np.ndarray, budget: float,
-                       q: np.ndarray) -> GridDcResult:
-    """Exhaustive search of one BS's linearized DC subproblem.
+def grid_budget_split(topology: NetworkTopology, demands: RateDemands, i: int,
+                      caps: np.ndarray, budget: float,
+                      q: np.ndarray) -> GridSplitResult:
+    """Scan of BS ``i``'s split of its budget, every other cell frozen.
 
-    Minimizes over BS ``i``'s q_m and x_m the sum of  -B log2(x_strong +
-    p_strong) + B (x_strong - L)/(ln2 L) + B log2 L,  with p_strong the
-    strong user's power when the weak users get exactly their demands at
-    x_m and total q_m (a linear solve) and L the strong proxy of ``x_lin``,
-    subject to x_m >= the effective interference, p_strong >= (2^(R/B)-1)
-    x_strong, q_m <= max(cap_m, current q_m) and the budget.  Each q_m
-    takes 200 levels, each with about 3600 proxy points spaced evenly per
-    user; the best per level is combined under the budget.  ``bound``
-    limits the excess over the continuous optimum, whose weak proxies sit
-    on the grid at their lower bounds: rounding its q_m and strong proxy
-    down to feasible grid points lowers a log argument of at least
-    (1 + rho) lb_strong by at most one x step plus (1 + 1/rho) times the
-    rise of p_strong over one q step.
+    Subchannel m keeps the effective interference that the other cells'
+    totals in ``q`` cause (by :func:`interference_over_gain`) and earns
+    :func:`optimal_single_cell_rate` for a total between its required
+    power and min(max(cap_m, q_im), budget).  Rates rise with the total,
+    so the best split spends T = the budget or the sum of the upper ends,
+    whichever is less; with two subchannels the first one's share of T
+    takes 20,001 evenly spaced values.  The sum rate is concave along
+    the scan, so the optimum exceeds the best scanned value by at most the
+    largest change between neighbouring values, returned as ``bound``.
     """
     if topology.num_subchannels > 2:
         raise ValueError("grid oracle accepts at most 2 subchannels")
     bw = topology.bandwidth
-    others = np.delete(np.arange(topology.num_cells), i)
-    levels, values = [], []
-    bound = 0.0
-    gains = unpad(topology.gains, topology.occupied)[i]
     rates = unpad(demands.rates, topology.occupied)[i]
-    for m in range(topology.num_subchannels):
-        dem = rates[m]
-        n = dem.size
-        if n > 3:
-            raise ValueError("grid oracle accepts at most 3 users per group")
-        g = gains[m]
-        ratio = (q[others, m] @ g[others] + topology.noise_power) / g[i]
-        lb = np.maximum.accumulate(ratio[::-1])[::-1]
-        growth = np.exp2(dem / bw) - 1.0
-        system = tight_constraint_matrix(dem, bw)
-        system[-1] = 1.0                        # total-power row
-        last = np.linalg.inv(system)[-1]        # p_strong = last . (growth*x_weak, q)
-        weights = minimal_group_powers(dem, np.eye(n), bw).sum(axis=1)
-        lo = float(minimal_group_powers(dem, lb, bw).sum())
-        hi = min(max(float(caps[m]), float(q[i, m])), budget)
-        q_axis = np.linspace(lo, hi, 200)
-        per_user = round(3600 ** (1.0 / n))
-        axes = [np.linspace(lb[j], lb[j] + (hi - lo) / weights[j], per_user)
-                for j in range(n)]
-        x = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
-        p_strong = ((x[:, :-1] * growth[:-1]) @ last[:-1])[None, :] \
-            + last[-1] * q_axis[:, None]
-        x_strong = x[None, :, -1]
-        L = float(x_lin[m][-1])
-        with np.errstate(invalid="ignore"):
-            value = -bw * np.log2(x_strong + p_strong) \
-                + bw * ((x_strong - L) / (np.log(2.0) * L) + np.log2(L))
-        feasible = p_strong >= growth[-1] * x_strong * (1.0 - 1e-12)
-        levels.append(q_axis)
-        values.append(np.where(feasible, value, np.inf).min(axis=1))
-        rise = axes[-1][1] - axes[-1][0] \
-            + last[-1] * (q_axis[1] - q_axis[0]) * (1.0 + 1.0 / growth[-1])
-        bound += bw * np.log2(1.0 + rise / ((1.0 + growth[-1]) * lb[-1]))
-
-    totals, spent = np.zeros(()), np.zeros(())
-    for q_axis, value in zip(levels, values):
-        totals = np.add.outer(totals, value)
-        spent = np.add.outer(spent, q_axis)
-    value = float(np.min(np.where(spent <= budget * (1.0 + 1e-12), totals, np.inf)))
-    if not np.isfinite(value):
-        raise OracleInfeasibleError("none found at this resolution")
-    return GridDcResult(value=value, bound=float(bound))
+    lb = [np.maximum.accumulate(interference_over_gain(topology, q, i, m)[::-1])[::-1]
+          for m in range(topology.num_subchannels)]
+    lo = np.array([required_group_power(r, h, bw) for r, h in zip(rates, lb)])
+    hi = np.minimum(np.maximum(caps, q[i]), budget)
+    total = min(budget, float(hi.sum()))
+    if lo.size == 1:
+        splits = np.array([[total]])
+    else:
+        first = np.linspace(max(lo[0], total - hi[1]),
+                            min(hi[0], total - lo[1]), 20_001)
+        splits = np.stack([first, np.clip(total - first, lo[1], hi[1])], axis=1)
+    values = sum(optimal_single_cell_rate(r, h, splits[:, m], bw)
+                 for m, (r, h) in enumerate(zip(rates, lb)))
+    return GridSplitResult(sum_rate=float(np.max(values)),
+                           bound=float(np.abs(np.diff(values)).max(initial=0.0)))
 
 
 @dataclass(frozen=True)

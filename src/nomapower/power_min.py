@@ -97,10 +97,9 @@ def interference_map(topology: NetworkTopology, demands: RateDemands,
     return _reduced_map(topology, weights, q)
 
 
-def _reduced_map(topology, weights, q, cell=None):
-    """f(q) from front-padded demand weights; only row ``cell`` if given."""
-    w = weights if cell is None else weights[cell]
-    return (w * dense_interference(topology, q, cell)).sum(axis=-1)
+def _reduced_map(topology, weights, q):
+    """f(q) from front-padded demand weights."""
+    return (weights * dense_interference(topology, q)).sum(axis=-1)
 
 
 def dpc_spm(topology: NetworkTopology, demands: RateDemands,
@@ -138,7 +137,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
     residual = np.inf
     for iterations in range(1, max_iter + 1):
         for i in range(topology.num_cells):
-            q[i] = _reduced_map(topology, weights, q, i)
+            q[i] = _reduced_map(topology, weights, q)[i]
         trace.append(q.sum())
         if not np.all(np.isfinite(q)) or q.max() > 1e9 * topology.budgets.max():
             # expansive coupling: the iteration runs away, no fixed point

@@ -2,14 +2,15 @@
 
 The network problem is rewritten in terms of per-BS totals ``q`` and
 auxiliary per-user interference proxies ``x`` (``x`` plays the role of
-the effective interference and equals it at any sensible point).  Each
-BS alternately solves a difference-of-convex subproblem in its own
-(q_i, x_i) with every other cell frozen: the concave part is linearized
-at the current point and the resulting convex program, separable across
-subchannels except for the power budget, is solved in closed form by
-box-constrained water-filling.  Caps on q_im derived from the other
-cells' proxy slack keep every update globally feasible, which makes the
-objective trace non-increasing.
+the effective interference and equals it at any sensible point).  BS i's
+sum rate depends only on its own (q_i, x_i) and falls whenever one of its
+proxies rises.  So with every other cell frozen its best step puts each
+proxy at its lower bound, the effective interference at the frozen
+powers, and what is left is the paper's single-cell problem: the
+closed-form group rates, water-filled over the subchannels under the
+power budget.  Caps on q_im derived from the other cells' proxy slack
+keep every step globally feasible, which makes the objective trace
+non-increasing.
 
 The proxies are stored like the demands: one (I, M, n_max) array,
 front-padded like the topology with 0 in padding, so the strong user's
@@ -29,15 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (LN2, NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates)
+from .network import (NetworkTopology, PowerAllocation, RateDemands,
+                      dense_interference, group_rates, normalized_interference)
 from .power_min import demand_weights, interference_map, solve_spm
 from .rate_max_cell import optimal_single_cell_allocation
-
-# each BS's inner DC loop stops after MAX_INNER steps, or once a step
-# lowers its objective by at most tol / INNER_TOL_DIVISOR
-MAX_INNER = 50
-INNER_TOL_DIVISOR = 10.0
 
 
 class InfeasibleInitialPointError(ValueError):
@@ -54,11 +50,11 @@ class InfeasibleSubproblemError(ValueError):
 
 @dataclass(frozen=True)
 class DcIterate:
-    """Accepted per-BS iterate of the DC inner loop; ``x_i`` is (M, n_max)."""
+    """One BS's step; ``x_i`` is (M, n_max)."""
 
     q_i: np.ndarray
     x_i: np.ndarray
-    objective_value: float      # surrogate value at the returned point
+    objective_value: float      # cell_objective at the returned point
     improved: bool
 
 
@@ -83,30 +79,22 @@ def power_cap(topology: NetworkTopology, q: np.ndarray, x: np.ndarray,
               i: int) -> np.ndarray:
     """Largest q_im the other cells' interference proxies tolerate, (M,).
 
-    Minimum over every other cell's user j and every decoding position
-    l >= j of (own_gain_l * x_j - interference from third cells - noise)
-    divided by the gain from BS i to user l.  Positions BS i cannot reach
-    (zero cross gain) impose no cap, nor do padded slots; with a single
-    cell every cap is +inf.  Can come out at or below the current q_im
-    when the proxies are tight.
+    Raising q_im by d lifts the normalized interference z_l
+    (:func:`~nomapower.network.normalized_interference`) of another
+    cell's user l by d times its ``cross_ratio`` to BS i, and every user
+    j <= l that l decodes needs its proxy x_j >= z_l.  So the cap is q_im
+    plus the least (min_{j <= l} x_j - z_l) / ratio over the users with a
+    positive ratio: padded slots, BS i's own users and zero cross gains
+    impose none, and with a single cell every cap is +inf.  At tight
+    proxies it is q_im exactly.
     """
-    gains = topology.gains                          # (I, M, I, n_max)
     q = np.asarray(q, dtype=float)
-    cells = np.arange(topology.num_cells)
-    own = gains[cells, :, cells]                    # BS n to its own users
-    from_i = gains[:, :, i]                         # BS i to cell n's users
-    received = (q.T[None, :, None, :] @ gains)[:, :, 0]
-    third = received - q[i][:, None] * from_i - q[:, :, None] * own
-    numer = own[:, :, None, :] * np.asarray(x)[..., None] \
-        - third[:, :, None, :] - topology.noise_power
-    ratio = np.full_like(numer, np.inf)
-    np.divide(numer, from_i[:, :, None, :], out=ratio,
-              where=from_i[:, :, None, :] > 0.0)
-    n_max = topology.max_group_size
-    valid = topology.occupied[..., None] \
-        & (np.arange(n_max)[None, :] >= np.arange(n_max)[:, None])   # l >= j
-    valid[i] = False
-    return np.where(valid, ratio, np.inf).min(axis=(0, 2, 3), initial=np.inf)
+    z = normalized_interference(topology, q)
+    floor = np.minimum.accumulate(np.where(topology.occupied, x, np.inf), axis=-1)
+    ratio = topology.cross_ratio[..., i]
+    slack = np.full_like(z, np.inf)
+    np.divide(floor - z, ratio, out=slack, where=ratio > 0.0)
+    return q[i] + slack.min(axis=(0, 2))
 
 
 @dataclass(frozen=True)
@@ -117,15 +105,14 @@ class _GroupConstants:
     with  alpha = 2^(-S),  beta_j = (2^(R_j/B)-1) * 2^(-T_j),  S the total
     weak demand and T_j its tail from user j on (all divided by B).
     ``weights`` are the :func:`~nomapower.power_min.demand_weights`,
-    (I, M, n_max); ``alpha`` and ``rho = 2^(R_strong/B) - 1`` are (I, M);
-    ``beta`` covers the n_max - 1 weak slots and is 0 in padding; ``weak``
-    is each cell's weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
+    (I, M, n_max); ``alpha`` is (I, M); ``beta`` covers the n_max - 1 weak
+    slots and is 0 in padding; ``weak`` is each cell's weak-demand sum,
+    (I,).  ``constants[i]`` is cell i's row.
     """
 
     weights: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    rho: np.ndarray
     weak: np.ndarray
 
     @classmethod
@@ -135,25 +122,24 @@ class _GroupConstants:
         return cls(weights=demand_weights(rates, bandwidth),
                    alpha=np.exp2(-weak.sum(axis=-1)),
                    beta=(np.exp2(weak) - 1.0) * np.exp2(-tail),
-                   rho=np.exp2(rates[..., -1] / bandwidth) - 1.0,
                    weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
 
     def __getitem__(self, i: int) -> _GroupConstants:
         return _GroupConstants(self.weights[i], self.alpha[i], self.beta[i],
-                               self.rho[i], self.weak[i])
+                               self.weak[i])
 
 
-def dc_objective_parts(topology: NetworkTopology, constants: _GroupConstants,
-                       q: np.ndarray, x: np.ndarray, i: int | None = None):
-    """Convex components (F, G) of the transformed objective of BS ``i``,
-    at its (M,) totals ``q`` and (M, n_max) proxies ``x``, with row ``i``
-    of ``constants``; with ``i`` None, of every BS at (I, M) and
-    (I, M, n_max) arrays with all of ``constants``, as (I,) arrays.
+def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
+                   q: np.ndarray, x: np.ndarray, i: int | None = None):
+    """Negative closed-form sum rate of BS ``i``, bit/s, at its (M,) totals
+    ``q`` and (M, n_max) proxies ``x``, with row ``i`` of ``constants``;
+    with ``i`` None, of every BS at (I, M) and (I, M, n_max) arrays with
+    all of ``constants``, as an (I,) array.
 
-    F collects the negative logs of the affine group arguments, G the
-    negative logs of the strong users' proxies; both are convex and the
-    BS objective is their difference (up to the fixed weak-demand sum).
-    Raises on non-positive log arguments.
+    Each group contributes -B log2(1 + (alpha q - beta . x_weak) / x_strong),
+    the negative of its optimal rate with the proxies in place of the
+    effective interference, less the weak users' demand sum
+    ``constants.weak``.  Raises on non-positive log arguments.
     """
     bw = topology.bandwidth
     c = constants if i is None else constants[i]
@@ -164,62 +150,33 @@ def dc_objective_parts(topology: NetworkTopology, constants: _GroupConstants,
         group = ((i,) if i is not None else ()) + tuple(np.argwhere(bad)[0].tolist())
         raise ValueError(f"group ({','.join(map(str, group))}): non-positive log "
                          "argument, iterate infeasible")
-    return (-(bw * np.log2(argument)).sum(axis=-1),
-            -(bw * np.log2(strong)).sum(axis=-1))
-
-
-def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
-                   q: np.ndarray, x: np.ndarray, i: int | None = None):
-    """Negative closed-form sum rate of BS ``i``, bit/s; of every BS, as
-    an (I,) array, when ``i`` is None (arguments as :func:`dc_objective_parts`).
-
-    Equals F - G minus the weak users' demand sum ``constants.weak``, i.e.
-    the negative of the per-group optimal rate with the proxies in place
-    of the effective interference.
-    """
-    f_val, g_val = dc_objective_parts(topology, constants, q, x, i)
-    return f_val - g_val - (constants.weak if i is None else constants.weak[i])
-
-
-def surrogate_objective(topology: NetworkTopology, constants: _GroupConstants,
-                        q_i: np.ndarray, x_i: np.ndarray, x_lin: np.ndarray,
-                        i: int) -> float:
-    """Convex majorant of BS ``i``'s F - G at linearization point ``x_lin``
-    (arguments as :func:`dc_objective_parts`).
-
-    G is linearized in the strong proxies, its only arguments: the
-    gradient is -B / (ln2 * L) at each strong proxy L of ``x_lin``.  So
-    ``x_lin`` need not satisfy the demand coupling at ``q_i``.
-    """
-    bw = topology.bandwidth
-    f_val, _ = dc_objective_parts(topology, constants, q_i, x_i, i)
-    L = x_lin[..., -1]
-    g_lin = -bw * np.log2(L).sum(axis=-1)
-    inner = (-bw / (LN2 * L) * (x_i[..., -1] - L)).sum(axis=-1)
-    return f_val - g_lin - inner
+    return -(bw * np.log2(argument)).sum(axis=-1) \
+        + (bw * np.log2(strong)).sum(axis=-1) - c.weak
 
 
 def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstants,
-                            i: int, x_lin: np.ndarray, caps: np.ndarray,
+                            i: int, x_i: np.ndarray, caps: np.ndarray,
                             budget: float, q: np.ndarray) -> DcIterate:
-    """One BS's convex program at a linearization point, in closed form.
+    """BS ``i``'s exact best step with every other cell frozen.
 
-    Minimizes the surrogate objective over (q_i, x_i) subject to the
-    demand coupling, the proxy lower bounds ``lb`` (the effective
-    interference at the frozen other-cell powers), the per-subchannel
-    caps and the power budget.  Weak proxies sit at ``lb``; the strong
-    proxy is ``clip(L - a, lb_strong, a / rho)`` with ``L`` that of
-    ``x_lin``, ``a = alpha q_m - beta . lb_weak`` and ``rho``, all from
-    row ``i`` of ``constants``; q_i water-fills the budget over ``[w . lb,
-    min(max(cap, q_warm), budget)]``.  The warm start (row i of ``q``,
-    (M, n_max) proxies ``x_lin``) is returned unless the surrogate value
-    drops.  A cap below ``q_warm``, as rounding can leave a tight one,
+    The BS objective (:func:`cell_objective`) and the demand coupling's
+    need w . x both fall whenever a proxy falls, so every proxy goes to
+    its lower bound ``lb``, the effective interference at the frozen
+    powers.  What is left is the paper's single-cell problem: maximize
+    sum_m log(c_m + alpha_m q_m), with c = lb_strong - beta . lb_weak
+    from row ``i`` of ``constants``, over q_m in [w . lb, min(max(cap_m,
+    q_warm), budget)] with the total within the budget.  Its water-filling
+    solution q_m = clip(level - c_m / alpha_m) to that box spends a total
+    piecewise linear in the level, with knots at the 2M box ends, so one
+    interpolation between the sorted knots finds the level that spends
+    the budget.  The warm start (row i of ``q``, proxies ``x_i``) is
+    returned unless the cell objective drops.  A cap below ``q_warm``
     pins its subchannel at ``q_warm``.
     """
     c = constants[i]
-    lb = np.where(topology.occupied[i], dense_interference(topology, q, i), 0.0)
+    lb = np.where(topology.occupied[i], dense_interference(topology, q)[i], 0.0)
     q_warm = np.array(q[i], dtype=float)
-    x_warm = np.array(x_lin, dtype=float)
+    x_warm = np.array(x_i, dtype=float)
 
     # reject genuinely infeasible inputs before any numeric work; the
     # first violated subchannel is named, with its first violated family
@@ -233,48 +190,21 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     if q_warm.sum() > budget * (1.0 + rel):
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
 
-    alpha, rho = c.alpha, c.rho
-    weak = (c.beta * lb[:, :-1]).sum(axis=-1)
-    lb_strong = lb[:, -1]
-    L = x_warm[:, -1]
     hi = np.minimum(np.maximum(caps, q_warm), budget)
     lo = np.minimum((c.weights * lb).sum(axis=-1), hi)
-
-    def totals(lam):
-        # the marginal value of q_m (per B/ln2) is alpha/a - alpha/(rho L)
-        # while the coupling binds, then the constant alpha/L, then
-        # alpha/(lb_strong + a); invert it at lam and clip to the box
-        a = np.where(lam > alpha / L, alpha / (lam + alpha / (rho * L)),
-                     alpha / lam - lb_strong)
-        return np.clip((a + weak) / alpha, lo, hi)
-
     q_new = hi
     if hi.sum() > budget:
-        # marginal values lie strictly between alpha/(L + lb_strong + a) and alpha/a
-        lam_lo = float(np.min(alpha / (alpha * hi - weak + L + lb_strong)))
-        lam_hi = float(np.max(alpha / (alpha * lo - weak)))
-        while lam_lo < (mid := np.sqrt(lam_lo * lam_hi)) < lam_hi:
-            if totals(mid).sum() > budget:
-                lam_lo = mid
-            else:
-                lam_hi = mid
-        # totals() jumps across the constant piece, so the budget left
-        # between the last two brackets is split along the jump
-        q_lo, q_hi = totals(lam_lo), totals(lam_hi)
-        spread = q_lo.sum() - q_hi.sum()
-        t = (budget - q_hi.sum()) / spread if spread > 0.0 else 0.0
-        q_new = q_hi + min(max(t, 0.0), 1.0) * (q_lo - q_hi)
-    a = alpha * q_new - weak
-    x_new = lb.copy()
-    x_new[:, -1] = np.minimum(np.maximum(L - a, lb_strong), a / rho)
+        offset = (lb[:, -1] - (c.beta * lb[:, :-1]).sum(axis=-1)) / c.alpha
+        knots = np.sort(np.concatenate([offset + lo, offset + hi]))
+        totals = np.clip(knots[:, None] - offset, lo, hi).sum(axis=-1)
+        q_new = np.clip(np.interp(budget, totals, knots) - offset, lo, hi)
 
-    warm_value = surrogate_objective(topology, constants, q_warm, x_warm, x_lin, i)
-    new_value = surrogate_objective(topology, constants, q_new, x_new, x_lin, i)
+    warm_value = cell_objective(topology, constants, q_warm, x_warm, i)
+    new_value = cell_objective(topology, constants, q_new, lb, i)
     if not new_value < warm_value:
         return DcIterate(q_i=q_warm, x_i=x_warm, objective_value=warm_value,
                          improved=False)
-    return DcIterate(q_i=q_new, x_i=x_new, objective_value=new_value,
-                     improved=True)
+    return DcIterate(q_i=q_new, x_i=lb, objective_value=new_value, improved=True)
 
 
 def dpc_srm(topology: NetworkTopology, demands: RateDemands,
@@ -282,11 +212,12 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
             tol: float = 1e-3, max_outer: int = 100) -> SrmReport:
     """Distributed power control for sum-rate maximization.
 
-    Sweeps cells in ascending order; each BS runs the DC inner loop
-    (re-linearize, solve the convex subproblem) on its own variables with
-    the rest frozen, under caps that keep every other cell's constraints
-    intact.  Stops once the total objective changes by at most ``tol``
-    between sweeps.
+    Sweeps cells in ascending order; each BS takes one exact step on its
+    own variables with the rest frozen (:func:`solve_convex_subproblem`:
+    proxies at the effective interference, then the paper's single-cell
+    closed form, water-filled under the budget), under caps that keep
+    every other cell's constraints intact.  Stops once the total
+    objective changes by at most ``tol`` between sweeps.
 
     Without an explicit start the sum-power fixed point is computed
     exactly (:func:`~nomapower.power_min.solve_spm`),
@@ -305,7 +236,6 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
         q = np.array(q0, dtype=float)
     x = _validate_start(topology, constants, q, x0)
 
-    inner_tol = tol / INNER_TOL_DIVISOR
     k_cells = cell_objective(topology, constants, q, x)
     trace = [float(np.sum(k_cells))]
     converged = False
@@ -314,32 +244,19 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     outer = 0
     for outer in range(1, max_outer + 1):
         for i in range(topology.num_cells):
-            caps = power_cap(topology, q, x, i)
-            for _ in range(MAX_INNER):
-                try:
-                    iterate = solve_convex_subproblem(
-                        topology, constants, i, x[i], caps,
-                        float(topology.budgets[i]), q)
-                except InfeasibleSubproblemError as exc:
-                    diagnostic = str(exc)
-                    break
-                solves += 1
-                if not iterate.improved:
-                    break
-                k_new = cell_objective(topology, constants, iterate.q_i,
-                                       iterate.x_i, i)
-                if k_new > k_cells[i]:
-                    break
-                delta = k_cells[i] - k_new
-                q[i] = iterate.q_i
-                x[i] = iterate.x_i
-                k_cells[i] = k_new
-                if delta <= inner_tol:
-                    break
+            try:
+                step = solve_convex_subproblem(
+                    topology, constants, i, x[i], power_cap(topology, q, x, i),
+                    float(topology.budgets[i]), q)
+            except InfeasibleSubproblemError as exc:
+                diagnostic = str(exc)
+                break
+            solves += 1
+            if step.improved:
+                q[i], x[i], k_cells[i] = step.q_i, step.x_i, step.objective_value
         if diagnostic:
             break
-        total = float(np.sum(k_cells))
-        trace.append(total)
+        trace.append(float(np.sum(k_cells)))
         if abs(trace[-2] - trace[-1]) <= tol:
             converged = True
             break

@@ -6,7 +6,7 @@ from nomapower import NetworkTopology, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import group_rates, unpad
 from nomapower.oracle import (OracleInfeasibleError, effective_interference,
-                              fd_hessian_psd, grid_dc_subproblem,
+                              fd_hessian_psd, grid_budget_split,
                               grid_power_min, grid_rate_max_group,
                               minimal_group_powers, optimal_single_cell_rate,
                               reference_interference_map,
@@ -157,8 +157,8 @@ class TestGridRateMax:
             assert best.sum_rate <= closed + 1e-9
 
 
-class TestGridDcSubproblem:
-    def test_closed_form_never_loses_to_the_grid(self):
+class TestGridBudgetSplit:
+    def test_exact_step_never_loses_to_the_scan(self):
         rng = np.random.default_rng(47)
         solves = budget_binding = finite_caps = infinite_caps = 0
         while solves < 120:
@@ -171,21 +171,24 @@ class TestGridDcSubproblem:
             for i in range(cells):
                 caps = power_cap(top, q0, x0, i)
                 budget = float(top.budgets[i])
-                closed = solve_convex_subproblem(
+                step = solve_convex_subproblem(
                     top, _GroupConstants.build(dem.rates, top.bandwidth), i,
                     x0[i], caps, budget, q0)
-                grid = grid_dc_subproblem(top, dem, i, x0[i], caps, budget, q0)
-                assert closed.objective_value - grid.value <= 1e-12 * abs(grid.value)
-                assert grid.value - closed.objective_value <= grid.bound
-                assert closed.q_i.sum() <= budget * (1 + 1e-12)
-                assert np.all(closed.q_i <= np.maximum(caps, q0[i]) * (1 + 1e-12))
+                grid = grid_budget_split(top, dem, i, caps, budget, q0)
+                rate = 0.0
                 for m in range(M):
-                    x = closed.x_i[m, top.occupied[i, m]]
+                    users = top.occupied[i, m]
                     lb = effective_interference(top, q0, i, m)
-                    assert np.all(x >= lb * (1 - 1e-12))
-                    need = minimal_group_powers(dem.rates[i, m, top.occupied[i, m]], x,
-                                                top.bandwidth).sum()
-                    assert need <= closed.q_i[m] * (1 + 1e-12)
+                    rate += optimal_single_cell_rate(dem.rates[i, m, users], lb,
+                                                     step.q_i[m], top.bandwidth)
+                    if step.improved:
+                        assert np.array_equal(step.x_i[m, users], lb)
+                assert grid.sum_rate - rate <= 1e-12 * grid.sum_rate
+                assert rate - grid.sum_rate <= grid.bound + 1e-12 * grid.sum_rate
+                if step.improved:
+                    assert -step.objective_value == pytest.approx(rate, rel=1e-12)
+                assert step.q_i.sum() <= budget * (1 + 1e-12)
+                assert np.all(step.q_i <= np.maximum(caps, q0[i]) * (1 + 1e-12))
                 solves += 1
                 budget_binding += np.minimum(np.maximum(caps, q0[i]),
                                              budget).sum() > budget
@@ -194,17 +197,14 @@ class TestGridDcSubproblem:
         assert 0 < budget_binding < solves
         assert finite_caps > 0 and infinite_caps > 0
 
-    def test_refuses_large_instances(self):
+    def test_refuses_more_than_two_subchannels(self):
         rng = np.random.default_rng(48)
-        for M, users in ((3, 2), (1, 4)):
-            top = sample_topology(rng, num_cells=1, num_subchannels=M,
-                                  users=users)
-            dem = sample_demands(rng, top, rate=(0.2, 0.4))
-            q = np.full((1, M), 0.9 * top.budgets[0] / M)
-            x = [effective_interference(top, q, 0, m) for m in range(M)]
-            with pytest.raises(ValueError, match="at most"):
-                grid_dc_subproblem(top, dem, 0, x, np.full(M, np.inf),
-                                   float(top.budgets[0]), q)
+        top = sample_topology(rng, num_cells=1, num_subchannels=3, users=2)
+        dem = sample_demands(rng, top, rate=(0.2, 0.4))
+        q = np.full((1, 3), 0.9 * top.budgets[0] / 3)
+        with pytest.raises(ValueError, match="at most 2 subchannels"):
+            grid_budget_split(top, dem, 0, np.full(3, np.inf),
+                              float(top.budgets[0]), q)
 
 
 def negative_sum_rate(h, bandwidth=1.0):

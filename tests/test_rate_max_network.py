@@ -5,7 +5,7 @@ import pytest
 
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
-                       dpc_srm, generate_channels, random_feasible_start)
+                       dpc_srm, generate_channels, random_feasible_start, solve_spm)
 from nomapower import rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
@@ -15,10 +15,10 @@ from nomapower.oracle import (achievable_rate, effective_interference,
 from nomapower.rate_max_cell import optimal_single_cell_allocation
 from nomapower.scenario import dbm_to_watts
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
-                                        _GroupConstants, cell_objective,
-                                        dc_objective_parts, power_cap,
-                                        solve_convex_subproblem,
-                                        surrogate_objective)
+                                        InfeasibleSubproblemError,
+                                        _GroupConstants, _assemble,
+                                        cell_objective, power_cap,
+                                        solve_convex_subproblem)
 
 
 def constants(top, dem):
@@ -51,7 +51,7 @@ class TestPowerCap:
             for i in range(3):
                 caps = power_cap(top, q, x, i)
                 for m in range(2):
-                    assert caps[m] == pytest.approx(q[i, m], rel=1e-9)
+                    assert caps[m] == q[i, m]
 
     def test_matches_per_group_loop(self):
         # reference: the cap of one subchannel from explicit per-group loops
@@ -119,56 +119,14 @@ class TestDcObjective:
         top, dem = rate_max_single_cell()
         q_i = np.array([10.0])
         x_i = np.array([[2.0, 1.0]])
-        consts = constants(top, dem)
-        f_val, g_val = dc_objective_parts(top, consts, q_i, x_i, 0)
-        assert g_val == pytest.approx(0.0)                       # -log2(1)
-        assert f_val - g_val == pytest.approx(-np.log2(5.0))
-        assert cell_objective(top, consts, q_i, x_i, 0) == pytest.approx(
-            -np.log2(5.0) - 1.0)
+        assert cell_objective(top, constants(top, dem), q_i, x_i, 0) == \
+            pytest.approx(-np.log2(5.0) - 1.0)
 
     def test_domain_error_on_bad_iterate(self):
         top, dem = rate_max_single_cell()
         with pytest.raises(ValueError, match="log argument"):
-            dc_objective_parts(top, constants(top, dem), np.array([0.0]),
-                               np.array([[100.0, 0.5]]), 0)
-
-    def test_parts_are_convex_on_segments(self):
-        top, dem = rate_max_single_cell()
-        rng = np.random.default_rng(32)
-        for _ in range(40):
-            za = (rng.uniform(8.0, 20.0), rng.uniform(0.5, 1.5, 2))
-            zb = (rng.uniform(8.0, 20.0), rng.uniform(0.5, 1.5, 2))
-            mid = (0.5 * (za[0] + zb[0]), 0.5 * (za[1] + zb[1]))
-
-            def value(z):
-                return dc_objective_parts(top, constants(top, dem),
-                                          np.array([z[0]]), z[1][None], 0)
-
-            fa, ga = value(za)
-            fb, gb = value(zb)
-            fm, gm = value(mid)
-            assert fm <= 0.5 * (fa + fb) + 1e-9
-            assert gm <= 0.5 * (ga + gb) + 1e-9
-
-    def test_surrogate_takes_g_from_strong_proxies_only(self):
-        # x_lin's weak proxy needs more than q_i = 4 W; G(x_lin) must not care
-        top, dem = rate_max_single_cell()
-        value = surrogate_objective(top, constants(top, dem), np.array([4.0]),
-                                    np.array([[2.0, 1.0]]),
-                                    np.array([[10.0, 1.0]]), 0)
-        assert value == pytest.approx(-1.0, rel=1e-12)
-
-    def test_surrogate_majorizes_true_objective(self):
-        top, dem = symmetric_two_cell()
-        rng = np.random.default_rng(33)
-        for _ in range(40):
-            q_i = np.array([rng.uniform(2.0, 6.0)])
-            x_lin = np.sort(rng.uniform(0.3, 1.5, 2))[None, ::-1]
-            x_i = np.sort(rng.uniform(0.3, 1.5, 2))[None, ::-1]
-            consts = constants(top, dem)
-            surrogate = surrogate_objective(top, consts, q_i, x_i, x_lin, 0)
-            f_val, g_val = dc_objective_parts(top, consts, q_i, x_i, 0)
-            assert surrogate >= f_val - g_val - 1e-9
+            cell_objective(top, constants(top, dem), np.array([0.0]),
+                           np.array([[100.0, 0.5]]), 0)
 
 
 class TestSubproblem:
@@ -198,7 +156,7 @@ class TestSubproblem:
                                       np.array([4.0, np.inf]), 10.0, q)
         assert out.improved
         assert out.q_i == pytest.approx([4.0, 6.0], rel=1e-12)
-        assert out.objective_value == pytest.approx(-1.0 - np.log2(3.0),
+        assert out.objective_value == pytest.approx(-3.0 - np.log2(3.0),
                                                     rel=1e-12)
 
     def test_single_subchannel_recovers_closed_form(self):
@@ -222,7 +180,7 @@ class TestSubproblem:
             for i in range(2):
                 caps = power_cap(top, q0, x0, i)
                 consts = constants(top, dem)
-                warm = surrogate_objective(top, consts, q0[i], x0[i], x0[i], i)
+                warm = cell_objective(top, consts, q0[i], x0[i], i)
                 out = solve_convex_subproblem(top, consts, i, x0[i], caps,
                                               float(top.budgets[i]), q0)
                 assert out.objective_value <= warm + 1e-9
@@ -231,10 +189,14 @@ class TestSubproblem:
         top, dem = rate_max_single_cell()
         q = np.array([[2.0]])       # below the required 4 W
         x = dense_interference(top, q)
-        from nomapower.rate_max_network import InfeasibleSubproblemError
         with pytest.raises(InfeasibleSubproblemError, match="demand coupling"):
             solve_convex_subproblem(top, constants(top, dem), 0, x[0],
                                     np.array([np.inf]), 10.0, q)
+        q = np.array([[8.0]])       # feasible, but over a 6 W budget
+        x = dense_interference(top, q)
+        with pytest.raises(InfeasibleSubproblemError, match="power budget"):
+            solve_convex_subproblem(top, constants(top, dem), 0, x[0],
+                                    np.array([np.inf]), 6.0, q)
 
 
 class TestDpcSrm:
@@ -313,6 +275,53 @@ class TestDpcSrm:
             dpc_srm(top, dem, q0=np.array([[8.0]]),
                     x0=np.array([[[0.1, 0.05]]]))          # below interference
 
+    def test_misshapen_or_uncovered_start_raises(self):
+        # subchannel 0 serves one user per cell, so slot 0 is padding there
+        g_a = np.array([[1.0], [0.05]])
+        g_b = np.array([[0.4, 0.9], [0.02, 0.03]])
+        g_c = np.array([[0.06], [1.2]])
+        g_d = np.array([[0.02, 0.04], [0.5, 1.0]])
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.2,
+                              budgets=np.array([8.0, 8.0]),
+                              gains=((g_a, g_b), (g_c, g_d)))
+        dem = RateDemands.uniform(top, 0.4)
+        q = solve_spm(top, dem).q_star          # every demand coupling tight
+        x = np.where(top.occupied, dense_interference(top, q), 0.0)
+        padded = x.copy()
+        padded[0, 0, 0] = 1.0
+        for q0, x0, match in ((-q, None, "non-negative"),
+                              (q[:1], None, "non-negative"),
+                              (q, x[:1], "padded like the topology"),
+                              (q, padded, "padded like the topology"),
+                              (q, 2.0 * x, "cannot cover the demands")):
+            with pytest.raises(InfeasibleInitialPointError, match=match):
+                dpc_srm(top, dem, q0=q0, x0=x0)
+
+    def test_assemble_refuses_totals_below_the_required_power(self):
+        top, dem = symmetric_two_cell()
+        q = dpc_srm(top, dem).q
+        h = dense_interference(top, q)
+        required = (constants(top, dem).weights * h).sum(axis=-1)
+        with pytest.raises(InfeasibleInitialPointError,
+                           match=r"group \(0,0\) ended below its required power"):
+            _assemble(top, dem.rates, constants(top, dem), 0.5 * required, h)
+
+    def test_infeasible_subproblem_ends_the_run_with_its_diagnostic(self, monkeypatch):
+        top, dem = symmetric_two_cell()
+        start = dpc_srm(top, dem, max_outer=1)
+
+        def refuse(*args):
+            raise InfeasibleSubproblemError("power budget", "(cell 0)")
+
+        monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", refuse)
+        report = dpc_srm(top, dem)
+        assert not report.converged
+        assert report.diagnostic == \
+            "infeasible subproblem: constraint family 'power budget' (cell 0)"
+        assert (report.outer_iterations, report.subproblem_solves) == (1, 0)
+        assert report.trace.size == 2           # the start and the settled point
+        assert report.sum_rate == start.sum_rate
+
     def test_infeasible_demands_raise(self):
         top, _ = rate_max_single_cell()
         dem = RateDemands.uniform(top, 10.0)       # needs far more than 10 W
@@ -336,13 +345,13 @@ class TestDpcSrm:
         monkeypatch.setattr(rate_max_network, "demand_weights",
                             counted("weights", weights))
         report = dpc_srm(top, dem, q0=q0, x0=x0)
-        assert report.subproblem_solves >= 10
+        assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build", "weights"]
 
     def test_caps_rounded_below_the_start_do_not_stop_the_loop(self):
-        # on this paper-size drop the cancellation in power_cap leaves cell
-        # 1's caps up to 2e-7 (relative) below its q at 20 and 40 dBm; the
-        # subproblem pins such a subchannel at q instead of giving up
+        # on this paper-size drop a power_cap that cancels received powers
+        # left cell 1's caps up to 2e-7 (relative) below its q at 20 and
+        # 40 dBm and stopped the loop; it must converge at every budget
         config = ScenarioConfig(seed=700090, algorithm="rate-max")
         topology = generate_channels(config, config.seed)
         demands = build_demands(config, topology)
