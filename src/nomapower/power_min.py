@@ -131,13 +131,17 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             raise ValueError("q0 must be non-negative")
 
     weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
+    ratio, noise = topology.cross_ratio, topology.noise_ratio
     trace = []
     converged = False
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
         for i in range(topology.num_cells):
-            q[i] = _reduced_map(topology, weights, q)[i]
+            # row i of f(q) alone: dense_interference restricted to cell i
+            z = np.einsum("msk,km->ms", ratio[i], q) + noise[i]
+            h = np.maximum.accumulate(z[:, ::-1], axis=-1)[:, ::-1]
+            q[i] = (weights[i] * h).sum(axis=-1)
         trace.append(q.sum())
         if not np.all(np.isfinite(q)) or q.max() > 1e9 * topology.budgets.max():
             # expansive coupling: the iteration runs away, no fixed point

@@ -14,6 +14,7 @@ import dataclasses
 import json
 import math
 import numbers
+import os
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
@@ -289,31 +290,50 @@ _MAX_DRAWS = 1000       # per user
 def _drop_users(rng, sites, count, config):
     """``count`` positions per site, at distance [min_distance_m, radius].
 
-    Rejection sampling over a square, site by site, with the draws in the
-    order a one-user-at-a-time loop makes them: each round draws exactly
-    as many trials as the site still misses users, so no draw is wasted.
-    A user that needs more than ``_MAX_DRAWS`` draws raises RuntimeError.
+    Rejection sampling over a square, with the users and the generator
+    state a one-user-at-a-time loop gives: one lookahead block of offsets
+    is tested against every site, each site takes its first ``count`` hits
+    after the row where the previous site stopped, and the generator is
+    then rewound and advanced by exactly the rows used.  The block grows
+    while a site is short.  A user that needs more than ``_MAX_DRAWS``
+    draws raises RuntimeError.
     """
     radius = config.radius
-    placed = []
-    for site in sites:
-        need = count
-        missed = 0          # rejected draws since the last accepted one
-        while need:
-            pos = site + rng.uniform(-radius, radius, size=(need, 2))
-            delta = pos - site
-            # one dot product per row, rounding as np.linalg.norm(delta[k]) does
-            d = np.sqrt((delta[:, None, :] @ delta[:, :, None]).ravel())
-            hits = ((config.min_distance_m <= d) & (d <= radius)).nonzero()[0]
-            if missed + need >= _MAX_DRAWS:
-                runs = np.diff(hits, prepend=-1 - missed, append=need) - 1
-                if runs.max() >= _MAX_DRAWS:
+    start = rng.bit_generator.state
+    # 1.5 rows per user: the default ring takes about 1.27, so the block
+    # seldom has to grow
+    size = math.ceil(1.5 * count * len(sites))
+    offsets = rng.uniform(-radius, radius, size=(size, 2))
+    hit = _hits(sites, offsets, config)
+    rows = []
+    first = 0               # the row the current site draws first
+    for s in range(len(sites)):
+        while True:
+            taken = first + np.flatnonzero(hit[s, first:])[:count]
+            if len(offsets) >= _MAX_DRAWS:
+                # misses before each hit taken, then after the last one
+                runs = np.diff(taken, prepend=first - 1, append=len(offsets)) - 1
+                if runs[:count].max() >= _MAX_DRAWS:
                     raise RuntimeError(
                         f"could not place a user after {_MAX_DRAWS} draws")
-            missed = need - 1 - hits[-1] if hits.size else missed + need
-            placed.append(pos[hits])
-            need -= hits.size
-    return np.concatenate(placed)
+            if len(taken) == count:
+                break
+            more = rng.uniform(-radius, radius, size=offsets.shape)
+            offsets = np.concatenate([offsets, more])
+            hit = np.concatenate([hit, _hits(sites, more, config)], axis=1)
+        rows.append(taken)
+        first = taken[-1] + 1
+    rng.bit_generator.state = start
+    rng.uniform(-radius, radius, size=(first, 2))
+    return (sites[:, None, :] + offsets[np.array(rows)]).reshape(-1, 2)
+
+
+def _hits(sites, offsets, config):
+    """(sites, rows) mask of the offsets that land in each site's ring."""
+    delta = (sites[:, None, :] + offsets) - sites[:, None, :]
+    # one dot product per row, rounding as np.linalg.norm(delta[s, k]) does
+    d = np.sqrt((delta[..., None, :] @ delta[..., :, None])[..., 0, 0])
+    return (config.min_distance_m <= d) & (d <= config.radius)
 
 
 def _distances(points, sites, wrap):
@@ -460,13 +480,18 @@ def _validate(topology, demands, allocation):
 
 def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
     """Emit the artifacts under ``out_dir`` as ``fmt``, one of
-    :data:`OUTPUT_FORMATS`; returns the paths written."""
+    :data:`OUTPUT_FORMATS`; returns the paths written.
+
+    A file that exists already is rewritten in place and cut to its new
+    length, so a rerun into the same directory leaves the bytes a fresh
+    directory gets; files of an earlier run that this one does not write
+    stay as they are.
+    """
     if fmt not in OUTPUT_FORMATS:
         raise ValueError(f"output format must be one of {OUTPUT_FORMATS}")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
     if fmt == "json":
+        out.mkdir(parents=True, exist_ok=True)
         payload = {
             "summary": [dataclasses.asdict(r) for r in artifacts.summary],
             "traces": {k: v for k, v in sorted(artifacts.traces.items())},
@@ -475,9 +500,11 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
                 for k, a in sorted(artifacts.allocations.items())},
         }
         path = out / "run.json"
-        path.write_text(json.dumps(_finite_or_null(payload), indent=2,
-                                   sort_keys=True, allow_nan=False) + "\n")
+        _write(path, json.dumps(_finite_or_null(payload), indent=2,
+                                sort_keys=True, allow_nan=False) + "\n")
         return [path]
+    trace_dir = out / "traces"
+    trace_dir.mkdir(parents=True, exist_ok=True)
     header = ("seed,budget (dBm),algorithm,pairing,sum_power (W),"
               "sum_rate (bit/s),iterations,converged,trace_file\n")
     lines = [header]
@@ -486,18 +513,34 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
                      f"{r.sum_power_w},{r.sum_rate_bps},{r.iterations},"
                      f"{r.converged},{r.trace_file}\n")
     path = out / "summary.csv"
-    path.write_text("".join(lines))
-    written.append(path)
-    trace_dir = out / "traces"
-    trace_dir.mkdir(exist_ok=True)
+    _write(path, "".join(lines))
+    written = [path]
     for name, rows in sorted(artifacts.traces.items()):
         unit = "W" if "power-min" in name else "bit/s"
         body = [f"iteration,objective ({unit})\n"]
         body.extend(f"{k},{v}\n" for k, v in rows)
         tpath = trace_dir / name
-        tpath.write_text("".join(body))
+        _write(tpath, "".join(body))
         written.append(tpath)
     return written
+
+
+def _write(path, text):
+    """Write ``text`` over ``path``, then cut the file to its length.
+
+    Writing over the old bytes instead of truncating the file to zero
+    first avoids the flush some filesystems (ext4) make when a truncated
+    file is closed; like ``Path.write_text`` it is not atomic.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        left = memoryview(data)
+        while left:
+            left = left[os.write(fd, left):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _finite_or_null(value):

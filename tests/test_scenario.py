@@ -312,7 +312,8 @@ class TestChannels:
 
     @staticmethod
     def one_user_at_a_time(config, seed):
-        """The users a plain per-user rejection loop places, same stream."""
+        """The users a plain per-user rejection loop places, same stream,
+        and the generator state it leaves."""
         rng = np.random.default_rng(seed)
         users = []
         for site in _site_layout(config)[0]:
@@ -324,51 +325,67 @@ class TestChannels:
                         break
                 else:
                     raise RuntimeError("could not place a user after 1000 draws")
-        return np.array(users)
+        return np.array(users), rng.bit_generator.state
 
     def test_batched_placement_matches_one_user_at_a_time(self):
         # thin rings: users need ~50 (395 m) or ~500 (399.5 m) draws, so
-        # runs of rejections span many rounds and some reach the limit
+        # the lookahead block grows many times and some users reach the limit
         outcomes = set()
         for min_distance in (395.0, 399.5):
             config = small_config(min_distance_m=min_distance)
             for seed in range(6):
+                rng = np.random.default_rng(seed)
                 try:
-                    want = self.one_user_at_a_time(config, seed)
+                    want, state = self.one_user_at_a_time(config, seed)
                 except RuntimeError:
                     with pytest.raises(RuntimeError, match="after 1000 draws"):
-                        _drop_users(np.random.default_rng(seed),
-                                    _site_layout(config)[0],
+                        _drop_users(rng, _site_layout(config)[0],
                                     config.users_per_cell, config)
                     outcomes.add("raised")
                     continue
-                got = _drop_users(np.random.default_rng(seed),
-                                  _site_layout(config)[0],
+                got = _drop_users(rng, _site_layout(config)[0],
                                   config.users_per_cell, config)
                 assert np.array_equal(got, want)
+                # the shadowing draw that follows sees the same stream
+                assert rng.bit_generator.state == state
                 outcomes.add("placed")
         assert outcomes == {"placed", "raised"}
 
-    def test_unplaceable_user_raises_after_1000_draws(self, monkeypatch):
-        class CountingRng:
-            def __init__(self, rng):
-                self.rng, self.trials = rng, 0
+    def test_unplaceable_user_raises_after_1000_draws(self):
+        class ScriptedRng:
+            """Offsets read in order from ``rows``; the state is the read
+            position, so rewinding works as on a real generator."""
+
+            def __init__(self, rows):
+                self.rows, self.state, self.bit_generator = rows, 0, self
 
             def uniform(self, low, high, size):
-                self.trials += size[0]
-                assert self.trials <= 2000, "rejection sampling did not stop"
-                return self.rng.uniform(low, high, size)
+                end = self.state + size[0]
+                assert end <= 2000, "rejection sampling did not stop"
+                out, self.state = self.rows[self.state:end], end
+                return out
 
-        made = []
-        real = np.random.default_rng
-        monkeypatch.setattr(np.random, "default_rng",
-                            lambda seed: made.append(CountingRng(real(seed))) or made[-1])
+        config = small_config(num_cells=3)
+        sites = _site_layout(config)[0]
+        count = config.users_per_cell
+        # the first user of the first cell misses (offset 0 is inside
+        # min_distance_m) ``misses`` times, then every draw lands 100 m out
+        for misses in (999, 1000):
+            rows = np.tile([100.0, 0.0], (2000, 1))
+            rows[:misses] = 0.0
+            rng = ScriptedRng(rows)
+            if misses == 1000:
+                with pytest.raises(RuntimeError,
+                                   match="could not place a user after 1000 draws"):
+                    _drop_users(rng, sites, count, config)
+                continue
+            users = _drop_users(rng, sites, count, config)
+            assert np.array_equal(users, np.repeat(sites + [100.0, 0.0], count, axis=0))
+            # the generator ends just past the last row used
+            assert rng.state == misses + len(sites) * count
         with pytest.raises(RuntimeError,
                            match="could not place a user after 1000 draws"):
             generate_channels(ScenarioConfig(min_distance_m=500.0), 3)
-        # the first user of the first cell fails, after as many draws as a
-        # one-user-at-a-time loop makes
-        assert made[0].trials == 1000
 
     def test_different_seeds_differ(self):
         config = small_config()
@@ -509,6 +526,23 @@ class TestRunScenario:
                                           validation_failures=[])
         (path,) = write_outputs(artifacts, tmp_path, fmt="json")
         assert json.loads(path.read_text())["allocations"] == {"drop": groups}
+
+    @pytest.mark.parametrize("fmt", OUTPUT_FORMATS)
+    def test_rerun_into_a_used_directory_rewrites_each_file(self, tmp_path, fmt):
+        larger = run_scenario(small_config(num_seeds=2, budget_dbm_sweep=[25.0, 30.0]))
+        # the smaller run rewrites every trace file with fewer rows
+        larger.traces = {name: rows * 3 for name, rows in larger.traces.items()}
+        smaller = run_scenario(small_config(budget_dbm_sweep=[30.0]))
+        before = {p: p.read_bytes()
+                  for p in write_outputs(larger, tmp_path / "used", fmt=fmt)}
+        paths = write_outputs(smaller, tmp_path / "used", fmt=fmt)
+        fresh = write_outputs(smaller, tmp_path / "fresh", fmt=fmt)
+        assert [p.relative_to(tmp_path / "used") for p in paths] == \
+            [p.relative_to(tmp_path / "fresh") for p in fresh]
+        for path, twin in zip(paths, fresh):
+            # each file is written over a longer one and must be cut
+            assert len(before[path]) > len(twin.read_bytes())
+            assert path.read_bytes() == twin.read_bytes()
 
     def test_channels_are_drawn_once_per_seed(self, monkeypatch):
         calls = []
