@@ -1,14 +1,17 @@
 """Independent brute-force and numerical validators.
 
 Everything here deliberately avoids the closed forms and fixed-point
-machinery of the solver modules: group feasibility is decided by solving
-the tight rate constraints as a plain linear system, optima are located
-by exhaustive grid search, and curvature is probed with finite
-differences.  Instances are bounded at entry because the searches are
-combinatorial.  Per-group companions of the closed forms and the padded
-arrays live here too, for validation only: one group's interference,
-rates and optimal sum rate, a check of one closed form against another,
-a direct sum of per-user rates and the slack of the rate constraints.
+machinery of the solver modules: group feasibility and the required
+power are decided by solving the tight rate constraints as a plain
+linear system, optima are located by exhaustive grid search, and
+curvature is probed with finite differences.  Instances are bounded at
+entry because the searches are combinatorial.  Per-group companions of
+the closed forms and the padded arrays live here too, for validation
+only: one group's interference, rates and optimal sum rate, a direct sum
+of per-user rates and the slack of the rate constraints.  One solver
+closed form is shared on purpose: :func:`boundary_allocation_matches_minimum`
+checks that :func:`~nomapower.power_min.group_split` on the rate-max
+surplus reproduces the minimum-power split at the required power.
 """
 
 from __future__ import annotations
@@ -19,13 +22,12 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates, suffix_sums, unpad)
-from .power_min import min_power_user_allocation
-from .rate_max_cell import (InfeasiblePowerError, optimal_single_cell_allocation,
-                            required_group_power, single_cell_feasible)
+from .power_min import group_split, min_power_user_allocation
 
 
 class OracleInfeasibleError(RuntimeError):
-    """No feasible grid point exists at the requested resolution."""
+    """No feasible grid point exists at the requested resolution, or a
+    total power lies below a group's required power."""
 
 
 @dataclass(frozen=True)
@@ -98,38 +100,39 @@ def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
 def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im,
                              bandwidth: float):
     """Closed-form optimal sum rate (bit/s) of one group, or an array of
-    them for an array of totals ``q_im``.
-
-    Equal to the weak users' demands plus the strongest user's rate at the
-    optimal split:
-
-        B log2(1 + q / (2^S H_n) - sum_j (2^(R_j/B)-1) H_j / (2^T_j H_n))
-          + sum_weak R_j
-
-    with S the cumulative weak demand and T_j the cumulative demand from
-    user j through the last weak user.
+    them for an array of totals ``q_im``: the weak users' demands plus
+    B log2(1 + p_n / H_n), the strongest user's rate on the surplus p_n
+    (:func:`_strong_power`).  Raises :class:`OracleInfeasibleError` for a
+    total below the required power, the sum of :func:`minimal_group_powers`.
     """
     q_im = np.asarray(q_im, dtype=float)
-    feasible, required = single_cell_feasible(demands, h, q_im, bandwidth)
-    if not np.all(feasible):
-        raise InfeasiblePowerError(required, np.min(q_im))
-    r = np.asarray(demands, dtype=float) / bandwidth
-    h = np.asarray(h, dtype=float)
-    weak = r[:-1]
-    h_strong = h[-1]
-    # T_j = sum_{l=j}^{n-2} r_l, cumulative from each weak user to the last weak one
-    tail = np.cumsum(weak[::-1])[::-1]
-    argument = 1.0 + q_im / (np.exp2(weak.sum()) * h_strong) \
-        - np.sum((np.exp2(weak) - 1.0) * h[:-1] / (np.exp2(tail) * h_strong))
+    required = minimal_group_powers(demands, h, bandwidth).sum()
+    if np.any(q_im < required):
+        raise OracleInfeasibleError(f"group needs at least {required!r} W")
+    weak = np.asarray(demands, dtype=float)[:-1] / bandwidth
+    argument = 1.0 + _strong_power(demands, h, q_im, bandwidth) / h[-1]
     rate = bandwidth * np.log2(argument) + bandwidth * weak.sum()
     return float(rate) if rate.ndim == 0 else rate
 
 
+def _strong_power(demands, h, q_im, bandwidth):
+    """p_n = q / 2^S - sum_j (2^(R_j/B)-1) H_j / 2^T_j, the strongest
+    user's power with the weak users at their demands: S is the weak
+    demand and T_j its tail from user j on (divided by B)."""
+    weak = np.asarray(demands, dtype=float)[:-1] / bandwidth
+    tail = np.cumsum(weak[::-1])[::-1]
+    return q_im / np.exp2(weak.sum()) \
+        - np.sum((np.exp2(weak) - 1.0) * np.asarray(h, dtype=float)[:-1] / np.exp2(tail))
+
+
 def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
                                         bandwidth: float, rtol: float = 1e-9) -> bool:
-    """At the feasibility boundary both closed forms coincide."""
-    required = required_group_power(demands, h, bandwidth)
-    p_rate = optimal_single_cell_allocation(demands, h, required, bandwidth)
+    """At the required power the rate-max split, the strong user on the
+    surplus, equals the minimum-power split."""
+    required = minimal_group_powers(demands, h, bandwidth).sum()
+    strong = _strong_power(demands, h, required, bandwidth)
+    growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth)
+    p_rate = group_split(growth, h, strong)
     p_min = min_power_user_allocation(demands, h, bandwidth)
     return bool(np.allclose(p_rate, p_min, rtol=rtol, atol=0.0))
 
@@ -340,7 +343,7 @@ def grid_budget_split(topology: NetworkTopology, demands: RateDemands, i: int,
     rates = unpad(demands.rates, topology.occupied)[i]
     lb = [np.maximum.accumulate(interference_over_gain(topology, q, i, m)[::-1])[::-1]
           for m in range(topology.num_subchannels)]
-    lo = np.array([required_group_power(r, h, bw) for r, h in zip(rates, lb)])
+    lo = np.array([minimal_group_powers(r, h, bw).sum() for r, h in zip(rates, lb)])
     hi = np.minimum(np.maximum(caps, q[i]), budget)
     total = min(budget, float(hi.sum()))
     if lo.size == 1:

@@ -2,9 +2,10 @@
 
 The per-group optimum has a closed form: every rate constraint is tight,
 so a backward recursion over the cumulative tail powers yields the user
-powers directly.  Substituting the closed form into the network problem
-leaves only the per-BS totals ``q``, coupled through the interference map
-``f``; ``f`` is a standard interference function, so the distributed
+powers directly (:func:`group_split`, shared with rate maximization).
+Substituting the closed form into the network problem leaves only the
+per-BS totals ``q``, coupled through the interference map ``f``; ``f``
+is a standard interference function, so the distributed
 fixed-point sweep (:func:`dpc_spm`) converges to the component-wise
 minimal solution whenever one exists.  :func:`solve_spm` reaches the same
 point exactly in a few small linear solves and certifies when there is
@@ -61,28 +62,36 @@ def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     return (np.exp2(r) - 1.0) * np.exp2(before)
 
 
-def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
-                              bandwidth: float) -> np.ndarray:
-    """Closed-form minimum-power split for one group.
-
-    Solves the tight rate equations by backward recursion on the tail
-    sums b_j = sum_{n>=j} p_n:
+def group_split(growth: np.ndarray, h: np.ndarray, strong) -> np.ndarray:
+    """Per-user powers of a group whose weak users sit exactly at their
+    demands and whose strongest user gets power ``strong``; ``growth`` is
+    2^(R_j/B).  Backward recursion on the tail sums b_j = sum_{n>=j} p_n,
+    from b = ``strong`` at the strongest user:
 
         b_j = 2^(R_j/B) * b_{j+1} + (2^(R_j/B) - 1) * H_j
 
-    Every user ends up exactly at its rate demand and all powers are
-    strictly positive.  Users run along the last axis, so front-padded
-    (I, M, n_max) arrays split every group at once; a padded slot with
-    zero demand gets power 0.
+    Power-min holds the strongest user at its demand too; rate-max hands
+    it the surplus.  Users run along the last axis, so front-padded
+    (I, M, n_max) arrays with (I, M) ``strong`` split every group at once;
+    a padded slot (growth 1) passes b on and gets power 0.
     """
-    r = np.asarray(demands, dtype=float) / bandwidth
     h = np.asarray(h, dtype=float)
-    growth = np.exp2(r)
-    n = r.shape[-1]
-    b = np.zeros(r.shape[:-1] + (n + 1,))
-    for j in range(n - 1, -1, -1):
+    n = h.shape[-1]
+    b = np.zeros(h.shape[:-1] + (n + 1,))
+    b[..., n - 1] = strong
+    for j in range(n - 2, -1, -1):
         b[..., j] = growth[..., j] * b[..., j + 1] + (growth[..., j] - 1.0) * h[..., j]
     return b[..., :-1] - b[..., 1:]
+
+
+def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
+                              bandwidth: float) -> np.ndarray:
+    """Closed-form minimum-power split: :func:`group_split` with every
+    user, the strongest too, exactly at its demand, so all powers are
+    strictly positive; padded arrays split as there."""
+    growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth)
+    h = np.asarray(h, dtype=float)
+    return group_split(growth, h, (growth[..., -1] - 1.0) * h[..., -1])
 
 
 def interference_map(topology: NetworkTopology, demands: RateDemands,

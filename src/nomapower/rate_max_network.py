@@ -32,8 +32,7 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates, normalized_interference)
-from .power_min import demand_weights, interference_map, solve_spm
-from .rate_max_cell import optimal_single_cell_allocation
+from .power_min import _reduced_map, demand_weights, group_split, solve_spm
 
 
 class InfeasibleInitialPointError(ValueError):
@@ -103,14 +102,16 @@ class _GroupConstants:
 
     The log argument of a group is  x_strong + alpha * q - beta . x_weak
     with  alpha = 2^(-S),  beta_j = (2^(R_j/B)-1) * 2^(-T_j),  S the total
-    weak demand and T_j its tail from user j on (all divided by B).
-    ``weights`` are the :func:`~nomapower.power_min.demand_weights`,
-    (I, M, n_max); ``alpha`` is (I, M); ``beta`` covers the n_max - 1 weak
-    slots and is 0 in padding; ``weak`` is each cell's weak-demand sum,
-    (I,).  ``constants[i]`` is cell i's row.
+    weak demand and T_j its tail from user j on (all divided by B); past
+    x_strong, it is the strong user's power at the rate-optimal split.
+    ``weights`` (the :func:`~nomapower.power_min.demand_weights`) and
+    ``growth`` (2^(R_j/B)) are (I, M, n_max); ``alpha`` is (I, M); ``beta``
+    covers the n_max - 1 weak slots, 0 in padding; ``weak`` is each cell's
+    weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
     """
 
     weights: np.ndarray
+    growth: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     weak: np.ndarray
@@ -120,13 +121,14 @@ class _GroupConstants:
         weak = rates[..., :-1] / bandwidth
         tail = np.cumsum(weak[..., ::-1], axis=-1)[..., ::-1]
         return cls(weights=demand_weights(rates, bandwidth),
+                   growth=np.exp2(rates / bandwidth),
                    alpha=np.exp2(-weak.sum(axis=-1)),
                    beta=(np.exp2(weak) - 1.0) * np.exp2(-tail),
                    weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
 
     def __getitem__(self, i: int) -> _GroupConstants:
-        return _GroupConstants(self.weights[i], self.alpha[i], self.beta[i],
-                               self.weak[i])
+        return _GroupConstants(self.weights[i], self.growth[i], self.alpha[i],
+                               self.beta[i], self.weak[i])
 
 
 def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
@@ -267,7 +269,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     x = np.where(topology.occupied, h, 0.0)
     trace.append(float(np.sum(cell_objective(topology, constants, q, x))))
 
-    allocation = _assemble(topology, rates, constants, q, h)
+    allocation = _assemble(constants, q, h)
     sum_rate = float(group_rates(allocation.powers, h, topology.bandwidth).sum())
     return SrmReport(q=q, x=x, allocation=allocation, sum_rate=sum_rate,
                      outer_iterations=outer, trace=np.array(trace),
@@ -302,18 +304,20 @@ def _validate_start(topology, constants, q, x0):
     return x
 
 
-def _assemble(topology, rates, constants, q, h) -> PowerAllocation:
+def _assemble(constants, q, h) -> PowerAllocation:
     """Rate-optimal split of the totals ``q`` in every group at once, at
-    the effective interference ``h``; the required power is
-    :func:`~nomapower.rate_max_cell.required_group_power` from ``constants``."""
+    the effective interference ``h``: :func:`~nomapower.power_min.group_split`
+    with the strong user on the surplus alpha q - beta . h_weak.  Refuses
+    totals below the required power w . h; one within rounding is raised to it."""
     required = (constants.weights * h).sum(axis=-1)
     below = np.argwhere(q < required * (1.0 - 1e-9))
     if below.size:
         i, m = below[0]
         raise InfeasibleInitialPointError(
             f"group ({i},{m}) ended below its required power")
-    return PowerAllocation(optimal_single_cell_allocation(
-        rates, h, np.maximum(q, required), topology.bandwidth))
+    strong = constants.alpha * np.maximum(q, required) \
+        - (constants.beta * h[..., :-1]).sum(axis=-1)
+    return PowerAllocation(group_split(constants.growth, h, strong))
 
 
 def _fixed_point_headroom(topology, demands):
@@ -339,20 +343,19 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     when the demands admit no allocation within the budgets.
     """
     fixed_point, headroom = _fixed_point_headroom(topology, demands)
+    w = demand_weights(demands.rates, topology.bandwidth)
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
     q = fixed_point * factors[:, None]
     for _ in range(100):
-        mapped = interference_map(topology, demands, q)
+        mapped = _reduced_map(topology, w, q)
         if np.all(q >= mapped * (1.0 - 1e-12)):
             break
         q = np.maximum(q, mapped)
     budgets_ok = np.all(q.sum(axis=1) <= topology.budgets)
-    if not (budgets_ok and np.all(q >= interference_map(topology, demands, q)
-                                  * (1.0 - 1e-9))):
+    if not (budgets_ok and np.all(q >= _reduced_map(topology, w, q) * (1.0 - 1e-9))):
         q = fixed_point * float(np.min(headroom))
     occupied = topology.occupied
     h = np.where(occupied, dense_interference(topology, q), 0.0)
-    w = demand_weights(demands.rates, topology.bandwidth)
     margin = q - (w * h).sum(axis=-1)
     # the draws run group by group in (i, m) order: one share per user,
     # then a scale for a group with a margin and a positive share

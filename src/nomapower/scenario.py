@@ -556,24 +556,26 @@ def _finite_or_null(value):
 
 def run_fixture_checks() -> bool:
     """Run the built-in analytic fixtures through the real solvers."""
-    ok = True
+    def check(label, good, got, want):
+        print(f"{'PASS' if good else 'FAIL'}: {label} (got {got!r}, want {want!r})")
+        return bool(good)
 
     topology, demands = fixtures.symmetric_two_cell()
     report = solve_spm(topology, demands)
-    total = float(report.q_star.sum())
-    good = report.feasible and abs(total - fixtures.SYMMETRIC_TWO_CELL_SUM_POWER) <= 1e-6
-    allocation = assemble_full_solution(topology, demands, report.q_star)
-    good &= bool(np.allclose(allocation.powers[0, 0],
-                             fixtures.SYMMETRIC_TWO_CELL_USER_POWERS, atol=1e-6))
-    print(f"{'PASS' if good else 'FAIL'}: symmetric two-cell minimum sum power "
-         f"(got {total!r}, want {fixtures.SYMMETRIC_TWO_CELL_SUM_POWER})")
-    ok &= good
+    total, want = float(report.q_star.sum()), fixtures.SYMMETRIC_TWO_CELL_SUM_POWER
+    powers = assemble_full_solution(topology, demands, report.q_star).powers[0, 0]
+    ok = check("symmetric two-cell minimum sum power",
+               report.feasible and abs(total - want) <= 1e-6 and np.allclose(
+                   powers, fixtures.SYMMETRIC_TWO_CELL_USER_POWERS, atol=1e-6),
+               total, want)
 
     topology, demands = fixtures.rate_max_single_cell()
     srm = dpc_srm(topology, demands)
-    want = fixtures.RATE_MAX_SINGLE_CELL_SUM_RATE
-    good = abs(srm.sum_rate - want) <= 1e-6
-    print(f"{'PASS' if good else 'FAIL'}: single-cell maximum sum rate "
-         f"(got {srm.sum_rate!r}, want {want!r})")
-    ok &= good
-    return bool(ok)
+    want = float(fixtures.RATE_MAX_SINGLE_CELL_SUM_RATE)
+    ok &= check("single-cell maximum sum rate", abs(srm.sum_rate - want) <= 1e-6,
+                srm.sum_rate, want)
+    powers = srm.allocation.powers[0, 0].tolist()
+    want = list(fixtures.RATE_MAX_SINGLE_CELL_POWERS)
+    ok &= check("single-cell rate-optimal split",
+                np.allclose(powers, want, atol=1e-6), powers, want)
+    return ok

@@ -22,7 +22,6 @@ from nomapower.oracle import (effective_interference, fd_hessian_psd,
                               minimal_group_powers, optimal_single_cell_rate,
                               rate_constraint_slack, standard_function_probe)
 from nomapower.power_min import interference_map, min_power_user_allocation
-from nomapower.rate_max_cell import required_group_power
 
 
 class Budget:
@@ -113,7 +112,7 @@ def test_criterion_5_rate_closed_form_vs_grid_oracle():
         n = int(rng.integers(2, 4))
         demands = rng.uniform(0.2, 1.0, size=n)
         h = np.sort(rng.uniform(0.3, 3.0, size=n))[::-1]
-        q = required_group_power(demands, h, 1.0) * float(rng.uniform(1.1, 3.0))
+        q = minimal_group_powers(demands, h, 1.0).sum() * float(rng.uniform(1.1, 3.0))
         resolution = q / (1000 if n == 2 else 140)
         best = grid_rate_max_group(demands, h, q, resolution=resolution)
         closed = optimal_single_cell_rate(demands, h, q, 1.0)

@@ -12,7 +12,6 @@ from nomapower.oracle import (OracleInfeasibleError, effective_interference,
                               reference_interference_map,
                               standard_function_probe)
 from nomapower.power_min import interference_map, min_power_user_allocation
-from nomapower.rate_max_cell import single_cell_feasible
 from nomapower.rate_max_network import (_GroupConstants, power_cap,
                                         solve_convex_subproblem)
 
@@ -139,8 +138,7 @@ class TestGridRateMax:
     def test_infeasible_total_power_agrees_with_feasibility_test(self):
         demands = np.array([1.0, 1.0])
         h = np.array([2.0, 1.0])
-        ok, _ = single_cell_feasible(demands, h, 3.5, 1.0)
-        assert not ok
+        assert 3.5 < minimal_group_powers(demands, h, 1.0).sum()
         with pytest.raises(OracleInfeasibleError):
             grid_rate_max_group(demands, h, 3.5, resolution=0.01)
 
@@ -150,8 +148,7 @@ class TestGridRateMax:
             n = int(rng.integers(2, 4))
             demands = rng.uniform(0.2, 1.0, size=n)
             h = np.sort(rng.uniform(0.3, 3.0, size=n))[::-1]
-            from nomapower.rate_max_cell import required_group_power
-            q = required_group_power(demands, h, 1.0) * rng.uniform(1.1, 3.0)
+            q = minimal_group_powers(demands, h, 1.0).sum() * rng.uniform(1.1, 3.0)
             best = grid_rate_max_group(demands, h, q, resolution=q / 150)
             closed = optimal_single_cell_rate(demands, h, q, 1.0)
             assert best.sum_rate <= closed + 1e-9

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
                        dpc_srm, generate_channels, random_feasible_start, solve_spm)
-from nomapower import rate_max_network
+from nomapower import power_min, rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import dense_interference, unpad
 from nomapower.oracle import (achievable_rate, effective_interference,
                               optimal_single_cell_rate)
-from nomapower.rate_max_cell import optimal_single_cell_allocation
 from nomapower.scenario import dbm_to_watts
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
                                         InfeasibleSubproblemError,
@@ -166,8 +166,7 @@ class TestSubproblem:
         out = solve_convex_subproblem(top, constants(top, dem), 0, x[0],
                                       np.array([np.inf]), 10.0, q)
         assert out.q_i == pytest.approx([10.0], rel=1e-6)
-        p = optimal_single_cell_allocation(dem.rates[0][0],
-                                           np.array(x[0][0]), float(out.q_i[0]), 1.0)
+        p = _assemble(constants(top, dem), out.q_i[None], x).powers[0, 0]
         assert p == pytest.approx([6.0, 4.0], rel=1e-6)
 
     def test_warm_start_surrogate_never_increases(self):
@@ -304,7 +303,7 @@ class TestDpcSrm:
         required = (constants(top, dem).weights * h).sum(axis=-1)
         with pytest.raises(InfeasibleInitialPointError,
                            match=r"group \(0,0\) ended below its required power"):
-            _assemble(top, dem.rates, constants(top, dem), 0.5 * required, h)
+            _assemble(constants(top, dem), 0.5 * required, h)
 
     def test_infeasible_subproblem_ends_the_run_with_its_diagnostic(self, monkeypatch):
         top, dem = symmetric_two_cell()
@@ -335,15 +334,20 @@ class TestDpcSrm:
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
         q0, x0 = random_feasible_start(top, dem, rng)
         calls = []
-        build, weights = _GroupConstants.build, rate_max_network.demand_weights
+        build, weights = _GroupConstants.build, power_min.demand_weights
 
         def counted(name, fn):
             return lambda *args: calls.append(name) or fn(*args)
 
         monkeypatch.setattr(_GroupConstants, "build",
                             staticmethod(counted("build", build)))
-        monkeypatch.setattr(rate_max_network, "demand_weights",
-                            counted("weights", weights))
+        # every module that bound demand_weights by name counts as well
+        bound = [module for name, module in sys.modules.items()
+                 if name.split(".")[0] == "nomapower"
+                 and getattr(module, "demand_weights", None) is weights]
+        assert rate_max_network in bound
+        for module in bound:
+            monkeypatch.setattr(module, "demand_weights", counted("weights", weights))
         report = dpc_srm(top, dem, q0=q0, x0=x0)
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build", "weights"]
