@@ -4,12 +4,13 @@ Two problems over the same system model: minimizing total transmit power
 subject to per-user rate demands, and maximizing the sum rate subject to
 the same demands and per-BS budgets.  Both exploit one closed-form
 per-group power split (``power_min.group_split``: weak users at their
-demands, the strongest user at its demand for power minimization or on
-all the surplus for rate maximization); the network coupling is handled
-by a standard interference-function fixed point (power minimization,
-solved exactly by ``solve_spm`` or by the distributed sweep ``dpc_spm``)
-and a distributed loop of exact per-BS steps, each the single-cell
-closed form water-filled under the budget (rate maximization).
+demands, the strongest user at its minimum power, plus alpha times the
+surplus over the required power for rate maximization); the network
+coupling is handled by a standard interference-function fixed point
+(power minimization, solved exactly by ``solve_spm`` or by the
+distributed sweep ``dpc_spm``) and a distributed loop of exact per-BS
+steps, each the single-cell closed form water-filled under the budget
+(rate maximization).
 """
 
 from .network import NetworkTopology, PowerAllocation, RateDemands

@@ -8,10 +8,11 @@ curvature is probed with finite differences.  Instances are bounded at
 entry because the searches are combinatorial.  Per-group companions of
 the closed forms and the padded arrays live here too, for validation
 only: one group's interference, rates and optimal sum rate, a direct sum
-of per-user rates and the slack of the rate constraints.  One solver
-closed form is shared on purpose: :func:`boundary_allocation_matches_minimum`
-checks that :func:`~nomapower.power_min.group_split` on the rate-max
-surplus reproduces the minimum-power split at the required power.
+of per-user rates and the slack of the rate constraints.  The beta form
+of the strongest user's power lives only in :func:`_strong_power`; one
+solver closed form is shared on purpose: :func:`boundary_allocation_matches_minimum`
+checks that :func:`~nomapower.power_min.group_split` given that power
+reproduces the minimum-power split at the required power.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
     required = minimal_group_powers(demands, h, bandwidth).sum()
     strong = _strong_power(demands, h, required, bandwidth)
     growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth)
-    p_rate = group_split(growth, h, strong)
+    p_rate = group_split(growth, h, strong - (growth[-1] - 1.0) * h[-1])
     p_min = min_power_user_allocation(demands, h, bandwidth)
     return bool(np.allclose(p_rate, p_min, rtol=rtol, atol=0.0))
 

@@ -21,11 +21,12 @@ import numpy as np
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, normalized_interference)
 
-# dpc_spm also needs the relative sum-power change to fall to REL_TOL;
-# assemble_full_solution rejects a q_star off the fixed point by more
-# than RESIDUAL_TOL (W)
+# dpc_spm also needs the relative sum-power change to fall to REL_TOL.
+# assemble_full_solution rejects a q_star with max |q - f(q)| above
+# RESIDUAL_TOL times its sum power: solve_spm's is below 1e-15, dpc_spm's at
+# most 1.6e-10, and 1e-3 off in a drop's smallest group at least 4e-8 (7 x 4)
 REL_TOL = 1e-10
-RESIDUAL_TOL = 1e-6
+RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -62,23 +63,23 @@ def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     return (np.exp2(r) - 1.0) * np.exp2(before)
 
 
-def group_split(growth: np.ndarray, h: np.ndarray, strong) -> np.ndarray:
+def group_split(growth: np.ndarray, h: np.ndarray, extra=0.0) -> np.ndarray:
     """Per-user powers of a group whose weak users sit exactly at their
-    demands and whose strongest user gets power ``strong``; ``growth`` is
-    2^(R_j/B).  Backward recursion on the tail sums b_j = sum_{n>=j} p_n,
-    from b = ``strong`` at the strongest user:
+    demands and whose strongest user gets its minimum power
+    (2^(R_n/B) - 1) * H_n plus ``extra``: power-min passes none, rate-max
+    the surplus.  ``growth`` is 2^(R_j/B).  Backward recursion on the tail
+    sums b_j = sum_{n>=j} p_n, from the strongest user's power:
 
         b_j = 2^(R_j/B) * b_{j+1} + (2^(R_j/B) - 1) * H_j
 
-    Power-min holds the strongest user at its demand too; rate-max hands
-    it the surplus.  Users run along the last axis, so front-padded
-    (I, M, n_max) arrays with (I, M) ``strong`` split every group at once;
-    a padded slot (growth 1) passes b on and gets power 0.
+    Users run along the last axis, so front-padded (I, M, n_max) arrays
+    with (I, M) ``extra`` split every group at once; a padded slot
+    (growth 1) passes b on and gets power 0.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[-1]
     b = np.zeros(h.shape[:-1] + (n + 1,))
-    b[..., n - 1] = strong
+    b[..., n - 1] = (growth[..., -1] - 1.0) * h[..., -1] + extra
     for j in range(n - 2, -1, -1):
         b[..., j] = growth[..., j] * b[..., j + 1] + (growth[..., j] - 1.0) * h[..., j]
     return b[..., :-1] - b[..., 1:]
@@ -90,8 +91,7 @@ def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
     user, the strongest too, exactly at its demand, so all powers are
     strictly positive; padded arrays split as there."""
     growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth)
-    h = np.asarray(h, dtype=float)
-    return group_split(growth, h, (growth[..., -1] - 1.0) * h[..., -1])
+    return group_split(growth, h)
 
 
 def interference_map(topology: NetworkTopology, demands: RateDemands,
@@ -244,13 +244,14 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     Evaluates the effective interference at ``q_star`` and applies the
     closed-form split to every group at once; group totals reproduce
     ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
-    by more than ``RESIDUAL_TOL``.
+    by more than ``RESIDUAL_TOL`` times its sum power.
     """
     rates = demands.padded_for(topology)
     h = dense_interference(topology, q_star)
     f = (demand_weights(rates, topology.bandwidth) * h).sum(axis=-1)
     residual = float(np.max(np.abs(q_star - f)))
-    if residual > RESIDUAL_TOL:
+    bound = RESIDUAL_TOL * float(np.sum(q_star))
+    if not residual <= bound:
         raise ValueError(
-            f"q_star is not a fixed point (residual {residual:.3e} > {RESIDUAL_TOL:.1e})")
+            f"q_star is not a fixed point (residual {residual:.3e} W > {bound:.1e} W)")
     return PowerAllocation(min_power_user_allocation(rates, h, topology.bandwidth))

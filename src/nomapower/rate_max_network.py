@@ -18,8 +18,10 @@ proxy of every group sits at ``x[..., -1]`` and one cell's proxies are
 the (M, n_max) row ``x[i]``.  Every helper works on all subchannels (and
 cells) at once along the last axis.
 
-The closed forms rest on per-group constants that only the demands and
-the bandwidth fix.  :func:`dpc_srm` builds them once, as a
+The closed forms read power-min's demand weights w: a group needs w . x,
+and at a total q its weak users sit at their demands while the strongest
+user gets its minimum power plus alpha times the surplus q - w . x.
+:func:`dpc_srm` builds these per-group constants once, as a
 :class:`_GroupConstants`, and hands that bundle to every helper in place
 of the demands; a helper given a cell ``i`` reads the bundle's row ``i``.
 """
@@ -100,35 +102,28 @@ def power_cap(topology: NetworkTopology, q: np.ndarray, x: np.ndarray,
 class _GroupConstants:
     """The per-group constants of one set of padded (I, M, n_max) demands.
 
-    The log argument of a group is  x_strong + alpha * q - beta . x_weak
-    with  alpha = 2^(-S),  beta_j = (2^(R_j/B)-1) * 2^(-T_j),  S the total
-    weak demand and T_j its tail from user j on (all divided by B); past
-    x_strong, it is the strong user's power at the rate-optimal split.
-    ``weights`` (the :func:`~nomapower.power_min.demand_weights`) and
-    ``growth`` (2^(R_j/B)) are (I, M, n_max); ``alpha`` is (I, M); ``beta``
-    covers the n_max - 1 weak slots, 0 in padding; ``weak`` is each cell's
-    weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
+    At a total q over the required power w . x, the strongest user's
+    power is (2^(R_n/B) - 1) x_n + alpha (q - w . x), alpha = 2^(-S) with
+    S the weak demand over B.  ``weights`` (the demand weights w) and
+    ``growth`` (2^(R_j/B)) are (I, M, n_max); ``alpha`` is (I, M); ``weak``
+    is each cell's weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
     """
 
     weights: np.ndarray
     growth: np.ndarray
     alpha: np.ndarray
-    beta: np.ndarray
     weak: np.ndarray
 
     @classmethod
     def build(cls, rates: np.ndarray, bandwidth: float) -> _GroupConstants:
-        weak = rates[..., :-1] / bandwidth
-        tail = np.cumsum(weak[..., ::-1], axis=-1)[..., ::-1]
         return cls(weights=demand_weights(rates, bandwidth),
                    growth=np.exp2(rates / bandwidth),
-                   alpha=np.exp2(-weak.sum(axis=-1)),
-                   beta=(np.exp2(weak) - 1.0) * np.exp2(-tail),
+                   alpha=np.exp2(-(rates[..., :-1] / bandwidth).sum(axis=-1)),
                    weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
 
     def __getitem__(self, i: int) -> _GroupConstants:
         return _GroupConstants(self.weights[i], self.growth[i], self.alpha[i],
-                               self.beta[i], self.weak[i])
+                               self.weak[i])
 
 
 def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
@@ -138,22 +133,23 @@ def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
     with ``i`` None, of every BS at (I, M) and (I, M, n_max) arrays with
     all of ``constants``, as an (I,) array.
 
-    Each group contributes -B log2(1 + (alpha q - beta . x_weak) / x_strong),
-    the negative of its optimal rate with the proxies in place of the
-    effective interference, less the weak users' demand sum
-    ``constants.weak``.  Raises on non-positive log arguments.
+    Each group contributes -B log2(2^(R_n/B) + alpha (q - w . x) / x_n),
+    the negative of its strong user's rate on the surplus with the proxies
+    in place of the effective interference, less the weak users' demand
+    sum ``constants.weak``.  Raises on non-positive log arguments.
     """
     bw = topology.bandwidth
     c = constants if i is None else constants[i]
     strong = x[..., -1]
-    argument = strong + c.alpha * q - (c.beta * x[..., :-1]).sum(axis=-1)
-    bad = (argument <= 0.0) | (strong <= 0.0)
+    bad = strong <= 0.0
+    surplus = q - (c.weights * x).sum(axis=-1)
+    argument = c.growth[..., -1] + c.alpha * surplus / np.where(bad, 1.0, strong)
+    bad |= argument <= 0.0
     if bad.any():
         group = ((i,) if i is not None else ()) + tuple(np.argwhere(bad)[0].tolist())
         raise ValueError(f"group ({','.join(map(str, group))}): non-positive log "
                          "argument, iterate infeasible")
-    return -(bw * np.log2(argument)).sum(axis=-1) \
-        + (bw * np.log2(strong)).sum(axis=-1) - c.weak
+    return -(bw * np.log2(argument)).sum(axis=-1) - c.weak
 
 
 def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstants,
@@ -165,10 +161,10 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     need w . x both fall whenever a proxy falls, so every proxy goes to
     its lower bound ``lb``, the effective interference at the frozen
     powers.  What is left is the paper's single-cell problem: maximize
-    sum_m log(c_m + alpha_m q_m), with c = lb_strong - beta . lb_weak
+    sum_m log(offset_m + q_m), with offset = 2^(R_n/B) lb_n / alpha - w . lb
     from row ``i`` of ``constants``, over q_m in [w . lb, min(max(cap_m,
     q_warm), budget)] with the total within the budget.  Its water-filling
-    solution q_m = clip(level - c_m / alpha_m) to that box spends a total
+    solution q_m = clip(level - offset_m) to that box spends a total
     piecewise linear in the level, with knots at the 2M box ends, so one
     interpolation between the sorted knots finds the level that spends
     the budget.  The warm start (row i of ``q``, proxies ``x_i``) is
@@ -183,8 +179,8 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     # reject genuinely infeasible inputs before any numeric work; the
     # first violated subchannel is named, with its first violated family
     rel = 1e-7
-    below = (x_warm < lb * (1.0 - rel) - 1e-300).any(axis=-1)
-    short = (c.weights * x_warm).sum(axis=-1) > q_warm * (1.0 + rel) + 1e-300
+    below = (x_warm < lb * (1.0 - rel)).any(axis=-1)
+    short = (c.weights * x_warm).sum(axis=-1) > q_warm * (1.0 + rel)
     if below.any() or short.any():
         m = int(np.argmax(below | short))
         family = "interference lower bounds" if below[m] else "demand coupling"
@@ -193,10 +189,11 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
 
     hi = np.minimum(np.maximum(caps, q_warm), budget)
-    lo = np.minimum((c.weights * lb).sum(axis=-1), hi)
+    required = (c.weights * lb).sum(axis=-1)
+    lo = np.minimum(required, hi)
     q_new = hi
     if hi.sum() > budget:
-        offset = (lb[:, -1] - (c.beta * lb[:, :-1]).sum(axis=-1)) / c.alpha
+        offset = c.growth[:, -1] * lb[:, -1] / c.alpha - required
         knots = np.sort(np.concatenate([offset + lo, offset + hi]))
         totals = np.clip(knots[:, None] - offset, lo, hi).sum(axis=-1)
         q_new = np.clip(np.interp(budget, totals, knots) - offset, lo, hi)
@@ -307,17 +304,16 @@ def _validate_start(topology, constants, q, x0):
 def _assemble(constants, q, h) -> PowerAllocation:
     """Rate-optimal split of the totals ``q`` in every group at once, at
     the effective interference ``h``: :func:`~nomapower.power_min.group_split`
-    with the strong user on the surplus alpha q - beta . h_weak.  Refuses
-    totals below the required power w . h; one within rounding is raised to it."""
+    with the extra alpha (q - w . h).  Refuses totals below the required
+    power w . h; one within rounding is raised to it."""
     required = (constants.weights * h).sum(axis=-1)
     below = np.argwhere(q < required * (1.0 - 1e-9))
     if below.size:
         i, m = below[0]
         raise InfeasibleInitialPointError(
             f"group ({i},{m}) ended below its required power")
-    strong = constants.alpha * np.maximum(q, required) \
-        - (constants.beta * h[..., :-1]).sum(axis=-1)
-    return PowerAllocation(group_split(constants.growth, h, strong))
+    surplus = np.maximum(q, required) - required
+    return PowerAllocation(group_split(constants.growth, h, constants.alpha * surplus))
 
 
 def _fixed_point_headroom(topology, demands):

@@ -17,8 +17,8 @@ from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import group_rates
-from nomapower.oracle import (effective_interference, fd_hessian_psd,
-                              grid_power_min, grid_rate_max_group,
+from nomapower.oracle import (fd_hessian_psd, grid_power_min,
+                              grid_rate_max_group, interference_over_gain,
                               minimal_group_powers, optimal_single_cell_rate,
                               rate_constraint_slack, standard_function_probe)
 from nomapower.power_min import interference_map, min_power_user_allocation
@@ -160,7 +160,8 @@ def test_criterion_7_dc_monotonicity_and_equivalence():
             report = dpc_srm(top, dem, q0=q0, x0=x0)
         assert np.all(np.diff(report.trace) <= 1e-9)
         for i, m in top.groups():
-            h = effective_interference(top, report.q, i, m)
+            h = np.maximum.accumulate(
+                interference_over_gain(top, report.q, i, m)[::-1])[::-1]
             assert np.asarray(report.x[i][m]) == pytest.approx(h, rel=1e-6)
     top, dem = rate_max_single_cell()
     single = dpc_srm(top, dem)

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_demands, sample_topology
-from nomapower import (NetworkTopology, RateDemands, assemble_full_solution,
-                       dpc_spm, solve_spm)
+from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
+                       assemble_full_solution, build_demands, dpc_spm,
+                       generate_channels, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import unpad
 from nomapower.oracle import (achievable_rate, effective_interference,
@@ -403,6 +404,22 @@ class TestAssemble:
         top, dem = symmetric_two_cell()
         with pytest.raises(ValueError, match="not a fixed point"):
             assemble_full_solution(top, dem, np.array([[2.0], [2.0]]))
+
+    def test_rejects_one_group_off_by_a_thousandth_at_paper_scale(self):
+        config = ScenarioConfig()
+        top = generate_channels(config, 0)
+        dem = build_demands(config, top)
+        q_star = solve_spm(top, dem).q_star
+        assemble_full_solution(top, dem, q_star)
+        assemble_full_solution(top, dem, dpc_spm(top, dem).q_star)
+        for group in np.ndindex(q_star.shape):
+            off = q_star.copy()
+            off[group] *= 1.0 + 1e-3
+            with pytest.raises(ValueError, match="not a fixed point"):
+                assemble_full_solution(top, dem, off)
+        # solve_spm's q_star when it certifies that no fixed point exists
+        with pytest.raises(ValueError, match="not a fixed point"):
+            assemble_full_solution(top, dem, np.full_like(q_star, np.inf))
 
     def test_rates_meet_demands_exactly(self):
         rng = np.random.default_rng(16)

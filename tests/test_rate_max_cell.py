@@ -1,7 +1,8 @@
-"""The single-cell sum-rate problem: one group's rate-optimal split of a
-fixed total, as dpc_srm assembles it (weak users at their demands, the
-strong user on the surplus, by power_min.group_split), and the oracle's
-closed-form optimal rate."""
+"""The shared group split, power_min.group_split, on the single-cell
+sum-rate problem: one group's rate-optimal split of a fixed total q, as
+dpc_srm assembles it (weak users at their demands, the strongest user at
+its minimum power plus alpha times the surplus q - w . H over the
+required power), and the oracle's closed-form optimal rate."""
 
 import numpy as np
 import pytest

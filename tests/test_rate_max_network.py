@@ -11,7 +11,7 @@ from nomapower import power_min, rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import dense_interference, unpad
-from nomapower.oracle import (achievable_rate, effective_interference,
+from nomapower.oracle import (achievable_rate, interference_over_gain,
                               optimal_single_cell_rate)
 from nomapower.scenario import dbm_to_watts
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
@@ -236,7 +236,8 @@ class TestDpcSrm:
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
         report = dpc_srm(top, dem)
         for i, m in top.groups():
-            h = effective_interference(top, report.q, i, m)
+            h = np.maximum.accumulate(
+                interference_over_gain(top, report.q, i, m)[::-1])[::-1]
             assert np.asarray(report.x[i][m]) == pytest.approx(h, rel=1e-6)
 
     def test_objective_equals_negative_closed_form_rate_at_tight_proxies(self):
@@ -405,7 +406,8 @@ class TestDpcSrm:
             scale = float(top.budgets.max())
             assert np.all(report.q.sum(axis=1) <= top.budgets + 1e-7 * scale)
             for i, m in top.groups():
-                h = effective_interference(top, report.q, i, m)
+                h = np.maximum.accumulate(
+                    interference_over_gain(top, report.q, i, m)[::-1])[::-1]
                 x = np.asarray(report.x[i][m])
                 assert np.all(x >= h * (1 - 1e-7))
                 w = demand_weights(dem.rates[i][m], top.bandwidth)
