@@ -1,18 +1,20 @@
 """Independent brute-force and numerical validators.
 
-Everything here deliberately avoids the closed forms and fixed-point
-machinery of the solver modules: group feasibility and the required
-power are decided by solving the tight rate constraints as a plain
-linear system, optima are located by exhaustive grid search, and
-curvature is probed with finite differences.  Instances are bounded at
-entry because the searches are combinatorial.  Per-group companions of
-the closed forms and the padded arrays live here too, for validation
-only: one group's interference, rates and optimal sum rate, a direct sum
-of per-user rates and the slack of the rate constraints.  The beta form
-of the strongest user's power lives only in :func:`_strong_power`; one
-solver closed form is shared on purpose: :func:`boundary_allocation_matches_minimum`
-checks that :func:`~nomapower.power_min.group_split` given that power
-reproduces the minimum-power split at the required power.
+Everything here deliberately avoids the closed forms, the interference
+map and the fixed-point machinery of the solver modules: group
+feasibility and the required power are decided by solving the tight rate
+constraints as a plain linear system, the effective interference and the
+rates come from explicit loops over the gains (:func:`interference_over_gain`,
+:func:`rate_via_decoding_chain`), optima are located by exhaustive grid
+search, and curvature is probed with finite differences.  Instances are
+bounded at entry because the searches are combinatorial.  Per-group
+companions of the closed forms live here too, for validation only: one
+group's optimal sum rate and the slack of its rate constraints.  The
+beta form of the strongest user's power lives only in
+:func:`_strong_power`; one solver closed form is shared on purpose:
+:func:`boundary_allocation_matches_minimum` checks that
+:func:`~nomapower.power_min.group_split` given that power reproduces the
+minimum-power split at the required power.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates, suffix_sums, unpad)
+                      suffix_sums, unpad)
 from .power_min import group_split, min_power_user_allocation
 
 
@@ -80,24 +82,6 @@ def minimal_group_powers(demands: np.ndarray, h_points: np.ndarray,
     return (coef * np.atleast_2d(h_points)) @ t_inv.T
 
 
-def effective_interference(topology: NetworkTopology, q: np.ndarray,
-                           i: int, m: int, j: int | None = None):
-    """Effective interference of user ``j`` of group (i, m), or of the
-    whole group when ``j`` is None: one group of
-    :func:`~nomapower.network.dense_interference`.
-    """
-    h = unpad(dense_interference(topology, q), topology.occupied)[i][m]
-    return h if j is None else h[j]
-
-
-def achievable_rate(topology: NetworkTopology, allocation: PowerAllocation,
-                    q: np.ndarray, i: int, m: int, j: int | None = None):
-    """Achievable rate (bit/s) of group (i, m) users under SIC decoding."""
-    rates = group_rates(unpad(allocation.powers, topology.occupied)[i][m],
-                        effective_interference(topology, q, i, m), topology.bandwidth)
-    return rates if j is None else rates[j]
-
-
 def optimal_single_cell_rate(demands: np.ndarray, h: np.ndarray, q_im,
                              bandwidth: float):
     """Closed-form optimal sum rate (bit/s) of one group, or an array of
@@ -136,11 +120,6 @@ def boundary_allocation_matches_minimum(demands: np.ndarray, h: np.ndarray,
     p_rate = group_split(growth, h, strong - (growth[-1] - 1.0) * h[-1])
     p_min = min_power_user_allocation(demands, h, bandwidth)
     return bool(np.allclose(p_rate, p_min, rtol=rtol, atol=0.0))
-
-
-def group_sum_rate(p: np.ndarray, h: np.ndarray, bandwidth: float) -> float:
-    """Direct sum of per-user rates; validation companion to the closed form."""
-    return float(group_rates(p, h, bandwidth).sum())
 
 
 def rate_constraint_slack(p: np.ndarray, h: np.ndarray, demands: np.ndarray,
@@ -200,7 +179,8 @@ def rate_via_decoding_chain(topology: NetworkTopology, allocation: PowerAllocati
                             q: np.ndarray, i: int, m: int) -> np.ndarray:
     """Rates of group (i, m) as the explicit minimum over decoding users l >= j.
 
-    Algebraically identical to :func:`achievable_rate`.
+    Algebraically identical to :func:`~nomapower.network.dense_rates`,
+    which takes the same minimum through the padded effective interference.
     """
     p = unpad(allocation.powers, topology.occupied)[i][m]
     ratio = interference_over_gain(topology, np.asarray(q, dtype=float), i, m)

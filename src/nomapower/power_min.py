@@ -10,6 +10,10 @@ fixed-point sweep (:func:`dpc_spm`) converges to the component-wise
 minimal solution whenever one exists.  :func:`solve_spm` reaches the same
 point exactly in a few small linear solves and certifies when there is
 none.
+
+Both problems read their per-group constants from one place,
+:class:`_GroupConstants`: 2^(R/B), the demand weights built from it, and
+rate maximization's alpha and weak-demand sums.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, normalized_interference)
 
-# dpc_spm also needs the relative sum-power change to fall to REL_TOL.
+# dpc_spm stops once sum |q - f(q)| is at most REL_TOL times the sum power.
 # assemble_full_solution rejects a q_star with max |q - f(q)| above
 # RESIDUAL_TOL times its sum power: solve_spm's is below 1e-15, dpc_spm's at
 # most 1.6e-10, and 1e-3 off in a drop's smallest group at least 4e-8 (7 x 4)
@@ -58,9 +62,44 @@ def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     axis; a front-padded slot with zero demand gets weight 0.
     """
     r = np.asarray(demands, dtype=float) / bandwidth
+    return _weights(r, np.exp2(r))
+
+
+def _weights(r, growth):
+    """Demand weights from the demands over B, ``r``, and 2^r, ``growth``."""
     before = np.zeros_like(r)
     before[..., 1:] = np.cumsum(r, axis=-1)[..., :-1]
-    return (np.exp2(r) - 1.0) * np.exp2(before)
+    return (growth - 1.0) * np.exp2(before)
+
+
+@dataclass(frozen=True)
+class _GroupConstants:
+    """The per-group constants of one set of padded (I, M, n_max) demands.
+
+    ``growth`` is 2^(R_j/B) and ``weights`` the demand weights w, both
+    (I, M, n_max): a group needs w . x at the effective interference x,
+    and its split of that total is :func:`group_split` on ``growth``.  At
+    a total q above it the strongest user gets alpha (q - w . x) more,
+    alpha = 2^(-S) with S the weak demand over B, (I, M); ``weak`` is each
+    cell's weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
+    """
+
+    weights: np.ndarray
+    growth: np.ndarray
+    alpha: np.ndarray
+    weak: np.ndarray
+
+    @classmethod
+    def build(cls, rates: np.ndarray, bandwidth: float) -> _GroupConstants:
+        r = rates / bandwidth
+        growth = np.exp2(r)
+        return cls(weights=_weights(r, growth), growth=growth,
+                   alpha=np.exp2(-r[..., :-1].sum(axis=-1)),
+                   weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
+
+    def __getitem__(self, i: int) -> _GroupConstants:
+        return _GroupConstants(self.weights[i], self.growth[i], self.alpha[i],
+                               self.weak[i])
 
 
 def group_split(growth: np.ndarray, h: np.ndarray, extra=0.0) -> np.ndarray:
@@ -90,8 +129,8 @@ def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
     """Closed-form minimum-power split: :func:`group_split` with every
     user, the strongest too, exactly at its demand, so all powers are
     strictly positive; padded arrays split as there."""
-    growth = np.exp2(np.asarray(demands, dtype=float) / bandwidth)
-    return group_split(growth, h)
+    rates = np.asarray(demands, dtype=float)
+    return group_split(_GroupConstants.build(rates, bandwidth).growth, h)
 
 
 def interference_map(topology: NetworkTopology, demands: RateDemands,
@@ -112,7 +151,7 @@ def _reduced_map(topology, weights, q):
 
 
 def dpc_spm(topology: NetworkTopology, demands: RateDemands,
-            q0: np.ndarray | None = None, tol: float = 1e-8,
+            q0: np.ndarray | None = None,
             max_iter: int = 10_000) -> FixedPointReport:
     """Distributed power control for sum-power minimization.
 
@@ -120,15 +159,14 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
     place, cell by cell in ascending order, each cell updating its whole
     row q[i, :] at once.  That is exactly the ascending (cell,
     subchannel) order: f_im reads only q[k, m] for k != i, so no entry of
-    row i feeds another entry of row i.  Stops once the largest element
-    change is <= ``tol`` and the relative sum-power change is <=
-    ``REL_TOL``, or after ``max_iter`` sweeps.
+    row i feeds another entry of row i.  Stops once sum |q - f(q)| is at
+    most ``REL_TOL`` times the sum power, or after ``max_iter`` sweeps.
 
     Non-convergence is reported, not raised: it indicates the demands are
     likely infeasible at any power level.
     """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be > 0 and max_iter >= 1")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     if q0 is None:
         q = np.repeat(topology.budgets[:, None] / topology.num_subchannels,
                       topology.num_subchannels, axis=1)
@@ -158,10 +196,9 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             break
         # the stopping rule reads the residual |q - f(q)|, so a fixed point
         # is confirmed without a further sweep
-        mapped = _reduced_map(topology, weights, q)
-        residual = float(np.max(np.abs(q - mapped)))
-        rel_change = abs(q.sum() - mapped.sum()) / max(q.sum(), 1e-300)
-        if residual <= tol and rel_change <= REL_TOL:
+        gap = np.abs(q - _reduced_map(topology, weights, q))
+        residual = float(np.max(gap))
+        if gap.sum() <= REL_TOL * q.sum():
             converged = True
             break
 
@@ -246,12 +283,12 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
     by more than ``RESIDUAL_TOL`` times its sum power.
     """
-    rates = demands.padded_for(topology)
+    constants = _GroupConstants.build(demands.padded_for(topology), topology.bandwidth)
     h = dense_interference(topology, q_star)
-    f = (demand_weights(rates, topology.bandwidth) * h).sum(axis=-1)
+    f = (constants.weights * h).sum(axis=-1)
     residual = float(np.max(np.abs(q_star - f)))
     bound = RESIDUAL_TOL * float(np.sum(q_star))
     if not residual <= bound:
         raise ValueError(
             f"q_star is not a fixed point (residual {residual:.3e} W > {bound:.1e} W)")
-    return PowerAllocation(min_power_user_allocation(rates, h, topology.bandwidth))
+    return PowerAllocation(group_split(constants.growth, h))

@@ -21,9 +21,10 @@ cells) at once along the last axis.
 The closed forms read power-min's demand weights w: a group needs w . x,
 and at a total q its weak users sit at their demands while the strongest
 user gets its minimum power plus alpha times the surplus q - w . x.
-:func:`dpc_srm` builds these per-group constants once, as a
-:class:`_GroupConstants`, and hands that bundle to every helper in place
-of the demands; a helper given a cell ``i`` reads the bundle's row ``i``.
+:func:`dpc_srm` builds these per-group constants once, as power-min's
+:class:`~nomapower.power_min._GroupConstants`, and hands that bundle to
+every helper in place of the demands; a helper given a cell ``i`` reads
+the bundle's row ``i``.  No constant is derived here.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates, normalized_interference)
-from .power_min import _reduced_map, demand_weights, group_split, solve_spm
+from .power_min import _GroupConstants, _reduced_map, group_split, solve_spm
 
 
 class InfeasibleInitialPointError(ValueError):
@@ -96,34 +97,6 @@ def power_cap(topology: NetworkTopology, q: np.ndarray, x: np.ndarray,
     slack = np.full_like(z, np.inf)
     np.divide(floor - z, ratio, out=slack, where=ratio > 0.0)
     return q[i] + slack.min(axis=(0, 2))
-
-
-@dataclass(frozen=True)
-class _GroupConstants:
-    """The per-group constants of one set of padded (I, M, n_max) demands.
-
-    At a total q over the required power w . x, the strongest user's
-    power is (2^(R_n/B) - 1) x_n + alpha (q - w . x), alpha = 2^(-S) with
-    S the weak demand over B.  ``weights`` (the demand weights w) and
-    ``growth`` (2^(R_j/B)) are (I, M, n_max); ``alpha`` is (I, M); ``weak``
-    is each cell's weak-demand sum, (I,).  ``constants[i]`` is cell i's row.
-    """
-
-    weights: np.ndarray
-    growth: np.ndarray
-    alpha: np.ndarray
-    weak: np.ndarray
-
-    @classmethod
-    def build(cls, rates: np.ndarray, bandwidth: float) -> _GroupConstants:
-        return cls(weights=demand_weights(rates, bandwidth),
-                   growth=np.exp2(rates / bandwidth),
-                   alpha=np.exp2(-(rates[..., :-1] / bandwidth).sum(axis=-1)),
-                   weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
-
-    def __getitem__(self, i: int) -> _GroupConstants:
-        return _GroupConstants(self.weights[i], self.growth[i], self.alpha[i],
-                               self.weak[i])
 
 
 def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
@@ -339,7 +312,7 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     when the demands admit no allocation within the budgets.
     """
     fixed_point, headroom = _fixed_point_headroom(topology, demands)
-    w = demand_weights(demands.rates, topology.bandwidth)
+    w = _GroupConstants.build(demands.rates, topology.bandwidth).weights
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
     q = fixed_point * factors[:, None]
     for _ in range(100):

@@ -9,10 +9,9 @@ from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
                        assemble_full_solution, dpc_srm, network, scenario,
                        solve_spm)
-from nomapower.network import (dense_interference, front_pad, group_rates,
-                               suffix_sums, unpad)
-from nomapower.oracle import (achievable_rate, effective_interference,
-                              rate_constraint_slack, rate_via_decoding_chain)
+from nomapower.network import (dense_interference, dense_rates, front_pad,
+                               group_rates, suffix_sums, unpad)
+from nomapower.oracle import rate_constraint_slack, rate_via_decoding_chain
 from nomapower.power_min import interference_map
 
 
@@ -28,34 +27,28 @@ class TestEffectiveInterference:
     def test_two_cell_worked_values(self):
         top = two_cell_example()
         q = np.array([[0.0], [1.0]])
-        h = effective_interference(top, q, 0, 0)
+        h = dense_interference(top, q)[0, 0]
         assert h == pytest.approx([0.4, 0.3], abs=1e-15)
-        assert effective_interference(top, q, 0, 0, j=0) == pytest.approx(0.4)
 
     def test_zero_other_power_leaves_noise_only(self):
         top = two_cell_example()
         q = np.zeros((2, 1))
-        assert effective_interference(top, q, 0, 0) == pytest.approx([0.2, 0.1])
+        assert dense_interference(top, q)[0, 0] == pytest.approx([0.2, 0.1])
 
     def test_single_cell_is_independent_of_q(self):
         g = np.array([[0.5, 1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
                               budgets=np.array([5.0]), gains=((g,),))
         for qv in (0.0, 1.0, 7.5):
-            h = effective_interference(top, np.array([[qv]]), 0, 0)
+            h = dense_interference(top, np.array([[qv]]))[0, 0]
             assert h == pytest.approx([0.2, 0.1])
-
-    def test_unknown_group_raises(self):
-        top = two_cell_example()
-        with pytest.raises(IndexError):
-            effective_interference(top, np.zeros((2, 1)), 2, 0)
 
     def test_non_increasing_along_sorted_users(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
             top = sample_topology(rng, num_cells=2, users=(2, 5))
             q = rng.uniform(0.0, 2.0, size=(2, 1))
-            h = effective_interference(top, q, 0, 0)
+            h = unpad(dense_interference(top, q), top.occupied)[0][0]
             assert np.all(np.diff(h) <= 1e-15)
 
     def test_monotone_and_scalable_in_q(self):
@@ -65,11 +58,9 @@ class TestEffectiveInterference:
             q1 = rng.uniform(0.0, 2.0, size=(3, 2))
             q2 = q1 * rng.uniform(0.0, 1.0, size=(3, 2))
             lam = rng.uniform(1.0 + 1e-9, 10.0)
-            for i, m in top.groups():
-                h1 = effective_interference(top, q1, i, m)
-                h2 = effective_interference(top, q2, i, m)
-                assert np.all(h1 >= h2)
-                assert np.all(lam * h1 > effective_interference(top, lam * q1, i, m))
+            h1 = dense_interference(top, q1)
+            assert np.all(h1 >= dense_interference(top, q2))
+            assert np.all(lam * h1 > dense_interference(top, lam * q1))
 
 
 class TestAchievableRate:
@@ -79,7 +70,7 @@ class TestAchievableRate:
                               budgets=np.array([5.0]), gains=((g,),))
         alloc = PowerAllocation(((np.array([1.0]),),))
         q = np.array([[1.0]])
-        assert achievable_rate(top, alloc, q, 0, 0) == pytest.approx([1.0])
+        assert dense_rates(top, alloc, q)[0, 0] == pytest.approx([1.0])
 
     def test_two_user_worked_values(self):
         # H = (3, 1) via own gains (1, 3) at noise 3
@@ -87,7 +78,7 @@ class TestAchievableRate:
         top = NetworkTopology(bandwidth=1.0, noise_power=3.0,
                               budgets=np.array([10.0]), gains=((g,),))
         alloc = PowerAllocation(((np.array([4.0, 1.0]),),))
-        rates = achievable_rate(top, alloc, np.array([[5.0]]), 0, 0)
+        rates = dense_rates(top, alloc, np.array([[5.0]]))[0, 0]
         assert rates == pytest.approx([1.0, 1.0])
 
     def test_zero_power_means_zero_rate(self):
@@ -107,10 +98,10 @@ class TestAchievableRate:
             p = [[rng.uniform(0.05, 2.0, size=top.occupied[i, 0].sum())
                   for _ in range(1)] for i in range(2)]
             alloc = PowerAllocation(tuple(tuple(row) for row in p))
+            direct = unpad(dense_rates(top, alloc, q), top.occupied)
             for i in range(2):
-                direct = achievable_rate(top, alloc, q, i, 0)
                 chained = rate_via_decoding_chain(top, alloc, q, i, 0)
-                assert direct == pytest.approx(chained, rel=1e-12)
+                assert direct[i][0] == pytest.approx(chained, rel=1e-12)
 
 
 class TestRateConstraint:

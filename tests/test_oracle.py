@@ -4,16 +4,16 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import NetworkTopology, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
-from nomapower.network import group_rates, unpad
-from nomapower.oracle import (OracleInfeasibleError, effective_interference,
-                              fd_hessian_psd, grid_budget_split,
-                              grid_power_min, grid_rate_max_group,
-                              minimal_group_powers, optimal_single_cell_rate,
+from nomapower.network import dense_interference, group_rates, unpad
+from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
+                              grid_budget_split, grid_power_min,
+                              grid_rate_max_group, minimal_group_powers,
+                              optimal_single_cell_rate,
                               reference_interference_map,
                               standard_function_probe)
-from nomapower.power_min import interference_map, min_power_user_allocation
-from nomapower.rate_max_network import (_GroupConstants, power_cap,
-                                        solve_convex_subproblem)
+from nomapower.power_min import (_GroupConstants, interference_map,
+                                 min_power_user_allocation)
+from nomapower.rate_max_network import power_cap, solve_convex_subproblem
 
 
 class TestReferenceInterferenceMap:
@@ -172,10 +172,12 @@ class TestGridBudgetSplit:
                     top, _GroupConstants.build(dem.rates, top.bandwidth), i,
                     x0[i], caps, budget, q0)
                 grid = grid_budget_split(top, dem, i, caps, budget, q0)
+                # the exact bits the step stores as its proxies
+                h = dense_interference(top, q0)
                 rate = 0.0
                 for m in range(M):
                     users = top.occupied[i, m]
-                    lb = effective_interference(top, q0, i, m)
+                    lb = h[i, m, users]
                     rate += optimal_single_cell_rate(dem.rates[i, m, users], lb,
                                                      step.q_i[m], top.bandwidth)
                     if step.improved:

@@ -9,10 +9,10 @@ from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
                        generate_channels, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import unpad
-from nomapower.oracle import (achievable_rate, effective_interference,
-                              interference_over_gain, rate_constraint_slack,
+from nomapower.oracle import (interference_over_gain, rate_constraint_slack,
+                              rate_via_decoding_chain,
                               reference_interference_map)
-from nomapower.power_min import (demand_weights, interference_map,
+from nomapower.power_min import (REL_TOL, demand_weights, interference_map,
                                  min_power_user_allocation)
 
 
@@ -86,7 +86,8 @@ class TestInterferenceMap:
             f = interference_map(top, dem, q)
             rates = unpad(dem.rates, top.occupied)
             for i, m in top.groups():
-                h = effective_interference(top, q, i, m)
+                h = np.maximum.accumulate(
+                    interference_over_gain(top, q, i, m)[::-1])[::-1]
                 p = min_power_user_allocation(rates[i][m], h, top.bandwidth)
                 assert f[i, m] == pytest.approx(p.sum(), rel=1e-12)
 
@@ -125,10 +126,12 @@ class TestFixedPoint:
 
     def test_starting_points_agree(self):
         top, dem = symmetric_two_cell()
-        tol = 1e-8
-        from_zero = dpc_spm(top, dem, q0=np.zeros((2, 1)), tol=tol)
-        from_budget = dpc_spm(top, dem, tol=tol)
-        assert np.max(np.abs(from_zero.q_star - from_budget.q_star)) <= 2 * tol
+        from_zero = dpc_spm(top, dem, q0=np.zeros((2, 1)))
+        from_budget = dpc_spm(top, dem)
+        # each run stops at sum |q - f(q)| <= REL_TOL * sum q, so it is off
+        # q* by at most ||(I - A)^-1||_1 = 2.5 times that (A = [[0, .6], [.6, 0]])
+        gap = np.abs(from_zero.q_star - from_budget.q_star).sum()
+        assert gap <= 5 * REL_TOL * from_budget.q_star.sum()
 
     def test_trace_from_zero_is_non_decreasing(self):
         rng = np.random.default_rng(14)
@@ -180,12 +183,12 @@ class TestFixedPoint:
     def test_validates_arguments(self):
         top, dem = symmetric_two_cell()
         with pytest.raises(ValueError):
-            dpc_spm(top, dem, tol=0.0)
+            dpc_spm(top, dem, max_iter=0)
         with pytest.raises(ValueError):
             dpc_spm(top, dem, q0=np.full((2, 1), -1.0))
 
 
-def per_group_dpc_spm(top, dem, tol=1e-8, rel_tol=1e-10, max_iter=10_000):
+def per_group_dpc_spm(top, dem, max_iter=10_000):
     """dpc_spm's Gauss-Seidel iteration and stopping rule, one (i, m) group
     at a time."""
     rates = unpad(dem.rates, top.occupied)
@@ -204,8 +207,7 @@ def per_group_dpc_spm(top, dem, tol=1e-8, rel_tol=1e-10, max_iter=10_000):
         if not np.all(np.isfinite(q)) or q.max() > 1e9 * top.budgets.max():
             break
         mapped = reference_interference_map(top, dem, q)
-        if (np.max(np.abs(q - mapped)) <= tol
-                and abs(q.sum() - mapped.sum()) / q.sum() <= rel_tol):
+        if np.abs(q - mapped).sum() <= REL_TOL * q.sum():
             converged = True
             break
     return q, iterations, converged
@@ -253,7 +255,8 @@ class TestSolveSpm:
             assert exact.feasible == reference.feasible
             np.testing.assert_array_equal(exact.budget_feasible,
                                           reference.budget_feasible)
-            # dpc_spm stops at a residual of 1e-8, up to (I - A)^-1 * 1e-8 from q*
+            # dpc_spm stops at sum |q - f(q)| <= REL_TOL * sum q, up to
+            # (I - A)^-1 times that from q*
             np.testing.assert_allclose(exact.q_star, reference.q_star,
                                        rtol=1e-7, atol=0.0)
         assert outcomes == {(True, True), (True, False), (False, False)}
@@ -431,5 +434,5 @@ class TestAssemble:
             alloc = assemble_full_solution(top, dem, report.q_star)
             wanted = unpad(dem.rates, top.occupied)
             for i, m in top.groups():
-                rates = achievable_rate(top, alloc, report.q_star, i, m)
+                rates = rate_via_decoding_chain(top, alloc, report.q_star, i, m)
                 assert rates == pytest.approx(wanted[i][m], rel=1e-9)

@@ -2,7 +2,8 @@
 sum-rate problem: one group's rate-optimal split of a fixed total q, as
 dpc_srm assembles it (weak users at their demands, the strongest user at
 its minimum power plus alpha times the surplus q - w . H over the
-required power), and the oracle's closed-form optimal rate."""
+required power), the constants it reads (power_min._GroupConstants), and
+the oracle's closed-form optimal rate."""
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from hypothesis import strategies as st
 from conftest import sample_group
 from nomapower.network import front_pad, group_rates
 from nomapower.oracle import (OracleInfeasibleError,
-                              boundary_allocation_matches_minimum, group_sum_rate,
+                              boundary_allocation_matches_minimum,
                               minimal_group_powers, optimal_single_cell_rate)
-from nomapower.power_min import demand_weights, min_power_user_allocation
-from nomapower.rate_max_network import (InfeasibleInitialPointError,
-                                        _GroupConstants, _assemble)
+from nomapower.power_min import (_GroupConstants, demand_weights,
+                                 min_power_user_allocation)
+from nomapower.rate_max_network import InfeasibleInitialPointError, _assemble
 
 R2 = np.array([1.0, 1.0])
 H2 = np.array([2.0, 1.0])
@@ -150,6 +151,22 @@ class TestPaddedGroups:
                 assert not p[i, m, :4 - n].any()
 
 
+class TestGroupConstants:
+    """The one place the constants are derived: its demand weights and
+    2^(R/B) are power_min's own, bit for bit."""
+
+    def test_weights_and_growth_equal_the_direct_formulas(self):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            bandwidth = float(rng.uniform(0.5, 2.0))
+            sizes = rng.integers(1, 5, size=(3, 2))       # ragged, 1-4 users
+            rates = front_pad([[rng.uniform(0.2, 1.2, size=n) for n in row]
+                               for row in sizes])[0]
+            constants = _GroupConstants.build(rates, bandwidth)
+            assert np.array_equal(constants.weights, demand_weights(rates, bandwidth))
+            assert np.array_equal(constants.growth, np.exp2(rates / bandwidth))
+
+
 class TestOptimalRate:
     def test_two_user_value(self):
         rate = optimal_single_cell_rate(R2, H2, 10.0, 1.0)
@@ -175,7 +192,7 @@ class TestOptimalRate:
             q = minimal_group_powers(demands, h, bw).sum() * rng.uniform(1.0, 5.0)
             closed = optimal_single_cell_rate(demands, h, q, bw)
             p = rate_max_split(demands, h, q, bw)
-            assert closed == pytest.approx(group_sum_rate(p, h, bw), rel=1e-12)
+            assert closed == pytest.approx(group_rates(p, h, bw).sum(), rel=1e-12)
 
     def test_increasing_and_concave_in_power(self):
         rng = np.random.default_rng(25)

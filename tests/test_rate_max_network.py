@@ -11,12 +11,12 @@ from nomapower import power_min, rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import dense_interference, unpad
-from nomapower.oracle import (achievable_rate, interference_over_gain,
-                              optimal_single_cell_rate)
+from nomapower.oracle import (interference_over_gain, optimal_single_cell_rate,
+                              rate_via_decoding_chain)
 from nomapower.scenario import dbm_to_watts
+from nomapower.power_min import _GroupConstants
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
-                                        InfeasibleSubproblemError,
-                                        _GroupConstants, _assemble,
+                                        InfeasibleSubproblemError, _assemble,
                                         cell_objective, power_cap,
                                         solve_convex_subproblem)
 
@@ -262,8 +262,8 @@ class TestDpcSrm:
     def test_sum_rate_matches_per_user_rates(self):
         top, dem = symmetric_two_cell()
         report = dpc_srm(top, dem)
-        direct = sum(float(np.sum(achievable_rate(top, report.allocation,
-                                                  report.q, i, m)))
+        direct = sum(float(np.sum(rate_via_decoding_chain(top, report.allocation,
+                                                          report.q, i, m)))
                      for i, m in top.groups())
         assert report.sum_rate == pytest.approx(direct, rel=1e-9)
 
@@ -342,16 +342,17 @@ class TestDpcSrm:
 
         monkeypatch.setattr(_GroupConstants, "build",
                             staticmethod(counted("build", build)))
-        # every module that bound demand_weights by name counts as well
+        # every module that bound demand_weights by name counts as well;
+        # rate_max_network binds none, reading the weights from the bundle
         bound = [module for name, module in sys.modules.items()
                  if name.split(".")[0] == "nomapower"
                  and getattr(module, "demand_weights", None) is weights]
-        assert rate_max_network in bound
+        assert power_min in bound and rate_max_network not in bound
         for module in bound:
             monkeypatch.setattr(module, "demand_weights", counted("weights", weights))
         report = dpc_srm(top, dem, q0=q0, x0=x0)
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
-        assert calls == ["build", "weights"]
+        assert calls == ["build"]
 
     def test_caps_rounded_below_the_start_do_not_stop_the_loop(self):
         # on this paper-size drop a power_cap that cancels received powers
@@ -392,8 +393,10 @@ class TestDpcSrm:
         np.testing.assert_allclose(report.allocation.cell_powers(), report.q,
                                    rtol=1e-6, atol=0)
         for i, m in top.groups():
-            rates = achievable_rate(top, report.allocation, report.q, i, m)
-            assert np.all(rates >= 0.4 * (1 - 1e-9))
+            rates = rate_via_decoding_chain(top, report.allocation, report.q, i, m)
+            # weak users exactly at their demand, the strongest at or above it
+            assert rates[:-1] == pytest.approx(np.full(rates.size - 1, 0.4), rel=1e-9)
+            assert rates[-1] >= 0.4 * (1 - 1e-9)
 
     def test_final_point_satisfies_every_constraint(self):
         rng = np.random.default_rng(39)
