@@ -122,12 +122,13 @@ class NetworkTopology:
                 raise ValueError("padded gains must be (num_cells, num_subchannels,"
                                  " num_cells, n_max)")
             n_max = gains.shape[-1]
-            users = (gains[cells, :, cells] > 0).sum(axis=-1, keepdims=True)
-            occupied = np.arange(n_max) >= n_max - users
+            own = gains[cells, :, cells]                    # (I, M, n_max)
+            occupied = np.arange(n_max) >= n_max - (own > 0).sum(axis=-1, keepdims=True)
         else:
             if len(gains) != num_cells:
                 raise ValueError("gains must hold one row of groups per cell")
             gains, occupied = front_pad(gains, lead=(num_cells,))
+            own = gains[cells, :, cells]
 
         per_slot = gains.swapaxes(2, 3)                 # gains, BS last
         shape = occupied.shape
@@ -151,11 +152,13 @@ class NetworkTopology:
                              " like the gains")
         ids = np.where(occupied, np.asarray(ids, dtype=int), 0)
 
-        own = per_slot[cells, :, :, cells]                  # (I, M, n_max)
-        own_bad = (occupied & ~(own > 0)).any(axis=-1)
-        pad_bad = (~occupied[..., None] & (per_slot != 0)).any(axis=(2, 3))
-        bad = own_bad | pad_bad | ~(per_slot >= 0).all(axis=(2, 3))
-        if bad.any():
+        # one masked pass: a user's gains are >= 0, a padded slot's are 0,
+        # and the users are the slots with a positive own gain; NaN fails
+        checked = np.where(occupied[..., None], per_slot, -np.abs(per_slot))
+        if not ((checked >= 0).all() and ((own > 0) == occupied).all()):
+            own_bad = (occupied & ~(own > 0)).any(axis=-1)
+            pad_bad = (~occupied[..., None] & (per_slot != 0)).any(axis=(2, 3))
+            bad = own_bad | pad_bad | ~(per_slot >= 0).all(axis=(2, 3))
             i, m = np.argwhere(bad)[0]
             rule = ("own gains must be > 0" if own_bad[i, m] else
                     "padding must come first and hold zero gains" if pad_bad[i, m]

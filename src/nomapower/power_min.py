@@ -11,9 +11,9 @@ minimal solution whenever one exists.  :func:`solve_spm` reaches the same
 point exactly in a few small linear solves and certifies when there is
 none.
 
-Both problems read their per-group constants from one place,
-:class:`_GroupConstants`: 2^(R/B), the demand weights built from it, and
-rate maximization's alpha and weak-demand sums.
+Both problems derive a group's 2^(R/B) and its demand weights here, with
+one formula (:func:`_weights`); :class:`_GroupConstants` bundles them
+with rate maximization's alpha and weak-demand sums.
 """
 
 from __future__ import annotations
@@ -235,39 +235,43 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     num_cells, _, n_max = noise.shape
-    later = np.triu(np.ones((n_max, n_max), dtype=bool))    # [j, l]: l >= j
+    slots = np.arange(n_max)
+    later = slots[:, None] <= slots             # [j, l]: l >= j
     identity = np.eye(num_cells)
     q = np.zeros((num_cells, topology.num_subchannels))
+    z = noise                                   # normalized_interference at q = 0
     choice = None
     trace = []
     converged = False
     while True:
-        z = normalized_interference(topology, q)
-        decoder = np.argmax(np.where(later, z[..., None, :], -np.inf), axis=-1)
-        if choice is not None and np.array_equal(decoder, choice):
+        decoder = np.where(later, z[..., None, :], -np.inf).argmax(axis=-1)
+        if choice is not None and (decoder == choice).all():
             converged = True
             break
         if len(trace) == max_iter:
             break
         choice = decoder
         # the demand weight each decoding user carries under this choice
-        load = np.einsum("imj,imjl->iml", weights,
-                         choice[..., None] == np.arange(n_max))
+        load = np.einsum("imj,imjl->iml", weights, choice[..., None] == slots)
         a = np.einsum("iml,imlk->mik", load, ratio)
         b = np.einsum("iml,iml->mi", load, noise)
         try:
             q = np.linalg.solve(identity - a, b[..., None])[..., 0].T
         except np.linalg.LinAlgError:      # I - A singular: radius >= 1 too
             q = np.full_like(q, np.inf)
-        if not np.all(np.isfinite(q) & ((q > 0.0) | (b.T == 0.0))):
+        if not (np.isfinite(q) & ((q > 0.0) | (b.T == 0.0))).all():
             q = np.full_like(q, np.inf)
         trace.append(q.sum())
         if np.isinf(trace[-1]):
             break
+        z = normalized_interference(topology, q)
 
     residual = np.inf
-    if np.all(np.isfinite(q)):
-        residual = float(np.max(np.abs(q - _reduced_map(topology, weights, q))))
+    if np.isfinite(q).all():
+        # f(q) at the z that tested the last choice: each user's effective
+        # interference is z at its decoding user
+        h = np.take_along_axis(z, decoder, axis=-1)
+        residual = float(np.abs(q - (weights * h).sum(axis=-1)).max())
     budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
                             budget_feasible=budget_ok, converged=converged,
@@ -283,12 +287,13 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
     by more than ``RESIDUAL_TOL`` times its sum power.
     """
-    constants = _GroupConstants.build(demands.padded_for(topology), topology.bandwidth)
+    r = demands.padded_for(topology) / topology.bandwidth
+    growth = np.exp2(r)
     h = dense_interference(topology, q_star)
-    f = (constants.weights * h).sum(axis=-1)
+    f = (_weights(r, growth) * h).sum(axis=-1)
     residual = float(np.max(np.abs(q_star - f)))
     bound = RESIDUAL_TOL * float(np.sum(q_star))
     if not residual <= bound:
         raise ValueError(
             f"q_star is not a fixed point (residual {residual:.3e} W > {bound:.1e} W)")
-    return PowerAllocation(group_split(constants.growth, h))
+    return PowerAllocation(group_split(growth, h))

@@ -294,12 +294,13 @@ def _drop_users(rng, sites, count, config):
     state a one-user-at-a-time loop gives: one lookahead block of offsets
     is tested against every site, each site takes its first ``count`` hits
     after the row where the previous site stopped, and the generator is
-    then rewound and advanced by exactly the rows used.  The block grows
-    while a site is short.  A user that needs more than ``_MAX_DRAWS``
-    draws raises RuntimeError.
+    then moved back to just past the rows used.  The block grows while a
+    site is short.  A user that needs more than ``_MAX_DRAWS`` draws
+    raises RuntimeError.  The rewind counts two 64-bit draws per row: on
+    PCG64, numpy's default generator, ``uniform`` takes one 64-bit draw
+    per double.
     """
     radius = config.radius
-    start = rng.bit_generator.state
     # 1.5 rows per user: the default ring takes about 1.27, so the block
     # seldom has to grow
     size = math.ceil(1.5 * count * len(sites))
@@ -322,15 +323,17 @@ def _drop_users(rng, sites, count, config):
             offsets = np.concatenate([offsets, more])
             hit = np.concatenate([hit, _hits(sites, more, config)], axis=1)
         rows.append(taken)
-        first = taken[-1] + 1
-    rng.bit_generator.state = start
-    rng.uniform(-radius, radius, size=(first, 2))
+        first = int(taken[-1]) + 1
+    rng.bit_generator.advance(2 * (first - len(offsets)))
     return (sites[:, None, :] + offsets[np.array(rows)]).reshape(-1, 2)
 
 
 def _hits(sites, offsets, config):
     """(sites, rows) mask of the offsets that land in each site's ring."""
-    delta = (sites[:, None, :] + offsets) - sites[:, None, :]
+    # site + offset - site on a flat (sites, 2 * rows) layout: a length-2
+    # inner axis would make numpy loop once per (site, row)
+    tiled = np.tile(sites, (1, len(offsets)))
+    delta = ((tiled + offsets.ravel()) - tiled).reshape(len(sites), -1, 2)
     # one dot product per row, rounding as np.linalg.norm(delta[s, k]) does
     d = np.sqrt((delta[..., None, :] @ delta[..., :, None])[..., 0, 0])
     return (config.min_distance_m <= d) & (d <= config.radius)
@@ -338,10 +341,12 @@ def _hits(sites, offsets, config):
 
 def _distances(points, sites, wrap):
     """(points, sites) distances, on the wrap-around torus when ``wrap`` is set."""
-    delta = np.abs(points[:, None, :] - sites[None, :, :])
+    dx = np.abs(points[:, 0, None] - sites[:, 0])
+    dy = np.abs(points[:, 1, None] - sites[:, 1])
     if wrap is not None:
-        delta = np.minimum(delta, wrap - delta)
-    return np.sqrt((delta ** 2).sum(axis=-1))
+        dx = np.minimum(dx, wrap[0] - dx)
+        dy = np.minimum(dy, wrap[1] - dy)
+    return np.sqrt(dx * dx + dy * dy)
 
 
 def build_demands(config: ScenarioConfig, topology: NetworkTopology) -> RateDemands:
@@ -482,8 +487,15 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
     """Emit the artifacts under ``out_dir`` as ``fmt``, one of
     :data:`OUTPUT_FORMATS`; returns the paths written.
 
-    A file that exists already is rewritten in place and cut to its new
-    length, so a rerun into the same directory leaves the bytes a fresh
+    CSV writes two files: ``summary.csv``, one row per (seed, budget),
+    and ``traces.csv``, one ``trace_file,iteration,objective`` row per
+    trace point, ``trace_file`` being the trace's name as the summary
+    row gives it.  The objective's unit, W for power-min and bit/s for
+    rate-max, is in the header, so the traces of one run share it.  JSON
+    writes everything to ``run.json``.
+
+    A file that exists already is rewritten in place and cut when it was
+    longer, so a rerun into the same directory leaves the bytes a fresh
     directory gets; files of an earlier run that this one does not write
     stay as they are.
     """
@@ -491,7 +503,6 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
         raise ValueError(f"output format must be one of {OUTPUT_FORMATS}")
     out = Path(out_dir)
     if fmt == "json":
-        out.mkdir(parents=True, exist_ok=True)
         payload = {
             "summary": [dataclasses.asdict(r) for r in artifacts.summary],
             "traces": {k: v for k, v in sorted(artifacts.traces.items())},
@@ -503,8 +514,10 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
         _write(path, json.dumps(_finite_or_null(payload), indent=2,
                                 sort_keys=True, allow_nan=False) + "\n")
         return [path]
-    trace_dir = out / "traces"
-    trace_dir.mkdir(parents=True, exist_ok=True)
+    units = {"W" if "power-min" in name else "bit/s" for name in artifacts.traces}
+    if len(units) > 1:
+        raise ValueError("traces of both algorithms cannot share one traces.csv")
+    unit = units.pop() if units else "W"
     header = ("seed,budget (dBm),algorithm,pairing,sum_power (W),"
               "sum_rate (bit/s),iterations,converged,trace_file\n")
     lines = [header]
@@ -512,33 +525,38 @@ def write_outputs(artifacts: RunArtifacts, out_dir, fmt: str = "csv"):
         lines.append(f"{r.seed},{r.budget_dbm},{r.algorithm},{r.pairing},"
                      f"{r.sum_power_w},{r.sum_rate_bps},{r.iterations},"
                      f"{r.converged},{r.trace_file}\n")
-    path = out / "summary.csv"
-    _write(path, "".join(lines))
-    written = [path]
+    summary = out / "summary.csv"
+    _write(summary, "".join(lines))
+    lines = [f"trace_file,iteration,objective ({unit})\n"]
     for name, rows in sorted(artifacts.traces.items()):
-        unit = "W" if "power-min" in name else "bit/s"
-        body = [f"iteration,objective ({unit})\n"]
-        body.extend(f"{k},{v}\n" for k, v in rows)
-        tpath = trace_dir / name
-        _write(tpath, "".join(body))
-        written.append(tpath)
-    return written
+        lines.extend(f"{name},{k},{v}\n" for k, v in rows)
+    traces = out / "traces.csv"
+    _write(traces, "".join(lines))
+    return [summary, traces]
 
 
 def _write(path, text):
-    """Write ``text`` over ``path``, then cut the file to its length.
+    """Write ``text`` over ``path``, then cut the file to its length if it
+    was longer; the directory is made on the first write into it.
 
     Writing over the old bytes instead of truncating the file to zero
     first avoids the flush some filesystems (ext4) make when a truncated
     file is closed; like ``Path.write_text`` it is not atomic.
     """
     data = text.encode()
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    flags = os.O_WRONLY | os.O_CREAT
     try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, flags, 0o666)
+    try:
+        longer = os.fstat(fd).st_size > len(data)
         left = memoryview(data)
         while left:
             left = left[os.write(fd, left):]
-        os.ftruncate(fd, len(data))
+        if longer:
+            os.ftruncate(fd, len(data))
     finally:
         os.close(fd)
 

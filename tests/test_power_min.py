@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
                        assemble_full_solution, build_demands, dpc_spm,
-                       generate_channels, solve_spm)
+                       generate_channels, network, power_min, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import unpad
 from nomapower.oracle import (interference_over_gain, rate_constraint_slack,
@@ -274,6 +276,32 @@ class TestSolveSpm:
             assert report.residual <= 1e-12 * q.max()
             np.testing.assert_allclose(reference_interference_map(top, dem, q), q,
                                        rtol=1e-12, atol=0.0)
+
+    def test_one_solve_evaluates_the_interference_once(self, monkeypatch):
+        # z at q = 0 is the noise ratio, and the residual reads the z that
+        # confirmed the last choice, so a drop settled by one solve
+        # evaluates the interference once
+        config = ScenarioConfig(seed=0)
+        top = generate_channels(config, 0)
+        dem = build_demands(config, top)
+        calls = []
+        evaluate = network.normalized_interference
+        # every module that bound it by name counts, dense_interference's too
+        bound = [module for name, module in sys.modules.items()
+                 if name.split(".")[0] == "nomapower"
+                 and getattr(module, "normalized_interference", None) is evaluate]
+        assert network in bound and power_min in bound
+        for module in bound:
+            monkeypatch.setattr(module, "normalized_interference",
+                                lambda *args: calls.append(args) or evaluate(*args))
+        report = solve_spm(top, dem)
+        assert len(calls) == 1
+        assert report.converged and report.iterations == 1
+        q = report.q_star
+        assert report.trace.tolist() == [q.sum()]
+        # the residual a separate evaluation of f gives, to the last bit
+        monkeypatch.undo()
+        assert report.residual == float(np.abs(q - interference_map(top, dem, q)).max())
 
     def test_trace_is_non_decreasing(self):
         rng = np.random.default_rng(83)

@@ -34,6 +34,30 @@ radio:
 """
 
 
+def traces_by_name(out):
+    """The rows of ``out/traces.csv`` per trace name, as (iteration,
+    objective) string pairs, and the header's objective column."""
+    header, *lines = (out / "traces.csv").read_text().splitlines()
+    traces = {}
+    for line in lines:
+        name, k, v = line.split(",")
+        traces.setdefault(name, []).append((k, v))
+    return header.split(",")[2], traces
+
+
+def csv_digest(out):
+    """sha256 prefix of a CSV run's output in the layout that wrote one
+    file per trace: summary.csv, then each trace's file body (the header
+    ``iteration,objective (<unit>)``, then its rows) in name order."""
+    digest = hashlib.sha256((out / "summary.csv").read_bytes())
+    objective, traces = traces_by_name(out)
+    for name in sorted(traces):
+        body = [f"iteration,{objective}\n"]
+        body.extend(f"{k},{v}\n" for k, v in traces[name])
+        digest.update("".join(body).encode())
+    return digest.hexdigest()[:16]
+
+
 def small_config(**overrides):
     base = dict(seed=3, algorithm="power-min", num_cells=2, users_per_cell=4,
                 users_per_subchannel=2, num_subchannels=2, pairing="SW",
@@ -354,7 +378,8 @@ class TestChannels:
     def test_unplaceable_user_raises_after_1000_draws(self):
         class ScriptedRng:
             """Offsets read in order from ``rows``; the state is the read
-            position, so rewinding works as on a real generator."""
+            position, and ``advance`` moves it by two draws a row, so
+            rewinding works as on a real generator."""
 
             def __init__(self, rows):
                 self.rows, self.state, self.bit_generator = rows, 0, self
@@ -364,6 +389,10 @@ class TestChannels:
                 assert end <= 2000, "rejection sampling did not stop"
                 out, self.state = self.rows[self.state:end], end
                 return out
+
+            def advance(self, delta):
+                assert delta % 2 == 0, "a row is two draws"
+                self.state += delta // 2
 
         config = small_config(num_cells=3)
         sites = _site_layout(config)[0]
@@ -485,11 +514,8 @@ class TestRunScenario:
         out2 = tmp_path / "b"
         write_outputs(run_scenario(config), out1)
         write_outputs(run_scenario(config), out2)
-        assert (out1 / "summary.csv").read_bytes() == \
-            (out2 / "summary.csv").read_bytes()
-        for trace in sorted((out1 / "traces").iterdir()):
-            twin = out2 / "traces" / trace.name
-            assert trace.read_bytes() == twin.read_bytes()
+        for name in ("summary.csv", "traces.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_csv_headers_carry_units(self, tmp_path):
         config = small_config()
@@ -497,9 +523,38 @@ class TestRunScenario:
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[0].startswith("seed,budget (dBm),algorithm,pairing,"
                                      "sum_power (W),sum_rate (bit/s)")
-        trace_files = [p for p in paths if "traces" in str(p)]
-        assert trace_files
-        assert trace_files[0].read_text().startswith("iteration,objective (W)")
+        assert [p.name for p in paths] == ["summary.csv", "traces.csv"]
+        assert paths[1].read_text().startswith("trace_file,iteration,objective (W)\n")
+        paths = write_outputs(run_scenario(small_config(algorithm="rate-max")),
+                              tmp_path / "rate")
+        assert paths[1].read_text().startswith(
+            "trace_file,iteration,objective (bit/s)\n")
+        mixed = run_scenario(small_config())
+        mixed.traces.update(run_scenario(small_config(algorithm="rate-max")).traces)
+        with pytest.raises(ValueError, match="one traces.csv"):
+            write_outputs(mixed, tmp_path / "mixed")
+        assert not (tmp_path / "mixed").exists()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_traces_csv_holds_the_json_traces(self, tmp_path, algorithm):
+        # at 2 Mbit/s per user and 0 dBm some points are infeasible: power-min
+        # traces end in inf, rate-max's hold one nan point
+        config = small_config(algorithm=algorithm, num_seeds=4,
+                              rate_demand_bps=2.0e6, budget_dbm_sweep=[0.0, 20.0])
+        artifacts = run_scenario(config)
+        assert any(math.isnan(r.sum_power_w) for r in artifacts.summary)
+        write_outputs(artifacts, tmp_path, fmt="csv")
+        (path,) = write_outputs(artifacts, tmp_path, fmt="json")
+        objective, traces = traces_by_name(tmp_path)
+        unit = "W" if algorithm == "power-min" else "bit/s"
+        assert objective == f"objective ({unit})"
+        written = {name: [[int(k), float(v) if math.isfinite(float(v)) else None]
+                          for k, v in rows] for name, rows in traces.items()}
+        assert written == json.loads(path.read_text())["traces"]
+        with open(tmp_path / "summary.csv") as fh:
+            named = [line.rstrip("\n").split(",")[-1] for line in fh][1:]
+        assert len(named) == len(artifacts.summary)
+        assert set(named) == set(traces)
 
     def test_unknown_format_writes_nothing(self, tmp_path):
         artifacts = run_scenario(small_config())
@@ -603,7 +658,8 @@ class TestRunScenario:
                 [k, v if math.isfinite(v) else None] for k, v in rows]
 
     # sha256 prefixes of the CSV artifacts of 4 rate-max seeds x 3 budgets
-    # at paper size, recorded with the per-group topology construction;
+    # at paper size, recorded with the per-group topology construction and
+    # one file per trace (csv_digest rebuilds that layout from traces.csv);
     # they pin the whole rate-max path down to the last bit, which also
     # depends on the memory layout of the per-group gain arrays
     RATE_MAX_DIGESTS = {(0, "SW"): "c804df9db6733691", (7, "SS"): "ba8a08ebb1da37dc"}
@@ -616,11 +672,8 @@ class TestRunScenario:
                                     pairing=pairing,
                                     budget_dbm_sweep=[20.0, 30.0, 40.0],
                                     rate_demand_bps=3.0e5)
-            paths = write_outputs(run_scenario(config), tmp_path / str(seed))
-            digest = hashlib.sha256()
-            for path in sorted(paths):
-                digest.update(path.read_bytes())
-            assert digest.hexdigest()[:16] == want, (seed, pairing)
+            write_outputs(run_scenario(config), tmp_path / str(seed))
+            assert csv_digest(tmp_path / str(seed)) == want, (seed, pairing)
 
     # the same runs with two random starts per point besides the default
     # one; the loop leaves those starts, so these pin its moving steps
@@ -635,11 +688,8 @@ class TestRunScenario:
                                     pairing=pairing,
                                     budget_dbm_sweep=[20.0, 30.0, 40.0],
                                     rate_demand_bps=3.0e5, multistart=3)
-            paths = write_outputs(run_scenario(config), tmp_path / str(seed))
-            digest = hashlib.sha256()
-            for path in sorted(paths):
-                digest.update(path.read_bytes())
-            assert digest.hexdigest()[:16] == want, (seed, pairing)
+            write_outputs(run_scenario(config), tmp_path / str(seed))
+            assert csv_digest(tmp_path / str(seed)) == want, (seed, pairing)
 
     @pytest.mark.parametrize("algorithm, cells, subchannels",
                              [("power-min", 7, 4), ("rate-max", 3, 2)])
