@@ -25,7 +25,7 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       suffix_sums, unpad)
-from .power_min import group_split, min_power_user_allocation
+from .power_min import ROUND_RTOL, group_split, min_power_user_allocation
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -222,7 +222,7 @@ def grid_power_min(topology: NetworkTopology, demands: RateDemands,
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([g.ravel() for g in mesh], axis=1).reshape(
         -1, topology.num_cells, topology.num_subchannels)
-    keep = np.all(grid.sum(axis=2) <= topology.budgets[None, :] + 1e-12, axis=1)
+    keep = np.all(grid.sum(axis=2) <= topology.budgets * (1.0 + ROUND_RTOL), axis=1)
     grid = grid[keep]
 
     feasible = np.ones(grid.shape[0], dtype=bool)
@@ -237,7 +237,7 @@ def grid_power_min(topology: NetworkTopology, demands: RateDemands,
         h = np.maximum.accumulate(ratio[:, ::-1], axis=1)[:, ::-1]
         p = minimal_group_powers(rates[i][m], h, topology.bandwidth)
         minimal[(i, m)] = p
-        feasible &= p.sum(axis=1) <= grid[:, i, m] + 1e-12
+        feasible &= p.sum(axis=1) <= grid[:, i, m] * (1.0 + ROUND_RTOL)
 
     n_feasible = int(feasible.sum())
     if n_feasible == 0:
@@ -277,19 +277,15 @@ def grid_rate_max_group(demands: np.ndarray, h: np.ndarray, q: float,
             raise ValueError("simplex grid exceeds the point cap")
         p1, p2 = np.meshgrid(levels, levels, indexing="ij")
         p1, p2 = p1.ravel(), p2.ravel()
-        keep = p1 + p2 <= q + 1e-12
+        keep = p1 + p2 <= q * (1.0 + ROUND_RTOL)
         points = np.stack([p1[keep], p2[keep], q - p1[keep] - p2[keep]], axis=1)
     points = np.maximum(points, 0.0)
-    return _best_feasible_split(points, demands, h, q, bandwidth)
-
-
-def _best_feasible_split(points, demands, h, q, bandwidth):
     growth = np.exp2(demands / bandwidth) - 1.0
     tails = np.zeros_like(points)
     if points.shape[1] > 1:
         tails[:, :-1] = np.cumsum(points[:, ::-1], axis=1)[:, ::-1][:, 1:]
-    slack = points - growth[None, :] * (tails + h[None, :])
-    feasible = np.all(slack >= -1e-12 * max(q, 1.0), axis=1)
+    need = growth[None, :] * (tails + h[None, :])
+    feasible = np.all(points >= need * (1.0 - ROUND_RTOL), axis=1)
     n_feasible = int(feasible.sum())
     if n_feasible == 0:
         raise OracleInfeasibleError("none found at this resolution")

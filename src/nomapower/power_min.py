@@ -32,6 +32,21 @@ from .network import (NetworkTopology, PowerAllocation, RateDemands,
 REL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
 
+# The slack of every feasibility check, relative to the bound it checks.
+# ROUND_RTOL: a total built to equal its bound (a budget, a required power)
+# may pass it by rounding alone; the worst budget overrun seen is 5.3e-16.
+# COVER_RTOL: a rate-max group may fall short of its required power w . x,
+# its proxies short of the effective interference, and its rates short of
+# the demands.  random_feasible_start's repair stops up to ROUND_RTOL short
+# of f(q), and rounding adds to that, so this must exceed ROUND_RTOL; the
+# worst shortfall seen is 9.7e-13 of a required power, 5.2e-13 of a demand.
+ROUND_RTOL = 1e-12
+COVER_RTOL = 1e-9
+# dpc_spm gives up once an entry of q passes RUNAWAY_FACTOR times the largest
+# budget: a fixed point that far out is over every budget anyway, and an
+# expansive coupling would otherwise sweep on toward overflow or max_iter
+RUNAWAY_FACTOR = 1e9
+
 
 @dataclass(frozen=True)
 class FixedPointReport:
@@ -51,7 +66,7 @@ class FixedPointReport:
 
 def within_budgets(topology: NetworkTopology, q: np.ndarray) -> np.ndarray:
     """Per-BS check of the totals of an (I, M) power array against the budgets."""
-    return q.sum(axis=1) <= topology.budgets * (1.0 + 1e-12)
+    return q.sum(axis=1) <= topology.budgets * (1.0 + ROUND_RTOL)
 
 
 def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -129,8 +144,7 @@ def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
     """Closed-form minimum-power split: :func:`group_split` with every
     user, the strongest too, exactly at its demand, so all powers are
     strictly positive; padded arrays split as there."""
-    rates = np.asarray(demands, dtype=float)
-    return group_split(_GroupConstants.build(rates, bandwidth).growth, h)
+    return group_split(np.exp2(np.asarray(demands, dtype=float) / bandwidth), h)
 
 
 def interference_map(topology: NetworkTopology, demands: RateDemands,
@@ -190,7 +204,8 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             h = np.maximum.accumulate(z[:, ::-1], axis=-1)[:, ::-1]
             q[i] = (weights[i] * h).sum(axis=-1)
         trace.append(q.sum())
-        if not np.all(np.isfinite(q)) or q.max() > 1e9 * topology.budgets.max():
+        if not np.all(np.isfinite(q)) or \
+                q.max() > RUNAWAY_FACTOR * topology.budgets.max():
             # expansive coupling: the iteration runs away, no fixed point
             residual = np.inf
             break

@@ -35,7 +35,8 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates, normalized_interference)
-from .power_min import _GroupConstants, _reduced_map, group_split, solve_spm
+from .power_min import (COVER_RTOL, ROUND_RTOL, _GroupConstants, _reduced_map,
+                        group_split, solve_spm, within_budgets)
 
 
 class InfeasibleInitialPointError(ValueError):
@@ -151,14 +152,13 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
 
     # reject genuinely infeasible inputs before any numeric work; the
     # first violated subchannel is named, with its first violated family
-    rel = 1e-7
-    below = (x_warm < lb * (1.0 - rel)).any(axis=-1)
-    short = (c.weights * x_warm).sum(axis=-1) > q_warm * (1.0 + rel)
+    below = (x_warm < lb * (1.0 - COVER_RTOL)).any(axis=-1)
+    short = (c.weights * x_warm).sum(axis=-1) > q_warm * (1.0 + COVER_RTOL)
     if below.any() or short.any():
         m = int(np.argmax(below | short))
         family = "interference lower bounds" if below[m] else "demand coupling"
         raise InfeasibleSubproblemError(family, f"(cell {i}, subchannel {m})")
-    if q_warm.sum() > budget * (1.0 + rel):
+    if q_warm.sum() > budget * (1.0 + ROUND_RTOL):
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
 
     hi = np.minimum(np.maximum(caps, q_warm), budget)
@@ -254,7 +254,7 @@ def _validate_start(topology, constants, q, x0):
     ``q`` and the proxies are feasible."""
     if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
         raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
-    if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
+    if not within_budgets(topology, q).all():
         raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
     occupied = topology.occupied
     h = dense_interference(topology, q)
@@ -262,8 +262,8 @@ def _validate_start(topology, constants, q, x0):
     if x.shape != occupied.shape or np.any(x[~occupied] != 0.0):
         raise InfeasibleInitialPointError(
             "x0 must be an (I, M, n_max) array padded like the topology, 0 in padding")
-    below = (occupied & (x < h * (1.0 - 1e-9))).any(axis=-1)
-    short = (constants.weights * x).sum(axis=-1) > q * (1.0 + 1e-9)
+    below = (occupied & (x < h * (1.0 - COVER_RTOL))).any(axis=-1)
+    short = (constants.weights * x).sum(axis=-1) > q * (1.0 + COVER_RTOL)
     if (below | short).any():
         i, m = np.argwhere(below | short)[0]
         if below[i, m]:
@@ -278,9 +278,9 @@ def _assemble(constants, q, h) -> PowerAllocation:
     """Rate-optimal split of the totals ``q`` in every group at once, at
     the effective interference ``h``: :func:`~nomapower.power_min.group_split`
     with the extra alpha (q - w . h).  Refuses totals below the required
-    power w . h; one within rounding is raised to it."""
+    power w . h; one within ``COVER_RTOL`` of it is raised to it."""
     required = (constants.weights * h).sum(axis=-1)
-    below = np.argwhere(q < required * (1.0 - 1e-9))
+    below = np.argwhere(q < required * (1.0 - COVER_RTOL))
     if below.size:
         i, m = below[0]
         raise InfeasibleInitialPointError(
@@ -317,11 +317,11 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     q = fixed_point * factors[:, None]
     for _ in range(100):
         mapped = _reduced_map(topology, w, q)
-        if np.all(q >= mapped * (1.0 - 1e-12)):
+        if np.all(q >= mapped * (1.0 - ROUND_RTOL)):
             break
         q = np.maximum(q, mapped)
-    budgets_ok = np.all(q.sum(axis=1) <= topology.budgets)
-    if not (budgets_ok and np.all(q >= _reduced_map(topology, w, q) * (1.0 - 1e-9))):
+    if not (within_budgets(topology, q).all()
+            and np.all(q >= _reduced_map(topology, w, q) * (1.0 - COVER_RTOL))):
         q = fixed_point * float(np.min(headroom))
     occupied = topology.occupied
     h = np.where(occupied, dense_interference(topology, q), 0.0)

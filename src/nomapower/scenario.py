@@ -25,7 +25,8 @@ import yaml
 
 from . import fixtures
 from .network import NetworkTopology, RateDemands, dense_rates, unpad
-from .power_min import assemble_full_solution, solve_spm, within_budgets
+from .power_min import (COVER_RTOL, assemble_full_solution, solve_spm,
+                        within_budgets)
 from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
                                random_feasible_start)
 
@@ -473,10 +474,10 @@ def _rate_max_point(config, topology, demands, seed, budget_dbm, name):
 
 def _validate(topology, demands, allocation):
     q = allocation.cell_powers()
-    if np.any(q.sum(axis=1) > topology.budgets * (1.0 + 1e-9)):
+    if not within_budgets(topology, q).all():
         return "budget exceeded"
     achieved = dense_rates(topology, allocation, q)
-    missed = np.argwhere(np.any(achieved < demands.rates * (1.0 - 1e-6), axis=-1))
+    missed = np.argwhere(np.any(achieved < demands.rates * (1.0 - COVER_RTOL), axis=-1))
     if missed.size:
         i, m = missed[0]
         return f"rate demand missed in group ({i},{m})"
@@ -583,17 +584,18 @@ def run_fixture_checks() -> bool:
     total, want = float(report.q_star.sum()), fixtures.SYMMETRIC_TWO_CELL_SUM_POWER
     powers = assemble_full_solution(topology, demands, report.q_star).powers[0, 0]
     ok = check("symmetric two-cell minimum sum power",
-               report.feasible and abs(total - want) <= 1e-6 and np.allclose(
-                   powers, fixtures.SYMMETRIC_TWO_CELL_USER_POWERS, atol=1e-6),
+               report.feasible and math.isclose(total, want, rel_tol=COVER_RTOL)
+               and np.allclose(powers, fixtures.SYMMETRIC_TWO_CELL_USER_POWERS,
+                               rtol=COVER_RTOL, atol=0.0),
                total, want)
 
     topology, demands = fixtures.rate_max_single_cell()
     srm = dpc_srm(topology, demands)
     want = float(fixtures.RATE_MAX_SINGLE_CELL_SUM_RATE)
-    ok &= check("single-cell maximum sum rate", abs(srm.sum_rate - want) <= 1e-6,
-                srm.sum_rate, want)
+    ok &= check("single-cell maximum sum rate",
+                math.isclose(srm.sum_rate, want, rel_tol=COVER_RTOL), srm.sum_rate, want)
     powers = srm.allocation.powers[0, 0].tolist()
     want = list(fixtures.RATE_MAX_SINGLE_CELL_POWERS)
     ok &= check("single-cell rate-optimal split",
-                np.allclose(powers, want, atol=1e-6), powers, want)
+                np.allclose(powers, want, rtol=COVER_RTOL, atol=0.0), powers, want)
     return ok

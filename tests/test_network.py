@@ -163,6 +163,11 @@ class TestTopologyConstruction:
             NetworkTopology(bandwidth=1.0, noise_power=0.1,
                             budgets=np.array([-1.0]), gains=((g,),))
 
+    def test_nested_gains_need_one_row_per_cell(self):
+        with pytest.raises(ValueError, match="one row of groups per cell"):
+            NetworkTopology(bandwidth=1.0, noise_power=0.1, budgets=np.ones(2),
+                            gains=((np.array([[0.5, 1.0], [0.1, 0.2]]),),))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_scalars(self, bad):
         gains = two_cell_example().gains

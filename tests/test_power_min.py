@@ -14,8 +14,8 @@ from nomapower.network import unpad
 from nomapower.oracle import (interference_over_gain, rate_constraint_slack,
                               rate_via_decoding_chain,
                               reference_interference_map)
-from nomapower.power_min import (REL_TOL, demand_weights, interference_map,
-                                 min_power_user_allocation)
+from nomapower.power_min import (REL_TOL, RUNAWAY_FACTOR, demand_weights,
+                                 interference_map, min_power_user_allocation)
 
 
 class TestClosedForm:
@@ -188,6 +188,8 @@ class TestFixedPoint:
             dpc_spm(top, dem, max_iter=0)
         with pytest.raises(ValueError):
             dpc_spm(top, dem, q0=np.full((2, 1), -1.0))
+        with pytest.raises(ValueError, match="wrong shape"):
+            dpc_spm(top, dem, q0=np.ones((1, 1)))
 
 
 def per_group_dpc_spm(top, dem, max_iter=10_000):
@@ -206,7 +208,7 @@ def per_group_dpc_spm(top, dem, max_iter=10_000):
     for iterations in range(1, max_iter + 1):
         for i, m in top.groups():
             q[i, m] = f(q, i, m)
-        if not np.all(np.isfinite(q)) or q.max() > 1e9 * top.budgets.max():
+        if not np.all(np.isfinite(q)) or q.max() > RUNAWAY_FACTOR * top.budgets.max():
             break
         mapped = reference_interference_map(top, dem, q)
         if np.abs(q - mapped).sum() <= REL_TOL * q.sum():
@@ -396,6 +398,22 @@ class TestSolveSpm:
         assert report.q_star[0, 1] == pytest.approx(0.0, abs=1e-15)
         np.testing.assert_allclose(report.q_star, dpc_spm(top, dem).q_star,
                                    rtol=1e-8, atol=0.0)
+
+    def test_max_iter_stops_before_the_choice_repeats(self):
+        # the strong user of cell 0 takes 0.2 of BS 1's power against the
+        # weak user's 0.001, so once q rises its interference overtakes the
+        # weak user's and the decoding choice of the first solve changes
+        g0 = np.array([[0.5, 1.0], [0.001, 0.2]])
+        g1 = np.array([[0.1, 0.2], [0.5, 1.0]])
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
+                              budgets=np.array([5.0, 5.0]), gains=((g0,), (g1,)))
+        dem = RateDemands.uniform(top, 1.0)
+        full = solve_spm(top, dem)
+        assert full.converged and full.iterations == 2
+        assert full.q_star.ravel() == pytest.approx([27 / 32, 29 / 32], rel=1e-12)
+        report = solve_spm(top, dem, max_iter=1)
+        assert not report.converged and report.iterations == 1
+        assert np.all(report.q_star < full.q_star)
 
     def test_validates_arguments(self):
         top, dem = symmetric_two_cell()

@@ -275,6 +275,12 @@ class TestDpcSrm:
             dpc_srm(top, dem, q0=np.array([[8.0]]),
                     x0=np.array([[[0.1, 0.05]]]))          # below interference
 
+    def test_start_a_tenth_of_a_billionth_over_budget_raises(self):
+        top, dem = rate_max_single_cell()
+        dpc_srm(top, dem, q0=top.budgets[:, None])     # at the budget: accepted
+        with pytest.raises(InfeasibleInitialPointError, match="per-cell budget"):
+            dpc_srm(top, dem, q0=top.budgets[:, None] * (1.0 + 1e-10))
+
     def test_misshapen_or_uncovered_start_raises(self):
         # subchannel 0 serves one user per cell, so slot 0 is padding there
         g_a = np.array([[1.0], [0.05]])

@@ -758,6 +758,26 @@ class TestRunScenario:
         assert _validate(top, demands, starved) == \
             "rate demand missed in group (1,1)"
 
+    def test_a_rate_missed_by_a_ten_millionth_fails_the_run(self, monkeypatch,
+                                                            tmp_path, capsys):
+        # 1e-7 less power for cell 1's weak user on subchannel 1 costs it
+        # about 1e-7 of its rate and touches no other user's
+        def starve(topology, demands, q_star):
+            powers = assemble(topology, demands, q_star).powers.copy()
+            powers[1, 1, 0] *= 1.0 - 1e-7
+            return PowerAllocation(powers)
+
+        assemble = scenario.assemble_full_solution
+        monkeypatch.setattr(scenario, "assemble_full_solution", starve)
+        message = "seed 3, budget 30.0 dBm: rate demand missed in group (1,1)"
+        artifacts = run_scenario(small_config())
+        assert not artifacts.ok
+        assert artifacts.validation_failures == [message]
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert f"validation failure: {message}" in capsys.readouterr().err
+
 
     def test_validation_flags_a_budget_overrun(self):
         config = small_config()
