@@ -284,7 +284,12 @@ def dense_interference(topology: NetworkTopology, q: np.ndarray) -> np.ndarray:
     :func:`normalized_interference`.  Padded slots repeat the weakest real
     user's value.
     """
-    z = normalized_interference(topology, q)
+    return suffix_max(normalized_interference(topology, q))
+
+
+def suffix_max(z: np.ndarray) -> np.ndarray:
+    """suffix_max(z)[..., j] = max of z[..., j:], along the last axis:
+    the effective interference from the normalized interference ``z``."""
     return np.maximum.accumulate(z[..., ::-1], axis=-1)[..., ::-1]
 
 

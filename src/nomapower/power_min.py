@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, normalized_interference)
+                      dense_interference, normalized_interference, suffix_max)
 
 # dpc_spm stops once sum |q - f(q)| is at most REL_TOL times the sum power.
 # assemble_full_solution rejects a q_star with max |q - f(q)| above
@@ -201,8 +201,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
         for i in range(topology.num_cells):
             # row i of f(q) alone: dense_interference restricted to cell i
             z = np.einsum("msk,km->ms", ratio[i], q) + noise[i]
-            h = np.maximum.accumulate(z[:, ::-1], axis=-1)[:, ::-1]
-            q[i] = (weights[i] * h).sum(axis=-1)
+            q[i] = (weights[i] * suffix_max(z)).sum(axis=-1)
         trace.append(q.sum())
         if not np.all(np.isfinite(q)) or \
                 q.max() > RUNAWAY_FACTOR * topology.budgets.max():
@@ -245,9 +244,14 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     solves, ``trace`` holds the sum power after each, and ``max_iter``
     caps the solves against floating-point ties.
     """
+    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
+    return _least_fixed_point(topology, weights, max_iter)
+
+
+def _least_fixed_point(topology, weights, max_iter=100):
+    """:func:`solve_spm` from the front-padded demand weights."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     num_cells, _, n_max = noise.shape
     slots = np.arange(n_max)
@@ -284,9 +288,9 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     residual = np.inf
     if np.isfinite(q).all():
         # f(q) at the z that tested the last choice: each user's effective
-        # interference is z at its decoding user
-        h = np.take_along_axis(z, decoder, axis=-1)
-        residual = float(np.abs(q - (weights * h).sum(axis=-1)).max())
+        # interference is z at its decoding user, the largest z from its
+        # slot on
+        residual = float(np.abs(q - (weights * suffix_max(z)).sum(axis=-1)).max())
     budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
                             budget_feasible=budget_ok, converged=converged,

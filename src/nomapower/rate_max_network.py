@@ -22,9 +22,9 @@ The closed forms read power-min's demand weights w: a group needs w . x,
 and at a total q its weak users sit at their demands while the strongest
 user gets its minimum power plus alpha times the surplus q - w . x.
 :func:`dpc_srm` builds these per-group constants once, as power-min's
-:class:`~nomapower.power_min._GroupConstants`, and hands that bundle to
-every helper in place of the demands; a helper given a cell ``i`` reads
-the bundle's row ``i``.  No constant is derived here.
+:class:`~nomapower.power_min._GroupConstants`, and hands that bundle, or
+a step its cell's row of it, to every helper in place of the demands.
+No constant is derived here.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates, normalized_interference)
-from .power_min import (COVER_RTOL, ROUND_RTOL, _GroupConstants, _reduced_map,
-                        group_split, solve_spm, within_budgets)
+                      dense_interference, group_rates, normalized_interference,
+                      suffix_max)
+from .power_min import (COVER_RTOL, ROUND_RTOL, _GroupConstants,
+                        _least_fixed_point, _reduced_map, group_split,
+                        within_budgets)
 
 
 class InfeasibleInitialPointError(ValueError):
@@ -79,33 +81,33 @@ class SrmReport:
 
 
 def power_cap(topology: NetworkTopology, q: np.ndarray, x: np.ndarray,
-              i: int) -> np.ndarray:
-    """Largest q_im the other cells' interference proxies tolerate, (M,).
+              z: np.ndarray) -> np.ndarray:
+    """Largest q_im the other cells' interference proxies tolerate, for
+    every BS i at once, (I, M).
 
-    Raising q_im by d lifts the normalized interference z_l
-    (:func:`~nomapower.network.normalized_interference`) of another
-    cell's user l by d times its ``cross_ratio`` to BS i, and every user
-    j <= l that l decodes needs its proxy x_j >= z_l.  So the cap is q_im
-    plus the least (min_{j <= l} x_j - z_l) / ratio over the users with a
-    positive ratio: padded slots, BS i's own users and zero cross gains
-    impose none, and with a single cell every cap is +inf.  At tight
-    proxies it is q_im exactly.
+    ``z`` is :func:`~nomapower.network.normalized_interference` at ``q``.
+    Raising q_im by d lifts z_l of another cell's user l by d times its
+    ``cross_ratio`` to BS i, and every user j <= l that l decodes needs
+    its proxy x_j >= z_l.  So the cap is q_im plus the least
+    (min_{j <= l} x_j - z_l) / ratio over the users with a positive
+    ratio: padded slots, BS i's own users and zero cross gains impose
+    none, and with a single cell every cap is +inf.  At tight proxies it
+    is q_im exactly.
     """
-    q = np.asarray(q, dtype=float)
-    z = normalized_interference(topology, q)
     floor = np.minimum.accumulate(np.where(topology.occupied, x, np.inf), axis=-1)
-    ratio = topology.cross_ratio[..., i]
-    slack = np.full_like(z, np.inf)
-    np.divide(floor - z, ratio, out=slack, where=ratio > 0.0)
-    return q[i] + slack.min(axis=(0, 2))
+    ratio = topology.cross_ratio
+    slack = np.full(ratio.shape, np.inf)
+    np.divide((floor - z)[..., None], ratio, out=slack, where=ratio > 0.0)
+    return q + slack.min(axis=(0, 2)).T
 
 
 def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
                    q: np.ndarray, x: np.ndarray, i: int | None = None):
     """Negative closed-form sum rate of BS ``i``, bit/s, at its (M,) totals
-    ``q`` and (M, n_max) proxies ``x``, with row ``i`` of ``constants``;
-    with ``i`` None, of every BS at (I, M) and (I, M, n_max) arrays with
-    all of ``constants``, as an (I,) array.
+    ``q`` and (M, n_max) proxies ``x``, with row ``i`` of ``constants``.
+    With ``i`` None, ``constants`` matches the arrays: all of it at (I, M)
+    and (I, M, n_max) arrays gives every BS's as an (I,) array, and one
+    cell's row at (M,) and (M, n_max) arrays that cell's.
 
     Each group contributes -B log2(2^(R_n/B) + alpha (q - w . x) / x_n),
     the negative of its strong user's rate on the surplus with the proxies
@@ -128,25 +130,29 @@ def cell_objective(topology: NetworkTopology, constants: _GroupConstants,
 
 def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstants,
                             i: int, x_i: np.ndarray, caps: np.ndarray,
-                            budget: float, q: np.ndarray) -> DcIterate:
+                            budget: float, q: np.ndarray, h_i: np.ndarray,
+                            warm_value: float) -> DcIterate:
     """BS ``i``'s exact best step with every other cell frozen.
 
-    The BS objective (:func:`cell_objective`) and the demand coupling's
-    need w . x both fall whenever a proxy falls, so every proxy goes to
-    its lower bound ``lb``, the effective interference at the frozen
-    powers.  What is left is the paper's single-cell problem: maximize
-    sum_m log(offset_m + q_m), with offset = 2^(R_n/B) lb_n / alpha - w . lb
-    from row ``i`` of ``constants``, over q_m in [w . lb, min(max(cap_m,
+    ``constants`` is row ``i`` of the group constants, ``caps`` row ``i``
+    of :func:`power_cap`, ``h_i`` the (M, n_max) effective interference of
+    BS i's users at ``q`` and ``warm_value`` the :func:`cell_objective` of
+    the warm start, row i of ``q`` with the proxies ``x_i``.
+
+    The BS objective and the demand coupling's need w . x both fall
+    whenever a proxy falls, so every proxy goes to its lower bound ``lb``,
+    ``h_i`` at the users' slots.  What is left is the paper's single-cell
+    problem: maximize sum_m log(offset_m + q_m), with offset =
+    2^(R_n/B) lb_n / alpha - w . lb, over q_m in [w . lb, min(max(cap_m,
     q_warm), budget)] with the total within the budget.  Its water-filling
     solution q_m = clip(level - offset_m) to that box spends a total
     piecewise linear in the level, with knots at the 2M box ends, so one
     interpolation between the sorted knots finds the level that spends
-    the budget.  The warm start (row i of ``q``, proxies ``x_i``) is
-    returned unless the cell objective drops.  A cap below ``q_warm``
-    pins its subchannel at ``q_warm``.
+    the budget.  The warm start is returned unless the cell objective
+    drops.  A cap below ``q_warm`` pins its subchannel at ``q_warm``.
     """
-    c = constants[i]
-    lb = np.where(topology.occupied[i], dense_interference(topology, q)[i], 0.0)
+    c = constants
+    lb = np.where(topology.occupied[i], h_i, 0.0)
     q_warm = np.array(q[i], dtype=float)
     x_warm = np.array(x_i, dtype=float)
 
@@ -171,8 +177,7 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
         totals = np.clip(knots[:, None] - offset, lo, hi).sum(axis=-1)
         q_new = np.clip(np.interp(budget, totals, knots) - offset, lo, hi)
 
-    warm_value = cell_objective(topology, constants, q_warm, x_warm, i)
-    new_value = cell_objective(topology, constants, q_new, lb, i)
+    new_value = cell_objective(topology, c, q_new, lb)
     if not new_value < warm_value:
         return DcIterate(q_i=q_warm, x_i=x_warm, objective_value=warm_value,
                          improved=False)
@@ -191,24 +196,39 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     every other cell's constraints intact.  Stops once the total
     objective changes by at most ``tol`` between sweeps.
 
+    The sweep keeps the normalized interference at the current ``q``, the
+    effective interference (its suffix maximum) and every BS's caps
+    (:func:`power_cap`), and refreshes all three from one interference
+    evaluation after each step that moves.  The group constants and their
+    per-cell rows are built once per call, and a step is handed its
+    cell's objective at the current point instead of evaluating it.
+
     Without an explicit start the sum-power fixed point is computed
-    exactly (:func:`~nomapower.power_min.solve_spm`),
-    scaled uniformly by the tightest cell's budget headroom, and the
-    proxies are set to the effective interference at that point; this is
-    feasible by construction.  An explicit ``x0`` is an (I, M, n_max)
-    array front-padded like the topology with 0 in padding.  An explicit
-    infeasible start raises :class:`InfeasibleInitialPointError`.
+    exactly (:func:`~nomapower.power_min.solve_spm`, on the constants'
+    demand weights), scaled uniformly by the tightest cell's budget
+    headroom, and the proxies are set to the effective interference at
+    that point; this is feasible by construction and not checked again.
+    An explicit ``x0`` is an (I, M, n_max) array front-padded like the
+    topology with 0 in padding.  An explicit infeasible start raises
+    :class:`InfeasibleInitialPointError`.
     """
-    rates = demands.padded_for(topology)
-    constants = _GroupConstants.build(rates, topology.bandwidth)
+    constants = _GroupConstants.build(demands.padded_for(topology), topology.bandwidth)
     if q0 is None:
-        q_star, headroom = _fixed_point_headroom(topology, demands)
+        q_star, headroom = _fixed_point_headroom(topology, constants.weights)
         q = q_star * float(np.min(headroom))
     else:
-        q = np.array(q0, dtype=float)
-    x = _validate_start(topology, constants, q, x0)
+        q = _checked_totals(topology, q0)
+    z = normalized_interference(topology, q)
+    h = suffix_max(z)
+    if q0 is None and x0 is None:
+        x = np.where(topology.occupied, h, 0.0)
+    else:
+        x = _validate_start(topology, constants, q, h, x0)
 
     k_cells = cell_objective(topology, constants, q, x)
+    caps = power_cap(topology, q, x, z)
+    rows = [constants[i] for i in range(topology.num_cells)]
+    budgets = topology.budgets.tolist()
     trace = [float(np.sum(k_cells))]
     converged = False
     diagnostic = ""
@@ -217,15 +237,17 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     for outer in range(1, max_outer + 1):
         for i in range(topology.num_cells):
             try:
-                step = solve_convex_subproblem(
-                    topology, constants, i, x[i], power_cap(topology, q, x, i),
-                    float(topology.budgets[i]), q)
+                step = solve_convex_subproblem(topology, rows[i], i, x[i], caps[i],
+                                               budgets[i], q, h[i], k_cells[i])
             except InfeasibleSubproblemError as exc:
                 diagnostic = str(exc)
                 break
             solves += 1
             if step.improved:
                 q[i], x[i], k_cells[i] = step.q_i, step.x_i, step.objective_value
+                z = normalized_interference(topology, q)
+                h = suffix_max(z)
+                caps = power_cap(topology, q, x, z)
         if diagnostic:
             break
         trace.append(float(np.sum(k_cells)))
@@ -235,7 +257,6 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
 
     # settle the proxies exactly on the effective interference; this can
     # only decrease the objective and restores tightness
-    h = dense_interference(topology, q)
     x = np.where(topology.occupied, h, 0.0)
     trace.append(float(np.sum(cell_objective(topology, constants, q, x))))
 
@@ -248,27 +269,40 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                      diagnostic=diagnostic)
 
 
-def _validate_start(topology, constants, q, x0):
-    """The start's proxies: ``x0``, or the effective interference at ``q``
-    when ``x0`` is None; raises :class:`InfeasibleInitialPointError` unless
-    ``q`` and the proxies are feasible."""
+def _checked_totals(topology, q0):
+    """An explicit start's totals as a new float array; raises
+    :class:`InfeasibleInitialPointError` unless they are a non-negative
+    (I, M) array within the budgets."""
+    q = np.array(q0, dtype=float)
     if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
         raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
     if not within_budgets(topology, q).all():
         raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
+    return q
+
+
+def _validate_start(topology, constants, q, h, x0):
+    """The proxies of an explicit start: ``x0``, checked to be padded like
+    the topology and at or above the effective interference ``h``, or
+    ``h`` itself when ``x0`` is None; raises
+    :class:`InfeasibleInitialPointError` unless the totals ``q`` cover
+    the need w . x they imply."""
     occupied = topology.occupied
-    h = dense_interference(topology, q)
-    x = np.where(occupied, h, 0.0) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != occupied.shape or np.any(x[~occupied] != 0.0):
-        raise InfeasibleInitialPointError(
-            "x0 must be an (I, M, n_max) array padded like the topology, 0 in padding")
-    below = (occupied & (x < h * (1.0 - COVER_RTOL))).any(axis=-1)
-    short = (constants.weights * x).sum(axis=-1) > q * (1.0 + COVER_RTOL)
-    if (below | short).any():
-        i, m = np.argwhere(below | short)[0]
-        if below[i, m]:
+    if x0 is None:
+        x = np.where(occupied, h, 0.0)
+    else:
+        x = np.array(x0, dtype=float)
+        if x.shape != occupied.shape or np.any(x[~occupied] != 0.0):
+            raise InfeasibleInitialPointError(
+                "x0 must be an (I, M, n_max) array padded like the topology, 0 in padding")
+        below = (occupied & (x < h * (1.0 - COVER_RTOL))).any(axis=-1)
+        if below.any():
+            i, m = np.argwhere(below)[0]
             raise InfeasibleInitialPointError(
                 f"x0 below the effective interference at group ({i},{m})")
+    short = (constants.weights * x).sum(axis=-1) > q * (1.0 + COVER_RTOL)
+    if short.any():
+        i, m = np.argwhere(short)[0]
         raise InfeasibleInitialPointError(
             f"q0 cannot cover the demands implied by x0 at group ({i},{m})")
     return x
@@ -280,18 +314,21 @@ def _assemble(constants, q, h) -> PowerAllocation:
     with the extra alpha (q - w . h).  Refuses totals below the required
     power w . h; one within ``COVER_RTOL`` of it is raised to it."""
     required = (constants.weights * h).sum(axis=-1)
-    below = np.argwhere(q < required * (1.0 - COVER_RTOL))
-    if below.size:
-        i, m = below[0]
+    below = q < required * (1.0 - COVER_RTOL)
+    if below.any():
+        i, m = np.argwhere(below)[0]
         raise InfeasibleInitialPointError(
             f"group ({i},{m}) ended below its required power")
     surplus = np.maximum(q, required) - required
     return PowerAllocation(group_split(constants.growth, h, constants.alpha * surplus))
 
 
-def _fixed_point_headroom(topology, demands):
-    """The sum-power fixed point and each cell's budget over its total."""
-    fp = solve_spm(topology, demands)
+def _fixed_point_headroom(topology, weights):
+    """The sum-power fixed point for the demand weights ``weights`` and
+    each cell's budget over its total; raises
+    :class:`InfeasibleInitialPointError` when there is none within the
+    budgets."""
+    fp = _least_fixed_point(topology, weights)
     if not fp.feasible:
         raise InfeasibleInitialPointError(
             "rate demands admit no feasible power allocation within budgets")
@@ -311,8 +348,15 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     the topology, 0 in padding.  Raises :class:`InfeasibleInitialPointError`
     when the demands admit no allocation within the budgets.
     """
-    fixed_point, headroom = _fixed_point_headroom(topology, demands)
-    w = _GroupConstants.build(demands.rates, topology.bandwidth).weights
+    weights = _GroupConstants.build(demands.padded_for(topology),
+                                    topology.bandwidth).weights
+    return _random_start(topology, weights,
+                         *_fixed_point_headroom(topology, weights), rng)
+
+
+def _random_start(topology, w, fixed_point, headroom, rng):
+    """:func:`random_feasible_start` from the demand weights ``w``, the
+    fixed point and its headroom (:func:`_fixed_point_headroom`)."""
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
     q = fixed_point * factors[:, None]
     for _ in range(100):

@@ -17,7 +17,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +25,10 @@ import yaml
 
 from . import fixtures
 from .network import NetworkTopology, RateDemands, dense_rates, unpad
-from .power_min import (COVER_RTOL, assemble_full_solution, solve_spm,
-                        within_budgets)
-from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
-                               random_feasible_start)
+from .power_min import (COVER_RTOL, assemble_full_solution, demand_weights,
+                        solve_spm, within_budgets)
+from .rate_max_network import (InfeasibleInitialPointError,
+                               _fixed_point_headroom, _random_start, dpc_srm)
 
 PAIRING_METHODS = ("SS", "SW", "SM")
 ALGORITHMS = ("power-min", "rate-max")
@@ -278,10 +278,16 @@ def generate_channels(config: ScenarioConfig, seed: int) -> NetworkTopology:
 def _site_layout(config):
     if config.layout == "custom":
         return np.asarray(config.site_positions_m, dtype=float), None
-    d0 = config.inter_site_distance_m
-    sites = np.stack([np.arange(config.num_cells) * d0,
-                      np.zeros(config.num_cells)], axis=1)
-    wrap = np.array([config.num_cells * d0, math.sqrt(3.0) * d0])
+    return _ring(config.num_cells, config.inter_site_distance_m)
+
+
+@lru_cache(maxsize=16)
+def _ring(num_cells, d0):
+    """The paper-default sites and wrap-around extent, built once per
+    (num_cells, inter-site distance) as read-only arrays."""
+    sites = np.stack([np.arange(num_cells) * d0, np.zeros(num_cells)], axis=1)
+    wrap = np.array([num_cells * d0, math.sqrt(3.0) * d0])
+    sites.flags.writeable = wrap.flags.writeable = False
     return sites, wrap
 
 
@@ -450,17 +456,27 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
 
 
 def _rate_max_point(config, topology, demands, seed, budget_dbm, name):
-    best = None
+    """Best of ``config.multistart`` dpc_srm runs on one drop: the default
+    start, then random starts drawn around the same sum-power fixed point,
+    which is solved once for all of them.  A single start is dpc_srm's
+    own default start, which skips the checks an explicit start gets."""
+    solve = partial(dpc_srm, topology, demands, tol=config.rate_tol,
+                    max_outer=config.max_outer)
     try:
-        best = dpc_srm(topology, demands, tol=config.rate_tol,
-                       max_outer=config.max_outer)
-        rng = np.random.default_rng(seed + 0x5EED)
-        for _ in range(config.multistart - 1):
-            q0, x0 = random_feasible_start(topology, demands, rng)
-            candidate = dpc_srm(topology, demands, q0=q0, x0=x0,
-                                tol=config.rate_tol, max_outer=config.max_outer)
-            if candidate.sum_rate > best.sum_rate:
-                best = candidate
+        if config.multistart == 1:
+            best = solve()
+        else:
+            weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
+            fixed_point, headroom = _fixed_point_headroom(topology, weights)
+            # dpc_srm's default start, given explicitly so that the
+            # random starts share its fixed point
+            best = solve(q0=fixed_point * float(np.min(headroom)))
+            rng = np.random.default_rng(seed + 0x5EED)
+            for _ in range(config.multistart - 1):
+                q0, x0 = _random_start(topology, weights, fixed_point, headroom, rng)
+                candidate = solve(q0=q0, x0=x0)
+                if candidate.sum_rate > best.sum_rate:
+                    best = candidate
     except InfeasibleInitialPointError:
         row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
                          float("nan"), float("nan"), 0, False, name)

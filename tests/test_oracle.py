@@ -4,7 +4,8 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import NetworkTopology, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
-from nomapower.network import dense_interference, group_rates, unpad
+from nomapower.network import (dense_interference, group_rates,
+                               normalized_interference, unpad)
 from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
                               grid_budget_split, grid_power_min,
                               grid_rate_max_group, minimal_group_powers,
@@ -13,7 +14,8 @@ from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
                               standard_function_probe)
 from nomapower.power_min import (_GroupConstants, interference_map,
                                  min_power_user_allocation)
-from nomapower.rate_max_network import power_cap, solve_convex_subproblem
+from nomapower.rate_max_network import (cell_objective, power_cap,
+                                        solve_convex_subproblem)
 
 
 class TestReferenceInterferenceMap:
@@ -166,11 +168,13 @@ class TestGridBudgetSplit:
             dem = sample_demands(rng, top, rate=(0.2, 0.8))
             q0, x0 = random_feasible_start(top, dem, rng)
             for i in range(cells):
-                caps = power_cap(top, q0, x0, i)
+                caps = power_cap(top, q0, x0, normalized_interference(top, q0))[i]
                 budget = float(top.budgets[i])
+                consts = _GroupConstants.build(dem.rates, top.bandwidth)
                 step = solve_convex_subproblem(
-                    top, _GroupConstants.build(dem.rates, top.bandwidth), i,
-                    x0[i], caps, budget, q0)
+                    top, consts[i], i, x0[i], caps, budget, q0,
+                    dense_interference(top, q0)[i],
+                    cell_objective(top, consts, q0[i], x0[i], i))
                 grid = grid_budget_split(top, dem, i, caps, budget, q0)
                 # the exact bits the step stores as its proxies
                 h = dense_interference(top, q0)

@@ -7,10 +7,10 @@ import pytest
 from conftest import sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
                        dpc_srm, generate_channels, random_feasible_start, solve_spm)
-from nomapower import power_min, rate_max_network
+from nomapower import network, power_min, rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
-from nomapower.network import dense_interference, unpad
+from nomapower.network import dense_interference, normalized_interference, unpad
 from nomapower.oracle import (interference_over_gain, optimal_single_cell_rate,
                               rate_via_decoding_chain)
 from nomapower.scenario import dbm_to_watts
@@ -38,7 +38,7 @@ class TestPowerCap:
         top = two_cell_single_user()
         q = np.zeros((2, 1))
         x = np.array([[[1.0]], [[0.5]]])
-        cap = power_cap(top, q, x, 0)[0]
+        cap = power_cap(top, q, x, normalized_interference(top, q))[0, 0]
         assert cap == pytest.approx((1.0 * 0.5 - 0.1) / 0.2)
 
     def test_tight_proxies_cap_at_current_power(self):
@@ -49,7 +49,7 @@ class TestPowerCap:
             q = rng.uniform(0.1, 2.0, size=(3, 2))
             x = np.where(top.occupied, dense_interference(top, q), 0.0)
             for i in range(3):
-                caps = power_cap(top, q, x, i)
+                caps = power_cap(top, q, x, normalized_interference(top, q))[i]
                 for m in range(2):
                     assert caps[m] == q[i, m]
 
@@ -79,7 +79,7 @@ class TestPowerCap:
             slack = np.where(top.occupied, rng.uniform(1.0, 3.0, top.occupied.shape), 0.0)
             x = dense_interference(top, q) * slack
             for i in range(cells):
-                caps = power_cap(top, q, x, i)
+                caps = power_cap(top, q, x, normalized_interference(top, q))[i]
                 for m in range(2):
                     assert caps[m] == pytest.approx(loop_cap(top, q, x, i, m),
                                                     rel=1e-12)
@@ -89,7 +89,8 @@ class TestPowerCap:
         q = np.zeros((2, 1))
         for x2, expected in ((0.5, 2.0), (0.9, 4.0)):
             x = np.array([[[1.0]], [[x2]]])
-            assert power_cap(top, q, x, 0)[0] == pytest.approx(expected)
+            assert power_cap(top, q, x, normalized_interference(top, q))[0, 0] == \
+                pytest.approx(expected)
         # larger proxy loosens the cap; the min picks the tighter user
         g0 = np.array([[1.0, 1.0], [0.3, 0.3]])
         g1 = np.array([[0.2, 0.25], [1.0, 1.0]])
@@ -98,12 +99,15 @@ class TestPowerCap:
                                gains=((g0,), (g1,)))
         x = np.array([[[1.0, 1.0]], [[0.5, 0.5]]])
         caps = [(1.0 * 0.5 - 0.1) / 0.2, (1.0 * 0.5 - 0.1) / 0.25]
-        assert power_cap(top2, np.zeros((2, 1)), x, 0)[0] == pytest.approx(min(caps))
+        q = np.zeros((2, 1))
+        assert power_cap(top2, q, x, normalized_interference(top2, q))[0, 0] == \
+            pytest.approx(min(caps))
 
     def test_single_cell_has_no_cap(self):
         top, _ = rate_max_single_cell()
         x = np.array([[[2.0, 1.0]]])
-        assert power_cap(top, np.zeros((1, 1)), x, 0)[0] == np.inf
+        q = np.zeros((1, 1))
+        assert power_cap(top, q, x, normalized_interference(top, q))[0, 0] == np.inf
 
     def test_zero_cross_gain_has_no_cap(self):
         g0 = np.array([[1.0], [0.0]])
@@ -111,7 +115,8 @@ class TestPowerCap:
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
                               budgets=np.array([5.0, 5.0]), gains=((g0,), (g1,)))
         x = np.array([[[1.0]], [[0.5]]])
-        assert power_cap(top, np.zeros((2, 1)), x, 0)[0] == np.inf
+        q = np.zeros((2, 1))
+        assert power_cap(top, q, x, normalized_interference(top, q))[0, 0] == np.inf
 
 
 class TestDcObjective:
@@ -138,8 +143,10 @@ class TestSubproblem:
         q = np.array([[4.2, 5.3]])      # feasible but lopsided start
         x = dense_interference(top, q)
         caps = np.array([np.inf, np.inf])
-        out = solve_convex_subproblem(top, constants(top, dem), 0, x[0], caps,
-                                      10.0, q)
+        consts = constants(top, dem)
+        out = solve_convex_subproblem(top, consts[0], 0, x[0], caps, 10.0, q,
+                                      dense_interference(top, q)[0],
+                                      cell_objective(top, consts, q[0], x[0], 0))
         assert out.improved
         assert out.q_i == pytest.approx([5.0, 5.0], rel=1e-12)
 
@@ -152,8 +159,11 @@ class TestSubproblem:
         dem = RateDemands.uniform(top, 1.0)
         q = np.array([[4.0, 4.0]])
         x = dense_interference(top, np.zeros((1, 2)))
-        out = solve_convex_subproblem(top, constants(top, dem), 0, x[0],
-                                      np.array([4.0, np.inf]), 10.0, q)
+        consts = constants(top, dem)
+        out = solve_convex_subproblem(top, consts[0], 0, x[0],
+                                      np.array([4.0, np.inf]), 10.0, q,
+                                      dense_interference(top, q)[0],
+                                      cell_objective(top, consts, q[0], x[0], 0))
         assert out.improved
         assert out.q_i == pytest.approx([4.0, 6.0], rel=1e-12)
         assert out.objective_value == pytest.approx(-3.0 - np.log2(3.0),
@@ -163,8 +173,11 @@ class TestSubproblem:
         top, dem = rate_max_single_cell()
         q = np.array([[4.0]])       # start at the feasibility boundary
         x = dense_interference(top, q)
-        out = solve_convex_subproblem(top, constants(top, dem), 0, x[0],
-                                      np.array([np.inf]), 10.0, q)
+        consts = constants(top, dem)
+        out = solve_convex_subproblem(top, consts[0], 0, x[0],
+                                      np.array([np.inf]), 10.0, q,
+                                      dense_interference(top, q)[0],
+                                      cell_objective(top, consts, q[0], x[0], 0))
         assert out.q_i == pytest.approx([10.0], rel=1e-6)
         p = _assemble(constants(top, dem), out.q_i[None], x).powers[0, 0]
         assert p == pytest.approx([6.0, 4.0], rel=1e-6)
@@ -177,25 +190,29 @@ class TestSubproblem:
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
             q0, x0 = random_feasible_start(top, dem, rng)
             for i in range(2):
-                caps = power_cap(top, q0, x0, i)
+                caps = power_cap(top, q0, x0, normalized_interference(top, q0))[i]
                 consts = constants(top, dem)
                 warm = cell_objective(top, consts, q0[i], x0[i], i)
-                out = solve_convex_subproblem(top, consts, i, x0[i], caps,
-                                              float(top.budgets[i]), q0)
+                out = solve_convex_subproblem(top, consts[i], i, x0[i], caps,
+                                              float(top.budgets[i]), q0,
+                                              dense_interference(top, q0)[i], warm)
                 assert out.objective_value <= warm + 1e-9
 
     def test_infeasible_inputs_raise_with_family(self):
         top, dem = rate_max_single_cell()
         q = np.array([[2.0]])       # below the required 4 W
         x = dense_interference(top, q)
+        consts = constants(top, dem)
         with pytest.raises(InfeasibleSubproblemError, match="demand coupling"):
-            solve_convex_subproblem(top, constants(top, dem), 0, x[0],
-                                    np.array([np.inf]), 10.0, q)
+            solve_convex_subproblem(top, consts[0], 0, x[0],
+                                    np.array([np.inf]), 10.0, q, x[0],
+                                    cell_objective(top, consts, q[0], x[0], 0))
         q = np.array([[8.0]])       # feasible, but over a 6 W budget
         x = dense_interference(top, q)
         with pytest.raises(InfeasibleSubproblemError, match="power budget"):
-            solve_convex_subproblem(top, constants(top, dem), 0, x[0],
-                                    np.array([np.inf]), 6.0, q)
+            solve_convex_subproblem(top, consts[0], 0, x[0],
+                                    np.array([np.inf]), 6.0, q, x[0],
+                                    cell_objective(top, consts, q[0], x[0], 0))
 
 
 class TestDpcSrm:
@@ -360,6 +377,40 @@ class TestDpcSrm:
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build"]
 
+    def test_one_interference_evaluation_per_accepted_step(self, monkeypatch):
+        # on a paper-size drop the default start evaluates the normalized
+        # interference once, for its start, every cell's caps and steps and
+        # the settle; a random start once more per step that moves.  The
+        # fixed-point solve's own evaluations, in power_min, are not counted
+        config = ScenarioConfig(seed=0, algorithm="rate-max")
+        top = generate_channels(config, config.seed)
+        dem = build_demands(config, top)
+        q0, x0 = random_feasible_start(top, dem, np.random.default_rng(0))
+        calls, moved = [], []
+        evaluate = network.normalized_interference
+        step = rate_max_network.solve_convex_subproblem
+
+        def counted_evaluate(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        def counted_step(*args):
+            iterate = step(*args)
+            moved.append(iterate.improved)
+            return iterate
+
+        for module in (network, rate_max_network):
+            monkeypatch.setattr(module, "normalized_interference", counted_evaluate)
+        monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted_step)
+        report = dpc_srm(top, dem)
+        assert len(calls) == 1 and not any(moved)
+        assert report.subproblem_solves == top.num_cells
+        calls.clear()
+        moved.clear()
+        report = dpc_srm(top, dem, q0=q0, x0=x0)
+        assert report.converged and any(moved)
+        assert len(calls) == 1 + sum(moved)
+
     def test_caps_rounded_below_the_start_do_not_stop_the_loop(self):
         # on this paper-size drop a power_cap that cancels received powers
         # left cell 1's caps up to 2e-7 (relative) below its q at 20 and
@@ -421,5 +472,6 @@ class TestDpcSrm:
                 assert np.all(x >= h * (1 - 1e-7))
                 w = demand_weights(dem.rates[i][m], top.bandwidth)
                 assert w @ x <= report.q[i, m] * (1 + 1e-7)
-                cap = power_cap(top, report.q, report.x, i)[m]
+                cap = power_cap(top, report.q, report.x,
+                                normalized_interference(top, report.q))[i, m]
                 assert report.q[i, m] <= cap * (1 + 1e-7) + 1e-12

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
-                       load_config, network, run_scenario, scenario, write_outputs)
+                       load_config, network, power_min, rate_max_network,
+                       run_scenario, scenario, write_outputs)
 from nomapower.cli import build_parser, main
 from nomapower.scenario import (ALGORITHMS, OUTPUT_FORMATS, ConfigError,
                                 ScenarioConfig, _drop_users, _site_layout, _validate,
@@ -298,6 +299,14 @@ class TestChannels:
             assert np.array_equal(a.gains[i][m], b.gains[i][m])
             assert np.array_equal(a.user_ids[i][m], b.user_ids[i][m])
 
+    def test_paper_ring_is_shared_read_only(self):
+        # every drop of a run gets the same cached sites, so none may write them
+        sites, wrap = _site_layout(small_config())
+        assert _site_layout(small_config(seed=5))[0] is sites
+        assert not (sites.flags.writeable or wrap.flags.writeable)
+        with pytest.raises(ValueError, match="read-only"):
+            sites[0, 0] = 1.0
+
     # sha256 prefixes of the topology bytes (gains and user ids per group,
     # cross_ratio, noise_ratio), recorded with the one-user-at-a-time,
     # one-group-at-a-time implementation; they pin the random stream and
@@ -507,6 +516,24 @@ class TestRunScenario:
         one = run_scenario(base).summary[0].sum_rate_bps
         best = run_scenario(multi).summary[0].sum_rate_bps
         assert best >= one - 1e-6 * abs(one)
+
+    def test_one_fixed_point_solve_per_rate_max_drop(self, monkeypatch):
+        # the default start and the three random starts of each drop share
+        # one sum-power fixed point, where each start solved its own
+        solve = power_min._least_fixed_point
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return solve(*args)
+
+        for module in (power_min, rate_max_network):
+            monkeypatch.setattr(module, "_least_fixed_point", counted)
+        config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
+                                multistart=4)
+        artifacts = run_scenario(config)
+        assert artifacts.ok and all(row.converged for row in artifacts.summary)
+        assert len(calls) == len(artifacts.summary) == 3
 
     def test_csv_reproducibility(self, tmp_path):
         config = small_config(budget_dbm_sweep=[25.0, 30.0])
