@@ -50,7 +50,6 @@ class InfeasibleSubproblemError(ValueError):
 
     def __init__(self, family: str, detail: str = ""):
         super().__init__(f"infeasible subproblem: constraint family {family!r} {detail}")
-        self.family = family
 
 
 @dataclass(frozen=True)
@@ -213,18 +212,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     :class:`InfeasibleInitialPointError`.
     """
     constants = _GroupConstants.build(demands.padded_for(topology), topology.bandwidth)
-    if q0 is None:
-        q_star, headroom = _fixed_point_headroom(topology, constants.weights)
-        q = q_star * float(np.min(headroom))
-    else:
-        q = _checked_totals(topology, q0)
-    z = normalized_interference(topology, q)
-    h = suffix_max(z)
-    if q0 is None and x0 is None:
-        x = np.where(topology.occupied, h, 0.0)
-    else:
-        x = _validate_start(topology, constants, q, h, x0)
-
+    q, x, z, h = _start(topology, constants, q0, x0)
     k_cells = cell_objective(topology, constants, q, x)
     caps = power_cap(topology, q, x, z)
     rows = [constants[i] for i in range(topology.num_cells)]
@@ -269,24 +257,28 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                      diagnostic=diagnostic)
 
 
-def _checked_totals(topology, q0):
-    """An explicit start's totals as a new float array; raises
-    :class:`InfeasibleInitialPointError` unless they are a non-negative
-    (I, M) array within the budgets."""
-    q = np.array(q0, dtype=float)
-    if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
-        raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
-    if not within_budgets(topology, q).all():
-        raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
-    return q
+def _start(topology, constants, q0, x0):
+    """The starting totals ``q`` and proxies ``x``, with the normalized
+    interference ``z`` and effective interference ``h`` at ``q``.
 
-
-def _validate_start(topology, constants, q, h, x0):
-    """The proxies of an explicit start: ``x0``, checked to be padded like
-    the topology and at or above the effective interference ``h``, or
-    ``h`` itself when ``x0`` is None; raises
-    :class:`InfeasibleInitialPointError` unless the totals ``q`` cover
-    the need w . x they imply."""
+    ``q0`` None gives the default totals, the scaled fixed point, and
+    ``x0`` None proxies at ``h``.  Unless both are None the start is
+    checked: ``q0`` must be a non-negative (I, M) array within the
+    budgets, ``x0`` padded like the topology and at or above ``h``, and
+    ``q`` must cover the need w . x; otherwise it raises
+    :class:`InfeasibleInitialPointError`.
+    """
+    if q0 is None:
+        q_star, headroom = _fixed_point_headroom(topology, constants.weights)
+        q = q_star * float(np.min(headroom))
+    else:
+        q = np.array(q0, dtype=float)
+        if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
+            raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
+        if not within_budgets(topology, q).all():
+            raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
+    z = normalized_interference(topology, q)
+    h = suffix_max(z)
     occupied = topology.occupied
     if x0 is None:
         x = np.where(occupied, h, 0.0)
@@ -300,12 +292,13 @@ def _validate_start(topology, constants, q, h, x0):
             i, m = np.argwhere(below)[0]
             raise InfeasibleInitialPointError(
                 f"x0 below the effective interference at group ({i},{m})")
-    short = (constants.weights * x).sum(axis=-1) > q * (1.0 + COVER_RTOL)
-    if short.any():
-        i, m = np.argwhere(short)[0]
-        raise InfeasibleInitialPointError(
-            f"q0 cannot cover the demands implied by x0 at group ({i},{m})")
-    return x
+    if q0 is not None or x0 is not None:
+        short = (constants.weights * x).sum(axis=-1) > q * (1.0 + COVER_RTOL)
+        if short.any():
+            i, m = np.argwhere(short)[0]
+            raise InfeasibleInitialPointError(
+                f"q0 cannot cover the demands implied by x0 at group ({i},{m})")
+    return q, x, z, h
 
 
 def _assemble(constants, q, h) -> PowerAllocation:

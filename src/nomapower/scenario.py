@@ -128,7 +128,8 @@ class ScenarioConfig:
     antenna_gain_dbi: float = _key("radio", 14.0, _float)
     min_distance_m: float = _key("radio", 10.0, _float, "positive")
     power_tol_w: float = _key("solver", 1.0e-8, _float, "positive")  # deprecated, unread
-    max_iterations: int = _key("solver", 10_000, _int, "positive")  # caps solve_spm
+    # caps power-min's solve_spm only; rate-max's start solve stops after 100
+    max_iterations: int = _key("solver", 10_000, _int, "positive")
     rate_tol: float = _key("solver", 1.0e-3, _float, "positive")
     max_outer: int = _key("solver", 100, _int, "positive")
 
@@ -298,52 +299,36 @@ def _drop_users(rng, sites, count, config):
     """``count`` positions per site, at distance [min_distance_m, radius].
 
     Rejection sampling over a square, with the users and the generator
-    state a one-user-at-a-time loop gives: one lookahead block of offsets
-    is tested against every site, each site takes its first ``count`` hits
-    after the row where the previous site stopped, and the generator is
-    then moved back to just past the rows used.  The block grows while a
-    site is short.  A user that needs more than ``_MAX_DRAWS`` draws
+    state a one-user-at-a-time loop gives.  Whether an offset lands in
+    the ring does not depend on the site, so one distance per row of a
+    lookahead block of offsets decides it for all sites; the sites take
+    the first ``count`` hits each, site after site, and the generator is
+    then moved back to just past the rows used.  The block grows while it
+    holds too few hits.  A user that needs more than ``_MAX_DRAWS`` draws
     raises RuntimeError.  The rewind counts two 64-bit draws per row: on
     PCG64, numpy's default generator, ``uniform`` takes one 64-bit draw
     per double.
     """
     radius = config.radius
+    need = count * len(sites)
     # 1.5 rows per user: the default ring takes about 1.27, so the block
     # seldom has to grow
-    size = math.ceil(1.5 * count * len(sites))
-    offsets = rng.uniform(-radius, radius, size=(size, 2))
-    hit = _hits(sites, offsets, config)
-    rows = []
-    first = 0               # the row the current site draws first
-    for s in range(len(sites)):
-        while True:
-            taken = first + np.flatnonzero(hit[s, first:])[:count]
-            if len(offsets) >= _MAX_DRAWS:
-                # misses before each hit taken, then after the last one
-                runs = np.diff(taken, prepend=first - 1, append=len(offsets)) - 1
-                if runs[:count].max() >= _MAX_DRAWS:
-                    raise RuntimeError(
-                        f"could not place a user after {_MAX_DRAWS} draws")
-            if len(taken) == count:
-                break
-            more = rng.uniform(-radius, radius, size=offsets.shape)
-            offsets = np.concatenate([offsets, more])
-            hit = np.concatenate([hit, _hits(sites, more, config)], axis=1)
-        rows.append(taken)
-        first = int(taken[-1]) + 1
-    rng.bit_generator.advance(2 * (first - len(offsets)))
-    return (sites[:, None, :] + offsets[np.array(rows)]).reshape(-1, 2)
-
-
-def _hits(sites, offsets, config):
-    """(sites, rows) mask of the offsets that land in each site's ring."""
-    # site + offset - site on a flat (sites, 2 * rows) layout: a length-2
-    # inner axis would make numpy loop once per (site, row)
-    tiled = np.tile(sites, (1, len(offsets)))
-    delta = ((tiled + offsets.ravel()) - tiled).reshape(len(sites), -1, 2)
-    # one dot product per row, rounding as np.linalg.norm(delta[s, k]) does
-    d = np.sqrt((delta[..., None, :] @ delta[..., :, None])[..., 0, 0])
-    return (config.min_distance_m <= d) & (d <= config.radius)
+    offsets = rng.uniform(-radius, radius, size=(math.ceil(1.5 * need), 2))
+    while True:
+        # one dot product per row, rounding as np.linalg.norm does
+        d = np.sqrt((offsets[:, None, :] @ offsets[:, :, None]).ravel())
+        taken = np.flatnonzero((config.min_distance_m <= d) & (d <= radius))[:need]
+        if len(offsets) >= _MAX_DRAWS:
+            # misses before each hit taken, then after the last one
+            runs = np.diff(taken, prepend=-1, append=len(offsets)) - 1
+            if runs[:need].max() >= _MAX_DRAWS:
+                raise RuntimeError(f"could not place a user after {_MAX_DRAWS} draws")
+        if len(taken) == need:
+            break
+        more = rng.uniform(-radius, radius, size=offsets.shape)
+        offsets = np.concatenate([offsets, more])
+    rng.bit_generator.advance(2 * (int(taken[-1]) + 1 - len(offsets)))
+    return np.repeat(sites, count, axis=0) + offsets[taken]
 
 
 def _distances(points, sites, wrap):

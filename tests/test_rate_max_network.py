@@ -426,6 +426,36 @@ class TestDpcSrm:
             assert report.converged, budget_dbm
             assert report.diagnostic == "", budget_dbm
 
+    def test_explicit_default_start_gives_the_default_report(self):
+        # a multistart run hands dpc_srm its default start explicitly, so
+        # that the random starts share its fixed point; the checked start
+        # must give the unchecked one's report bit for bit
+        config = ScenarioConfig(algorithm="rate-max")
+        solved = 0
+        for seed in range(4):
+            topology = generate_channels(config, seed)
+            demands = build_demands(config, topology)
+            for budget_dbm in (20.0, 30.0, 40.0):
+                budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
+                top = dataclasses.replace(topology, budgets=budgets)
+                weights = power_min.demand_weights(demands.padded_for(top),
+                                                   top.bandwidth)
+                try:
+                    fixed_point, headroom = rate_max_network._fixed_point_headroom(
+                        top, weights)
+                except InfeasibleInitialPointError:
+                    continue
+                want = dpc_srm(top, demands)
+                got = dpc_srm(top, demands, q0=fixed_point * float(np.min(headroom)))
+                for name in ("q", "x", "trace"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                assert np.array_equal(got.allocation.powers, want.allocation.powers)
+                assert got.sum_rate == want.sum_rate
+                assert (got.outer_iterations, got.converged, got.diagnostic) == \
+                    (want.outer_iterations, want.converged, want.diagnostic)
+                solved += 1
+        assert solved == 12
+
     def test_random_starts_stay_feasible_and_never_beat_caps(self):
         rng = np.random.default_rng(38)
         top = sample_topology(rng, num_cells=2, users=2, budget=4.0)

@@ -362,10 +362,18 @@ class TestChannels:
 
     def test_batched_placement_matches_one_user_at_a_time(self):
         # thin rings: users need ~50 (395 m) or ~500 (399.5 m) draws, so
-        # the lookahead block grows many times and some users reach the limit
+        # the lookahead block grows many times and some users reach the limit;
+        # the reference measures each user from its own site, so 19 paper-
+        # default sites and custom sites ~1e5 m out check that the ring test
+        # does not depend on the site
         outcomes = set()
-        for min_distance in (395.0, 399.5):
-            config = small_config(min_distance_m=min_distance)
+        configs = [small_config(min_distance_m=min_distance)
+                   for min_distance in (395.0, 399.5)]
+        configs.append(ScenarioConfig(num_cells=19, num_subchannels=8,
+                                      users_per_cell=16))
+        configs.append(small_config(layout="custom", site_positions_m=[
+            [123456.7, -98765.4], [-1.0e5, 3.0e4], [99999.9, 99999.9]]))
+        for config in configs:
             for seed in range(6):
                 rng = np.random.default_rng(seed)
                 try:
