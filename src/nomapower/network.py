@@ -172,14 +172,21 @@ class NetworkTopology:
             raise ValueError(f"user {real[repeated][0]} appears in two groups")
 
         # ascending own gain; ties keep the input order and the padding
-        # (own gain 0) stays in front.  ``slot`` numbers the slots of all
-        # groups in a row, so one fancy index sorts each array.
-        order = np.argsort(own, axis=-1, kind="stable")
-        slot = order + n_max * np.arange(shape[0] * shape[1]).reshape(shape[:2] + (1,))
-        per_slot = per_slot.reshape(-1, num_cells)[slot]
-        gains = np.ascontiguousarray(per_slot.swapaxes(2, 3))
-        ids = ids.ravel()[slot]
-        own = np.where(occupied, own.ravel()[slot], np.inf)
+        # (own gain 0) stays in front.  Groups that come sorted, as
+        # generate_channels gives them, keep their order; otherwise
+        # ``slot`` numbers the slots of all groups in a row, so one fancy
+        # index sorts each array.
+        if (own[..., :-1] <= own[..., 1:]).all():
+            per_slot = np.ascontiguousarray(per_slot)
+        else:
+            order = np.argsort(own, axis=-1, kind="stable")
+            slot = order + n_max * np.arange(shape[0] * shape[1]).reshape(
+                shape[:2] + (1,))
+            per_slot = per_slot.reshape(-1, num_cells)[slot]
+            ids = ids.ravel()[slot]
+            own = own.ravel()[slot]
+        gains = np.array(per_slot.swapaxes(2, 3), order="C")
+        own = np.where(occupied, own, np.inf)
         cross = per_slot / own[..., None]
         cross[cells, :, :, cells] = 0.0
         for name, value in (("budgets", budgets), ("gains", gains),
@@ -231,10 +238,14 @@ class RateDemands:
 
     ``rates`` is one read-only (I, M, n_max) array, front-padded like the
     topology with 0 in padding, that the constructor takes as is or from
-    nested per-group arrays.
+    nested per-group arrays.  ``_constants`` is where the solvers keep
+    the demands' per-group constants and the bandwidth they are for
+    (``power_min._GroupConstants.of``); it is not part of the value.
     """
 
     rates: np.ndarray
+    _constants: tuple | None = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         _store(self, "rates", "rate demands")

@@ -13,12 +13,17 @@ none.
 
 Both problems derive a group's 2^(R/B) and its demand weights here, with
 one formula (:func:`_weights`); :class:`_GroupConstants` bundles them
-with rate maximization's alpha and weak-demand sums.
+with rate maximization's alpha and weak-demand sums.  A drop derives
+them once: the power-min fixed point (:func:`_least_fixed_point`) hands
+them, with the effective interference it ends on, to the split
+(:func:`_split_at`), and rate-max keeps its bundle on the demands
+(:meth:`_GroupConstants.of`) for every start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -87,6 +92,15 @@ def _weights(r, growth):
     return (growth - 1.0) * np.exp2(before)
 
 
+def _demand_constants(topology: NetworkTopology, demands: RateDemands):
+    """The demand weights and 2^(R/B) of ``demands``, (I, M, n_max) each,
+    once they are checked to hold one demand per user of ``topology``:
+    all that the fixed point and the minimum-power split read."""
+    r = demands.padded_for(topology) / topology.bandwidth
+    growth = np.exp2(r)
+    return _weights(r, growth), growth
+
+
 @dataclass(frozen=True)
 class _GroupConstants:
     """The per-group constants of one set of padded (I, M, n_max) demands.
@@ -111,6 +125,21 @@ class _GroupConstants:
         return cls(weights=_weights(r, growth), growth=growth,
                    alpha=np.exp2(-r[..., :-1].sum(axis=-1)),
                    weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
+
+    @classmethod
+    def of(cls, topology: NetworkTopology, demands: RateDemands) -> _GroupConstants:
+        """The constants of ``demands`` at ``topology``'s bandwidth.
+
+        The demands are checked against ``topology`` on every call; the
+        bundle is built on the first call at a bandwidth and kept on the
+        demands, so every start of a multi-start drop reads one bundle.
+        """
+        rates = demands.padded_for(topology)
+        kept = demands._constants
+        if kept is None or kept[0] != topology.bandwidth:
+            kept = (topology.bandwidth, cls.build(rates, topology.bandwidth))
+            object.__setattr__(demands, "_constants", kept)
+        return kept[1]
 
     def __getitem__(self, i: int) -> _GroupConstants:
         return _GroupConstants(self.weights[i], self.growth[i], self.alpha[i],
@@ -155,8 +184,7 @@ def interference_map(topology: NetworkTopology, demands: RateDemands,
     its users' demands against the interference produced by ``q``; it
     equals the group total of :func:`min_power_user_allocation`.
     """
-    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
-    return _reduced_map(topology, weights, q)
+    return _reduced_map(topology, _demand_constants(topology, demands)[0], q)
 
 
 def _reduced_map(topology, weights, q):
@@ -191,7 +219,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
         if np.any(q < 0):
             raise ValueError("q0 must be non-negative")
 
-    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
+    weights = _demand_constants(topology, demands)[0]
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     trace = []
     converged = False
@@ -243,21 +271,45 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     True and ``budget_feasible`` False.  ``iterations`` counts linear
     solves, ``trace`` holds the sum power after each, and ``max_iter``
     caps the solves against floating-point ties.
+
+    The demand constants are derived once, and the solve evaluates the
+    interference once per linear solve; the last evaluation gives the
+    residual.
     """
-    weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
-    return _least_fixed_point(topology, weights, max_iter)
+    return _least_fixed_point(topology, _demand_constants(topology, demands)[0],
+                              max_iter)[0]
+
+
+@lru_cache(maxsize=16)
+def _policy_layout(shape):
+    """Constant arrays of the policy iteration on (I, M, n_max) groups,
+    built once per shape, read-only: ``later[j, l]`` is True where slot
+    l can decode slot j (l >= j), ``first`` the (I, M, 1) index of each
+    group's first slot in the flattened groups, and ``identity`` the
+    I x I identity."""
+    num_cells, num_subchannels, n_max = shape
+    slots = np.arange(n_max)
+    later = slots[:, None] <= slots
+    first = n_max * np.arange(num_cells * num_subchannels).reshape(
+        num_cells, num_subchannels, 1)
+    identity = np.eye(num_cells)
+    for value in (later, first, identity):
+        value.flags.writeable = False
+    return later, first, identity
 
 
 def _least_fixed_point(topology, weights, max_iter=100):
-    """:func:`solve_spm` from the front-padded demand weights."""
+    """:func:`solve_spm` from the front-padded demand weights.
+
+    Returns the report and the effective interference at ``q_star``,
+    (I, M, n_max), from the solve's last interference evaluation; it is
+    None when ``q_star`` is not finite.
+    """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     ratio, noise = topology.cross_ratio, topology.noise_ratio
-    num_cells, _, n_max = noise.shape
-    slots = np.arange(n_max)
-    later = slots[:, None] <= slots             # [j, l]: l >= j
-    identity = np.eye(num_cells)
-    q = np.zeros((num_cells, topology.num_subchannels))
+    later, first, identity = _policy_layout(noise.shape)
+    q = np.zeros(noise.shape[:2])
     z = noise                                   # normalized_interference at q = 0
     choice = None
     trace = []
@@ -270,8 +322,10 @@ def _least_fixed_point(topology, weights, max_iter=100):
         if len(trace) == max_iter:
             break
         choice = decoder
-        # the demand weight each decoding user carries under this choice
-        load = np.einsum("imj,imjl->iml", weights, choice[..., None] == slots)
+        # the demand weight each decoding user carries under this choice:
+        # every user's weight, summed into its decoding user's slot
+        load = np.bincount((choice + first).ravel(), weights.ravel(),
+                           minlength=weights.size).reshape(weights.shape)
         a = np.einsum("iml,imlk->mik", load, ratio)
         b = np.einsum("iml,iml->mi", load, noise)
         try:
@@ -285,16 +339,22 @@ def _least_fixed_point(topology, weights, max_iter=100):
             break
         z = normalized_interference(topology, q)
 
-    residual = np.inf
+    residual, h = np.inf, None
     if np.isfinite(q).all():
         # f(q) at the z that tested the last choice: each user's effective
         # interference is z at its decoding user, the largest z from its
         # slot on
-        residual = float(np.abs(q - (weights * suffix_max(z)).sum(axis=-1)).max())
+        h = suffix_max(z)
+        residual = _residual(weights, q, h)
     budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
                             budget_feasible=budget_ok, converged=converged,
-                            trace=np.array(trace))
+                            trace=np.array(trace)), h
+
+
+def _residual(weights, q, h):
+    """max |q - f(q)|, from the effective interference ``h`` at ``q``."""
+    return float(np.abs(q - (weights * h).sum(axis=-1)).max())
 
 
 def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
@@ -304,13 +364,20 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     Evaluates the effective interference at ``q_star`` and applies the
     closed-form split to every group at once; group totals reproduce
     ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
-    by more than ``RESIDUAL_TOL`` times its sum power.
+    by more than ``RESIDUAL_TOL`` times its sum power.  A thin wrapper of
+    :func:`_split_at`: ``nomapower run`` derives the demand constants
+    and the effective interference once per drop, in the fixed-point
+    solve, and hands them to that split itself.
     """
-    r = demands.padded_for(topology) / topology.bandwidth
-    growth = np.exp2(r)
+    weights, growth = _demand_constants(topology, demands)
     h = dense_interference(topology, q_star)
-    f = (_weights(r, growth) * h).sum(axis=-1)
-    residual = float(np.max(np.abs(q_star - f)))
+    return _split_at(growth, q_star, h, _residual(weights, q_star, h))
+
+
+def _split_at(growth, q_star, h, residual):
+    """:func:`assemble_full_solution` from 2^(R/B), ``growth``, the
+    effective interference ``h`` at ``q_star`` and the ``residual``
+    max |q_star - f(q_star)| that they give."""
     bound = RESIDUAL_TOL * float(np.sum(q_star))
     if not residual <= bound:
         raise ValueError(

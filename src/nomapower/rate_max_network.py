@@ -21,10 +21,11 @@ cells) at once along the last axis.
 The closed forms read power-min's demand weights w: a group needs w . x,
 and at a total q its weak users sit at their demands while the strongest
 user gets its minimum power plus alpha times the surplus q - w . x.
-:func:`dpc_srm` builds these per-group constants once, as power-min's
-:class:`~nomapower.power_min._GroupConstants`, and hands that bundle, or
-a step its cell's row of it, to every helper in place of the demands.
-No constant is derived here.
+:func:`dpc_srm` reads these per-group constants as power-min's
+:class:`~nomapower.power_min._GroupConstants`, built once per demands
+and kept on them, and hands that bundle, or a step its cell's row of
+it, to every helper in place of the demands.  No constant is derived
+here.
 """
 
 from __future__ import annotations
@@ -198,9 +199,11 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     The sweep keeps the normalized interference at the current ``q``, the
     effective interference (its suffix maximum) and every BS's caps
     (:func:`power_cap`), and refreshes all three from one interference
-    evaluation after each step that moves.  The group constants and their
-    per-cell rows are built once per call, and a step is handed its
-    cell's objective at the current point instead of evaluating it.
+    evaluation after each step that moves.  The group constants are built
+    on the first call with ``demands`` and kept on them, so the starts of
+    a multi-start drop share one bundle; their per-cell rows are cut
+    once per call, and a step is handed its cell's objective at the
+    current point instead of evaluating it.
 
     Without an explicit start the sum-power fixed point is computed
     exactly (:func:`~nomapower.power_min.solve_spm`, on the constants'
@@ -211,7 +214,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     topology with 0 in padding.  An explicit infeasible start raises
     :class:`InfeasibleInitialPointError`.
     """
-    constants = _GroupConstants.build(demands.padded_for(topology), topology.bandwidth)
+    constants = _GroupConstants.of(topology, demands)
     q, x, z, h = _start(topology, constants, q0, x0)
     k_cells = cell_objective(topology, constants, q, x)
     caps = power_cap(topology, q, x, z)
@@ -321,7 +324,7 @@ def _fixed_point_headroom(topology, weights):
     each cell's budget over its total; raises
     :class:`InfeasibleInitialPointError` when there is none within the
     budgets."""
-    fp = _least_fixed_point(topology, weights)
+    fp, _ = _least_fixed_point(topology, weights)
     if not fp.feasible:
         raise InfeasibleInitialPointError(
             "rate demands admit no feasible power allocation within budgets")

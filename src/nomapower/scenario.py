@@ -24,8 +24,10 @@ import numpy as np
 import yaml
 
 from . import fixtures
-from .network import NetworkTopology, RateDemands, dense_rates, unpad
-from .power_min import (COVER_RTOL, assemble_full_solution, demand_weights,
+from .network import (NetworkTopology, RateDemands, dense_rates, group_rates,
+                      unpad)
+from .power_min import (COVER_RTOL, _GroupConstants, _least_fixed_point,
+                        _split_at, _demand_constants, assemble_full_solution,
                         solve_spm, within_budgets)
 from .rate_max_network import (InfeasibleInitialPointError,
                                _fixed_point_headroom, _random_start, dpc_srm)
@@ -242,6 +244,15 @@ def pair_users(indices, method: str):
     return pairs
 
 
+@lru_cache(maxsize=16)
+def _pairing(count, method):
+    """:func:`pair_users`' groups of the ranks 0..count-1, as one
+    read-only (count // 2, 2) array, built once per (count, method)."""
+    pattern = np.array(pair_users(range(count), method))
+    pattern.flags.writeable = False
+    return pattern
+
+
 def link_gain_db(config: ScenarioConfig, distance_m, shadow_db=0.0):
     """Antenna gain minus log-distance path loss minus shadowing, in dB."""
     d_km = np.asarray(distance_m, dtype=float) / 1000.0
@@ -267,7 +278,7 @@ def generate_channels(config: ScenarioConfig, seed: int) -> NetworkTopology:
     cells = np.arange(num_cells)
     own = gain.reshape(num_cells, per_cell, num_cells)[cells, :, cells]
     ranked = np.argsort(own, axis=1, kind="stable") + per_cell * cells[:, None]
-    members = ranked[:, pair_users(range(per_cell), config.pairing)]   # (I, M, 2)
+    members = ranked[:, _pairing(per_cell, config.pairing)]    # (I, M, 2)
     budget = dbm_to_watts(config.budget_dbm_sweep[0])
     return NetworkTopology(bandwidth=config.bandwidth_hz,
                            noise_power=dbm_to_watts(config.noise_power_dbm),
@@ -395,7 +406,11 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     further budget point rebuilds the topology with its own budgets
     (``dataclasses.replace``, which re-runs its construction and checks).
     Power-min solves once per seed, since q* does not depend on the
-    budget, and each budget point re-checks only the per-BS totals.
+    budget, and each budget point re-checks only the per-BS totals.  Its
+    demand constants are derived once per seed, and the effective
+    interference at q* that the solve ends on gives the split and the
+    summary's sum rate; only :func:`_validate` evaluates it again, on
+    its own.
     """
     summary = []
     traces = {}
@@ -405,7 +420,9 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
         topology = generate_channels(config, seed)
         demands = build_demands(config, topology)
         if config.algorithm == "power-min":
-            report = solve_spm(topology, demands, max_iter=config.max_iterations)
+            weights, growth = _demand_constants(topology, demands)
+            report, h = _least_fixed_point(topology, weights, config.max_iterations)
+            solved_on = topology        # whose budgets report.budget_feasible read
             trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
             solved = None       # (allocation, sum power, sum rate) of q*
         for budget_dbm in config.budget_dbm_sweep:
@@ -414,13 +431,14 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
                 topology = dataclasses.replace(topology, budgets=budgets)
             name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
             if config.algorithm == "power-min":
-                feasible = report.converged and bool(
-                    within_budgets(topology, report.q_star).all())
+                within = (report.budget_feasible if topology is solved_on
+                          else within_budgets(topology, report.q_star))
+                feasible = report.converged and bool(within.all())
                 if feasible and solved is None:
-                    allocation = assemble_full_solution(topology, demands,
-                                                        report.q_star)
+                    allocation = _split_at(growth, report.q_star, h,
+                                           report.residual)
                     solved = (allocation, float(report.q_star.sum()), float(
-                        dense_rates(topology, allocation, report.q_star).sum()))
+                        group_rates(allocation.powers, h, topology.bandwidth).sum()))
                 allocation, power, rate = (solved if feasible else
                                            (None, float("nan"), float("nan")))
                 row = SummaryRow(seed, budget_dbm, config.algorithm,
@@ -444,14 +462,15 @@ def _rate_max_point(config, topology, demands, seed, budget_dbm, name):
     """Best of ``config.multistart`` dpc_srm runs on one drop: the default
     start, then random starts drawn around the same sum-power fixed point,
     which is solved once for all of them.  A single start is dpc_srm's
-    own default start, which skips the checks an explicit start gets."""
+    own default start, which skips the checks an explicit start gets.
+    Every start reads the one constants bundle kept on ``demands``."""
     solve = partial(dpc_srm, topology, demands, tol=config.rate_tol,
                     max_outer=config.max_outer)
     try:
         if config.multistart == 1:
             best = solve()
         else:
-            weights = demand_weights(demands.padded_for(topology), topology.bandwidth)
+            weights = _GroupConstants.of(topology, demands).weights
             fixed_point, headroom = _fixed_point_headroom(topology, weights)
             # dpc_srm's default start, given explicitly so that the
             # random starts share its fixed point
@@ -478,9 +497,9 @@ def _validate(topology, demands, allocation):
     if not within_budgets(topology, q).all():
         return "budget exceeded"
     achieved = dense_rates(topology, allocation, q)
-    missed = np.argwhere(np.any(achieved < demands.rates * (1.0 - COVER_RTOL), axis=-1))
-    if missed.size:
-        i, m = missed[0]
+    missed = (achieved < demands.rates * (1.0 - COVER_RTOL)).any(axis=-1)
+    if missed.any():
+        i, m = np.argwhere(missed)[0]
         return f"rate demand missed in group ({i},{m})"
     return None
 

@@ -418,8 +418,12 @@ class TestDenseInput:
             nested = self.build(gains, ids)
             assert_same_topology(nested, self.build(padded_gains, padded_ids))
             assert_same_topology(self.build(gains), self.build(padded_gains))
-            # a built topology's sorted arrays build it again
+            # a built topology's sorted arrays build it again, and sorted
+            # input, which keeps its order, is copied, not frozen in place
             assert_same_topology(nested, self.build(nested.gains, nested.user_ids))
+            given = np.array(nested.gains)
+            again = self.build(given, nested.user_ids)
+            assert given.flags.writeable and not np.shares_memory(again.gains, given)
             assert not nested.user_ids[~nested.occupied].any()
 
     def test_channel_drops_match_nested_input(self, monkeypatch):

@@ -376,6 +376,26 @@ class TestDpcSrm:
         report = dpc_srm(top, dem, q0=q0, x0=x0)
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build"]
+        # a second call with the same demands reads the bundle kept on them
+        assert dpc_srm(top, dem, q0=q0, x0=x0).sum_rate == report.sum_rate
+        assert calls == ["build"]
+
+    def test_kept_constants_follow_the_bandwidth_and_check_the_topology(self):
+        rng = np.random.default_rng(57)
+        top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
+        dem = sample_demands(rng, top, rate=(0.2, 0.6))
+        kept = _GroupConstants.of(top, dem)
+        assert _GroupConstants.of(top, dem) is kept
+        for name in ("weights", "growth", "alpha", "weak"):
+            assert np.array_equal(getattr(kept, name), getattr(constants(top, dem), name))
+        wide = dataclasses.replace(top, bandwidth=2.0 * top.bandwidth)
+        rebuilt = _GroupConstants.of(wide, dem)
+        assert rebuilt is not kept
+        assert np.array_equal(rebuilt.growth, np.exp2(dem.rates / wide.bandwidth))
+        assert "_constants" not in repr(dem)      # no part of the demands' value
+        other = sample_topology(rng, num_cells=2, num_subchannels=2, users=3)
+        with pytest.raises(ValueError, match="one per user"):
+            _GroupConstants.of(other, dem)
 
     def test_one_interference_evaluation_per_accepted_step(self, monkeypatch):
         # on a paper-size drop the default start evaluates the normalized

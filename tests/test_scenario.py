@@ -543,6 +543,51 @@ class TestRunScenario:
         assert artifacts.ok and all(row.converged for row in artifacts.summary)
         assert len(calls) == len(artifacts.summary) == 3
 
+    def test_one_constants_bundle_per_multistart_drop(self, monkeypatch):
+        # the fixed point, the random starts and all four dpc_srm calls of
+        # a drop read one bundle, where each dpc_srm call built its own
+        build = power_min._GroupConstants.build
+        calls = []
+        monkeypatch.setattr(power_min._GroupConstants, "build", staticmethod(
+            lambda *args: calls.append(1) or build(*args)))
+        config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
+                                multistart=4)
+        artifacts = run_scenario(config)
+        assert artifacts.ok and all(row.converged for row in artifacts.summary)
+        assert len(calls) == len(artifacts.summary) == 3
+
+    def test_power_min_drop_derives_its_constants_and_interference_once(
+            self, monkeypatch):
+        # one normalized-interference evaluation per linear solve gives the
+        # split and the summary's rates too; only _validate evaluates it
+        # again.  The demand weights are derived once, and a drop that
+        # passes its validation looks for no failing group
+        evaluate = network.normalized_interference
+        weights = power_min._weights
+        argwhere = np.argwhere
+        counts = {"interference": 0, "weights": 0, "argwhere": 0}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        bound = [module for module in (network, power_min, rate_max_network, scenario)
+                 if getattr(module, "normalized_interference", None) is evaluate]
+        assert network in bound and power_min in bound
+        for module in bound:
+            monkeypatch.setattr(module, "normalized_interference",
+                                counted("interference", evaluate))
+        monkeypatch.setattr(power_min, "_weights", counted("weights", weights))
+        monkeypatch.setattr(np, "argwhere", counted("argwhere", argwhere))
+        artifacts = run_scenario(ScenarioConfig(seed=0))
+        monkeypatch.undo()
+        (row,) = artifacts.summary
+        assert artifacts.ok and row.converged and row.iterations >= 1
+        assert counts == {"interference": row.iterations + 1, "weights": 1,
+                          "argwhere": 0}
+
     def test_csv_reproducibility(self, tmp_path):
         config = small_config(budget_dbm_sweep=[25.0, 30.0])
         out1 = tmp_path / "a"
@@ -796,14 +841,15 @@ class TestRunScenario:
     def test_a_rate_missed_by_a_ten_millionth_fails_the_run(self, monkeypatch,
                                                             tmp_path, capsys):
         # 1e-7 less power for cell 1's weak user on subchannel 1 costs it
-        # about 1e-7 of its rate and touches no other user's
-        def starve(topology, demands, q_star):
-            powers = assemble(topology, demands, q_star).powers.copy()
+        # about 1e-7 of its rate and touches no other user's; the run path
+        # splits q* with the private split behind assemble_full_solution
+        def starve(*args):
+            powers = split(*args).powers.copy()
             powers[1, 1, 0] *= 1.0 - 1e-7
             return PowerAllocation(powers)
 
-        assemble = scenario.assemble_full_solution
-        monkeypatch.setattr(scenario, "assemble_full_solution", starve)
+        split = scenario._split_at
+        monkeypatch.setattr(scenario, "_split_at", starve)
         message = "seed 3, budget 30.0 dBm: rate demand missed in group (1,1)"
         artifacts = run_scenario(small_config())
         assert not artifacts.ok
