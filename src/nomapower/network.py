@@ -58,7 +58,7 @@ def unpad(padded: np.ndarray, occupied: np.ndarray) -> tuple:
         for i, row in enumerate(occupied.sum(axis=-1).tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkTopology:
     """Static description of the network.
 
@@ -93,6 +93,10 @@ class NetworkTopology:
     shape and pads them once, and the same checks and sort follow.  The
     sorted arrays passed back to the constructor (as
     ``dataclasses.replace`` does) build the same topology.
+
+    ``==`` compares identity, as for the other containers here: two
+    topologies are equal only when they are one object, and their arrays
+    compare with ``np.array_equal``.
     """
 
     bandwidth: float
@@ -100,9 +104,9 @@ class NetworkTopology:
     budgets: np.ndarray
     gains: np.ndarray
     user_ids: np.ndarray | None = None
-    occupied: np.ndarray = field(init=False, repr=False, compare=False)
-    cross_ratio: np.ndarray = field(init=False, repr=False, compare=False)
-    noise_ratio: np.ndarray = field(init=False, repr=False, compare=False)
+    occupied: np.ndarray = field(init=False, repr=False)
+    cross_ratio: np.ndarray = field(init=False, repr=False)
+    noise_ratio: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.bandwidth < np.inf:
@@ -232,7 +236,7 @@ def _store(container, name: str, what: str):
     object.__setattr__(container, name, padded)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateDemands:
     """Minimum rate demand (bit/s) per user, aligned with topology order.
 
@@ -241,11 +245,11 @@ class RateDemands:
     nested per-group arrays.  ``_constants`` is where the solvers keep
     the demands' per-group constants and the bandwidth they are for
     (``power_min._GroupConstants.of``); it is not part of the value.
+    ``==`` compares identity; compare ``rates`` with ``np.array_equal``.
     """
 
     rates: np.ndarray
-    _constants: tuple | None = field(default=None, init=False, repr=False,
-                                     compare=False)
+    _constants: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _store(self, "rates", "rate demands")
@@ -261,11 +265,12 @@ class RateDemands:
         return self.rates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerAllocation:
     """Per-user transmit powers (W), aligned with topology order: ``powers``
     is one read-only (I, M, n_max) array stored like
-    :class:`RateDemands`' ``rates``."""
+    :class:`RateDemands`' ``rates``.  ``==`` compares identity; compare
+    ``powers`` with ``np.array_equal``."""
 
     powers: np.ndarray
 

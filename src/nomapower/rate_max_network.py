@@ -10,7 +10,9 @@ powers, and what is left is the paper's single-cell problem: the
 closed-form group rates, water-filled over the subchannels under the
 power budget.  Caps on q_im derived from the other cells' proxy slack
 keep every step globally feasible, which makes the objective trace
-non-increasing.
+non-increasing.  At tight proxies every cap equals the current total, so
+a step there cannot move: it returns its start without the water-fill,
+and from :func:`dpc_srm`'s default start every step is of this kind.
 
 The proxies are stored like the demands: one (I, M, n_max) array,
 front-padded like the topology with 0 in padding, so the strong user's
@@ -150,6 +152,14 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     interpolation between the sorted knots finds the level that spends
     the budget.  The warm start is returned unless the cell objective
     drops.  A cap below ``q_warm`` pins its subchannel at ``q_warm``.
+
+    A pinned step, every cap at or below ``q_warm`` with the proxies
+    already at ``lb``, returns the warm start at once, after the
+    feasibility checks and without the water-fill or an objective
+    evaluation.  No point of its box can beat the warm start: the box's
+    top is min(q_warm, budget) <= q_warm, the proxies cannot go below
+    ``lb``, and the cell objective does not fall as any q_m falls.  From
+    :func:`dpc_srm`'s default start every step is pinned.
     """
     c = constants
     lb = np.where(topology.occupied[i], h_i, 0.0)
@@ -166,6 +176,9 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
         raise InfeasibleSubproblemError(family, f"(cell {i}, subchannel {m})")
     if q_warm.sum() > budget * (1.0 + ROUND_RTOL):
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
+    if (caps <= q_warm).all() and np.array_equal(x_warm, lb):
+        return DcIterate(q_i=q_warm, x_i=x_warm, objective_value=warm_value,
+                         improved=False)
 
     hi = np.minimum(np.maximum(caps, q_warm), budget)
     required = (c.weights * lb).sum(axis=-1)
@@ -203,7 +216,12 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     on the first call with ``demands`` and kept on them, so the starts of
     a multi-start drop share one bundle; their per-cell rows are cut
     once per call, and a step is handed its cell's objective at the
-    current point instead of evaluating it.
+    current point instead of evaluating it.  The final settle puts the
+    proxies on the effective interference and evaluates the objective
+    only when that moves a proxy; otherwise the kept per-cell objectives
+    are already its value.  From the default start every cap binds at
+    tight proxies, so every step is pinned and returns its start, and a
+    call evaluates the objective once, at its start.
 
     Without an explicit start the sum-power fixed point is computed
     exactly (:func:`~nomapower.power_min.solve_spm`, on the constants'
@@ -247,9 +265,13 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
             break
 
     # settle the proxies exactly on the effective interference; this can
-    # only decrease the objective and restores tightness
-    x = np.where(topology.occupied, h, 0.0)
-    trace.append(float(np.sum(cell_objective(topology, constants, q, x))))
+    # only decrease the objective and restores tightness.  Proxies already
+    # there leave every cell's objective at its kept k_cells entry
+    settled = np.where(topology.occupied, h, 0.0)
+    if not np.array_equal(settled, x):
+        x = settled
+        k_cells = cell_objective(topology, constants, q, x)
+    trace.append(float(np.sum(k_cells)))
 
     allocation = _assemble(constants, q, h)
     sum_rate = float(group_rates(allocation.powers, h, topology.bandwidth).sum())

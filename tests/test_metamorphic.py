@@ -1,0 +1,101 @@
+"""Metamorphic checks: the solvers' answers under relabelling and change of
+units.
+
+Each transform builds a new drop through ``NetworkTopology`` and
+``RateDemands`` from a paper-size drop (the default config at 30 dBm), and
+maps the transformed answer back before comparing it with the original:
+``solve_spm``'s least fixed point ``q*`` and ``dpc_srm``'s sum rate from
+its default start.  A relabelling or a change of units changes neither,
+so every check holds up to rounding.
+
+Rounding differs because a roll or a reversal reorders the sums and the
+pivoting of the linear solves, and a scale by 1e3 or 1e-3 is inexact in
+binary.  Over the 34 feasible drops of seeds 0-39 the worst difference
+seen was 4.4e-16 (two ulps) of the sum rate, and of the largest entry of
+``q*``; a linear solve's rounding is at the scale of its largest entry,
+so a small entry of ``q*`` can differ by 4e-15 of itself, and ``q*`` is
+compared entry by entry against its largest entry.  ``RTOL`` allows
+about 45 ulps, room for another numpy's reduction order, and is still
+far below a real fault: scaling the default start by cell 0's budget
+headroom in place of the least one moves the rolled sum rate by up to
+3e-3 of itself.
+"""
+
+import numpy as np
+import pytest
+
+from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
+                       build_demands, dpc_srm, generate_channels, solve_spm)
+
+RTOL = 1e-14
+SEEDS = range(40)
+
+
+def roll_cells(top, dem):
+    # cell i becomes cell i + 1, as a server and as an interferer
+    return (NetworkTopology(top.bandwidth, top.noise_power, np.roll(top.budgets, 1),
+                            np.roll(top.gains, 1, axis=(0, 2)),
+                            np.roll(top.user_ids, 1, axis=0)),
+            RateDemands(np.roll(dem.rates, 1, axis=0)),
+            lambda q: np.roll(q, -1, axis=0), 1.0)
+
+
+def reverse_subchannels(top, dem):
+    return (NetworkTopology(top.bandwidth, top.noise_power, top.budgets,
+                            top.gains[:, ::-1], top.user_ids[:, ::-1]),
+            RateDemands(dem.rates[:, ::-1]),
+            lambda q: q[:, ::-1], 1.0)
+
+
+def scale_noise_and_budgets(top, dem):
+    # every power scales with the noise, so q* scales and no rate moves
+    return (NetworkTopology(top.bandwidth, top.noise_power * 1e3, top.budgets * 1e3,
+                            top.gains, top.user_ids),
+            dem, lambda q: q / 1e3, 1.0)
+
+
+def scale_gains_and_noise(top, dem):
+    # every ratio to an own gain holds, so nothing moves
+    return (NetworkTopology(top.bandwidth, top.noise_power * 1e-3, top.budgets,
+                            top.gains * 1e-3, top.user_ids),
+            dem, lambda q: q, 1.0)
+
+
+def scale_bandwidth_and_demands(top, dem):
+    # the same spectral efficiencies: the same powers at twice the rates
+    return (NetworkTopology(top.bandwidth * 2.0, top.noise_power, top.budgets,
+                            top.gains, top.user_ids),
+            RateDemands(dem.rates * 2.0), lambda q: q, 2.0)
+
+
+TRANSFORMS = (roll_cells, reverse_subchannels, scale_noise_and_budgets,
+              scale_gains_and_noise, scale_bandwidth_and_demands)
+
+
+@pytest.fixture(scope="module")
+def drops():
+    """Each seed's (topology, demands, solve_spm report, dpc_srm sum rate
+    or None where the drop has no fixed point within its budget)."""
+    config = ScenarioConfig(algorithm="rate-max")
+    out = []
+    for seed in SEEDS:
+        top = generate_channels(config, seed)
+        dem = build_demands(config, top)
+        spm = solve_spm(top, dem)
+        out.append((top, dem, spm, dpc_srm(top, dem).sum_rate if spm.feasible else None))
+    assert sum(rate is not None for *_, rate in out) >= 30
+    return out
+
+
+@pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda t: t.__name__)
+def test_answers_survive_the_transform(drops, transform):
+    for seed, (top, dem, spm, sum_rate) in zip(SEEDS, drops):
+        top_t, dem_t, undo, rate_scale = transform(top, dem)
+        spm_t = solve_spm(top_t, dem_t)
+        assert spm_t.feasible == spm.feasible, seed
+        if sum_rate is None:
+            continue
+        np.testing.assert_allclose(undo(spm_t.q_star), spm.q_star, rtol=0,
+                                   atol=RTOL * spm.q_star.max(), err_msg=f"seed {seed}")
+        rate_t = dpc_srm(top_t, dem_t).sum_rate / rate_scale
+        assert rate_t == pytest.approx(sum_rate, rel=RTOL, abs=0), seed

@@ -548,3 +548,18 @@ def test_demands_must_be_positive():
         RateDemands(((np.array([1.0, 0.0]),), (np.array([1.0, 1.0]),)))
     demands = RateDemands.uniform(top, 2.0)
     assert demands.rates[1][0] == pytest.approx([2.0, 2.0])
+
+
+def test_containers_compare_by_identity():
+    # a dataclass __eq__ would compare the arrays inside a tuple and raise
+    # numpy's ambiguous-truth ValueError; == and != must return bools
+    top = two_cell_example()
+    rates = RateDemands.uniform(top, 2.0).rates
+    powers = rates * 0.5
+    pairs = ((RateDemands(rates), RateDemands(rates.copy())),
+             (PowerAllocation(powers), PowerAllocation(powers.copy())),
+             (top, dataclasses.replace(top)))
+    for a, b in pairs:
+        assert (a == a) is True and (a != a) is False
+        assert (a == b) is False and (a != b) is True
+        assert len({a, b}) == 2

@@ -525,3 +525,77 @@ class TestDpcSrm:
                 cap = power_cap(top, report.q, report.x,
                                 normalized_interference(top, report.q))[i, m]
                 assert report.q[i, m] <= cap * (1 + 1e-7) + 1e-12
+
+
+def paper_drops(seeds, budgets_dbm=(20.0, 30.0, 40.0)):
+    """(topology, demands) of the default rate-max config's drops that
+    have a fixed point within the budget, one per seed and budget."""
+    config = ScenarioConfig(algorithm="rate-max")
+    for seed in seeds:
+        topology = generate_channels(config, seed)
+        demands = build_demands(config, topology)
+        for budget_dbm in budgets_dbm:
+            budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
+            top = dataclasses.replace(topology, budgets=budgets)
+            if solve_spm(top, demands).feasible:
+                yield top, demands
+
+
+class TestPinnedStep:
+    """A step whose caps all bind at tight proxies returns its start
+    without the water-fill; from the default start every step is one."""
+
+    def test_default_start_evaluates_the_objective_once(self, monkeypatch):
+        # once for the start; the three pinned steps and the settle
+        # evaluate nothing
+        config = ScenarioConfig(seed=0, algorithm="rate-max")
+        top = generate_channels(config, config.seed)
+        dem = build_demands(config, top)
+        calls = []
+        evaluate = rate_max_network.cell_objective
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(rate_max_network, "cell_objective", counted)
+        report = dpc_srm(top, dem)
+        assert report.subproblem_solves == top.num_cells
+        assert len(calls) == 1
+
+    def test_default_start_steps_return_their_start(self, monkeypatch):
+        steps = []
+        step = rate_max_network.solve_convex_subproblem
+
+        def recorded(topology, constants, i, x_i, caps, budget, q, h_i, warm_value):
+            start = (q[i].copy(), x_i.copy(), warm_value)
+            steps.append((start, step(topology, constants, i, x_i, caps, budget,
+                                      q, h_i, warm_value)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", recorded)
+        drops = 0
+        for top, dem in paper_drops(range(10)):
+            dpc_srm(top, dem)
+            drops += 1
+        assert drops >= 20 and len(steps) == 3 * drops
+        for (q_i, x_i, warm_value), out in steps:
+            assert not out.improved
+            assert np.array_equal(out.q_i, q_i) and np.array_equal(out.x_i, x_i)
+            assert out.objective_value == warm_value
+
+    def test_loose_proxies_still_step(self):
+        # caps at the start's totals, but proxies drawn above their floor:
+        # the proxies can fall, so the step must run and improve
+        config = ScenarioConfig(seed=0, algorithm="rate-max")
+        top = generate_channels(config, config.seed)
+        dem = build_demands(config, top)
+        q0, x0 = random_feasible_start(top, dem, np.random.default_rng(0))
+        consts = constants(top, dem)
+        h = dense_interference(top, q0)
+        for i in range(top.num_cells):
+            warm = cell_objective(top, consts, q0[i], x0[i], i)
+            out = solve_convex_subproblem(top, consts[i], i, x0[i], q0[i].copy(),
+                                          float(top.budgets[i]), q0, h[i], warm)
+            assert out.improved, i
+            assert out.objective_value < warm
