@@ -11,8 +11,9 @@ closed-form group rates, water-filled over the subchannels under the
 power budget.  Caps on q_im derived from the other cells' proxy slack
 keep every step globally feasible, which makes the objective trace
 non-increasing.  At tight proxies every cap equals the current total, so
-a step there cannot move: it returns its start without the water-fill,
-and from :func:`dpc_srm`'s default start every step is of this kind.
+a step there cannot move.  :func:`dpc_srm` tests this once per sweep, for
+every cell at once, and a sweep in which every step is pinned runs no
+step; from its default start the first sweep is of this kind.
 
 The proxies are stored like the demands: one (I, M, n_max) array,
 front-padded like the topology with 0 in padding, so the strong user's
@@ -154,12 +155,11 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     drops.  A cap below ``q_warm`` pins its subchannel at ``q_warm``.
 
     A pinned step, every cap at or below ``q_warm`` with the proxies
-    already at ``lb``, returns the warm start at once, after the
-    feasibility checks and without the water-fill or an objective
-    evaluation.  No point of its box can beat the warm start: the box's
-    top is min(q_warm, budget) <= q_warm, the proxies cannot go below
-    ``lb``, and the cell objective does not fall as any q_m falls.  From
-    :func:`dpc_srm`'s default start every step is pinned.
+    already at ``lb``, returns the warm start: no point of its box can
+    beat it, since the box's top is min(q_warm, budget) <= q_warm, the
+    proxies cannot go below ``lb``, and the cell objective does not fall
+    as any q_m falls.  :func:`dpc_srm` detects a sweep of such steps
+    before it runs and calls no step then.
     """
     c = constants
     lb = np.where(topology.occupied[i], h_i, 0.0)
@@ -176,9 +176,6 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
         raise InfeasibleSubproblemError(family, f"(cell {i}, subchannel {m})")
     if q_warm.sum() > budget * (1.0 + ROUND_RTOL):
         raise InfeasibleSubproblemError("power budget", f"(cell {i})")
-    if (caps <= q_warm).all() and np.array_equal(x_warm, lb):
-        return DcIterate(q_i=q_warm, x_i=x_warm, objective_value=warm_value,
-                         improved=False)
 
     hi = np.minimum(np.maximum(caps, q_warm), budget)
     required = (c.weights * lb).sum(axis=-1)
@@ -215,13 +212,20 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     evaluation after each step that moves.  The group constants are built
     on the first call with ``demands`` and kept on them, so the starts of
     a multi-start drop share one bundle; their per-cell rows are cut
-    once per call, and a step is handed its cell's objective at the
-    current point instead of evaluating it.  The final settle puts the
-    proxies on the effective interference and evaluates the objective
-    only when that moves a proxy; otherwise the kept per-cell objectives
-    are already its value.  From the default start every cap binds at
-    tight proxies, so every step is pinned and returns its start, and a
-    call evaluates the objective once, at its start.
+    once per call, before the first sweep that steps, and a step is
+    handed its cell's objective at the current point instead of
+    evaluating it.  The final settle puts the proxies on the effective
+    interference and evaluates the objective only when that moves a
+    proxy; otherwise the kept per-cell objectives are already its value.
+
+    Before each sweep one test over all cells asks whether every step of
+    it is pinned (:func:`_stalled`).  Such a sweep cannot move, so it
+    runs no step: it counts its I solves and appends the unchanged
+    objective, and the loop stops converged, as it does on a change of
+    0; the proxies are already settled.  From the default start of cells
+    that all interfere every cap binds at tight proxies, so the first
+    sweep is stalled, and a call evaluates the objective once, at its
+    start, and runs no step.  A single cell has no caps and steps.
 
     Without an explicit start the sum-power fixed point is computed
     exactly (:func:`~nomapower.power_min.solve_spm`, on the constants'
@@ -236,29 +240,36 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     q, x, z, h = _start(topology, constants, q0, x0)
     k_cells = cell_objective(topology, constants, q, x)
     caps = power_cap(topology, q, x, z)
-    rows = [constants[i] for i in range(topology.num_cells)]
-    budgets = topology.budgets.tolist()
+    rows = budgets = None
     trace = [float(np.sum(k_cells))]
-    converged = False
+    converged = stalled = False
     diagnostic = ""
     solves = 0
     outer = 0
     for outer in range(1, max_outer + 1):
-        for i in range(topology.num_cells):
-            try:
-                step = solve_convex_subproblem(topology, rows[i], i, x[i], caps[i],
-                                               budgets[i], q, h[i], k_cells[i])
-            except InfeasibleSubproblemError as exc:
-                diagnostic = str(exc)
+        # a stalled sweep leaves the point as it is, and so every later one
+        stalled = stalled or _stalled(topology, constants, q, x, h, caps)
+        if stalled:
+            solves += topology.num_cells
+        else:
+            if rows is None:
+                rows = [constants[i] for i in range(topology.num_cells)]
+                budgets = topology.budgets.tolist()
+            for i in range(topology.num_cells):
+                try:
+                    step = solve_convex_subproblem(topology, rows[i], i, x[i], caps[i],
+                                                   budgets[i], q, h[i], k_cells[i])
+                except InfeasibleSubproblemError as exc:
+                    diagnostic = str(exc)
+                    break
+                solves += 1
+                if step.improved:
+                    q[i], x[i], k_cells[i] = step.q_i, step.x_i, step.objective_value
+                    z = normalized_interference(topology, q)
+                    h = suffix_max(z)
+                    caps = power_cap(topology, q, x, z)
+            if diagnostic:
                 break
-            solves += 1
-            if step.improved:
-                q[i], x[i], k_cells[i] = step.q_i, step.x_i, step.objective_value
-                z = normalized_interference(topology, q)
-                h = suffix_max(z)
-                caps = power_cap(topology, q, x, z)
-        if diagnostic:
-            break
         trace.append(float(np.sum(k_cells)))
         if abs(trace[-2] - trace[-1]) <= tol:
             converged = True
@@ -266,11 +277,13 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
 
     # settle the proxies exactly on the effective interference; this can
     # only decrease the objective and restores tightness.  Proxies already
-    # there leave every cell's objective at its kept k_cells entry
-    settled = np.where(topology.occupied, h, 0.0)
-    if not np.array_equal(settled, x):
-        x = settled
-        k_cells = cell_objective(topology, constants, q, x)
+    # there, as at a stalled sweep, leave every cell's objective at its
+    # kept k_cells entry
+    if not stalled:
+        settled = np.where(topology.occupied, h, 0.0)
+        if not np.array_equal(settled, x):
+            x = settled
+            k_cells = cell_objective(topology, constants, q, x)
     trace.append(float(np.sum(k_cells)))
 
     allocation = _assemble(constants, q, h)
@@ -280,6 +293,20 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                      converged=converged and not diagnostic,
                      subproblem_solves=solves,
                      diagnostic=diagnostic)
+
+
+def _stalled(topology, constants, q, x, h, caps):
+    """Whether every BS's step at this point is pinned, for all cells at
+    once: every cap at or below its total, the proxies on the effective
+    interference ``h`` (0 in padding), and every cell passing the step's
+    own feasibility checks, the demand coupling within ``COVER_RTOL`` and
+    the budget within ``ROUND_RTOL``; proxies on ``h`` pass its lower
+    bounds.  Where any of this fails the sweep runs its steps, and a step
+    that fails its own checks raises."""
+    return bool((caps <= q).all()
+                and np.array_equal(x, np.where(topology.occupied, h, 0.0))
+                and ((constants.weights * x).sum(axis=-1) <= q * (1.0 + COVER_RTOL)).all()
+                and (q.sum(axis=1) <= topology.budgets * (1.0 + ROUND_RTOL)).all())
 
 
 def _start(topology, constants, q0, x0):

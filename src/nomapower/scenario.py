@@ -159,6 +159,12 @@ class ScenarioConfig:
             self.num_cells = len(sites)
         elif self.site_positions_m is not None:
             raise ConfigError("site_positions_m needs layout: custom")
+        if self.min_distance_m >= self.radius:
+            # the ring [min_distance_m, radius] that users are drawn from is empty
+            radius = ("cell_radius_m" if self.cell_radius_m is not None
+                      else "inter_site_distance_m / 2")
+            raise ConfigError(f"min_distance_m ({self.min_distance_m:g} m) must be below "
+                              f"the cell radius {radius} ({self.radius:g} m)")
         if self.users_per_cell != self.users_per_subchannel * self.num_subchannels:
             raise ConfigError(
                 "users_per_cell must equal users_per_subchannel * num_subchannels")

@@ -19,13 +19,22 @@ about 45 ulps, room for another numpy's reduction order, and is still
 far below a real fault: scaling the default start by cell 0's budget
 headroom in place of the least one moves the rolled sum rate by up to
 3e-3 of itself.
+
+Two monotone properties of the model follow: the rate-max sum rate
+``run_scenario`` reports does not fall as the budget rises, and
+``solve_spm``'s ``q*``, the least fixed point of a monotone standard
+function, does not fall as one user's demand rises.  Both are checked up
+to the same ``RTOL``.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
-                       build_demands, dpc_srm, generate_channels, solve_spm)
+                       build_demands, dpc_srm, generate_channels, run_scenario,
+                       solve_spm)
 
 RTOL = 1e-14
 SEEDS = range(40)
@@ -99,3 +108,40 @@ def test_answers_survive_the_transform(drops, transform):
                                    atol=RTOL * spm.q_star.max(), err_msg=f"seed {seed}")
         rate_t = dpc_srm(top_t, dem_t).sum_rate / rate_scale
         assert rate_t == pytest.approx(sum_rate, rel=RTOL, abs=0), seed
+
+
+def test_sum_rate_does_not_fall_along_a_budget_sweep():
+    # a point feasible at one budget stays feasible at every larger one
+    config = ScenarioConfig(algorithm="rate-max", seed=SEEDS.start,
+                            num_seeds=len(SEEDS),
+                            budget_dbm_sweep=[20.0, 23.0, 26.0, 30.0, 34.0, 40.0])
+    rows = {}
+    for row in run_scenario(config).summary:
+        rows.setdefault(row.seed, []).append(row.sum_rate_bps)
+    feasible = 0
+    for seed, rates in rows.items():
+        solved = [not math.isnan(rate) for rate in rates]
+        assert solved == sorted(solved), seed
+        rates = np.array(rates)[solved]
+        assert np.all(rates[1:] >= rates[:-1] * (1.0 - RTOL)), seed
+        feasible += rates.size
+    assert feasible >= 200
+
+
+def test_fixed_point_does_not_fall_as_one_demand_rises(drops):
+    # each drop raises another user's demand by 10 %: that user's group
+    # needs strictly more, and no other group needs less
+    raised = 0
+    for seed, (top, dem, spm, sum_rate) in zip(SEEDS, drops):
+        if sum_rate is None:
+            continue
+        user = tuple(np.argwhere(top.occupied)[seed % top.occupied.sum()])
+        rates = np.array(dem.rates, dtype=float)
+        rates[user] *= 1.1
+        spm_up = solve_spm(top, RateDemands(rates))
+        if not spm_up.feasible:
+            continue
+        assert np.all(spm_up.q_star >= spm.q_star - RTOL * spm.q_star.max()), seed
+        assert spm_up.q_star[user[:2]] > spm.q_star[user[:2]], seed
+        raised += 1
+    assert raised >= 30

@@ -330,14 +330,19 @@ class TestDpcSrm:
             _assemble(constants(top, dem), 0.5 * required, h)
 
     def test_infeasible_subproblem_ends_the_run_with_its_diagnostic(self, monkeypatch):
+        # proxies drawn above their floor keep the first sweep from
+        # stalling, so the step runs; the same totals at tight proxies
+        # stall at once and report the sum rate at q0
         top, dem = symmetric_two_cell()
-        start = dpc_srm(top, dem, max_outer=1)
+        q0, x0 = random_feasible_start(top, dem, np.random.default_rng(2))
+        start = dpc_srm(top, dem, q0=q0, max_outer=1)
+        assert np.array_equal(start.q, q0)
 
         def refuse(*args):
             raise InfeasibleSubproblemError("power budget", "(cell 0)")
 
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", refuse)
-        report = dpc_srm(top, dem)
+        report = dpc_srm(top, dem, q0=q0, x0=x0)
         assert not report.converged
         assert report.diagnostic == \
             "infeasible subproblem: constraint family 'power budget' (cell 0)"
@@ -399,8 +404,8 @@ class TestDpcSrm:
 
     def test_one_interference_evaluation_per_accepted_step(self, monkeypatch):
         # on a paper-size drop the default start evaluates the normalized
-        # interference once, for its start, every cell's caps and steps and
-        # the settle; a random start once more per step that moves.  The
+        # interference once, for its start, every cell's caps, the stall
+        # test and the settle; a random start once more per step that moves.  The
         # fixed-point solve's own evaluations, in power_min, are not counted
         config = ScenarioConfig(seed=0, algorithm="rate-max")
         top = generate_channels(config, config.seed)
@@ -423,7 +428,7 @@ class TestDpcSrm:
             monkeypatch.setattr(module, "normalized_interference", counted_evaluate)
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted_step)
         report = dpc_srm(top, dem)
-        assert len(calls) == 1 and not any(moved)
+        assert len(calls) == 1 and moved == []      # a stalled sweep runs no step
         assert report.subproblem_solves == top.num_cells
         calls.clear()
         moved.clear()
@@ -542,12 +547,12 @@ def paper_drops(seeds, budgets_dbm=(20.0, 30.0, 40.0)):
 
 
 class TestPinnedStep:
-    """A step whose caps all bind at tight proxies returns its start
-    without the water-fill; from the default start every step is one."""
+    """A step whose caps all bind at tight proxies returns its start; from
+    the default start every step is one, and dpc_srm runs none of them."""
 
     def test_default_start_evaluates_the_objective_once(self, monkeypatch):
-        # once for the start; the three pinned steps and the settle
-        # evaluate nothing
+        # once for the start; the stalled sweep and the settle evaluate
+        # nothing
         config = ScenarioConfig(seed=0, algorithm="rate-max")
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
@@ -563,26 +568,96 @@ class TestPinnedStep:
         assert report.subproblem_solves == top.num_cells
         assert len(calls) == 1
 
-    def test_default_start_steps_return_their_start(self, monkeypatch):
-        steps = []
+    def test_default_start_runs_no_step(self, monkeypatch):
+        # the first sweep is stalled: its I solves are counted, none is run
+        calls = []
         step = rate_max_network.solve_convex_subproblem
 
-        def recorded(topology, constants, i, x_i, caps, budget, q, h_i, warm_value):
-            start = (q[i].copy(), x_i.copy(), warm_value)
-            steps.append((start, step(topology, constants, i, x_i, caps, budget,
-                                      q, h_i, warm_value)))
-            return steps[-1][1]
+        def counted(*args):
+            calls.append(1)
+            return step(*args)
 
-        monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", recorded)
+        monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted)
         drops = 0
         for top, dem in paper_drops(range(10)):
-            dpc_srm(top, dem)
+            report = dpc_srm(top, dem)
+            assert report.converged and report.outer_iterations == 1
+            assert report.subproblem_solves == top.num_cells
+            assert np.ptp(report.trace) == 0.0
             drops += 1
-        assert drops >= 20 and len(steps) == 3 * drops
-        for (q_i, x_i, warm_value), out in steps:
-            assert not out.improved
-            assert np.array_equal(out.q_i, q_i) and np.array_equal(out.x_i, x_i)
-            assert out.objective_value == warm_value
+        assert drops >= 20 and calls == []
+
+    def test_default_start_steps_return_their_start(self):
+        # each cell's step at the default start's state, run through the
+        # water-fill, returns that start and its objective bit for bit
+        steps = 0
+        for top, dem in paper_drops(range(10)):
+            report = dpc_srm(top, dem)
+            q, x = report.q, report.x
+            consts = _GroupConstants.of(top, dem)
+            z = normalized_interference(top, q)
+            h = network.suffix_max(z)
+            caps = power_cap(top, q, x, z)
+            warm = cell_objective(top, consts, q, x)
+            for i in range(top.num_cells):
+                out = solve_convex_subproblem(top, consts[i], i, x[i], caps[i],
+                                              float(top.budgets[i]), q, h[i], warm[i])
+                assert not out.improved
+                assert np.array_equal(out.q_i, q[i]) and np.array_equal(out.x_i, x[i])
+                assert out.objective_value == warm[i]
+                steps += 1
+        assert steps >= 60
+
+    def test_the_stall_test_changes_no_report(self, monkeypatch):
+        # with the stall test off, every sweep runs its steps; the reports
+        # must be the same, from the default start and from random ones.
+        # A single cell has no caps, so its default start steps as well
+        runs = []
+        for seed, (top, dem) in enumerate(paper_drops(range(10))):
+            q0, x0 = random_feasible_start(top, dem, np.random.default_rng(seed))
+            runs += [(top, dem, {}), (top, dem, {"q0": q0, "x0": x0})]
+        config = ScenarioConfig(algorithm="rate-max", num_cells=1)
+        for seed in range(3):
+            top = generate_channels(config, seed)
+            runs.append((top, build_demands(config, top), {}))
+        fields = ("q", "x", "trace", "converged", "outer_iterations",
+                  "subproblem_solves", "diagnostic")
+        reports = [dpc_srm(top, dem, **start) for top, dem, start in runs]
+        monkeypatch.setattr(rate_max_network, "_stalled", lambda *args: False)
+        moved = 0
+        for (top, dem, start), want in zip(runs, reports):
+            got = dpc_srm(top, dem, **start)
+            for name in fields:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(got.allocation.powers, want.allocation.powers)
+            moved += bool(np.ptp(want.trace) > 0.0)
+        assert moved >= 10
+
+    def test_stall_test_needs_every_condition(self):
+        # the default start is stalled; breaking any one condition, with
+        # the others kept, makes its sweep run the steps
+        config = ScenarioConfig(seed=0, algorithm="rate-max")
+        top = generate_channels(config, config.seed)
+        dem = build_demands(config, top)
+        consts = _GroupConstants.of(top, dem)
+        start = dpc_srm(top, dem)
+        q, x = start.q, start.x
+        z = normalized_interference(top, q)
+        h = network.suffix_max(z)
+        caps = power_cap(top, q, x, z)
+        stalled = rate_max_network._stalled
+        assert stalled(top, consts, q, x, h, caps)
+        loose_cap = caps.copy()
+        loose_cap[1, 0] = q[1, 0] * 1.001
+        assert not stalled(top, consts, q, x, h, loose_cap)
+        loose_proxy = x.copy()
+        loose_proxy[0, 0, 0] *= 1.001          # a weak user's proxy above its floor
+        assert not stalled(top, consts, q, loose_proxy, h, caps)
+        short = q.copy()
+        short[2, 1] = (consts.weights[2, 1] * x[2, 1]).sum() * (1.0 - 1e-6)
+        assert not stalled(top, consts, short, x, h, np.minimum(caps, short))
+        over = dataclasses.replace(top, budgets=q.sum(axis=1) * (1.0 - 1e-6))
+        assert not stalled(over, consts, q, x, h, caps)
 
     def test_loose_proxies_still_step(self):
         # caps at the start's totals, but proxies drawn above their floor:

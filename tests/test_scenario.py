@@ -114,6 +114,9 @@ class TestConfig:
             small_config(budget_dbm_sweep=[])
         with pytest.raises(ConfigError):
             small_config(layout="custom")        # missing positions
+        with pytest.raises(ConfigError, match="min_distance_m .* must be below"):
+            small_config(min_distance_m=400.0)   # no distance left to draw
+        assert small_config(min_distance_m=399.5).min_distance_m == 399.5
 
     @pytest.mark.parametrize("radius", [-5.0, 0.0])
     def test_cell_radius_must_be_positive(self, radius, tmp_path):
@@ -123,6 +126,21 @@ class TestConfig:
         path.write_text(GOOD_CONFIG.replace(
             "  pairing: SW\n", f"  pairing: SW\n  cell_radius_m: {radius}\n"))
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("section, key, radius", [
+        ("radio", "min_distance_m: 400.0", "inter_site_distance_m / 2 (400 m)"),
+        ("radio", "min_distance_m: 500.0", "inter_site_distance_m / 2 (400 m)"),
+        ("cells", "cell_radius_m: 8.0", "cell_radius_m (8 m)"),
+    ], ids=["ring-edge", "ring-beyond", "radius-inside-default-min"])
+    def test_empty_user_ring_exits_2(self, section, key, radius, tmp_path, capsys):
+        # users are drawn at distance [min_distance_m, radius]: with no
+        # such distance the config is refused, naming both keys
+        path = tmp_path / "scenario.yaml"
+        path.write_text(GOOD_CONFIG.replace(f"{section}:\n", f"{section}:\n  {key}\n"))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "min_distance_m" in err and f"the cell radius {radius}" in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("old, new", [
@@ -429,9 +447,10 @@ class TestChannels:
             assert np.array_equal(users, np.repeat(sites + [100.0, 0.0], count, axis=0))
             # the generator ends just past the last row used
             assert rng.state == misses + len(sites) * count
+        # a ring 1 cm wide is valid, but no user lands in it within the limit
         with pytest.raises(RuntimeError,
                            match="could not place a user after 1000 draws"):
-            generate_channels(ScenarioConfig(min_distance_m=500.0), 3)
+            generate_channels(ScenarioConfig(min_distance_m=399.99), 3)
 
     def test_different_seeds_differ(self):
         config = small_config()
