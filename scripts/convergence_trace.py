@@ -12,10 +12,13 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
                        generate_channels)
+from nomapower.scenario import dbm_to_watts
 
 
 def main():
@@ -33,18 +36,19 @@ def main():
                             rate_demand_bps=0.3e6)
     topology = generate_channels(config, args.seed)
     demands = build_demands(config, topology)
+    budgets = np.full(topology.num_cells, dbm_to_watts(args.budget_dbm))
 
-    spm = dpc_spm(topology, demands)
+    spm = dpc_spm(topology, demands, budgets)
     print(f"sum-power minimization: converged={spm.converged} "
           f"iterations={spm.iterations}")
     for k, value in enumerate(spm.trace, start=1):
         print(f"  iteration {k:3d}: {value:.6e} W")
 
-    if not spm.feasible:
+    if not spm.fits(budgets):
         print("demands infeasible for this drop; no rate run")
         return
 
-    srm = dpc_srm(topology, demands)
+    srm = dpc_srm(topology, demands, budgets)
     print(f"sum-rate maximization: converged={srm.converged} "
           f"outer sweeps={srm.outer_iterations} "
           f"subproblem solves={srm.subproblem_solves}")

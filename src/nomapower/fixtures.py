@@ -1,6 +1,7 @@
 """Built-in analytic fixtures with hand-solvable optima.
 
-Used by the CLI's --fixtures self-check and by the test suite.
+Each returns ``(topology, demands, budgets)``; used by the CLI's
+--fixtures self-check and by the test suite.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ def symmetric_two_cell():
     group1 = np.array([[0.1, 0.2],
                        [0.5, 1.0]])
     topology = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                               budgets=np.array([5.0, 5.0]),
                                gains=((group0,), (group1,)))
-    demands = RateDemands.uniform(topology, 1.0)
-    return topology, demands
+    return topology, RateDemands.uniform(topology, 1.0), np.array([5.0, 5.0])
 
 
 # single-cell group with effective interference (2, 1): own gains (1, 2)
@@ -39,8 +38,5 @@ RATE_MAX_SINGLE_CELL_POWERS = (6.0, 4.0)
 
 def rate_max_single_cell():
     group = np.array([[1.0, 2.0]])
-    topology = NetworkTopology(bandwidth=1.0, noise_power=2.0,
-                               budgets=np.array([10.0]),
-                               gains=((group,),))
-    demands = RateDemands.uniform(topology, 1.0)
-    return topology, demands
+    topology = NetworkTopology(bandwidth=1.0, noise_power=2.0, gains=((group,),))
+    return topology, RateDemands.uniform(topology, 1.0), np.array([10.0])

@@ -91,8 +91,9 @@ class NetworkTopology:
     ``[k, j]`` the gain from BS ``k`` to user ``j``, and ``user_ids[i][m]``
     holds the group's identifiers; :func:`front_pad` checks each group's
     shape and pads them once, and the same checks and sort follow.  The
-    sorted arrays passed back to the constructor (as
-    ``dataclasses.replace`` does) build the same topology.
+    sorted arrays passed back to the constructor build the same topology.
+    The gains' BS axis counts the cells; the per-BS budgets are no part
+    of the network, and every function that reads them takes them.
 
     ``==`` compares identity, as for the other containers here: two
     topologies are equal only when they are one object, and their arrays
@@ -101,7 +102,6 @@ class NetworkTopology:
 
     bandwidth: float
     noise_power: float
-    budgets: np.ndarray
     gains: np.ndarray
     user_ids: np.ndarray | None = None
     occupied: np.ndarray = field(init=False, repr=False)
@@ -113,30 +113,25 @@ class NetworkTopology:
             raise ValueError("bandwidth must be positive and finite")
         if not 0 < self.noise_power < np.inf:
             raise ValueError("noise power must be positive and finite")
-        budgets = np.array(self.budgets, dtype=float)
-        if budgets.ndim != 1 or not ((0 < budgets) & (budgets < np.inf)).all():
-            raise ValueError("budgets must be a 1-D positive finite array")
-        num_cells = budgets.size
-        cells = np.arange(num_cells)
-        gains = self.gains
+        gains, occupied = self.gains, None
         if isinstance(gains, np.ndarray):
             gains = np.asarray(gains, dtype=float)
-            if gains.ndim != 4 or gains.shape[0] != num_cells \
-                    or gains.shape[2] != num_cells:
+            if gains.ndim != 4 or gains.shape[0] != gains.shape[2]:
                 raise ValueError("padded gains must be (num_cells, num_subchannels,"
                                  " num_cells, n_max)")
-            n_max = gains.shape[-1]
-            own = gains[cells, :, cells]                    # (I, M, n_max)
-            occupied = np.arange(n_max) >= n_max - (own > 0).sum(axis=-1, keepdims=True)
         else:
-            if len(gains) != num_cells:
+            num_cells = len(gains)          # one row of groups per cell, each (I, n)
+            if num_cells and len(gains[0]) and np.shape(gains[0][0])[:1] != (num_cells,):
                 raise ValueError("gains must hold one row of groups per cell")
             gains, occupied = front_pad(gains, lead=(num_cells,))
-            own = gains[cells, :, cells]
+        num_cells, n_max = gains.shape[0], gains.shape[-1]
+        cells = np.arange(num_cells)
+        own = gains[cells, :, cells]                        # (I, M, n_max)
+        if occupied is None:
+            occupied = np.arange(n_max) >= n_max - (own > 0).sum(axis=-1, keepdims=True)
 
         per_slot = gains.swapaxes(2, 3)                 # gains, BS last
         shape = occupied.shape
-        n_max = shape[-1]
         ids = self.user_ids
         if ids is None:
             ids = np.zeros(shape, dtype=int)
@@ -193,8 +188,7 @@ class NetworkTopology:
         own = np.where(occupied, own, np.inf)
         cross = per_slot / own[..., None]
         cross[cells, :, :, cells] = 0.0
-        for name, value in (("budgets", budgets), ("gains", gains),
-                            ("user_ids", ids), ("occupied", occupied),
+        for name, value in (("gains", gains), ("user_ids", ids), ("occupied", occupied),
                             ("cross_ratio", cross),
                             ("noise_ratio", self.noise_power / own)):
             value.flags.writeable = False
@@ -202,7 +196,7 @@ class NetworkTopology:
 
     @property
     def num_cells(self) -> int:
-        return self.budgets.size
+        return self.occupied.shape[0]
 
     @property
     def num_subchannels(self) -> int:

@@ -25,7 +25,8 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       suffix_sums, unpad)
-from .power_min import ROUND_RTOL, group_split, min_power_user_allocation
+from .power_min import (ROUND_RTOL, _checked_budgets, group_split,
+                        min_power_user_allocation)
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -195,14 +196,16 @@ def rate_via_decoding_chain(topology: NetworkTopology, allocation: PowerAllocati
 
 
 def grid_power_min(topology: NetworkTopology, demands: RateDemands,
-                   resolution: float, max_points: int = 20_000_000) -> GridPowerResult:
+                   budgets: np.ndarray, resolution: float,
+                   max_points: int = 20_000_000) -> GridPowerResult:
     """Exhaustive search for the cheapest feasible per-BS power vector.
 
-    Enumerates q on a ``resolution``-spaced grid up to the budgets; a
-    point is feasible when, at the interference it creates, every group's
-    demands can be met within its q entry (checked by the linear-system
-    route).  Only small instances are accepted.
+    Enumerates q on a ``resolution``-spaced grid up to the (I,) per-BS
+    ``budgets``; a point is feasible when, at the interference it creates,
+    every group's demands can be met within its q entry (checked by the
+    linear-system route).  Only small instances are accepted.
     """
+    budgets = _checked_budgets(topology, budgets)
     if resolution <= 0:
         raise ValueError("resolution must be positive")
     if topology.num_cells > 2 or topology.num_subchannels > 2:
@@ -213,7 +216,7 @@ def grid_power_min(topology: NetworkTopology, demands: RateDemands,
 
     axes = []
     for i in range(topology.num_cells):
-        steps = int(np.floor(topology.budgets[i] / resolution))
+        steps = int(np.floor(budgets[i] / resolution))
         axes.extend([np.arange(steps + 1) * resolution] * topology.num_subchannels)
     total = int(np.prod([a.size for a in axes]))
     if total > max_points:
@@ -222,7 +225,7 @@ def grid_power_min(topology: NetworkTopology, demands: RateDemands,
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([g.ravel() for g in mesh], axis=1).reshape(
         -1, topology.num_cells, topology.num_subchannels)
-    keep = np.all(grid.sum(axis=2) <= topology.budgets * (1.0 + ROUND_RTOL), axis=1)
+    keep = np.all(grid.sum(axis=2) <= budgets * (1.0 + ROUND_RTOL), axis=1)
     grid = grid[keep]
 
     feasible = np.ones(grid.shape[0], dtype=bool)

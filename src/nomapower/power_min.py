@@ -60,18 +60,26 @@ class FixedPointReport:
     q_star: np.ndarray
     iterations: int
     residual: float
-    budget_feasible: np.ndarray
     converged: bool
     trace: np.ndarray
 
-    @property
-    def feasible(self) -> bool:
-        return self.converged and bool(np.all(self.budget_feasible))
+    def fits(self, budgets: np.ndarray) -> bool:
+        """Whether the solve converged to a point within the (I,) ``budgets``."""
+        return self.converged and bool(within_budgets(budgets, self.q_star).all())
 
 
-def within_budgets(topology: NetworkTopology, q: np.ndarray) -> np.ndarray:
-    """Per-BS check of the totals of an (I, M) power array against the budgets."""
-    return q.sum(axis=1) <= topology.budgets * (1.0 + ROUND_RTOL)
+def within_budgets(budgets: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per-BS check of an (I, M) power array's totals against ``budgets``."""
+    return q.sum(axis=1) <= budgets * (1.0 + ROUND_RTOL)
+
+
+def _checked_budgets(topology: NetworkTopology, budgets) -> np.ndarray:
+    """``budgets`` as floats, one positive finite budget per cell."""
+    checked = np.asarray(budgets, dtype=float)
+    if checked.shape != (topology.num_cells,) or not (0 < checked).all() \
+            or not (checked < np.inf).all():
+        raise ValueError("budgets must be a 1-D positive finite array, one per cell")
+    return checked
 
 
 def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -192,7 +200,7 @@ def _reduced_map(topology, weights, q):
     return (weights * dense_interference(topology, q)).sum(axis=-1)
 
 
-def dpc_spm(topology: NetworkTopology, demands: RateDemands,
+def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray,
             q0: np.ndarray | None = None,
             max_iter: int = 10_000) -> FixedPointReport:
     """Distributed power control for sum-power minimization.
@@ -205,12 +213,15 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
     most ``REL_TOL`` times the sum power, or after ``max_iter`` sweeps.
 
     Non-convergence is reported, not raised: it indicates the demands are
-    likely infeasible at any power level.
+    likely infeasible at any power level.  The per-BS ``budgets`` only
+    set the default start, split evenly over the subchannels, and the
+    runaway scale (``RUNAWAY_FACTOR`` times the largest).
     """
+    budgets = _checked_budgets(topology, budgets)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     if q0 is None:
-        q = np.repeat(topology.budgets[:, None] / topology.num_subchannels,
+        q = np.repeat(budgets[:, None] / topology.num_subchannels,
                       topology.num_subchannels, axis=1)
     else:
         q = np.array(q0, dtype=float)
@@ -232,7 +243,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             q[i] = (weights[i] * suffix_max(z)).sum(axis=-1)
         trace.append(q.sum())
         if not np.all(np.isfinite(q)) or \
-                q.max() > RUNAWAY_FACTOR * topology.budgets.max():
+                q.max() > RUNAWAY_FACTOR * budgets.max():
             # expansive coupling: the iteration runs away, no fixed point
             residual = np.inf
             break
@@ -244,10 +255,8 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands,
             converged = True
             break
 
-    budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=iterations, residual=residual,
-                            budget_feasible=budget_ok, converged=converged,
-                            trace=np.array(trace))
+                            converged=converged, trace=np.array(trace))
 
 
 def solve_spm(topology: NetworkTopology, demands: RateDemands,
@@ -266,9 +275,8 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
 
     Since f >= A q + b with b > 0, a solve that is not finite and
     positive certifies that A has spectral radius >= 1 and f has no
-    fixed point: ``converged`` is False and ``q_star`` is +inf.  As with
-    :func:`dpc_spm`, a fixed point beyond a budget reports ``converged``
-    True and ``budget_feasible`` False.  ``iterations`` counts linear
+    fixed point: ``converged`` is False and ``q_star`` is +inf.  The
+    solve reads no budget.  ``iterations`` counts linear
     solves, ``trace`` holds the sum power after each, and ``max_iter``
     caps the solves against floating-point ties.
 
@@ -346,10 +354,8 @@ def _least_fixed_point(topology, weights, max_iter=100):
         # slot on
         h = suffix_max(z)
         residual = _residual(weights, q, h)
-    budget_ok = within_budgets(topology, q)
     return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
-                            budget_feasible=budget_ok, converged=converged,
-                            trace=np.array(trace)), h
+                            converged=converged, trace=np.array(trace)), h
 
 
 def _residual(weights, q, h):

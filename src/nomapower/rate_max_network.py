@@ -40,7 +40,7 @@ import numpy as np
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates, normalized_interference,
                       suffix_max)
-from .power_min import (COVER_RTOL, ROUND_RTOL, _GroupConstants,
+from .power_min import (COVER_RTOL, ROUND_RTOL, _checked_budgets, _GroupConstants,
                         _least_fixed_point, _reduced_map, group_split,
                         within_budgets)
 
@@ -194,10 +194,10 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     return DcIterate(q_i=q_new, x_i=lb, objective_value=new_value, improved=True)
 
 
-def dpc_srm(topology: NetworkTopology, demands: RateDemands,
+def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray,
             q0: np.ndarray | None = None, x0: np.ndarray | None = None,
             tol: float = 1e-3, max_outer: int = 100) -> SrmReport:
-    """Distributed power control for sum-rate maximization.
+    """Distributed sum-rate power control under the (I,) per-BS ``budgets``.
 
     Sweeps cells in ascending order; each BS takes one exact step on its
     own variables with the rest frozen (:func:`solve_convex_subproblem`:
@@ -232,15 +232,18 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     demand weights), scaled uniformly by the tightest cell's budget
     headroom, and the proxies are set to the effective interference at
     that point; this is feasible by construction and not checked again.
+    ``nomapower run`` solves the fixed point once per seed and passes
+    this point as ``q0``, which gives the same run after the checks.
     An explicit ``x0`` is an (I, M, n_max) array front-padded like the
     topology with 0 in padding.  An explicit infeasible start raises
     :class:`InfeasibleInitialPointError`.
     """
+    budgets = _checked_budgets(topology, budgets)
     constants = _GroupConstants.of(topology, demands)
-    q, x, z, h = _start(topology, constants, q0, x0)
+    q, x, z, h = _start(topology, constants, budgets, q0, x0)
     k_cells = cell_objective(topology, constants, q, x)
     caps = power_cap(topology, q, x, z)
-    rows = budgets = None
+    rows = None
     trace = [float(np.sum(k_cells))]
     converged = stalled = False
     diagnostic = ""
@@ -248,13 +251,12 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
     outer = 0
     for outer in range(1, max_outer + 1):
         # a stalled sweep leaves the point as it is, and so every later one
-        stalled = stalled or _stalled(topology, constants, q, x, h, caps)
+        stalled = stalled or _stalled(topology, constants, budgets, q, x, h, caps)
         if stalled:
             solves += topology.num_cells
         else:
             if rows is None:
                 rows = [constants[i] for i in range(topology.num_cells)]
-                budgets = topology.budgets.tolist()
             for i in range(topology.num_cells):
                 try:
                     step = solve_convex_subproblem(topology, rows[i], i, x[i], caps[i],
@@ -295,7 +297,7 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands,
                      diagnostic=diagnostic)
 
 
-def _stalled(topology, constants, q, x, h, caps):
+def _stalled(topology, constants, budgets, q, x, h, caps):
     """Whether every BS's step at this point is pinned, for all cells at
     once: every cap at or below its total, the proxies on the effective
     interference ``h`` (0 in padding), and every cell passing the step's
@@ -306,28 +308,28 @@ def _stalled(topology, constants, q, x, h, caps):
     return bool((caps <= q).all()
                 and np.array_equal(x, np.where(topology.occupied, h, 0.0))
                 and ((constants.weights * x).sum(axis=-1) <= q * (1.0 + COVER_RTOL)).all()
-                and (q.sum(axis=1) <= topology.budgets * (1.0 + ROUND_RTOL)).all())
+                and within_budgets(budgets, q).all())
 
 
-def _start(topology, constants, q0, x0):
+def _start(topology, constants, budgets, q0, x0):
     """The starting totals ``q`` and proxies ``x``, with the normalized
     interference ``z`` and effective interference ``h`` at ``q``.
 
     ``q0`` None gives the default totals, the scaled fixed point, and
     ``x0`` None proxies at ``h``.  Unless both are None the start is
     checked: ``q0`` must be a non-negative (I, M) array within the
-    budgets, ``x0`` padded like the topology and at or above ``h``, and
+    ``budgets``, ``x0`` padded like the topology and at or above ``h``, and
     ``q`` must cover the need w . x; otherwise it raises
     :class:`InfeasibleInitialPointError`.
     """
     if q0 is None:
-        q_star, headroom = _fixed_point_headroom(topology, constants.weights)
-        q = q_star * float(np.min(headroom))
+        fp, _ = _least_fixed_point(topology, constants.weights)
+        q = fp.q_star * float(np.min(_headroom(fp, budgets)))
     else:
         q = np.array(q0, dtype=float)
         if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
             raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
-        if not within_budgets(topology, q).all():
+        if not within_budgets(budgets, q).all():
             raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
     z = normalized_interference(topology, q)
     h = suffix_max(z)
@@ -368,21 +370,19 @@ def _assemble(constants, q, h) -> PowerAllocation:
     return PowerAllocation(group_split(constants.growth, h, constants.alpha * surplus))
 
 
-def _fixed_point_headroom(topology, weights):
-    """The sum-power fixed point for the demand weights ``weights`` and
-    each cell's budget over its total; raises
-    :class:`InfeasibleInitialPointError` when there is none within the
-    budgets."""
-    fp, _ = _least_fixed_point(topology, weights)
-    if not fp.feasible:
+def _headroom(fp, budgets):
+    """Each cell's budget over its total at the sum-power fixed point of
+    the report ``fp``; raises :class:`InfeasibleInitialPointError` when
+    there is none within the ``budgets``."""
+    if not fp.fits(budgets):
         raise InfeasibleInitialPointError(
             "rate demands admit no feasible power allocation within budgets")
-    return fp.q_star, topology.budgets / fp.q_star.sum(axis=1)
+    return budgets / fp.q_star.sum(axis=1)
 
 
 def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
-                          rng: np.random.Generator):
-    """Random feasible (q0, x0) for multi-start exploration.
+                          budgets: np.ndarray, rng: np.random.Generator):
+    """Random feasible (q0, x0) under the (I,) ``budgets``, for multi-start runs.
 
     Scales the sum-power fixed point by random per-cell factors within
     the budget headroom and repairs the demand coupling by a monotone
@@ -393,15 +393,17 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     the topology, 0 in padding.  Raises :class:`InfeasibleInitialPointError`
     when the demands admit no allocation within the budgets.
     """
+    budgets = _checked_budgets(topology, budgets)
     weights = _GroupConstants.build(demands.padded_for(topology),
                                     topology.bandwidth).weights
-    return _random_start(topology, weights,
-                         *_fixed_point_headroom(topology, weights), rng)
+    fp, _ = _least_fixed_point(topology, weights)
+    return _random_start(topology, budgets, weights, fp.q_star,
+                         _headroom(fp, budgets), rng)
 
 
-def _random_start(topology, w, fixed_point, headroom, rng):
+def _random_start(topology, budgets, w, fixed_point, headroom, rng):
     """:func:`random_feasible_start` from the demand weights ``w``, the
-    fixed point and its headroom (:func:`_fixed_point_headroom`)."""
+    fixed point and its :func:`_headroom` under ``budgets``."""
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
     q = fixed_point * factors[:, None]
     for _ in range(100):
@@ -409,7 +411,7 @@ def _random_start(topology, w, fixed_point, headroom, rng):
         if np.all(q >= mapped * (1.0 - ROUND_RTOL)):
             break
         q = np.maximum(q, mapped)
-    if not (within_budgets(topology, q).all()
+    if not (within_budgets(budgets, q).all()
             and np.all(q >= _reduced_map(topology, w, q) * (1.0 - COVER_RTOL))):
         q = fixed_point * float(np.min(headroom))
     occupied = topology.occupied

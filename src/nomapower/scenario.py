@@ -27,10 +27,10 @@ from . import fixtures
 from .network import (NetworkTopology, RateDemands, dense_rates, group_rates,
                       unpad)
 from .power_min import (COVER_RTOL, _GroupConstants, _least_fixed_point,
-                        _split_at, _demand_constants, assemble_full_solution,
-                        solve_spm, within_budgets)
-from .rate_max_network import (InfeasibleInitialPointError,
-                               _fixed_point_headroom, _random_start, dpc_srm)
+                        _split_at, assemble_full_solution, solve_spm,
+                        within_budgets)
+from .rate_max_network import (InfeasibleInitialPointError, _headroom,
+                               _random_start, dpc_srm)
 
 PAIRING_METHODS = ("SS", "SW", "SM")
 ALGORITHMS = ("power-min", "rate-max")
@@ -176,6 +176,16 @@ class ScenarioConfig:
         if len(set(names)) < len(names):
             raise ConfigError(
                 f"budget_dbm_sweep entries must give distinct trace names, got {names}")
+        # a run's only check of its budgets and noise, in the solvers' watts
+        for name, dbm in [("noise_power_dbm", self.noise_power_dbm)] + [
+                ("budget_dbm_sweep", level) for level in self.budget_dbm_sweep]:
+            try:
+                watts = dbm_to_watts(dbm)
+            except OverflowError:
+                watts = math.inf
+            if not 0.0 < watts < math.inf:
+                raise ConfigError(f"{name} must give a positive finite power in"
+                                  f" watts, got {dbm:g} dBm")
         if isinstance(self.rate_demand_bps, list):
             if len(self.rate_demand_bps) != self.users_per_cell:
                 raise ConfigError("per-user rate list must have users_per_cell entries")
@@ -285,10 +295,8 @@ def generate_channels(config: ScenarioConfig, seed: int) -> NetworkTopology:
     own = gain.reshape(num_cells, per_cell, num_cells)[cells, :, cells]
     ranked = np.argsort(own, axis=1, kind="stable") + per_cell * cells[:, None]
     members = ranked[:, _pairing(per_cell, config.pairing)]    # (I, M, 2)
-    budget = dbm_to_watts(config.budget_dbm_sweep[0])
     return NetworkTopology(bandwidth=config.bandwidth_hz,
                            noise_power=dbm_to_watts(config.noise_power_dbm),
-                           budgets=np.full(num_cells, budget),
                            gains=gain[members].transpose(0, 1, 3, 2),
                            user_ids=members)
 
@@ -408,99 +416,87 @@ class RunArtifacts:
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Solve every (seed, budget) point of the sweep and collect artifacts.
 
-    Each seed's channels and demands are drawn and built once; each
-    further budget point rebuilds the topology with its own budgets
-    (``dataclasses.replace``, which re-runs its construction and checks).
-    Power-min solves once per seed, since q* does not depend on the
-    budget, and each budget point re-checks only the per-BS totals.  Its
-    demand constants are derived once per seed, and the effective
-    interference at q* that the solve ends on gives the split and the
-    summary's sum rate; only :func:`_validate` evaluates it again, on
-    its own.
+    Each seed's channels, demands and demand constants are built once,
+    and its least sum-power fixed point q* solved once, with the
+    effective interference there: q* does not depend on the budgets, so
+    a budget point only tests q* against them.  Power-min splits q* once
+    per seed; that split gives every feasible point's allocation and
+    sums, and only :func:`_validate` evaluates the interference again.
+    Rate-max starts each point from q* (:func:`_rate_max_point`).
     """
     summary = []
     traces = {}
     allocations = {}
     failures = []
+    power_min = config.algorithm == "power-min"
+    # rate-max's start solve keeps dpc_srm's own cap of 100 linear solves
+    max_iter = config.max_iterations if power_min else 100
     for seed in range(config.seed, config.seed + config.num_seeds):
         topology = generate_channels(config, seed)
         demands = build_demands(config, topology)
-        if config.algorithm == "power-min":
-            weights, growth = _demand_constants(topology, demands)
-            report, h = _least_fixed_point(topology, weights, config.max_iterations)
-            solved_on = topology        # whose budgets report.budget_feasible read
-            trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
-            solved = None       # (allocation, sum power, sum rate) of q*
+        constants = _GroupConstants.of(topology, demands)
+        report, h = _least_fixed_point(topology, constants.weights, max_iter)
+        trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
+        solved = None       # power-min's (allocation, sum power, sum rate) of q*
         for budget_dbm in config.budget_dbm_sweep:
             budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-            if not np.array_equal(budgets, topology.budgets):
-                topology = dataclasses.replace(topology, budgets=budgets)
             name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
-            if config.algorithm == "power-min":
-                within = (report.budget_feasible if topology is solved_on
-                          else within_budgets(topology, report.q_star))
-                feasible = report.converged and bool(within.all())
+            if power_min:
+                q_star, feasible = report.q_star, report.fits(budgets)
                 if feasible and solved is None:
-                    allocation = _split_at(growth, report.q_star, h,
-                                           report.residual)
-                    solved = (allocation, float(report.q_star.sum()), float(
+                    allocation = _split_at(constants.growth, q_star, h, report.residual)
+                    solved = (allocation, float(q_star.sum()), float(
                         group_rates(allocation.powers, h, topology.bandwidth).sum()))
                 allocation, power, rate = (solved if feasible else
                                            (None, float("nan"), float("nan")))
                 row = SummaryRow(seed, budget_dbm, config.algorithm,
                                  config.pairing, power, rate,
                                  report.iterations, feasible, name)
+                traces[name] = trace
             else:
-                row, trace, allocation = _rate_max_point(
-                    config, topology, demands, seed, budget_dbm, name)
+                row, traces[name], allocation = _rate_max_point(
+                    config, topology, demands, budgets, report, seed, budget_dbm, name)
             summary.append(row)
-            traces[name] = trace
             if allocation is not None:
                 allocations[name] = allocation
-                problem = _validate(topology, demands, allocation)
+                problem = _validate(topology, demands, budgets, allocation)
                 if problem:
                     failures.append(f"seed {seed}, budget {budget_dbm} dBm: {problem}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
 
 
-def _rate_max_point(config, topology, demands, seed, budget_dbm, name):
-    """Best of ``config.multistart`` dpc_srm runs on one drop: the default
-    start, then random starts drawn around the same sum-power fixed point,
-    which is solved once for all of them.  A single start is dpc_srm's
-    own default start, which skips the checks an explicit start gets.
-    Every start reads the one constants bundle kept on ``demands``."""
-    solve = partial(dpc_srm, topology, demands, tol=config.rate_tol,
+def _rate_max_point(config, topology, demands, budgets, fp, seed, budget_dbm, name):
+    """Best of ``config.multistart`` dpc_srm runs on one drop at its
+    ``budgets``, every start explicit and around the seed's sum-power
+    fixed point (the report ``fp``): dpc_srm's default start, then
+    random starts from a generator seeded by the seed alone.  Every start
+    reads the one constants bundle kept on ``demands``."""
+    solve = partial(dpc_srm, topology, demands, budgets, tol=config.rate_tol,
                     max_outer=config.max_outer)
+    row = partial(SummaryRow, seed, budget_dbm, config.algorithm, config.pairing)
     try:
-        if config.multistart == 1:
-            best = solve()
-        else:
+        headroom = _headroom(fp, budgets)
+        best = solve(q0=fp.q_star * float(np.min(headroom)))
+        if config.multistart > 1:
             weights = _GroupConstants.of(topology, demands).weights
-            fixed_point, headroom = _fixed_point_headroom(topology, weights)
-            # dpc_srm's default start, given explicitly so that the
-            # random starts share its fixed point
-            best = solve(q0=fixed_point * float(np.min(headroom)))
             rng = np.random.default_rng(seed + 0x5EED)
             for _ in range(config.multistart - 1):
-                q0, x0 = _random_start(topology, weights, fixed_point, headroom, rng)
+                q0, x0 = _random_start(topology, budgets, weights, fp.q_star,
+                                       headroom, rng)
                 candidate = solve(q0=q0, x0=x0)
                 if candidate.sum_rate > best.sum_rate:
                     best = candidate
     except InfeasibleInitialPointError:
-        row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
-                         float("nan"), float("nan"), 0, False, name)
-        return row, [(0, float("nan"))], None
+        return row(float("nan"), float("nan"), 0, False, name), [(0, float("nan"))], None
     trace = [(k, float(v)) for k, v in enumerate(best.trace)]
-    row = SummaryRow(seed, budget_dbm, config.algorithm, config.pairing,
-                     float(best.q.sum()), best.sum_rate,
-                     best.outer_iterations, best.converged, name)
-    return row, trace, best.allocation
+    return (row(float(best.q.sum()), best.sum_rate, best.outer_iterations,
+                best.converged, name), trace, best.allocation)
 
 
-def _validate(topology, demands, allocation):
+def _validate(topology, demands, budgets, allocation):
     q = allocation.cell_powers()
-    if not within_budgets(topology, q).all():
+    if not within_budgets(budgets, q).all():
         return "budget exceeded"
     achieved = dense_rates(topology, allocation, q)
     missed = (achieved < demands.rates * (1.0 - COVER_RTOL)).any(axis=-1)
@@ -605,18 +601,18 @@ def run_fixture_checks() -> bool:
         print(f"{'PASS' if good else 'FAIL'}: {label} (got {got!r}, want {want!r})")
         return bool(good)
 
-    topology, demands = fixtures.symmetric_two_cell()
+    topology, demands, budgets = fixtures.symmetric_two_cell()
     report = solve_spm(topology, demands)
     total, want = float(report.q_star.sum()), fixtures.SYMMETRIC_TWO_CELL_SUM_POWER
     powers = assemble_full_solution(topology, demands, report.q_star).powers[0, 0]
     ok = check("symmetric two-cell minimum sum power",
-               report.feasible and math.isclose(total, want, rel_tol=COVER_RTOL)
+               report.fits(budgets) and math.isclose(total, want, rel_tol=COVER_RTOL)
                and np.allclose(powers, fixtures.SYMMETRIC_TWO_CELL_USER_POWERS,
                                rtol=COVER_RTOL, atol=0.0),
                total, want)
 
-    topology, demands = fixtures.rate_max_single_cell()
-    srm = dpc_srm(topology, demands)
+    topology, demands, budgets = fixtures.rate_max_single_cell()
+    srm = dpc_srm(topology, demands, budgets)
     want = float(fixtures.RATE_MAX_SINGLE_CELL_SUM_RATE)
     ok &= check("single-cell maximum sum rate",
                 math.isclose(srm.sum_rate, want, rel_tol=COVER_RTOL), srm.sum_rate, want)

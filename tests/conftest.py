@@ -1,7 +1,8 @@
 """Shared random-instance samplers for the test suite.
 
 Instances are drawn with bounded cross-to-own gain ratios so that the
-interference fixed point exists well inside the budgets.
+interference fixed point exists well inside the budgets of
+:func:`budgets_for`.
 """
 
 import numpy as np
@@ -10,7 +11,7 @@ from nomapower import NetworkTopology, RateDemands
 
 
 def sample_topology(rng, num_cells=2, num_subchannels=1, users=2,
-                    budget=3.0, noise=(0.05, 0.15), own=(0.5, 2.0),
+                    noise=(0.05, 0.15), own=(0.5, 2.0),
                     cross_ratio=(0.02, 0.15), bandwidth=1.0):
     """Random multi-cell topology with mild inter-cell coupling."""
     groups = []
@@ -27,8 +28,12 @@ def sample_topology(rng, num_cells=2, num_subchannels=1, users=2,
         groups.append(tuple(row))
     return NetworkTopology(bandwidth=bandwidth,
                            noise_power=float(rng.uniform(*noise)),
-                           budgets=np.full(num_cells, float(budget)),
                            gains=tuple(groups))
+
+
+def budgets_for(topology, budget=3.0):
+    """The same per-BS budget ``budget`` for every cell of ``topology``."""
+    return np.full(topology.num_cells, float(budget))
 
 
 def sample_demands(rng, topology, rate=(0.3, 1.2)):

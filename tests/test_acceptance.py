@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sample_demands, sample_topology
+from conftest import budgets_for, sample_demands, sample_topology
 from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
                        generate_channels, random_feasible_start,
                        run_scenario, write_outputs)
@@ -80,15 +80,15 @@ def test_criterion_3_fixed_point_optimality():
     rng = np.random.default_rng(103)
     delta = 0.01
     for _ in range(50):
-        top = sample_topology(rng, num_cells=2, num_subchannels=1, users=2,
-                              budget=3.0)
+        top = sample_topology(rng, num_cells=2, num_subchannels=1, users=2)
         dem = sample_demands(rng, top, rate=(0.3, 1.0))
-        report = dpc_spm(top, dem)
-        assert report.feasible
-        best = grid_power_min(top, dem, resolution=delta)
+        budgets = budgets_for(top, 3.0)
+        report = dpc_spm(top, dem, budgets)
+        assert report.fits(budgets)
+        best = grid_power_min(top, dem, budgets, resolution=delta)
         assert report.q_star.sum() <= best.total_power + 2 * delta * 2
-    top, dem = symmetric_two_cell()
-    report = dpc_spm(top, dem)
+    top, dem, budgets = symmetric_two_cell()
+    report = dpc_spm(top, dem, budgets)
     assert report.q_star == pytest.approx(np.ones((2, 1)), abs=1e-6)
     budget.done("criterion 3: fixed-point optimality against the grid oracle")
 
@@ -151,20 +151,20 @@ def test_criterion_7_dc_monotonicity_and_equivalence():
         cells = int(rng.integers(2, 4))
         top = sample_topology(rng, num_cells=cells,
                               num_subchannels=int(rng.integers(1, 3)),
-                              users=2, budget=4.0)
+                              users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
+        budgets = budgets_for(top, 4.0)
         if trial % 2 == 0:
-            report = dpc_srm(top, dem)
+            report = dpc_srm(top, dem, budgets)
         else:
-            q0, x0 = random_feasible_start(top, dem, rng)
-            report = dpc_srm(top, dem, q0=q0, x0=x0)
+            q0, x0 = random_feasible_start(top, dem, budgets, rng)
+            report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
         assert np.all(np.diff(report.trace) <= 1e-9)
         for i, m in top.groups():
             h = np.maximum.accumulate(
                 interference_over_gain(top, report.q, i, m)[::-1])[::-1]
             assert np.asarray(report.x[i][m]) == pytest.approx(h, rel=1e-6)
-    top, dem = rate_max_single_cell()
-    single = dpc_srm(top, dem)
+    single = dpc_srm(*rate_max_single_cell())
     assert single.sum_rate == pytest.approx(RATE_MAX_SINGLE_CELL_SUM_RATE,
                                             rel=1e-6)
     budget.done("criterion 7: DC loop is monotone and matches the closed form")
@@ -188,11 +188,12 @@ def test_criterion_8_pairing_trend():
             config = _pairing_config(pairing, "power-min", seed)
             top = generate_channels(config, seed)
             dem = build_demands(config, top)
-            report = dpc_spm(top, dem)
-            if not report.feasible:
+            budgets = budgets_for(top, 1.0)      # the config's 30 dBm
+            report = dpc_spm(top, dem, budgets)
+            if not report.fits(budgets):
                 continue
             feasible[pairing] += 1
-            srm = dpc_srm(top, dem)
+            srm = dpc_srm(top, dem, budgets)
             per_seed[pairing] = (float(report.q_star.sum()), srm.sum_rate)
         if len(per_seed) < 2:
             continue                   # compare pairings on the same drop

@@ -24,9 +24,12 @@ Two monotone properties of the model follow: the rate-max sum rate
 ``run_scenario`` reports does not fall as the budget rises, and
 ``solve_spm``'s ``q*``, the least fixed point of a monotone standard
 function, does not fall as one user's demand rises.  Both are checked up
-to the same ``RTOL``.
+to the same ``RTOL``, as is the noise-and-budgets transform through
+``run_scenario``: 30 dB more noise and budget leave every summary row's
+verdict and sum rate and multiply its sum power by 1e3.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -35,46 +38,47 @@ import pytest
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
                        build_demands, dpc_srm, generate_channels, run_scenario,
                        solve_spm)
+from nomapower.scenario import dbm_to_watts
 
 RTOL = 1e-14
 SEEDS = range(40)
 
 
-def roll_cells(top, dem):
+def roll_cells(top, dem, budgets):
     # cell i becomes cell i + 1, as a server and as an interferer
-    return (NetworkTopology(top.bandwidth, top.noise_power, np.roll(top.budgets, 1),
+    return (NetworkTopology(top.bandwidth, top.noise_power,
                             np.roll(top.gains, 1, axis=(0, 2)),
                             np.roll(top.user_ids, 1, axis=0)),
-            RateDemands(np.roll(dem.rates, 1, axis=0)),
+            RateDemands(np.roll(dem.rates, 1, axis=0)), np.roll(budgets, 1),
             lambda q: np.roll(q, -1, axis=0), 1.0)
 
 
-def reverse_subchannels(top, dem):
-    return (NetworkTopology(top.bandwidth, top.noise_power, top.budgets,
+def reverse_subchannels(top, dem, budgets):
+    return (NetworkTopology(top.bandwidth, top.noise_power,
                             top.gains[:, ::-1], top.user_ids[:, ::-1]),
-            RateDemands(dem.rates[:, ::-1]),
+            RateDemands(dem.rates[:, ::-1]), budgets,
             lambda q: q[:, ::-1], 1.0)
 
 
-def scale_noise_and_budgets(top, dem):
+def scale_noise_and_budgets(top, dem, budgets):
     # every power scales with the noise, so q* scales and no rate moves
-    return (NetworkTopology(top.bandwidth, top.noise_power * 1e3, top.budgets * 1e3,
+    return (NetworkTopology(top.bandwidth, top.noise_power * 1e3,
                             top.gains, top.user_ids),
-            dem, lambda q: q / 1e3, 1.0)
+            dem, budgets * 1e3, lambda q: q / 1e3, 1.0)
 
 
-def scale_gains_and_noise(top, dem):
+def scale_gains_and_noise(top, dem, budgets):
     # every ratio to an own gain holds, so nothing moves
-    return (NetworkTopology(top.bandwidth, top.noise_power * 1e-3, top.budgets,
+    return (NetworkTopology(top.bandwidth, top.noise_power * 1e-3,
                             top.gains * 1e-3, top.user_ids),
-            dem, lambda q: q, 1.0)
+            dem, budgets, lambda q: q, 1.0)
 
 
-def scale_bandwidth_and_demands(top, dem):
+def scale_bandwidth_and_demands(top, dem, budgets):
     # the same spectral efficiencies: the same powers at twice the rates
-    return (NetworkTopology(top.bandwidth * 2.0, top.noise_power, top.budgets,
+    return (NetworkTopology(top.bandwidth * 2.0, top.noise_power,
                             top.gains, top.user_ids),
-            RateDemands(dem.rates * 2.0), lambda q: q, 2.0)
+            RateDemands(dem.rates * 2.0), budgets, lambda q: q, 2.0)
 
 
 TRANSFORMS = (roll_cells, reverse_subchannels, scale_noise_and_budgets,
@@ -83,30 +87,32 @@ TRANSFORMS = (roll_cells, reverse_subchannels, scale_noise_and_budgets,
 
 @pytest.fixture(scope="module")
 def drops():
-    """Each seed's (topology, demands, solve_spm report, dpc_srm sum rate
-    or None where the drop has no fixed point within its budget)."""
+    """Each seed's (topology, demands, budgets, solve_spm report, dpc_srm
+    sum rate or None where the drop has no fixed point within its budget)."""
     config = ScenarioConfig(algorithm="rate-max")
     out = []
     for seed in SEEDS:
         top = generate_channels(config, seed)
         dem = build_demands(config, top)
+        budgets = np.full(top.num_cells, dbm_to_watts(config.budget_dbm_sweep[0]))
         spm = solve_spm(top, dem)
-        out.append((top, dem, spm, dpc_srm(top, dem).sum_rate if spm.feasible else None))
+        out.append((top, dem, budgets, spm,
+                    dpc_srm(top, dem, budgets).sum_rate if spm.fits(budgets) else None))
     assert sum(rate is not None for *_, rate in out) >= 30
     return out
 
 
 @pytest.mark.parametrize("transform", TRANSFORMS, ids=lambda t: t.__name__)
 def test_answers_survive_the_transform(drops, transform):
-    for seed, (top, dem, spm, sum_rate) in zip(SEEDS, drops):
-        top_t, dem_t, undo, rate_scale = transform(top, dem)
+    for seed, (top, dem, budgets, spm, sum_rate) in zip(SEEDS, drops):
+        top_t, dem_t, budgets_t, undo, rate_scale = transform(top, dem, budgets)
         spm_t = solve_spm(top_t, dem_t)
-        assert spm_t.feasible == spm.feasible, seed
+        assert spm_t.fits(budgets_t) == spm.fits(budgets), seed
         if sum_rate is None:
             continue
         np.testing.assert_allclose(undo(spm_t.q_star), spm.q_star, rtol=0,
                                    atol=RTOL * spm.q_star.max(), err_msg=f"seed {seed}")
-        rate_t = dpc_srm(top_t, dem_t).sum_rate / rate_scale
+        rate_t = dpc_srm(top_t, dem_t, budgets_t).sum_rate / rate_scale
         assert rate_t == pytest.approx(sum_rate, rel=RTOL, abs=0), seed
 
 
@@ -132,16 +138,42 @@ def test_fixed_point_does_not_fall_as_one_demand_rises(drops):
     # each drop raises another user's demand by 10 %: that user's group
     # needs strictly more, and no other group needs less
     raised = 0
-    for seed, (top, dem, spm, sum_rate) in zip(SEEDS, drops):
+    for seed, (top, dem, budgets, spm, sum_rate) in zip(SEEDS, drops):
         if sum_rate is None:
             continue
         user = tuple(np.argwhere(top.occupied)[seed % top.occupied.sum()])
         rates = np.array(dem.rates, dtype=float)
         rates[user] *= 1.1
         spm_up = solve_spm(top, RateDemands(rates))
-        if not spm_up.feasible:
+        if not spm_up.fits(budgets):
             continue
         assert np.all(spm_up.q_star >= spm.q_star - RTOL * spm.q_star.max()), seed
         assert spm_up.q_star[user[:2]] > spm.q_star[user[:2]], seed
         raised += 1
     assert raised >= 30
+
+
+@pytest.mark.parametrize("algorithm", ["power-min", "rate-max"])
+def test_run_rows_survive_raising_noise_and_budgets_by_30_db(algorithm):
+    # every power scales with the noise: 30 dB more noise and 30 dB more
+    # budget multiply each row's sum power by 1e3 and leave its verdict
+    # and its sum rate where they were
+    config = ScenarioConfig(algorithm=algorithm, seed=SEEDS.start,
+                            num_seeds=len(SEEDS), budget_dbm_sweep=[20.0, 30.0])
+    raised = dataclasses.replace(config, noise_power_dbm=config.noise_power_dbm + 30.0,
+                                 budget_dbm_sweep=[50.0, 60.0])
+    rows, rows_up = run_scenario(config).summary, run_scenario(raised).summary
+    assert len(rows) == len(rows_up) == 2 * len(SEEDS)
+    solved = 0
+    for row, up in zip(rows, rows_up):
+        point = (row.seed, row.budget_dbm)
+        assert (up.seed, up.budget_dbm) == (row.seed, row.budget_dbm + 30.0)
+        assert (up.converged, up.iterations) == (row.converged, row.iterations), point
+        assert math.isnan(up.sum_power_w) == math.isnan(row.sum_power_w), point
+        if math.isnan(row.sum_power_w):
+            continue
+        assert up.sum_power_w == pytest.approx(1e3 * row.sum_power_w, rel=RTOL, abs=0), \
+            point
+        assert up.sum_rate_bps == pytest.approx(row.sum_rate_bps, rel=RTOL, abs=0), point
+        solved += 1
+    assert solved >= 60

@@ -5,22 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_demands, sample_topology
+from conftest import sample_topology
 from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
-                       assemble_full_solution, dpc_srm, network, scenario,
-                       solve_spm)
+                       assemble_full_solution, dpc_spm, dpc_srm,
+                       random_feasible_start, scenario, solve_spm)
 from nomapower.network import (dense_interference, dense_rates, front_pad,
                                group_rates, suffix_sums, unpad)
-from nomapower.oracle import rate_constraint_slack, rate_via_decoding_chain
+from nomapower.oracle import (grid_power_min, rate_constraint_slack,
+                              rate_via_decoding_chain)
 from nomapower.power_min import interference_map
 
 
 def two_cell_example():
     g0 = np.array([[0.5, 1.0], [0.1, 0.2]])
     g1 = np.array([[0.1, 0.2], [0.5, 1.0]])
-    return NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                           budgets=np.array([5.0, 5.0]),
-                           gains=((g0,), (g1,)))
+    return NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
 
 
 class TestEffectiveInterference:
@@ -37,8 +36,7 @@ class TestEffectiveInterference:
 
     def test_single_cell_is_independent_of_q(self):
         g = np.array([[0.5, 1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([5.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         for qv in (0.0, 1.0, 7.5):
             h = dense_interference(top, np.array([[qv]]))[0, 0]
             assert h == pytest.approx([0.2, 0.1])
@@ -66,8 +64,7 @@ class TestEffectiveInterference:
 class TestAchievableRate:
     def test_single_user_unit_snr(self):
         g = np.array([[1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=1.0,
-                              budgets=np.array([5.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=1.0, gains=((g,),))
         alloc = PowerAllocation(((np.array([1.0]),),))
         q = np.array([[1.0]])
         assert dense_rates(top, alloc, q)[0, 0] == pytest.approx([1.0])
@@ -75,8 +72,7 @@ class TestAchievableRate:
     def test_two_user_worked_values(self):
         # H = (3, 1) via own gains (1, 3) at noise 3
         g = np.array([[1.0, 3.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=3.0,
-                              budgets=np.array([10.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=3.0, gains=((g,),))
         alloc = PowerAllocation(((np.array([4.0, 1.0]),),))
         rates = dense_rates(top, alloc, np.array([[5.0]]))[0, 0]
         assert rates == pytest.approx([1.0, 1.0])
@@ -136,54 +132,61 @@ class TestRateConstraint:
 class TestTopologyConstruction:
     def test_sorts_users_by_own_gain(self):
         g = np.array([[2.0, 0.5, 1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([1.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         assert list(top.gains[0][0][0]) == [0.5, 1.0, 2.0]
         assert list(top.user_ids[0][0]) == [1, 2, 0]
 
     def test_ties_keep_original_order(self):
         g = np.array([[1.0, 1.0, 0.5]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([1.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         assert list(top.user_ids[0][0]) == [2, 0, 1]
 
     def test_rejects_bad_inputs(self):
         g = np.array([[1.0, 2.0]])
         with pytest.raises(ValueError):
-            NetworkTopology(bandwidth=0.0, noise_power=0.1,
-                            budgets=np.array([1.0]), gains=((g,),))
+            NetworkTopology(bandwidth=0.0, noise_power=0.1, gains=((g,),))
         with pytest.raises(ValueError):
-            NetworkTopology(bandwidth=1.0, noise_power=0.0,
-                            budgets=np.array([1.0]), gains=((g,),))
+            NetworkTopology(bandwidth=1.0, noise_power=0.0, gains=((g,),))
         with pytest.raises(ValueError):
             NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                            budgets=np.array([1.0]),
                             gains=((np.array([[0.0, 1.0]]),),))
-        with pytest.raises(ValueError):
-            NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                            budgets=np.array([-1.0]), gains=((g,),))
 
     def test_nested_gains_need_one_row_per_cell(self):
         with pytest.raises(ValueError, match="one row of groups per cell"):
-            NetworkTopology(bandwidth=1.0, noise_power=0.1, budgets=np.ones(2),
+            NetworkTopology(bandwidth=1.0, noise_power=0.1,
                             gains=((np.array([[0.5, 1.0], [0.1, 0.2]]),),))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_scalars(self, bad):
         gains = two_cell_example().gains
-        for field, value in (("bandwidth", bad), ("noise_power", bad),
-                             ("budgets", np.array([5.0, bad]))):
-            kwargs = dict(bandwidth=1.0, noise_power=0.1,
-                          budgets=np.array([5.0, 5.0]), gains=gains)
+        for field, value in (("bandwidth", bad), ("noise_power", bad)):
+            kwargs = dict(bandwidth=1.0, noise_power=0.1, gains=gains)
             kwargs[field] = value
             with pytest.raises(ValueError, match="finite"):
                 NetworkTopology(**kwargs)
+
+    @pytest.mark.parametrize("budgets", [[5.0, np.nan], [5.0, np.inf], [-1.0, 5.0],
+                                         [5.0, 0.0], [5.0], [[5.0, 5.0]], 5.0],
+                             ids=["nan", "inf", "negative", "zero", "one-short",
+                                  "2-d", "scalar"])
+    def test_budgets_are_checked_by_every_entry_that_takes_them(self, budgets):
+        # budgets are no part of the topology; each public entry that reads
+        # them checks them with the rule the constructor once applied
+        top = two_cell_example()
+        demands = RateDemands.uniform(top, 1.0)
+        for call in (lambda: dpc_spm(top, demands, budgets),
+                     lambda: dpc_srm(top, demands, budgets),
+                     lambda: random_feasible_start(top, demands, budgets,
+                                                   np.random.default_rng(0)),
+                     lambda: grid_power_min(top, demands, budgets, resolution=0.5)):
+            with pytest.raises(ValueError, match="budgets must be a 1-D positive"
+                                                 " finite array"):
+                call()
 
     def test_duplicate_user_ids_rejected(self):
         g = np.array([[1.0, 2.0]])
         with pytest.raises(ValueError, match="two groups"):
             NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                            budgets=np.array([1.0]),
                             gains=((g, g),),
                             user_ids=(((0, 1), (1, 2)),))
 
@@ -191,8 +194,6 @@ class TestTopologyConstruction:
         top = two_cell_example()
         with pytest.raises(ValueError):
             top.gains[0][0][0, 0] = 2.0
-        with pytest.raises(ValueError):
-            top.budgets[0] = 1.0
         with pytest.raises(ValueError):
             top.cross_ratio[0, 0, 0, 1] = 2.0
         with pytest.raises(ValueError):
@@ -211,8 +212,7 @@ class TestTopologyConstruction:
 
     def test_single_user_groups_allowed(self):
         g = np.array([[1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.5,
-                              budgets=np.array([1.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.5, gains=((g,),))
         assert top.occupied[0, 0].sum() == 1
 
 
@@ -226,8 +226,7 @@ class TestRaggedTopology:
             for row in self.SIZES)
 
     def build(self, gains, user_ids=None):
-        return NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                               budgets=np.ones(3), gains=gains,
+        return NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=gains,
                                user_ids=user_ids)
 
     def test_padding_never_trips_a_check(self):
@@ -291,7 +290,7 @@ class TestRaggedTopology:
         nested = ((np.array([1.0, 2.0]),), (group,))
         build = {"rates": RateDemands, "powers": PowerAllocation,
                  "user_ids": lambda ids: NetworkTopology(
-                     bandwidth=1.0, noise_power=0.1, budgets=np.ones(2),
+                     bandwidth=1.0, noise_power=0.1,
                      gains=((np.ones((2, 2)),), (np.ones((2, 2)),)), user_ids=ids)}
         with pytest.raises(ValueError, match=r"group \(1,0\): values of shape"):
             build[container](nested)
@@ -403,9 +402,7 @@ class TestDenseInput:
 
     @staticmethod
     def build(gains, user_ids=None):
-        num_cells = len(gains)
-        return NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                               budgets=np.ones(num_cells), gains=gains,
+        return NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=gains,
                                user_ids=user_ids)
 
     def test_ragged_instances_match_nested_input(self):
@@ -479,24 +476,6 @@ class TestDenseInput:
                 self.build(bad_gains, bad_ids)
                 pytest.fail(case)
 
-    def test_replace_and_copies_reuse_the_arrays(self, monkeypatch):
-        rng = np.random.default_rng(23)
-        top = sample_topology(rng, num_cells=3, num_subchannels=2, users=(1, 5))
-        demands = sample_demands(rng, top)
-        alloc = PowerAllocation(demands.rates / 10.0)
-        with monkeypatch.context() as patch:
-            def refuse(nested, lead=(), dtype=float):
-                raise AssertionError("nested values padded")
-
-            patch.setattr(network, "front_pad", refuse)
-            again = dataclasses.replace(top, budgets=2.0 * top.budgets)
-            copies = (RateDemands(demands.rates).rates,
-                      PowerAllocation(alloc.powers).powers)
-        assert_same_topology(top, again)
-        assert np.array_equal(again.budgets, 2.0 * top.budgets)
-        for copy, original in zip(copies, (demands.rates, alloc.powers)):
-            assert np.array_equal(copy, original)
-
 
 @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=6))
 @settings(max_examples=60, deadline=None)
@@ -516,8 +495,7 @@ def test_demands_for_other_groups_are_rejected():
         gains = tuple(tuple(rng.uniform(0.5, 1.0, size=(2, n)) * np.where(
             np.arange(2)[:, None] == i, 1.0, 0.1) for n in row)
             for i, row in enumerate(sizes))
-        return NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                               budgets=np.full(2, 100.0), gains=gains)
+        return NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=gains)
 
     top, other = build(((1, 3), (3, 1))), build(((3, 1), (1, 3)))
     q_star = solve_spm(top, RateDemands.uniform(top, 0.5)).q_star
@@ -526,7 +504,7 @@ def test_demands_for_other_groups_are_rejected():
     for call in (lambda: solve_spm(top, demands),
                  lambda: interference_map(top, demands, q_star),
                  lambda: assemble_full_solution(top, demands, q_star),
-                 lambda: dpc_srm(top, demands)):
+                 lambda: dpc_srm(top, demands, np.full(2, 100.0))):
         with pytest.raises(ValueError, match="one per user of the topology"):
             call()
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import sample_demands, sample_topology
+from conftest import budgets_for, sample_demands, sample_topology
 from nomapower import NetworkTopology, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import (dense_interference, group_rates,
@@ -59,8 +59,7 @@ class TestReferenceInterferenceMap:
                       for g in row)
                 for i, row in enumerate(unpad(mixed.gains, mixed.occupied)))
             mixed = NetworkTopology(bandwidth=mixed.bandwidth,
-                                    noise_power=mixed.noise_power,
-                                    budgets=mixed.budgets, gains=gains)
+                                    noise_power=mixed.noise_power, gains=gains)
             self.assert_maps_agree(mixed, sample_demands(rng, mixed), q)
 
     def test_single_cell(self):
@@ -74,17 +73,16 @@ class TestReferenceInterferenceMap:
 
 class TestGridPowerMin:
     def test_symmetric_fixture_within_grid_error(self):
-        top, dem = symmetric_two_cell()
-        result = grid_power_min(top, dem, resolution=0.01)
+        top, dem, budgets = symmetric_two_cell()
+        result = grid_power_min(top, dem, budgets, resolution=0.01)
         assert result.total_power <= 2.0 + 2 * 0.01 * 2
         assert result.total_power >= 2.0 - 1e-9      # cannot beat the optimum
 
     def test_single_cell_matches_closed_form(self):
         g = np.array([[0.5, 1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([2.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         dem = RateDemands.uniform(top, 1.0)
-        result = grid_power_min(top, dem, resolution=0.001)
+        result = grid_power_min(top, dem, np.array([2.0]), resolution=0.001)
         assert result.total_power == pytest.approx(0.4, abs=0.001)
 
     def test_linear_solve_route_matches_recursion(self):
@@ -98,24 +96,24 @@ class TestGridPowerMin:
             assert direct == pytest.approx(recursive, rel=1e-10)
 
     def test_infeasible_demands_report_none_found(self):
-        top, _ = symmetric_two_cell()
+        top, _, budgets = symmetric_two_cell()
         dem = RateDemands.uniform(top, 30.0)     # needs astronomic power
         with pytest.raises(OracleInfeasibleError, match="none found"):
-            grid_power_min(top, dem, resolution=0.05)
+            grid_power_min(top, dem, budgets, resolution=0.05)
 
     def test_refuses_large_instances(self):
         rng = np.random.default_rng(42)
         top = sample_topology(rng, num_cells=3, users=2)
         dem = sample_demands(rng, top)
         with pytest.raises(ValueError, match="at most 2 cells"):
-            grid_power_min(top, dem, resolution=0.1)
+            grid_power_min(top, dem, budgets_for(top), resolution=0.1)
         top2 = sample_topology(rng, num_cells=2, users=4)
         dem2 = sample_demands(rng, top2)
         with pytest.raises(ValueError, match="3 users"):
-            grid_power_min(top2, dem2, resolution=0.1)
-        top3, dem3 = symmetric_two_cell()
+            grid_power_min(top2, dem2, budgets_for(top2), resolution=0.1)
+        top3, dem3, budgets3 = symmetric_two_cell()
         with pytest.raises(ValueError, match="cap"):
-            grid_power_min(top3, dem3, resolution=1e-6)
+            grid_power_min(top3, dem3, budgets3, resolution=1e-6)
 
 
 class TestGridRateMax:
@@ -163,13 +161,13 @@ class TestGridBudgetSplit:
         while solves < 120:
             cells = int(rng.integers(1, 3))
             M = int(rng.integers(1, 3))
+            budget = float(rng.uniform(2.0, 6.0))
             top = sample_topology(rng, num_cells=cells, num_subchannels=M,
-                                  users=(1, 4), budget=rng.uniform(2.0, 6.0))
+                                  users=(1, 4))
             dem = sample_demands(rng, top, rate=(0.2, 0.8))
-            q0, x0 = random_feasible_start(top, dem, rng)
+            q0, x0 = random_feasible_start(top, dem, budgets_for(top, budget), rng)
             for i in range(cells):
                 caps = power_cap(top, q0, x0, normalized_interference(top, q0))[i]
-                budget = float(top.budgets[i])
                 consts = _GroupConstants.build(dem.rates, top.bandwidth)
                 step = solve_convex_subproblem(
                     top, consts[i], i, x0[i], caps, budget, q0,
@@ -204,10 +202,10 @@ class TestGridBudgetSplit:
         rng = np.random.default_rng(48)
         top = sample_topology(rng, num_cells=1, num_subchannels=3, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.4))
-        q = np.full((1, 3), 0.9 * top.budgets[0] / 3)
+        budget = 3.0
+        q = np.full((1, 3), 0.9 * budget / 3)
         with pytest.raises(ValueError, match="at most 2 subchannels"):
-            grid_budget_split(top, dem, 0, np.full(3, np.inf),
-                              float(top.budgets[0]), q)
+            grid_budget_split(top, dem, 0, np.full(3, np.inf), budget, q)
 
 
 def negative_sum_rate(h, bandwidth=1.0):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import sample_demands, sample_topology
+from conftest import budgets_for, sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
                        assemble_full_solution, build_demands, dpc_spm,
                        generate_channels, network, power_min, solve_spm)
@@ -15,7 +15,8 @@ from nomapower.oracle import (interference_over_gain, rate_constraint_slack,
                               rate_via_decoding_chain,
                               reference_interference_map)
 from nomapower.power_min import (REL_TOL, RUNAWAY_FACTOR, demand_weights,
-                                 interference_map, min_power_user_allocation)
+                                 interference_map, min_power_user_allocation,
+                                 within_budgets)
 
 
 class TestClosedForm:
@@ -70,12 +71,12 @@ class TestClosedForm:
 
 class TestInterferenceMap:
     def test_symmetric_example(self):
-        top, dem = symmetric_two_cell()
+        top, dem, _ = symmetric_two_cell()
         f = interference_map(top, dem, np.array([[1.0], [1.0]]))
         assert f.ravel() == pytest.approx([1.0, 1.0])
 
     def test_noise_only(self):
-        top, dem = symmetric_two_cell()
+        top, dem, _ = symmetric_two_cell()
         f = interference_map(top, dem, np.zeros((2, 1)))
         assert f.ravel() == pytest.approx([0.4, 0.4])
 
@@ -109,27 +110,26 @@ class TestInterferenceMap:
 
 class TestFixedPoint:
     def test_symmetric_instance_converges_to_one(self):
-        top, dem = symmetric_two_cell()
-        report = dpc_spm(top, dem)
+        top, dem, budgets = symmetric_two_cell()
+        report = dpc_spm(top, dem, budgets)
         assert report.converged
         assert report.q_star == pytest.approx(np.ones((2, 1)), abs=1e-8)
-        assert np.all(report.budget_feasible)
+        assert np.all(within_budgets(budgets, report.q_star))
         assert report.residual <= 1e-8
         assert len(report.trace) == report.iterations
 
     def test_single_cell_converges_in_one_sweep(self):
         g = np.array([[0.5, 1.0]])
         from nomapower import NetworkTopology
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([5.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_spm(top, dem)
+        report = dpc_spm(top, dem, np.array([5.0]))
         assert report.converged and report.iterations == 1
 
     def test_starting_points_agree(self):
-        top, dem = symmetric_two_cell()
-        from_zero = dpc_spm(top, dem, q0=np.zeros((2, 1)))
-        from_budget = dpc_spm(top, dem)
+        top, dem, budgets = symmetric_two_cell()
+        from_zero = dpc_spm(top, dem, budgets, q0=np.zeros((2, 1)))
+        from_budget = dpc_spm(top, dem, budgets)
         # each run stops at sum |q - f(q)| <= REL_TOL * sum q, so it is off
         # q* by at most ||(I - A)^-1||_1 = 2.5 times that (A = [[0, .6], [.6, 0]])
         gap = np.abs(from_zero.q_star - from_budget.q_star).sum()
@@ -140,59 +140,55 @@ class TestFixedPoint:
         for _ in range(10):
             top = sample_topology(rng, num_cells=2, users=2)
             dem = sample_demands(rng, top)
-            report = dpc_spm(top, dem, q0=np.zeros((2, 1)))
+            report = dpc_spm(top, dem, budgets_for(top), q0=np.zeros((2, 1)))
             assert report.converged
             assert np.all(np.diff(report.trace) >= -1e-12)
 
     def test_budget_infeasibility_is_flagged_not_raised(self):
-        top, dem = symmetric_two_cell()
-        small = type(top)(bandwidth=top.bandwidth, noise_power=top.noise_power,
-                          budgets=np.array([0.5, 0.5]),
-                          gains=tuple(tuple(g for g in row) for row in top.gains))
-        report = dpc_spm(small, dem)
+        top, dem, _ = symmetric_two_cell()
+        small = np.array([0.5, 0.5])
+        report = dpc_spm(top, dem, small)
         assert report.converged            # the fixed point still exists
-        assert not np.any(report.budget_feasible)
-        assert not report.feasible
+        assert not np.any(within_budgets(small, report.q_star))
+        assert not report.fits(small)
 
     def test_non_convergence_reported(self):
         # cross gains above own make the map expansive: no fixed point
         g0 = np.array([[1.0, 1.0], [3.0, 3.0]])
         g1 = np.array([[3.0, 3.0], [1.0, 1.0]])
         from nomapower import NetworkTopology
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([10.0, 10.0]),
-                              gains=((g0,), (g1,)))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_spm(top, dem, max_iter=200)
+        report = dpc_spm(top, dem, np.array([10.0, 10.0]), max_iter=200)
         assert not report.converged
 
     def test_component_wise_minimality(self):
         rng = np.random.default_rng(15)
         top = sample_topology(rng, num_cells=2, users=2)
         dem = sample_demands(rng, top)
-        report = dpc_spm(top, dem)
+        report = dpc_spm(top, dem, budgets_for(top))
         assert report.converged
         q_star = report.q_star
         found = 0
         for _ in range(500):
             q_c = rng.uniform(0.0, 2.0 * float(q_star.max()), size=q_star.shape)
             f_c = interference_map(top, dem, q_c)
-            if np.all(q_c >= f_c) and np.all(q_c.sum(axis=1) <= top.budgets):
+            if np.all(q_c >= f_c) and np.all(q_c.sum(axis=1) <= budgets_for(top)):
                 found += 1
                 assert np.all(q_c >= q_star - 1e-9)
         assert found > 0
 
     def test_validates_arguments(self):
-        top, dem = symmetric_two_cell()
+        top, dem, budgets = symmetric_two_cell()
         with pytest.raises(ValueError):
-            dpc_spm(top, dem, max_iter=0)
+            dpc_spm(top, dem, budgets, max_iter=0)
         with pytest.raises(ValueError):
-            dpc_spm(top, dem, q0=np.full((2, 1), -1.0))
+            dpc_spm(top, dem, budgets, q0=np.full((2, 1), -1.0))
         with pytest.raises(ValueError, match="wrong shape"):
-            dpc_spm(top, dem, q0=np.ones((1, 1)))
+            dpc_spm(top, dem, budgets, q0=np.ones((1, 1)))
 
 
-def per_group_dpc_spm(top, dem, max_iter=10_000):
+def per_group_dpc_spm(top, dem, budgets, max_iter=10_000):
     """dpc_spm's Gauss-Seidel iteration and stopping rule, one (i, m) group
     at a time."""
     rates = unpad(dem.rates, top.occupied)
@@ -202,13 +198,13 @@ def per_group_dpc_spm(top, dem, max_iter=10_000):
         h = np.maximum.accumulate(ratio[::-1])[::-1]
         return demand_weights(rates[i][m], top.bandwidth) @ h
 
-    q = np.repeat(top.budgets[:, None] / top.num_subchannels,
+    q = np.repeat(budgets[:, None] / top.num_subchannels,
                   top.num_subchannels, axis=1)
     converged = False
     for iterations in range(1, max_iter + 1):
         for i, m in top.groups():
             q[i, m] = f(q, i, m)
-        if not np.all(np.isfinite(q)) or q.max() > RUNAWAY_FACTOR * top.budgets.max():
+        if not np.all(np.isfinite(q)) or q.max() > RUNAWAY_FACTOR * budgets.max():
             break
         mapped = reference_interference_map(top, dem, q)
         if np.abs(q - mapped).sum() <= REL_TOL * q.sum():
@@ -225,8 +221,8 @@ class TestSweepOrder:
             top = sample_topology(rng, num_cells=3, num_subchannels=3,
                                   users=(1, 4), cross_ratio=(0.05, 0.4))
             dem = sample_demands(rng, top)
-            report = dpc_spm(top, dem)
-            q, iterations, converged = per_group_dpc_spm(top, dem)
+            report = dpc_spm(top, dem, budgets_for(top))
+            q, iterations, converged = per_group_dpc_spm(top, dem, budgets_for(top))
             assert report.converged == converged
             assert report.iterations == iterations
             np.testing.assert_allclose(report.q_star, q, rtol=1e-12, atol=0.0)
@@ -242,23 +238,24 @@ class TestSolveSpm:
         outcomes = set()
         sizes = set()
         for _ in range(40):
-            top = sample_topology(rng, num_cells=int(rng.integers(2, 5)),
-                                  num_subchannels=int(rng.integers(1, 4)),
-                                  users=(1, 5), cross_ratio=(0.02, 0.2),
-                                  budget=float(rng.uniform(0.5, 5.0)))
+            cells, subchannels = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            budget = float(rng.uniform(0.5, 5.0))
+            top = sample_topology(rng, num_cells=cells, num_subchannels=subchannels,
+                                  users=(1, 5), cross_ratio=(0.02, 0.2))
+            budgets = budgets_for(top, budget)
             sizes.update(top.occupied[i, m].sum() for i, m in top.groups())
             dem = sample_demands(rng, top)
-            reference = dpc_spm(top, dem)
+            reference = dpc_spm(top, dem, budgets)
             exact = solve_spm(top, dem)
-            outcomes.add((reference.converged, reference.feasible))
+            outcomes.add((reference.converged, reference.fits(budgets)))
             if not reference.converged:
                 # dpc_spm ran away; there is no fixed point to find
                 assert not exact.converged
                 continue
             assert exact.converged
-            assert exact.feasible == reference.feasible
-            np.testing.assert_array_equal(exact.budget_feasible,
-                                          reference.budget_feasible)
+            assert exact.fits(budgets) == reference.fits(budgets)
+            np.testing.assert_array_equal(within_budgets(budgets, exact.q_star),
+                                          within_budgets(budgets, reference.q_star))
             # dpc_spm stops at sum |q - f(q)| <= REL_TOL * sum q, up to
             # (I - A)^-1 times that from q*
             np.testing.assert_allclose(exact.q_star, reference.q_star,
@@ -329,7 +326,7 @@ class TestSolveSpm:
         for _ in range(500):
             q_c = rng.uniform(0.0, 2.0 * float(q_star.max()), size=q_star.shape)
             f_c = interference_map(top, dem, q_c)
-            if np.all(q_c >= f_c) and np.all(q_c.sum(axis=1) <= top.budgets):
+            if np.all(q_c >= f_c) and np.all(q_c.sum(axis=1) <= budgets_for(top)):
                 found += 1
                 assert np.all(q_c >= q_star - 1e-9)
         assert found > 0
@@ -338,21 +335,18 @@ class TestSolveSpm:
         # cross gains above own make the map expansive: no fixed point
         g0 = np.array([[1.0, 1.0], [3.0, 3.0]])
         g1 = np.array([[3.0, 3.0], [1.0, 1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([10.0, 10.0]),
-                              gains=((g0,), (g1,)))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         report = solve_spm(top, RateDemands.uniform(top, 1.0))
         assert not report.converged
         assert report.iterations == 1
-        assert not report.feasible
+        assert not report.fits(np.array([10.0, 10.0]))
 
     def test_singular_coupling_is_certified(self):
         # one user per cell, cross gain equal to own and a demand weight of
         # 2 ** (1 / 1) - 1 = 1, so I - A = [[1, -1], [-1, 1]] is exactly
         # singular and the linear solve itself raises
         g = np.array([[1.0], [1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([10.0, 10.0]), gains=((g,), (g,)))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,), (g,)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.eye(2) - top.cross_ratio[:, 0, 0], np.ones(2))
         report = solve_spm(top, RateDemands.uniform(top, 1.0))
@@ -360,15 +354,13 @@ class TestSolveSpm:
         assert np.all(report.q_star == np.inf) and report.residual == np.inf
 
     def test_over_budget_fixed_point_still_converges(self):
-        top, dem = symmetric_two_cell()
-        small = NetworkTopology(bandwidth=top.bandwidth,
-                                noise_power=top.noise_power,
-                                budgets=np.array([0.5, 0.5]), gains=top.gains)
-        report = solve_spm(small, dem)
+        top, dem, _ = symmetric_two_cell()
+        small = np.array([0.5, 0.5])
+        report = solve_spm(top, dem)
         assert report.converged
         assert report.q_star == pytest.approx(np.ones((2, 1)), rel=1e-12)
-        assert not np.any(report.budget_feasible)
-        assert not report.feasible
+        assert not np.any(within_budgets(small, report.q_star))
+        assert not report.fits(small)
 
     def test_near_singular_coupling(self):
         # the symmetric fixture with cross gains of 0.333 x own: the map is
@@ -376,12 +368,12 @@ class TestSolveSpm:
         own = np.array([0.5, 1.0])
         group0 = np.array([own, 0.333 * own])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([1000.0, 1000.0]),
                               gains=((group0,), (group0[::-1],)))
         dem = RateDemands.uniform(top, 1.0)
-        assert not dpc_spm(top, dem, max_iter=200).converged
+        budgets = np.array([1000.0, 1000.0])
+        assert not dpc_spm(top, dem, budgets, max_iter=200).converged
         report = solve_spm(top, dem)
-        assert report.converged and report.feasible
+        assert report.fits(budgets)
         assert report.q_star.ravel() == pytest.approx([400.0, 400.0], rel=1e-9)
 
     def test_empty_group_carries_no_power(self):
@@ -389,14 +381,14 @@ class TestSolveSpm:
         g0 = np.array([[0.5, 1.0], [0.1, 0.2]])
         g3 = np.array([[0.1, 0.2], [0.5, 1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([5.0, 5.0]),
                               gains=((g0, np.zeros((2, 0))),
                                      (np.array([[0.1], [0.5]]), g3)))
         dem = RateDemands.uniform(top, 1.0)
+        budgets = np.array([5.0, 5.0])
         report = solve_spm(top, dem)
-        assert report.converged and report.feasible
+        assert report.fits(budgets)
         assert report.q_star[0, 1] == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(report.q_star, dpc_spm(top, dem).q_star,
+        np.testing.assert_allclose(report.q_star, dpc_spm(top, dem, budgets).q_star,
                                    rtol=1e-8, atol=0.0)
 
     def test_max_iter_stops_before_the_choice_repeats(self):
@@ -405,8 +397,7 @@ class TestSolveSpm:
         # weak user's and the decoding choice of the first solve changes
         g0 = np.array([[0.5, 1.0], [0.001, 0.2]])
         g1 = np.array([[0.1, 0.2], [0.5, 1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([5.0, 5.0]), gains=((g0,), (g1,)))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         dem = RateDemands.uniform(top, 1.0)
         full = solve_spm(top, dem)
         assert full.converged and full.iterations == 2
@@ -416,15 +407,15 @@ class TestSolveSpm:
         assert np.all(report.q_star < full.q_star)
 
     def test_validates_arguments(self):
-        top, dem = symmetric_two_cell()
+        top, dem, _ = symmetric_two_cell()
         with pytest.raises(ValueError):
             solve_spm(top, dem, max_iter=0)
 
 
 class TestAssemble:
     def test_symmetric_fixture_powers(self):
-        top, dem = symmetric_two_cell()
-        report = dpc_spm(top, dem)
+        top, dem, budgets = symmetric_two_cell()
+        report = dpc_spm(top, dem, budgets)
         alloc = assemble_full_solution(top, dem, report.q_star)
         for i in range(2):
             assert alloc.powers[i][0] == pytest.approx([0.7, 0.3], abs=1e-7)
@@ -434,23 +425,22 @@ class TestAssemble:
     def test_single_cell_noise_only(self):
         g = np.array([[0.5, 1.0]])
         from nomapower import NetworkTopology
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([5.0]), gains=((g,),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_spm(top, dem)
+        report = dpc_spm(top, dem, np.array([5.0]))
         alloc = assemble_full_solution(top, dem, report.q_star)
         assert alloc.powers[0][0] == pytest.approx([0.3, 0.1])
         assert report.q_star[0, 0] == pytest.approx(0.4)
 
     def test_vanishing_demand_limit(self):
-        top, _ = symmetric_two_cell()
+        top, _, budgets = symmetric_two_cell()
         dem = RateDemands.uniform(top, 1e-9)
-        report = dpc_spm(top, dem)
+        report = dpc_spm(top, dem, budgets)
         alloc = assemble_full_solution(top, dem, report.q_star)
         assert float(alloc.cell_powers().sum()) == pytest.approx(0.0, abs=1e-8)
 
     def test_rejects_non_fixed_points(self):
-        top, dem = symmetric_two_cell()
+        top, dem, _ = symmetric_two_cell()
         with pytest.raises(ValueError, match="not a fixed point"):
             assemble_full_solution(top, dem, np.array([[2.0], [2.0]]))
 
@@ -460,7 +450,8 @@ class TestAssemble:
         dem = build_demands(config, top)
         q_star = solve_spm(top, dem).q_star
         assemble_full_solution(top, dem, q_star)
-        assemble_full_solution(top, dem, dpc_spm(top, dem).q_star)
+        budgets = np.full(top.num_cells, 1.0)       # the config's 30 dBm
+        assemble_full_solution(top, dem, dpc_spm(top, dem, budgets).q_star)
         for group in np.ndindex(q_star.shape):
             off = q_star.copy()
             off[group] *= 1.0 + 1e-3
@@ -475,7 +466,7 @@ class TestAssemble:
         for _ in range(10):
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=(2, 4))
             dem = sample_demands(rng, top)
-            report = dpc_spm(top, dem)
+            report = dpc_spm(top, dem, budgets_for(top))
             assert report.converged
             alloc = assemble_full_solution(top, dem, report.q_star)
             wanted = unpad(dem.rates, top.occupied)

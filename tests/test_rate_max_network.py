@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import sample_demands, sample_topology
+from conftest import budgets_for, sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
                        dpc_srm, generate_channels, random_feasible_start, solve_spm)
 from nomapower import network, power_min, rate_max_network
@@ -29,8 +29,7 @@ def two_cell_single_user():
     # cell-2 user: own gain 1.0, cross gain from BS 1 is 0.2, noise 0.1
     g0 = np.array([[1.0], [0.3]])
     g1 = np.array([[0.2], [1.0]])
-    return NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                           budgets=np.array([5.0, 5.0]), gains=((g0,), (g1,)))
+    return NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
 
 
 class TestPowerCap:
@@ -94,9 +93,7 @@ class TestPowerCap:
         # larger proxy loosens the cap; the min picks the tighter user
         g0 = np.array([[1.0, 1.0], [0.3, 0.3]])
         g1 = np.array([[0.2, 0.25], [1.0, 1.0]])
-        top2 = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                               budgets=np.array([5.0, 5.0]),
-                               gains=((g0,), (g1,)))
+        top2 = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         x = np.array([[[1.0, 1.0]], [[0.5, 0.5]]])
         caps = [(1.0 * 0.5 - 0.1) / 0.2, (1.0 * 0.5 - 0.1) / 0.25]
         q = np.zeros((2, 1))
@@ -104,7 +101,7 @@ class TestPowerCap:
             pytest.approx(min(caps))
 
     def test_single_cell_has_no_cap(self):
-        top, _ = rate_max_single_cell()
+        top, _, _ = rate_max_single_cell()
         x = np.array([[[2.0, 1.0]]])
         q = np.zeros((1, 1))
         assert power_cap(top, q, x, normalized_interference(top, q))[0, 0] == np.inf
@@ -112,8 +109,7 @@ class TestPowerCap:
     def test_zero_cross_gain_has_no_cap(self):
         g0 = np.array([[1.0], [0.0]])
         g1 = np.array([[0.0], [1.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=0.1,
-                              budgets=np.array([5.0, 5.0]), gains=((g0,), (g1,)))
+        top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         x = np.array([[[1.0]], [[0.5]]])
         q = np.zeros((2, 1))
         assert power_cap(top, q, x, normalized_interference(top, q))[0, 0] == np.inf
@@ -121,14 +117,14 @@ class TestPowerCap:
 
 class TestDcObjective:
     def test_single_subchannel_worked_example(self):
-        top, dem = rate_max_single_cell()
+        top, dem, _ = rate_max_single_cell()
         q_i = np.array([10.0])
         x_i = np.array([[2.0, 1.0]])
         assert cell_objective(top, constants(top, dem), q_i, x_i, 0) == \
             pytest.approx(-np.log2(5.0) - 1.0)
 
     def test_domain_error_on_bad_iterate(self):
-        top, dem = rate_max_single_cell()
+        top, dem, _ = rate_max_single_cell()
         with pytest.raises(ValueError, match="log argument"):
             cell_objective(top, constants(top, dem), np.array([0.0]),
                            np.array([[100.0, 0.5]]), 0)
@@ -137,8 +133,7 @@ class TestDcObjective:
 class TestSubproblem:
     def test_symmetric_subchannels_split_evenly(self):
         g = np.array([[1.0, 2.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=2.0,
-                              budgets=np.array([10.0]), gains=((g, g),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=2.0, gains=((g, g),))
         dem = RateDemands.uniform(top, 1.0)
         q = np.array([[4.2, 5.3]])      # feasible but lopsided start
         x = dense_interference(top, q)
@@ -154,8 +149,7 @@ class TestSubproblem:
         # subchannel 0 is pinned at q = 4 by its cap and the coupling, so
         # the region has no interior; the spare 2 W go to subchannel 1
         g = np.array([[1.0, 2.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=2.0,
-                              budgets=np.array([10.0]), gains=((g, g),))
+        top = NetworkTopology(bandwidth=1.0, noise_power=2.0, gains=((g, g),))
         dem = RateDemands.uniform(top, 1.0)
         q = np.array([[4.0, 4.0]])
         x = dense_interference(top, np.zeros((1, 2)))
@@ -170,7 +164,7 @@ class TestSubproblem:
                                                     rel=1e-12)
 
     def test_single_subchannel_recovers_closed_form(self):
-        top, dem = rate_max_single_cell()
+        top, dem, _ = rate_max_single_cell()
         q = np.array([[4.0]])       # start at the feasibility boundary
         x = dense_interference(top, q)
         consts = constants(top, dem)
@@ -185,21 +179,20 @@ class TestSubproblem:
     def test_warm_start_surrogate_never_increases(self):
         rng = np.random.default_rng(34)
         for _ in range(10):
-            top = sample_topology(rng, num_cells=2, num_subchannels=2,
-                                  users=2, budget=4.0)
+            top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
-            q0, x0 = random_feasible_start(top, dem, rng)
+            q0, x0 = random_feasible_start(top, dem, budgets_for(top, 4.0), rng)
             for i in range(2):
                 caps = power_cap(top, q0, x0, normalized_interference(top, q0))[i]
                 consts = constants(top, dem)
                 warm = cell_objective(top, consts, q0[i], x0[i], i)
                 out = solve_convex_subproblem(top, consts[i], i, x0[i], caps,
-                                              float(top.budgets[i]), q0,
+                                              4.0, q0,
                                               dense_interference(top, q0)[i], warm)
                 assert out.objective_value <= warm + 1e-9
 
     def test_infeasible_inputs_raise_with_family(self):
-        top, dem = rate_max_single_cell()
+        top, dem, _ = rate_max_single_cell()
         q = np.array([[2.0]])       # below the required 4 W
         x = dense_interference(top, q)
         consts = constants(top, dem)
@@ -217,8 +210,7 @@ class TestSubproblem:
 
 class TestDpcSrm:
     def test_single_cell_single_subchannel_matches_closed_form(self):
-        top, dem = rate_max_single_cell()
-        report = dpc_srm(top, dem)
+        report = dpc_srm(*rate_max_single_cell())
         assert report.converged
         assert report.sum_rate == pytest.approx(RATE_MAX_SINGLE_CELL_SUM_RATE,
                                                 rel=1e-9)
@@ -229,29 +221,27 @@ class TestDpcSrm:
     def test_decoupled_cells_reach_per_cell_optimum(self):
         g0 = np.array([[1.0, 2.0], [0.0, 0.0]])
         g1 = np.array([[0.0, 0.0], [1.0, 2.0]])
-        top = NetworkTopology(bandwidth=1.0, noise_power=2.0,
-                              budgets=np.array([10.0, 10.0]),
-                              gains=((g0,), (g1,)))
+        top = NetworkTopology(bandwidth=1.0, noise_power=2.0, gains=((g0,), (g1,)))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_srm(top, dem)
+        report = dpc_srm(top, dem, np.array([10.0, 10.0]))
         assert report.sum_rate == pytest.approx(
             2.0 * RATE_MAX_SINGLE_CELL_SUM_RATE, rel=1e-9)
 
     def test_trace_is_non_increasing(self):
         rng = np.random.default_rng(35)
         for _ in range(8):
-            top = sample_topology(rng, num_cells=2, num_subchannels=1,
-                                  users=2, budget=4.0)
+            top = sample_topology(rng, num_cells=2, num_subchannels=1, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
-            q0, x0 = random_feasible_start(top, dem, rng)
-            report = dpc_srm(top, dem, q0=q0, x0=x0)
+            budgets = budgets_for(top, 4.0)
+            q0, x0 = random_feasible_start(top, dem, budgets, rng)
+            report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
             assert np.all(np.diff(report.trace) <= 1e-9)
 
     def test_proxies_settle_on_effective_interference(self):
         rng = np.random.default_rng(36)
-        top = sample_topology(rng, num_cells=2, users=2, budget=4.0)
+        top = sample_topology(rng, num_cells=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        report = dpc_srm(top, dem)
+        report = dpc_srm(top, dem, budgets_for(top, 4.0))
         for i, m in top.groups():
             h = np.maximum.accumulate(
                 interference_over_gain(top, report.q, i, m)[::-1])[::-1]
@@ -263,7 +253,7 @@ class TestDpcSrm:
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
             from nomapower import dpc_spm
-            fp = dpc_spm(top, dem)
+            fp = dpc_spm(top, dem, budgets_for(top))
             q = fp.q_star * rng.uniform(1.0, 1.5)
             profile = dense_interference(top, q)
             consts = constants(top, dem)
@@ -277,26 +267,26 @@ class TestDpcSrm:
             assert total == pytest.approx(direct, rel=1e-10)
 
     def test_sum_rate_matches_per_user_rates(self):
-        top, dem = symmetric_two_cell()
-        report = dpc_srm(top, dem)
+        top, dem, budgets = symmetric_two_cell()
+        report = dpc_srm(top, dem, budgets)
         direct = sum(float(np.sum(rate_via_decoding_chain(top, report.allocation,
                                                           report.q, i, m)))
                      for i, m in top.groups())
         assert report.sum_rate == pytest.approx(direct, rel=1e-9)
 
     def test_infeasible_start_raises(self):
-        top, dem = rate_max_single_cell()
+        top, dem, budgets = rate_max_single_cell()
         with pytest.raises(InfeasibleInitialPointError):
-            dpc_srm(top, dem, q0=np.array([[20.0]]))       # over budget
+            dpc_srm(top, dem, budgets, q0=np.array([[20.0]]))       # over budget
         with pytest.raises(InfeasibleInitialPointError):
-            dpc_srm(top, dem, q0=np.array([[8.0]]),
+            dpc_srm(top, dem, budgets, q0=np.array([[8.0]]),
                     x0=np.array([[[0.1, 0.05]]]))          # below interference
 
     def test_start_a_tenth_of_a_billionth_over_budget_raises(self):
-        top, dem = rate_max_single_cell()
-        dpc_srm(top, dem, q0=top.budgets[:, None])     # at the budget: accepted
+        top, dem, budgets = rate_max_single_cell()
+        dpc_srm(top, dem, budgets, q0=budgets[:, None])     # at the budget: accepted
         with pytest.raises(InfeasibleInitialPointError, match="per-cell budget"):
-            dpc_srm(top, dem, q0=top.budgets[:, None] * (1.0 + 1e-10))
+            dpc_srm(top, dem, budgets, q0=budgets[:, None] * (1.0 + 1e-10))
 
     def test_misshapen_or_uncovered_start_raises(self):
         # subchannel 0 serves one user per cell, so slot 0 is padding there
@@ -305,7 +295,6 @@ class TestDpcSrm:
         g_c = np.array([[0.06], [1.2]])
         g_d = np.array([[0.02, 0.04], [0.5, 1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.2,
-                              budgets=np.array([8.0, 8.0]),
                               gains=((g_a, g_b), (g_c, g_d)))
         dem = RateDemands.uniform(top, 0.4)
         q = solve_spm(top, dem).q_star          # every demand coupling tight
@@ -318,11 +307,11 @@ class TestDpcSrm:
                               (q, padded, "padded like the topology"),
                               (q, 2.0 * x, "cannot cover the demands")):
             with pytest.raises(InfeasibleInitialPointError, match=match):
-                dpc_srm(top, dem, q0=q0, x0=x0)
+                dpc_srm(top, dem, np.array([8.0, 8.0]), q0=q0, x0=x0)
 
     def test_assemble_refuses_totals_below_the_required_power(self):
-        top, dem = symmetric_two_cell()
-        q = dpc_srm(top, dem).q
+        top, dem, budgets = symmetric_two_cell()
+        q = dpc_srm(top, dem, budgets).q
         h = dense_interference(top, q)
         required = (constants(top, dem).weights * h).sum(axis=-1)
         with pytest.raises(InfeasibleInitialPointError,
@@ -333,16 +322,16 @@ class TestDpcSrm:
         # proxies drawn above their floor keep the first sweep from
         # stalling, so the step runs; the same totals at tight proxies
         # stall at once and report the sum rate at q0
-        top, dem = symmetric_two_cell()
-        q0, x0 = random_feasible_start(top, dem, np.random.default_rng(2))
-        start = dpc_srm(top, dem, q0=q0, max_outer=1)
+        top, dem, budgets = symmetric_two_cell()
+        q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(2))
+        start = dpc_srm(top, dem, budgets, q0=q0, max_outer=1)
         assert np.array_equal(start.q, q0)
 
         def refuse(*args):
             raise InfeasibleSubproblemError("power budget", "(cell 0)")
 
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", refuse)
-        report = dpc_srm(top, dem, q0=q0, x0=x0)
+        report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
         assert not report.converged
         assert report.diagnostic == \
             "infeasible subproblem: constraint family 'power budget' (cell 0)"
@@ -351,17 +340,17 @@ class TestDpcSrm:
         assert report.sum_rate == start.sum_rate
 
     def test_infeasible_demands_raise(self):
-        top, _ = rate_max_single_cell()
+        top, _, budgets = rate_max_single_cell()
         dem = RateDemands.uniform(top, 10.0)       # needs far more than 10 W
         with pytest.raises(InfeasibleInitialPointError):
-            dpc_srm(top, dem)
+            dpc_srm(top, dem, budgets)
 
     def test_group_constants_are_built_once_per_call(self, monkeypatch):
         rng = np.random.default_rng(56)
-        top = sample_topology(rng, num_cells=3, num_subchannels=2, users=2,
-                              budget=4.0)
+        top = sample_topology(rng, num_cells=3, num_subchannels=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        q0, x0 = random_feasible_start(top, dem, rng)
+        budgets = budgets_for(top, 4.0)
+        q0, x0 = random_feasible_start(top, dem, budgets, rng)
         calls = []
         build, weights = _GroupConstants.build, power_min.demand_weights
 
@@ -378,11 +367,11 @@ class TestDpcSrm:
         assert power_min in bound and rate_max_network not in bound
         for module in bound:
             monkeypatch.setattr(module, "demand_weights", counted("weights", weights))
-        report = dpc_srm(top, dem, q0=q0, x0=x0)
+        report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build"]
         # a second call with the same demands reads the bundle kept on them
-        assert dpc_srm(top, dem, q0=q0, x0=x0).sum_rate == report.sum_rate
+        assert dpc_srm(top, dem, budgets, q0=q0, x0=x0).sum_rate == report.sum_rate
         assert calls == ["build"]
 
     def test_kept_constants_follow_the_bandwidth_and_check_the_topology(self):
@@ -410,7 +399,8 @@ class TestDpcSrm:
         config = ScenarioConfig(seed=0, algorithm="rate-max")
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
-        q0, x0 = random_feasible_start(top, dem, np.random.default_rng(0))
+        budgets = budgets_for(top, 1.0)              # the config's 30 dBm
+        q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(0))
         calls, moved = [], []
         evaluate = network.normalized_interference
         step = rate_max_network.solve_convex_subproblem
@@ -427,12 +417,12 @@ class TestDpcSrm:
         for module in (network, rate_max_network):
             monkeypatch.setattr(module, "normalized_interference", counted_evaluate)
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted_step)
-        report = dpc_srm(top, dem)
+        report = dpc_srm(top, dem, budgets)
         assert len(calls) == 1 and moved == []      # a stalled sweep runs no step
         assert report.subproblem_solves == top.num_cells
         calls.clear()
         moved.clear()
-        report = dpc_srm(top, dem, q0=q0, x0=x0)
+        report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
         assert report.converged and any(moved)
         assert len(calls) == 1 + sum(moved)
 
@@ -445,8 +435,7 @@ class TestDpcSrm:
         demands = build_demands(config, topology)
         for budget_dbm in (20.0, 30.0, 40.0):
             budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-            report = dpc_srm(dataclasses.replace(topology, budgets=budgets),
-                             demands, tol=config.rate_tol,
+            report = dpc_srm(topology, demands, budgets, tol=config.rate_tol,
                              max_outer=config.max_outer)
             assert report.converged, budget_dbm
             assert report.diagnostic == "", budget_dbm
@@ -462,16 +451,16 @@ class TestDpcSrm:
             demands = build_demands(config, topology)
             for budget_dbm in (20.0, 30.0, 40.0):
                 budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-                top = dataclasses.replace(topology, budgets=budgets)
-                weights = power_min.demand_weights(demands.padded_for(top),
-                                                   top.bandwidth)
+                weights = power_min.demand_weights(demands.padded_for(topology),
+                                                   topology.bandwidth)
+                fp, _ = power_min._least_fixed_point(topology, weights)
                 try:
-                    fixed_point, headroom = rate_max_network._fixed_point_headroom(
-                        top, weights)
+                    headroom = rate_max_network._headroom(fp, budgets)
                 except InfeasibleInitialPointError:
                     continue
-                want = dpc_srm(top, demands)
-                got = dpc_srm(top, demands, q0=fixed_point * float(np.min(headroom)))
+                want = dpc_srm(topology, demands, budgets)
+                got = dpc_srm(topology, demands, budgets,
+                              q0=fp.q_star * float(np.min(headroom)))
                 for name in ("q", "x", "trace"):
                     assert np.array_equal(getattr(got, name), getattr(want, name)), name
                 assert np.array_equal(got.allocation.powers, want.allocation.powers)
@@ -483,12 +472,13 @@ class TestDpcSrm:
 
     def test_random_starts_stay_feasible_and_never_beat_caps(self):
         rng = np.random.default_rng(38)
-        top = sample_topology(rng, num_cells=2, users=2, budget=4.0)
+        top = sample_topology(rng, num_cells=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
+        budgets = budgets_for(top, 4.0)
         for _ in range(5):
-            q0, x0 = random_feasible_start(top, dem, rng)
-            report = dpc_srm(top, dem, q0=q0, x0=x0)    # must not raise
-            assert np.all(report.q.sum(axis=1) <= top.budgets * (1 + 1e-9))
+            q0, x0 = random_feasible_start(top, dem, budgets, rng)
+            report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)    # must not raise
+            assert np.all(report.q.sum(axis=1) <= budgets * (1 + 1e-9))
 
     def test_single_user_and_mixed_groups_degenerate_cleanly(self):
         # subchannel 0 serves one user, subchannel 1 serves three
@@ -497,10 +487,9 @@ class TestDpcSrm:
         g_c = np.array([[0.06], [1.2]])
         g_d = np.array([[0.02, 0.04, 0.06], [0.5, 1.0, 1.5]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.2,
-                              budgets=np.array([8.0, 8.0]),
                               gains=((g_a, g_b), (g_c, g_d)))
         dem = RateDemands.uniform(top, 0.4)
-        report = dpc_srm(top, dem)
+        report = dpc_srm(top, dem, np.array([8.0, 8.0]))
         assert np.all(np.diff(report.trace) <= 1e-9)
         np.testing.assert_allclose(report.allocation.cell_powers(), report.q,
                                    rtol=1e-6, atol=0)
@@ -514,12 +503,12 @@ class TestDpcSrm:
         rng = np.random.default_rng(39)
         from nomapower.power_min import demand_weights
         for _ in range(5):
-            top = sample_topology(rng, num_cells=2, num_subchannels=2,
-                                  users=2, budget=4.0)
+            top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
-            report = dpc_srm(top, dem)
-            scale = float(top.budgets.max())
-            assert np.all(report.q.sum(axis=1) <= top.budgets + 1e-7 * scale)
+            budgets = budgets_for(top, 4.0)
+            report = dpc_srm(top, dem, budgets)
+            scale = float(budgets.max())
+            assert np.all(report.q.sum(axis=1) <= budgets + 1e-7 * scale)
             for i, m in top.groups():
                 h = np.maximum.accumulate(
                     interference_over_gain(top, report.q, i, m)[::-1])[::-1]
@@ -533,17 +522,16 @@ class TestDpcSrm:
 
 
 def paper_drops(seeds, budgets_dbm=(20.0, 30.0, 40.0)):
-    """(topology, demands) of the default rate-max config's drops that
-    have a fixed point within the budget, one per seed and budget."""
+    """(topology, demands, budgets) of the default rate-max config's drops
+    that have a fixed point within the budget, one per seed and budget."""
     config = ScenarioConfig(algorithm="rate-max")
     for seed in seeds:
         topology = generate_channels(config, seed)
         demands = build_demands(config, topology)
         for budget_dbm in budgets_dbm:
             budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-            top = dataclasses.replace(topology, budgets=budgets)
-            if solve_spm(top, demands).feasible:
-                yield top, demands
+            if solve_spm(topology, demands).fits(budgets):
+                yield topology, demands, budgets
 
 
 class TestPinnedStep:
@@ -564,7 +552,7 @@ class TestPinnedStep:
             return evaluate(*args)
 
         monkeypatch.setattr(rate_max_network, "cell_objective", counted)
-        report = dpc_srm(top, dem)
+        report = dpc_srm(top, dem, budgets_for(top, 1.0))
         assert report.subproblem_solves == top.num_cells
         assert len(calls) == 1
 
@@ -579,8 +567,8 @@ class TestPinnedStep:
 
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted)
         drops = 0
-        for top, dem in paper_drops(range(10)):
-            report = dpc_srm(top, dem)
+        for top, dem, budgets in paper_drops(range(10)):
+            report = dpc_srm(top, dem, budgets)
             assert report.converged and report.outer_iterations == 1
             assert report.subproblem_solves == top.num_cells
             assert np.ptp(report.trace) == 0.0
@@ -591,8 +579,8 @@ class TestPinnedStep:
         # each cell's step at the default start's state, run through the
         # water-fill, returns that start and its objective bit for bit
         steps = 0
-        for top, dem in paper_drops(range(10)):
-            report = dpc_srm(top, dem)
+        for top, dem, budgets in paper_drops(range(10)):
+            report = dpc_srm(top, dem, budgets)
             q, x = report.q, report.x
             consts = _GroupConstants.of(top, dem)
             z = normalized_interference(top, q)
@@ -601,7 +589,7 @@ class TestPinnedStep:
             warm = cell_objective(top, consts, q, x)
             for i in range(top.num_cells):
                 out = solve_convex_subproblem(top, consts[i], i, x[i], caps[i],
-                                              float(top.budgets[i]), q, h[i], warm[i])
+                                              float(budgets[i]), q, h[i], warm[i])
                 assert not out.improved
                 assert np.array_equal(out.q_i, q[i]) and np.array_equal(out.x_i, x[i])
                 assert out.objective_value == warm[i]
@@ -613,20 +601,21 @@ class TestPinnedStep:
         # must be the same, from the default start and from random ones.
         # A single cell has no caps, so its default start steps as well
         runs = []
-        for seed, (top, dem) in enumerate(paper_drops(range(10))):
-            q0, x0 = random_feasible_start(top, dem, np.random.default_rng(seed))
-            runs += [(top, dem, {}), (top, dem, {"q0": q0, "x0": x0})]
+        for seed, (top, dem, budgets) in enumerate(paper_drops(range(10))):
+            q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(seed))
+            runs += [(top, dem, budgets, {}), (top, dem, budgets, {"q0": q0, "x0": x0})]
         config = ScenarioConfig(algorithm="rate-max", num_cells=1)
         for seed in range(3):
             top = generate_channels(config, seed)
-            runs.append((top, build_demands(config, top), {}))
+            runs.append((top, build_demands(config, top), budgets_for(top, 1.0), {}))
         fields = ("q", "x", "trace", "converged", "outer_iterations",
                   "subproblem_solves", "diagnostic")
-        reports = [dpc_srm(top, dem, **start) for top, dem, start in runs]
+        reports = [dpc_srm(top, dem, budgets, **start)
+                   for top, dem, budgets, start in runs]
         monkeypatch.setattr(rate_max_network, "_stalled", lambda *args: False)
         moved = 0
-        for (top, dem, start), want in zip(runs, reports):
-            got = dpc_srm(top, dem, **start)
+        for (top, dem, budgets, start), want in zip(runs, reports):
+            got = dpc_srm(top, dem, budgets, **start)
             for name in fields:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert np.array_equal(got.allocation.powers, want.allocation.powers)
@@ -640,24 +629,25 @@ class TestPinnedStep:
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
         consts = _GroupConstants.of(top, dem)
-        start = dpc_srm(top, dem)
+        budgets = budgets_for(top, 1.0)              # the config's 30 dBm
+        start = dpc_srm(top, dem, budgets)
         q, x = start.q, start.x
         z = normalized_interference(top, q)
         h = network.suffix_max(z)
         caps = power_cap(top, q, x, z)
         stalled = rate_max_network._stalled
-        assert stalled(top, consts, q, x, h, caps)
+        assert stalled(top, consts, budgets, q, x, h, caps)
         loose_cap = caps.copy()
         loose_cap[1, 0] = q[1, 0] * 1.001
-        assert not stalled(top, consts, q, x, h, loose_cap)
+        assert not stalled(top, consts, budgets, q, x, h, loose_cap)
         loose_proxy = x.copy()
         loose_proxy[0, 0, 0] *= 1.001          # a weak user's proxy above its floor
-        assert not stalled(top, consts, q, loose_proxy, h, caps)
+        assert not stalled(top, consts, budgets, q, loose_proxy, h, caps)
         short = q.copy()
         short[2, 1] = (consts.weights[2, 1] * x[2, 1]).sum() * (1.0 - 1e-6)
-        assert not stalled(top, consts, short, x, h, np.minimum(caps, short))
-        over = dataclasses.replace(top, budgets=q.sum(axis=1) * (1.0 - 1e-6))
-        assert not stalled(over, consts, q, x, h, caps)
+        assert not stalled(top, consts, budgets, short, x, h, np.minimum(caps, short))
+        over = q.sum(axis=1) * (1.0 - 1e-6)
+        assert not stalled(top, consts, over, q, x, h, caps)
 
     def test_loose_proxies_still_step(self):
         # caps at the start's totals, but proxies drawn above their floor:
@@ -665,12 +655,13 @@ class TestPinnedStep:
         config = ScenarioConfig(seed=0, algorithm="rate-max")
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
-        q0, x0 = random_feasible_start(top, dem, np.random.default_rng(0))
+        q0, x0 = random_feasible_start(top, dem, budgets_for(top, 1.0),
+                                       np.random.default_rng(0))
         consts = constants(top, dem)
         h = dense_interference(top, q0)
         for i in range(top.num_cells):
             warm = cell_objective(top, consts, q0[i], x0[i], i)
             out = solve_convex_subproblem(top, consts[i], i, x0[i], q0[i].copy(),
-                                          float(top.budgets[i]), q0, h[i], warm)
+                                          1.0, q0, h[i], warm)
             assert out.improved, i
             assert out.objective_value < warm

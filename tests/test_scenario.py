@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -223,13 +224,21 @@ class TestConfig:
         ("[30.0]", "[30.0, 30.0]", "budget_dbm_sweep entries must give distinct trace names"),
         ("[30.0]", "[30.0, 30.0000001]",
          "budget_dbm_sweep entries must give distinct trace names"),
+        # finite in dBm, but 0 W or beyond the float range in watts
+        ("[30.0]", "[4000.0]", "budget_dbm_sweep must give a positive finite power"),
+        ("[30.0]", "[-4000.0]", "budget_dbm_sweep must give a positive finite power"),
+        ("[30.0]", "[30.0]\n  noise_power_dbm: 4000.0",
+         "noise_power_dbm must give a positive finite power"),
+        ("[30.0]", "[30.0]\n  noise_power_dbm: -4000.0",
+         "noise_power_dbm must give a positive finite power"),
     ], ids=["site-nan", "site-three-columns", "site-non-numeric", "site-scalar",
             "site-without-custom-layout", "non-numeric", "layout-hex",
             "three-users-per-subchannel", "rate-list-zero", "malformed-yaml",
             "top-level-list", "section-not-mapping", "int-infinite", "int-fraction",
             "cells-fraction", "num-seeds-bool", "seed-bool", "rate-tol-bool",
             "budget-string", "budget-bool-entry", "budget-repeat",
-            "budget-same-trace-name"])
+            "budget-same-trace-name", "budget-watts-overflow", "budget-zero-watts",
+            "noise-watts-overflow", "noise-zero-watts"])
     def test_bad_config_exits_2(self, old, new, message, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         assert old in GOOD_CONFIG
@@ -462,7 +471,6 @@ class TestChannels:
         config = small_config()
         top = generate_channels(config, 1)
         assert top.num_cells == 2 and top.num_subchannels == 2
-        assert top.budgets[0] == pytest.approx(dbm_to_watts(30.0))
         for i, m in top.groups():
             assert top.gains[i][m].shape == (2, 2)
 
@@ -545,22 +553,34 @@ class TestRunScenario:
         assert best >= one - 1e-6 * abs(one)
 
     def test_one_fixed_point_solve_per_rate_max_drop(self, monkeypatch):
-        # the default start and the three random starts of each drop share
-        # one sum-power fixed point, where each start solved its own
-        solve = power_min._least_fixed_point
-        calls = []
+        # every start at every budget of a seed shares one sum-power fixed
+        # point, and no budget point rebuilds the topology (dataclasses.replace)
+        solve, replace = power_min._least_fixed_point, dataclasses.replace
+        calls, rebuilds = [], []
 
         def counted(*args):
             calls.append(1)
             return solve(*args)
 
-        for module in (power_min, rate_max_network):
-            monkeypatch.setattr(module, "_least_fixed_point", counted)
-        config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
-                                multistart=4)
-        artifacts = run_scenario(config)
-        assert artifacts.ok and all(row.converged for row in artifacts.summary)
-        assert len(calls) == len(artifacts.summary) == 3
+        bound = [module for name, module in sys.modules.items()
+                 if name.split(".")[0] == "nomapower"
+                 and getattr(module, "_least_fixed_point", None) is solve]
+        assert power_min in bound
+        for multistart, sweep in ((4, [30.0]), (1, [20.0, 30.0, 40.0]),
+                                  (2, [20.0, 30.0, 40.0])):
+            config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
+                                    multistart=multistart, budget_dbm_sweep=sweep)
+            with monkeypatch.context() as patch:
+                for module in bound:
+                    patch.setattr(module, "_least_fixed_point", counted)
+                patch.setattr(dataclasses, "replace",
+                              lambda *args, **kwargs: rebuilds.append(1)
+                              or replace(*args, **kwargs))
+                artifacts = run_scenario(config)
+            assert artifacts.ok and all(row.converged for row in artifacts.summary)
+            assert len(artifacts.summary) == 3 * len(sweep)
+            assert (len(calls), rebuilds) == (3, []), (multistart, sweep)
+            calls.clear()
 
     def test_one_constants_bundle_per_multistart_drop(self, monkeypatch):
         # the fixed point, the random starts and all four dpc_srm calls of
@@ -816,8 +836,7 @@ class TestRunScenario:
                              [("power-min", 7, 4), ("rate-max", 3, 2)])
     def test_run_path_builds_no_nested_view(self, monkeypatch, tmp_path, algorithm,
                                             cells, subchannels):
-        # no solve, budget rebuild (dataclasses.replace) or CSV output
-        # slices the padded arrays into per-group values; the JSON output
+        # no solve, budget check or CSV output slices the padded arrays into per-group values; the JSON output
         # does, through network.unpad, with the same bytes.
         config = small_config(algorithm=algorithm, num_cells=cells,
                               users_per_cell=2 * subchannels,
@@ -846,15 +865,16 @@ class TestRunScenario:
         config = small_config()
         top = generate_channels(config, 3)
         demands = build_demands(config, top)
+        budgets = np.full(top.num_cells, dbm_to_watts(30.0))
         allocation = assemble_full_solution(top, demands,
-                                            dpc_spm(top, demands).q_star)
-        assert _validate(top, demands, allocation) is None
+                                            dpc_spm(top, demands, budgets).q_star)
+        assert _validate(top, demands, budgets, allocation) is None
         # halving a weak user's power lowers only that user's rate; the
         # other cell sees less interference
         powers = [list(row) for row in allocation.powers]
         powers[1][1] = powers[1][1] * np.array([0.5, 1.0])
         starved = PowerAllocation(tuple(tuple(row) for row in powers))
-        assert _validate(top, demands, starved) == \
+        assert _validate(top, demands, budgets, starved) == \
             "rate demand missed in group (1,1)"
 
     def test_a_rate_missed_by_a_ten_millionth_fails_the_run(self, monkeypatch,
@@ -883,11 +903,12 @@ class TestRunScenario:
         config = small_config()
         top = generate_channels(config, 3)
         demands = build_demands(config, top)
+        budgets = np.full(top.num_cells, dbm_to_watts(30.0))
         allocation = assemble_full_solution(top, demands,
-                                            dpc_spm(top, demands).q_star)
+                                            dpc_spm(top, demands, budgets).q_star)
         totals = allocation.cell_powers().sum(axis=1)
-        tight = dataclasses.replace(top, budgets=totals * np.array([1.0, 0.5]))
-        assert _validate(tight, demands, allocation) == "budget exceeded"
+        tight = totals * np.array([1.0, 0.5])
+        assert _validate(top, demands, tight, allocation) == "budget exceeded"
 
 
 class TestFixturesAndCli:
