@@ -236,14 +236,11 @@ class RateDemands:
 
     ``rates`` is one read-only (I, M, n_max) array, front-padded like the
     topology with 0 in padding, that the constructor takes as is or from
-    nested per-group arrays.  ``_constants`` is where the solvers keep
-    the demands' per-group constants and the bandwidth they are for
-    (``power_min._GroupConstants.of``); it is not part of the value.
-    ``==`` compares identity; compare ``rates`` with ``np.array_equal``.
+    nested per-group arrays.  ``==`` compares identity; compare
+    ``rates`` with ``np.array_equal``.
     """
 
     rates: np.ndarray
-    _constants: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         _store(self, "rates", "rate demands")

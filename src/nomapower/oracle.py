@@ -9,8 +9,8 @@ rates come from explicit loops over the gains (:func:`interference_over_gain`,
 search, and curvature is probed with finite differences.  Instances are
 bounded at entry because the searches are combinatorial.  Per-group
 companions of the closed forms live here too, for validation only: one
-group's optimal sum rate and the slack of its rate constraints.  The
-beta form of the strongest user's power lives only in
+group's demand weights, its optimal sum rate and the slack of its rate
+constraints.  The beta form of the strongest user's power lives only in
 :func:`_strong_power`; one solver closed form is shared on purpose:
 :func:`boundary_allocation_matches_minimum` checks that
 :func:`~nomapower.power_min.group_split` given that power reproduces the
@@ -55,6 +55,16 @@ class GridRateResult:
 class GridSplitResult:
     sum_rate: float
     bound: float        # the continuous optimum exceeds sum_rate by at most this
+
+
+def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Reference demand weights w_j = (2^(R_j/B) - 1) * 2^(sum_{s<j} R_s/B)
+    of a group's users along the last axis, 0 in padding: the group's
+    minimum total power is w . H at its effective interference H."""
+    r = np.asarray(demands, dtype=float) / bandwidth
+    before = np.zeros_like(r)
+    before[..., 1:] = np.cumsum(r, axis=-1)[..., :-1]
+    return (np.exp2(r) - 1.0) * np.exp2(before)
 
 
 def tight_constraint_matrix(demands: np.ndarray, bandwidth: float) -> np.ndarray:

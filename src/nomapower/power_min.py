@@ -13,17 +13,17 @@ none.
 
 Both problems derive a group's 2^(R/B) and its demand weights here, with
 one formula (:func:`_weights`); :class:`_GroupConstants` bundles them
-with rate maximization's alpha and weak-demand sums.  A drop derives
-them once: the power-min fixed point (:func:`_least_fixed_point`) hands
-them, with the effective interference it ends on, to the split
-(:func:`_split_at`), and rate-max keeps its bundle on the demands
-(:meth:`_GroupConstants.of`) for every start.
+with rate maximization's alpha and weak-demand sums.  A :class:`_Drop`
+holds one problem: the demands, checked against the topology once, their
+bundle, and the least fixed point (:func:`_least_fixed_point`) with the
+effective interference it ends on.  ``nomapower run`` builds one per
+seed, and every budget point and start of the seed reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -82,31 +82,11 @@ def _checked_budgets(topology: NetworkTopology, budgets) -> np.ndarray:
     return checked
 
 
-def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
-    """Weights w_j = (2^(R_j/B) - 1) * 2^(sum_{s<j} R_s/B) for one group.
-
-    The minimum total power of a group is the dot product of these weights
-    with the per-user effective interference.  Users run along the last
-    axis; a front-padded slot with zero demand gets weight 0.
-    """
-    r = np.asarray(demands, dtype=float) / bandwidth
-    return _weights(r, np.exp2(r))
-
-
 def _weights(r, growth):
     """Demand weights from the demands over B, ``r``, and 2^r, ``growth``."""
     before = np.zeros_like(r)
     before[..., 1:] = np.cumsum(r, axis=-1)[..., :-1]
     return (growth - 1.0) * np.exp2(before)
-
-
-def _demand_constants(topology: NetworkTopology, demands: RateDemands):
-    """The demand weights and 2^(R/B) of ``demands``, (I, M, n_max) each,
-    once they are checked to hold one demand per user of ``topology``:
-    all that the fixed point and the minimum-power split read."""
-    r = demands.padded_for(topology) / topology.bandwidth
-    growth = np.exp2(r)
-    return _weights(r, growth), growth
 
 
 @dataclass(frozen=True)
@@ -134,24 +114,52 @@ class _GroupConstants:
                    alpha=np.exp2(-r[..., :-1].sum(axis=-1)),
                    weak=rates[..., :-1].sum(axis=-1).sum(axis=-1))
 
-    @classmethod
-    def of(cls, topology: NetworkTopology, demands: RateDemands) -> _GroupConstants:
-        """The constants of ``demands`` at ``topology``'s bandwidth.
-
-        The demands are checked against ``topology`` on every call; the
-        bundle is built on the first call at a bandwidth and kept on the
-        demands, so every start of a multi-start drop reads one bundle.
-        """
-        rates = demands.padded_for(topology)
-        kept = demands._constants
-        if kept is None or kept[0] != topology.bandwidth:
-            kept = (topology.bandwidth, cls.build(rates, topology.bandwidth))
-            object.__setattr__(demands, "_constants", kept)
-        return kept[1]
-
     def __getitem__(self, i: int) -> _GroupConstants:
         return _GroupConstants(self.weights[i], self.growth[i], self.alpha[i],
                                self.weak[i])
+
+
+class _Drop:
+    """One problem: the ``topology``, the ``demands``, checked once to hold
+    one demand per user of it, their :class:`_GroupConstants`
+    (``constants``) and the least fixed point (:attr:`fixed_point`),
+    solved on first use with at most ``max_iter`` linear solves."""
+
+    def __init__(self, topology: NetworkTopology, demands: RateDemands,
+                 max_iter: int = 100):
+        self.topology, self.demands, self.max_iter = topology, demands, max_iter
+        self.constants = _GroupConstants.build(demands.padded_for(topology),
+                                               topology.bandwidth)
+
+    @classmethod
+    def of(cls, topology, demands, drop=None) -> _Drop:
+        """``drop`` when it was built from these very ``topology`` and
+        ``demands`` objects, a new drop of them when it is None."""
+        if drop is None:
+            return cls(topology, demands)
+        if drop.topology is not topology or drop.demands is not demands:
+            raise ValueError("drop was built from another topology or demands")
+        return drop
+
+    @cached_property
+    def fixed_point(self):
+        """:func:`_least_fixed_point`'s report and interference at q*."""
+        return _least_fixed_point(self.topology, self.constants.weights, self.max_iter)
+
+    def split(self, q_star=None) -> PowerAllocation:
+        """:func:`assemble_full_solution` at ``q_star``; None splits the
+        fixed point at the interference and residual its solve ended on."""
+        if q_star is None:
+            report, h = self.fixed_point
+            q_star, residual = report.q_star, report.residual
+        else:
+            h = dense_interference(self.topology, q_star)
+            residual = _residual(self.constants.weights, q_star, h)
+        bound = RESIDUAL_TOL * float(np.sum(q_star))
+        if not residual <= bound:
+            raise ValueError(
+                f"q_star is not a fixed point (residual {residual:.3e} W > {bound:.1e} W)")
+        return PowerAllocation(group_split(self.constants.growth, h))
 
 
 def group_split(growth: np.ndarray, h: np.ndarray, extra=0.0) -> np.ndarray:
@@ -192,7 +200,7 @@ def interference_map(topology: NetworkTopology, demands: RateDemands,
     its users' demands against the interference produced by ``q``; it
     equals the group total of :func:`min_power_user_allocation`.
     """
-    return _reduced_map(topology, _demand_constants(topology, demands)[0], q)
+    return _reduced_map(topology, _Drop(topology, demands).constants.weights, q)
 
 
 def _reduced_map(topology, weights, q):
@@ -230,7 +238,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
         if np.any(q < 0):
             raise ValueError("q0 must be non-negative")
 
-    weights = _demand_constants(topology, demands)[0]
+    weights = _Drop(topology, demands).constants.weights
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     trace = []
     converged = False
@@ -284,8 +292,7 @@ def solve_spm(topology: NetworkTopology, demands: RateDemands,
     interference once per linear solve; the last evaluation gives the
     residual.
     """
-    return _least_fixed_point(topology, _demand_constants(topology, demands)[0],
-                              max_iter)[0]
+    return _Drop(topology, demands, max_iter).fixed_point[0]
 
 
 @lru_cache(maxsize=16)
@@ -370,22 +377,8 @@ def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
     Evaluates the effective interference at ``q_star`` and applies the
     closed-form split to every group at once; group totals reproduce
     ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
-    by more than ``RESIDUAL_TOL`` times its sum power.  A thin wrapper of
-    :func:`_split_at`: ``nomapower run`` derives the demand constants
-    and the effective interference once per drop, in the fixed-point
-    solve, and hands them to that split itself.
+    by more than ``RESIDUAL_TOL`` times its sum power.  ``nomapower
+    run`` splits each seed's fixed point with :meth:`_Drop.split`, at the
+    effective interference of the solve, and evaluates none.
     """
-    weights, growth = _demand_constants(topology, demands)
-    h = dense_interference(topology, q_star)
-    return _split_at(growth, q_star, h, _residual(weights, q_star, h))
-
-
-def _split_at(growth, q_star, h, residual):
-    """:func:`assemble_full_solution` from 2^(R/B), ``growth``, the
-    effective interference ``h`` at ``q_star`` and the ``residual``
-    max |q_star - f(q_star)| that they give."""
-    bound = RESIDUAL_TOL * float(np.sum(q_star))
-    if not residual <= bound:
-        raise ValueError(
-            f"q_star is not a fixed point (residual {residual:.3e} W > {bound:.1e} W)")
-    return PowerAllocation(group_split(growth, h))
+    return _Drop(topology, demands).split(q_star)

@@ -24,11 +24,11 @@ cells) at once along the last axis.
 The closed forms read power-min's demand weights w: a group needs w . x,
 and at a total q its weak users sit at their demands while the strongest
 user gets its minimum power plus alpha times the surplus q - w . x.
-:func:`dpc_srm` reads these per-group constants as power-min's
-:class:`~nomapower.power_min._GroupConstants`, built once per demands
-and kept on them, and hands that bundle, or a step its cell's row of
-it, to every helper in place of the demands.  No constant is derived
-here.
+:func:`dpc_srm` reads these per-group constants, and the fixed point
+its default start scales, from power-min's
+:class:`~nomapower.power_min._Drop`, and hands the bundle, or a step its
+cell's row of it, to every helper in place of the demands.  No constant
+is derived here.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import numpy as np
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, group_rates, normalized_interference,
                       suffix_max)
-from .power_min import (COVER_RTOL, ROUND_RTOL, _checked_budgets, _GroupConstants,
-                        _least_fixed_point, _reduced_map, group_split,
+from .power_min import (COVER_RTOL, ROUND_RTOL, _checked_budgets, _Drop,
+                        _GroupConstants, _reduced_map, group_split,
                         within_budgets)
 
 
@@ -196,7 +196,8 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
 
 def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray,
             q0: np.ndarray | None = None, x0: np.ndarray | None = None,
-            tol: float = 1e-3, max_outer: int = 100) -> SrmReport:
+            tol: float = 1e-3, max_outer: int = 100, *,
+            drop: _Drop | None = None) -> SrmReport:
     """Distributed sum-rate power control under the (I,) per-BS ``budgets``.
 
     Sweeps cells in ascending order; each BS takes one exact step on its
@@ -209,11 +210,9 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
     The sweep keeps the normalized interference at the current ``q``, the
     effective interference (its suffix maximum) and every BS's caps
     (:func:`power_cap`), and refreshes all three from one interference
-    evaluation after each step that moves.  The group constants are built
-    on the first call with ``demands`` and kept on them, so the starts of
-    a multi-start drop share one bundle; their per-cell rows are cut
-    once per call, before the first sweep that steps, and a step is
-    handed its cell's objective at the current point instead of
+    evaluation after each step that moves.  The group constants' per-cell
+    rows are cut once per call, before the first sweep that steps, and a
+    step is handed its cell's objective at the current point instead of
     evaluating it.  The final settle puts the proxies on the effective
     interference and evaluates the objective only when that moves a
     proxy; otherwise the kept per-cell objectives are already its value.
@@ -222,25 +221,29 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
     it is pinned (:func:`_stalled`).  Such a sweep cannot move, so it
     runs no step: it counts its I solves and appends the unchanged
     objective, and the loop stops converged, as it does on a change of
-    0; the proxies are already settled.  From the default start of cells
-    that all interfere every cap binds at tight proxies, so the first
-    sweep is stalled, and a call evaluates the objective once, at its
-    start, and runs no step.  A single cell has no caps and steps.
+    0; the proxies are already settled.  At the start, which passed the
+    coupling and budget checks, the test skips them.  From the default
+    start of cells that all interfere every cap binds at tight proxies,
+    so the first sweep is stalled, and a call evaluates the objective
+    once, at its start, and runs no step.  A single cell has no caps and
+    steps.
 
-    Without an explicit start the sum-power fixed point is computed
-    exactly (:func:`~nomapower.power_min.solve_spm`, on the constants'
-    demand weights), scaled uniformly by the tightest cell's budget
-    headroom, and the proxies are set to the effective interference at
-    that point; this is feasible by construction and not checked again.
-    ``nomapower run`` solves the fixed point once per seed and passes
-    this point as ``q0``, which gives the same run after the checks.
-    An explicit ``x0`` is an (I, M, n_max) array front-padded like the
+    Without an explicit start the sum-power fixed point
+    (:func:`~nomapower.power_min.solve_spm`) is scaled uniformly by the
+    tightest cell's budget headroom, with the proxies at the effective
+    interference there: feasible by construction, so not checked.  An
+    explicit ``x0`` is an (I, M, n_max) array front-padded like the
     topology with 0 in padding.  An explicit infeasible start raises
-    :class:`InfeasibleInitialPointError`.
+    :class:`InfeasibleInitialPointError`.  ``drop``, the private
+    :class:`~nomapower.power_min._Drop` of these very ``topology`` and
+    ``demands`` objects (another raises ValueError), hands over their
+    checked constants and fixed point; None builds one.  ``nomapower
+    run`` hands one drop per seed to every call of the seed.
     """
     budgets = _checked_budgets(topology, budgets)
-    constants = _GroupConstants.of(topology, demands)
-    q, x, z, h = _start(topology, constants, budgets, q0, x0)
+    drop = _Drop.of(topology, demands, drop)
+    constants = drop.constants
+    q, x, z, h = _start(drop, budgets, q0, x0)
     k_cells = cell_objective(topology, constants, q, x)
     caps = power_cap(topology, q, x, z)
     rows = None
@@ -251,7 +254,8 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
     outer = 0
     for outer in range(1, max_outer + 1):
         # a stalled sweep leaves the point as it is, and so every later one
-        stalled = stalled or _stalled(topology, constants, budgets, q, x, h, caps)
+        stalled = stalled or _stalled(topology, constants, budgets, q, x, h, caps,
+                                      outer == 1)
         if stalled:
             solves += topology.num_cells
         else:
@@ -297,33 +301,36 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
                      diagnostic=diagnostic)
 
 
-def _stalled(topology, constants, budgets, q, x, h, caps):
+def _stalled(topology, constants, budgets, q, x, h, caps, checked=False):
     """Whether every BS's step at this point is pinned, for all cells at
     once: every cap at or below its total, the proxies on the effective
     interference ``h`` (0 in padding), and every cell passing the step's
     own feasibility checks, the demand coupling within ``COVER_RTOL`` and
     the budget within ``ROUND_RTOL``; proxies on ``h`` pass its lower
     bounds.  Where any of this fails the sweep runs its steps, and a step
-    that fails its own checks raises."""
+    that fails its own checks raises.  ``checked`` skips the coupling and
+    budget tests at a start, which passed them (:func:`_start`)."""
     return bool((caps <= q).all()
                 and np.array_equal(x, np.where(topology.occupied, h, 0.0))
-                and ((constants.weights * x).sum(axis=-1) <= q * (1.0 + COVER_RTOL)).all()
-                and within_budgets(budgets, q).all())
+                and (checked or (
+                    ((constants.weights * x).sum(axis=-1) <= q * (1.0 + COVER_RTOL)).all()
+                    and within_budgets(budgets, q).all())))
 
 
-def _start(topology, constants, budgets, q0, x0):
+def _start(drop, budgets, q0, x0):
     """The starting totals ``q`` and proxies ``x``, with the normalized
     interference ``z`` and effective interference ``h`` at ``q``.
 
-    ``q0`` None gives the default totals, the scaled fixed point, and
-    ``x0`` None proxies at ``h``.  Unless both are None the start is
-    checked: ``q0`` must be a non-negative (I, M) array within the
-    ``budgets``, ``x0`` padded like the topology and at or above ``h``, and
-    ``q`` must cover the need w . x; otherwise it raises
-    :class:`InfeasibleInitialPointError`.
+    ``q0`` None gives the default totals, the drop's fixed point scaled
+    by the least :func:`_headroom`, and ``x0`` None proxies at ``h``.
+    Unless both are None the start is checked: ``q0`` must be a
+    non-negative (I, M) array within the ``budgets``, ``x0`` padded like
+    the topology and at or above ``h``, and ``q`` must cover the need
+    w . x; otherwise it raises :class:`InfeasibleInitialPointError`.
     """
+    topology, constants = drop.topology, drop.constants
     if q0 is None:
-        fp, _ = _least_fixed_point(topology, constants.weights)
+        fp, _ = drop.fixed_point
         q = fp.q_star * float(np.min(_headroom(fp, budgets)))
     else:
         q = np.array(q0, dtype=float)
@@ -381,7 +388,8 @@ def _headroom(fp, budgets):
 
 
 def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
-                          budgets: np.ndarray, rng: np.random.Generator):
+                          budgets: np.ndarray, rng: np.random.Generator, *,
+                          drop: _Drop | None = None):
     """Random feasible (q0, x0) under the (I,) ``budgets``, for multi-start runs.
 
     Scales the sum-power fixed point by random per-cell factors within
@@ -391,21 +399,16 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     violated.  Each group's spare power is then handed to the proxies as
     random slack above the effective interference.  ``x0`` is padded like
     the topology, 0 in padding.  Raises :class:`InfeasibleInitialPointError`
-    when the demands admit no allocation within the budgets.
+    when the demands admit no allocation within the budgets.  ``drop``
+    hands over the constants and the fixed point as in :func:`dpc_srm`.
     """
     budgets = _checked_budgets(topology, budgets)
-    weights = _GroupConstants.build(demands.padded_for(topology),
-                                    topology.bandwidth).weights
-    fp, _ = _least_fixed_point(topology, weights)
-    return _random_start(topology, budgets, weights, fp.q_star,
-                         _headroom(fp, budgets), rng)
-
-
-def _random_start(topology, budgets, w, fixed_point, headroom, rng):
-    """:func:`random_feasible_start` from the demand weights ``w``, the
-    fixed point and its :func:`_headroom` under ``budgets``."""
+    drop = _Drop.of(topology, demands, drop)
+    w = drop.constants.weights
+    fp, _ = drop.fixed_point
+    headroom = _headroom(fp, budgets)
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
-    q = fixed_point * factors[:, None]
+    q = fp.q_star * factors[:, None]
     for _ in range(100):
         mapped = _reduced_map(topology, w, q)
         if np.all(q >= mapped * (1.0 - ROUND_RTOL)):
@@ -413,7 +416,7 @@ def _random_start(topology, budgets, w, fixed_point, headroom, rng):
         q = np.maximum(q, mapped)
     if not (within_budgets(budgets, q).all()
             and np.all(q >= _reduced_map(topology, w, q) * (1.0 - COVER_RTOL))):
-        q = fixed_point * float(np.min(headroom))
+        q = fp.q_star * float(np.min(headroom))
     occupied = topology.occupied
     h = np.where(occupied, dense_interference(topology, q), 0.0)
     margin = q - (w * h).sum(axis=-1)

@@ -26,11 +26,10 @@ import yaml
 from . import fixtures
 from .network import (NetworkTopology, RateDemands, dense_rates, group_rates,
                       unpad)
-from .power_min import (COVER_RTOL, _GroupConstants, _least_fixed_point,
-                        _split_at, assemble_full_solution, solve_spm,
+from .power_min import (COVER_RTOL, _Drop, assemble_full_solution, solve_spm,
                         within_budgets)
-from .rate_max_network import (InfeasibleInitialPointError, _headroom,
-                               _random_start, dpc_srm)
+from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
+                               random_feasible_start)
 
 PAIRING_METHODS = ("SS", "SW", "SM")
 ALGORITHMS = ("power-min", "rate-max")
@@ -416,13 +415,14 @@ class RunArtifacts:
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Solve every (seed, budget) point of the sweep and collect artifacts.
 
-    Each seed's channels, demands and demand constants are built once,
-    and its least sum-power fixed point q* solved once, with the
-    effective interference there: q* does not depend on the budgets, so
-    a budget point only tests q* against them.  Power-min splits q* once
-    per seed; that split gives every feasible point's allocation and
-    sums, and only :func:`_validate` evaluates the interference again.
-    Rate-max starts each point from q* (:func:`_rate_max_point`).
+    Each seed is one :class:`~nomapower.power_min._Drop`: its channels and
+    demands, checked once, their constants, and the least sum-power fixed
+    point q* with the effective interference there, solved once.  q*
+    does not depend on the budgets, so a budget point only tests q*
+    against them.  Power-min splits q* once per seed; that split gives
+    every feasible point's allocation and sums, and only :func:`_validate`
+    evaluates the interference again.  Rate-max hands the drop to every
+    ``dpc_srm`` call of the seed (:func:`_rate_max_point`).
     """
     summary = []
     traces = {}
@@ -433,19 +433,18 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     max_iter = config.max_iterations if power_min else 100
     for seed in range(config.seed, config.seed + config.num_seeds):
         topology = generate_channels(config, seed)
-        demands = build_demands(config, topology)
-        constants = _GroupConstants.of(topology, demands)
-        report, h = _least_fixed_point(topology, constants.weights, max_iter)
+        drop = _Drop(topology, build_demands(config, topology), max_iter)
+        report, h = drop.fixed_point
         trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
         solved = None       # power-min's (allocation, sum power, sum rate) of q*
         for budget_dbm in config.budget_dbm_sweep:
             budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
             name = f"trace_{seed}_{budget_dbm:g}_{config.algorithm}.csv"
             if power_min:
-                q_star, feasible = report.q_star, report.fits(budgets)
+                feasible = report.fits(budgets)
                 if feasible and solved is None:
-                    allocation = _split_at(constants.growth, q_star, h, report.residual)
-                    solved = (allocation, float(q_star.sum()), float(
+                    allocation = drop.split()
+                    solved = (allocation, float(report.q_star.sum()), float(
                         group_rates(allocation.powers, h, topology.bandwidth).sum()))
                 allocation, power, rate = (solved if feasible else
                                            (None, float("nan"), float("nan")))
@@ -455,35 +454,32 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
                 traces[name] = trace
             else:
                 row, traces[name], allocation = _rate_max_point(
-                    config, topology, demands, budgets, report, seed, budget_dbm, name)
+                    config, drop, budgets, seed, budget_dbm, name)
             summary.append(row)
             if allocation is not None:
                 allocations[name] = allocation
-                problem = _validate(topology, demands, budgets, allocation)
+                problem = _validate(topology, drop.demands, budgets, allocation)
                 if problem:
                     failures.append(f"seed {seed}, budget {budget_dbm} dBm: {problem}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
 
 
-def _rate_max_point(config, topology, demands, budgets, fp, seed, budget_dbm, name):
-    """Best of ``config.multistart`` dpc_srm runs on one drop at its
-    ``budgets``, every start explicit and around the seed's sum-power
-    fixed point (the report ``fp``): dpc_srm's default start, then
-    random starts from a generator seeded by the seed alone.  Every start
-    reads the one constants bundle kept on ``demands``."""
+def _rate_max_point(config, drop, budgets, seed, budget_dbm, name):
+    """Best of ``config.multistart`` dpc_srm runs on the seed's ``drop`` at
+    its ``budgets``: the default start, then random starts from a
+    generator seeded by the seed alone; every call reads the drop."""
+    topology, demands = drop.topology, drop.demands
     solve = partial(dpc_srm, topology, demands, budgets, tol=config.rate_tol,
-                    max_outer=config.max_outer)
+                    max_outer=config.max_outer, drop=drop)
     row = partial(SummaryRow, seed, budget_dbm, config.algorithm, config.pairing)
     try:
-        headroom = _headroom(fp, budgets)
-        best = solve(q0=fp.q_star * float(np.min(headroom)))
+        best = solve()
         if config.multistart > 1:
-            weights = _GroupConstants.of(topology, demands).weights
             rng = np.random.default_rng(seed + 0x5EED)
             for _ in range(config.multistart - 1):
-                q0, x0 = _random_start(topology, budgets, weights, fp.q_star,
-                                       headroom, rng)
+                q0, x0 = random_feasible_start(topology, demands, budgets, rng,
+                                               drop=drop)
                 candidate = solve(q0=q0, x0=x0)
                 if candidate.sum_rate > best.sum_rate:
                     best = candidate

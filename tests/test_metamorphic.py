@@ -20,13 +20,16 @@ far below a real fault: scaling the default start by cell 0's budget
 headroom in place of the least one moves the rolled sum rate by up to
 3e-3 of itself.
 
-Two monotone properties of the model follow: the rate-max sum rate
+Monotone properties of the model follow: the rate-max sum rate
 ``run_scenario`` reports does not fall as the budget rises, and
 ``solve_spm``'s ``q*``, the least fixed point of a monotone standard
-function, does not fall as one user's demand rises.  Both are checked up
-to the same ``RTOL``, as is the noise-and-budgets transform through
-``run_scenario``: 30 dB more noise and budget leave every summary row's
-verdict and sum rate and multiply its sum power by 1e3.
+function, does not fall as one user's demand or one cross gain rises.
+They are checked up to the same ``RTOL``, as is the noise-and-budgets
+transform through ``run_scenario``: 30 dB more noise and budget leave
+every summary row's verdict and sum rate and multiply its sum power by
+1e3.  No entry of ``q*`` fell under a rising cross gain, not even by one
+bit.  A drop feasible at some demand scale stays feasible at every
+smaller one, a verdict with no tolerance to choose.
 """
 
 import dataclasses
@@ -177,3 +180,40 @@ def test_run_rows_survive_raising_noise_and_budgets_by_30_db(algorithm):
         assert up.sum_rate_bps == pytest.approx(row.sum_rate_bps, rel=RTOL, abs=0), point
         solved += 1
     assert solved >= 60
+
+
+def test_fixed_point_does_not_fall_as_one_cross_gain_rises(drops):
+    # each feasible drop raises five of its cross gains by 10 %, one at a
+    # time: a user hears more of another BS, and no group needs less
+    raised = 0
+    for seed, (top, dem, budgets, spm, sum_rate) in zip(SEEDS, drops):
+        if sum_rate is None:
+            continue
+        cells = np.arange(top.num_cells)
+        cross = top.occupied[:, :, None, :] & (cells[:, None] != cells)[:, None, :, None]
+        links = np.argwhere(cross)
+        rng = np.random.default_rng(seed)
+        for link in links[rng.choice(len(links), size=5, replace=False)]:
+            gains = np.array(top.gains)
+            gains[tuple(link)] *= 1.1
+            spm_up = solve_spm(NetworkTopology(top.bandwidth, top.noise_power,
+                                               gains, top.user_ids), dem)
+            assert np.all(spm_up.q_star >= spm.q_star - RTOL * spm.q_star.max()), \
+                (seed, tuple(link))
+            raised += 1
+    assert raised >= 150
+
+
+def test_feasibility_survives_a_falling_demand_scale(drops):
+    # a drop whose demands, scaled by t, fit the budgets still fits them
+    # with the demands scaled by 0.5 t, 0.9 t and 0.99 t
+    checked = 0
+    for seed, (top, dem, budgets, *_) in zip(SEEDS, drops):
+        for scale in (1.0, 1.5, 2.0, 3.0):
+            if not solve_spm(top, RateDemands(dem.rates * scale)).fits(budgets):
+                continue
+            for fall in (0.5, 0.9, 0.99):
+                lower = RateDemands(dem.rates * (scale * fall))
+                assert solve_spm(top, lower).fits(budgets), (seed, scale, fall)
+                checked += 1
+    assert checked >= 300

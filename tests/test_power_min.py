@@ -11,12 +11,11 @@ from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
                        generate_channels, network, power_min, solve_spm)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import unpad
-from nomapower.oracle import (interference_over_gain, rate_constraint_slack,
-                              rate_via_decoding_chain,
+from nomapower.oracle import (demand_weights, interference_over_gain,
+                              rate_constraint_slack, rate_via_decoding_chain,
                               reference_interference_map)
-from nomapower.power_min import (REL_TOL, RUNAWAY_FACTOR, demand_weights,
-                                 interference_map, min_power_user_allocation,
-                                 within_budgets)
+from nomapower.power_min import (REL_TOL, RUNAWAY_FACTOR, interference_map,
+                                 min_power_user_allocation, within_budgets)
 
 
 class TestClosedForm:

@@ -7,12 +7,12 @@ import pytest
 from conftest import budgets_for, sample_demands, sample_topology
 from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
                        dpc_srm, generate_channels, random_feasible_start, solve_spm)
-from nomapower import network, power_min, rate_max_network
+from nomapower import network, oracle, power_min, rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
 from nomapower.network import dense_interference, normalized_interference, unpad
-from nomapower.oracle import (interference_over_gain, optimal_single_cell_rate,
-                              rate_via_decoding_chain)
+from nomapower.oracle import (demand_weights, interference_over_gain,
+                              optimal_single_cell_rate, rate_via_decoding_chain)
 from nomapower.scenario import dbm_to_watts
 from nomapower.power_min import _GroupConstants
 from nomapower.rate_max_network import (InfeasibleInitialPointError,
@@ -352,44 +352,56 @@ class TestDpcSrm:
         budgets = budgets_for(top, 4.0)
         q0, x0 = random_feasible_start(top, dem, budgets, rng)
         calls = []
-        build, weights = _GroupConstants.build, power_min.demand_weights
+        build, weights = _GroupConstants.build, oracle.demand_weights
 
         def counted(name, fn):
             return lambda *args: calls.append(name) or fn(*args)
 
         monkeypatch.setattr(_GroupConstants, "build",
                             staticmethod(counted("build", build)))
-        # every module that bound demand_weights by name counts as well;
-        # rate_max_network binds none, reading the weights from the bundle
+        # every module that bound the oracle's reference weights by name
+        # counts as well; no solver module binds them, they read the bundle
         bound = [module for name, module in sys.modules.items()
                  if name.split(".")[0] == "nomapower"
                  and getattr(module, "demand_weights", None) is weights]
-        assert power_min in bound and rate_max_network not in bound
-        for module in bound:
-            monkeypatch.setattr(module, "demand_weights", counted("weights", weights))
+        assert bound == [oracle]
+        monkeypatch.setattr(oracle, "demand_weights", counted("weights", weights))
         report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build"]
-        # a second call with the same demands reads the bundle kept on them
-        assert dpc_srm(top, dem, budgets, q0=q0, x0=x0).sum_rate == report.sum_rate
-        assert calls == ["build"]
+        # a call handed the drop of the same topology and demands builds none
+        drop = power_min._Drop(top, dem)
+        assert calls == ["build", "build"]
+        got = dpc_srm(top, dem, budgets, q0=q0, x0=x0, drop=drop)
+        assert got.sum_rate == report.sum_rate
+        assert calls == ["build", "build"]
 
     def test_kept_constants_follow_the_bandwidth_and_check_the_topology(self):
+        # a drop builds its constants at its topology's bandwidth and checks
+        # the demands against that topology once; a solver refuses the drop
+        # of other objects, and the demands keep nothing
         rng = np.random.default_rng(57)
         top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        kept = _GroupConstants.of(top, dem)
-        assert _GroupConstants.of(top, dem) is kept
+        drop = power_min._Drop(top, dem)
         for name in ("weights", "growth", "alpha", "weak"):
-            assert np.array_equal(getattr(kept, name), getattr(constants(top, dem), name))
+            assert np.array_equal(getattr(drop.constants, name),
+                                  getattr(constants(top, dem), name))
+        assert drop.fixed_point is drop.fixed_point     # solved once
         wide = dataclasses.replace(top, bandwidth=2.0 * top.bandwidth)
-        rebuilt = _GroupConstants.of(wide, dem)
-        assert rebuilt is not kept
-        assert np.array_equal(rebuilt.growth, np.exp2(dem.rates / wide.bandwidth))
-        assert "_constants" not in repr(dem)      # no part of the demands' value
+        assert np.array_equal(power_min._Drop(wide, dem).constants.growth,
+                              np.exp2(dem.rates / wide.bandwidth))
+        assert not hasattr(dem, "_constants") and "_constants" not in repr(dem)
         other = sample_topology(rng, num_cells=2, num_subchannels=2, users=3)
         with pytest.raises(ValueError, match="one per user"):
-            _GroupConstants.of(other, dem)
+            power_min._Drop(other, dem)
+        budgets = budgets_for(top, 4.0)
+        for foreign in (power_min._Drop(wide, dem),
+                        power_min._Drop(top, RateDemands(dem.rates))):
+            with pytest.raises(ValueError, match="another topology or demands"):
+                dpc_srm(top, dem, budgets, drop=foreign)
+            with pytest.raises(ValueError, match="another topology or demands"):
+                random_feasible_start(top, dem, budgets, rng, drop=foreign)
 
     def test_one_interference_evaluation_per_accepted_step(self, monkeypatch):
         # on a paper-size drop the default start evaluates the normalized
@@ -441,9 +453,9 @@ class TestDpcSrm:
             assert report.diagnostic == "", budget_dbm
 
     def test_explicit_default_start_gives_the_default_report(self):
-        # a multistart run hands dpc_srm its default start explicitly, so
-        # that the random starts share its fixed point; the checked start
-        # must give the unchecked one's report bit for bit
+        # the default start handed over explicitly, checked, and the default
+        # start read from a handed drop must give the report of a call that
+        # builds its own drop, bit for bit
         config = ScenarioConfig(algorithm="rate-max")
         solved = 0
         for seed in range(4):
@@ -451,22 +463,24 @@ class TestDpcSrm:
             demands = build_demands(config, topology)
             for budget_dbm in (20.0, 30.0, 40.0):
                 budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-                weights = power_min.demand_weights(demands.padded_for(topology),
-                                                   topology.bandwidth)
+                weights = oracle.demand_weights(demands.padded_for(topology),
+                                                topology.bandwidth)
                 fp, _ = power_min._least_fixed_point(topology, weights)
                 try:
                     headroom = rate_max_network._headroom(fp, budgets)
                 except InfeasibleInitialPointError:
                     continue
                 want = dpc_srm(topology, demands, budgets)
-                got = dpc_srm(topology, demands, budgets,
-                              q0=fp.q_star * float(np.min(headroom)))
-                for name in ("q", "x", "trace"):
-                    assert np.array_equal(getattr(got, name), getattr(want, name)), name
-                assert np.array_equal(got.allocation.powers, want.allocation.powers)
-                assert got.sum_rate == want.sum_rate
-                assert (got.outer_iterations, got.converged, got.diagnostic) == \
-                    (want.outer_iterations, want.converged, want.diagnostic)
+                drop = power_min._Drop(topology, demands)
+                for got in (dpc_srm(topology, demands, budgets,
+                                    q0=fp.q_star * float(np.min(headroom))),
+                            dpc_srm(topology, demands, budgets, drop=drop)):
+                    for name in ("q", "x", "trace"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+                    assert np.array_equal(got.allocation.powers, want.allocation.powers)
+                    assert got.sum_rate == want.sum_rate
+                    assert (got.outer_iterations, got.converged, got.diagnostic) == \
+                        (want.outer_iterations, want.converged, want.diagnostic)
                 solved += 1
         assert solved == 12
 
@@ -501,7 +515,6 @@ class TestDpcSrm:
 
     def test_final_point_satisfies_every_constraint(self):
         rng = np.random.default_rng(39)
-        from nomapower.power_min import demand_weights
         for _ in range(5):
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
@@ -582,7 +595,7 @@ class TestPinnedStep:
         for top, dem, budgets in paper_drops(range(10)):
             report = dpc_srm(top, dem, budgets)
             q, x = report.q, report.x
-            consts = _GroupConstants.of(top, dem)
+            consts = constants(top, dem)
             z = normalized_interference(top, q)
             h = network.suffix_max(z)
             caps = power_cap(top, q, x, z)
@@ -628,7 +641,7 @@ class TestPinnedStep:
         config = ScenarioConfig(seed=0, algorithm="rate-max")
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
-        consts = _GroupConstants.of(top, dem)
+        consts = constants(top, dem)
         budgets = budgets_for(top, 1.0)              # the config's 30 dBm
         start = dpc_srm(top, dem, budgets)
         q, x = start.q, start.x
@@ -648,6 +661,9 @@ class TestPinnedStep:
         assert not stalled(top, consts, budgets, short, x, h, np.minimum(caps, short))
         over = q.sum(axis=1) * (1.0 - 1e-6)
         assert not stalled(top, consts, over, q, x, h, caps)
+        # at a start, which passed the coupling and budget checks, the
+        # test reads only the caps and the proxies
+        assert stalled(top, consts, over, short, x, h, np.minimum(caps, short), True)
 
     def test_loose_proxies_still_step(self):
         # caps at the start's totals, but proxies drawn above their floor:

@@ -595,6 +595,62 @@ class TestRunScenario:
         assert artifacts.ok and all(row.converged for row in artifacts.summary)
         assert len(calls) == len(artifacts.summary) == 3
 
+    @pytest.mark.parametrize("multistart", [1, 2])
+    def test_the_traced_run_contract(self, monkeypatch, multistart):
+        # the benchmark's tracer rebinds every nomapower module attribute
+        # that names a wrapped function.  Rebound here, a 3-budget rate-max
+        # sweep must call dpc_srm once per start it runs and reach
+        # power_cap, check each seed's demands against its topology once,
+        # and take each point's default start unchecked: no q0 or x0, and
+        # no budget test of rate_max_network's inside that call
+        log = []            # (name, keyword arguments) of each wrapped call
+
+        def logged(name, fn):
+            def call(*args, **kwargs):
+                log.append((name, kwargs))
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("dpc_srm", "power_cap", "random_feasible_start"):
+            fn = getattr(rate_max_network, name)
+            for module in [module for key, module in sys.modules.items()
+                           if key.split(".")[0] == "nomapower"]:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, logged(name, fn))
+        monkeypatch.setattr(rate_max_network, "within_budgets", logged(
+            "within_budgets", rate_max_network.within_budgets))
+        check, checks = network.RateDemands.padded_for, []
+        monkeypatch.setattr(network.RateDemands, "padded_for",
+                            lambda *args: checks.append(1) or check(*args))
+        config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
+                                multistart=multistart,
+                                budget_dbm_sweep=[20.0, 30.0, 40.0])
+        artifacts = run_scenario(config)
+        monkeypatch.undo()
+        assert artifacts.ok and len(checks) == config.num_seeds
+        calls = []          # (a default start, the names logged inside it)
+        for name, kwargs in log:
+            if name in ("dpc_srm", "random_feasible_start"):
+                default = name == "dpc_srm" and not {"q0", "x0"} & set(kwargs)
+                calls.append((default, []))
+            else:
+                calls[-1][1].append(name)
+        # one dpc_srm call per start: a point that has no feasible start
+        # stops at its default one
+        feasible = [not math.isnan(row.sum_power_w) for row in artifacts.summary]
+        assert sum(feasible) >= 6
+        starts = []
+        for solved in feasible:
+            starts += ["dpc_srm"] + (multistart - 1 if solved else 0) * [
+                "random_feasible_start", "dpc_srm"]
+        assert [name for name, _ in log
+                if name not in ("power_cap", "within_budgets")] == starts
+        defaults = [names for default, names in calls if default]
+        assert len(defaults) == len(feasible)
+        for solved, names in zip(feasible, defaults):
+            assert ("power_cap" in names) == solved and "within_budgets" not in names
+
     def test_power_min_drop_derives_its_constants_and_interference_once(
             self, monkeypatch):
         # one normalized-interference evaluation per linear solve gives the
@@ -881,14 +937,14 @@ class TestRunScenario:
                                                             tmp_path, capsys):
         # 1e-7 less power for cell 1's weak user on subchannel 1 costs it
         # about 1e-7 of its rate and touches no other user's; the run path
-        # splits q* with the private split behind assemble_full_solution
-        def starve(*args):
-            powers = split(*args).powers.copy()
+        # splits q* with the drop's split, which assemble_full_solution wraps
+        def starve(drop, *args):
+            powers = split(drop, *args).powers.copy()
             powers[1, 1, 0] *= 1.0 - 1e-7
             return PowerAllocation(powers)
 
-        split = scenario._split_at
-        monkeypatch.setattr(scenario, "_split_at", starve)
+        split = power_min._Drop.split
+        monkeypatch.setattr(power_min._Drop, "split", starve)
         message = "seed 3, budget 30.0 dBm: rate demand missed in group (1,1)"
         artifacts = run_scenario(small_config())
         assert not artifacts.ok
