@@ -90,7 +90,10 @@ class NetworkTopology:
     ``gains[i][m]`` is an (I, n) array for a group of ``n`` users, entry
     ``[k, j]`` the gain from BS ``k`` to user ``j``, and ``user_ids[i][m]``
     holds the group's identifiers; :func:`front_pad` checks each group's
-    shape and pads them once, and the same checks and sort follow.  The
+    shape and pads them once, and the same checks and sort follow.  Input
+    whose own gains are all positive holds no padding, as every drop
+    built from a config: it skips the padding rules, which have nothing
+    to check there, and keeps the checks on signs, ids and order.  The
     sorted arrays passed back to the constructor build the same topology.
     The gains' BS axis counts the cells; the per-BS budgets are no part
     of the network, and every function that reads them takes them.
@@ -127,8 +130,14 @@ class NetworkTopology:
         num_cells, n_max = gains.shape[0], gains.shape[-1]
         cells = np.arange(num_cells)
         own = gains[cells, :, cells]                        # (I, M, n_max)
-        if occupied is None:
-            occupied = np.arange(n_max) >= n_max - (own > 0).sum(axis=-1, keepdims=True)
+        # padding holds a zero own gain, so input with every own gain
+        # positive has none: every slot holds a user
+        positive = own > 0
+        full = bool(positive.all())
+        if full:
+            occupied = np.ones(own.shape, dtype=bool)
+        elif occupied is None:
+            occupied = np.arange(n_max) >= n_max - positive.sum(axis=-1, keepdims=True)
 
         per_slot = gains.swapaxes(2, 3)                 # gains, BS last
         shape = occupied.shape
@@ -149,13 +158,19 @@ class NetworkTopology:
         if np.shape(ids) != shape:
             raise ValueError("user ids must be (num_cells, num_subchannels, n_max)"
                              " like the gains")
-        ids = np.where(occupied, np.asarray(ids, dtype=int), 0)
+        ids = np.array(ids, dtype=int) if full else \
+            np.where(occupied, np.asarray(ids, dtype=int), 0)
 
         # one masked pass: a user's gains are >= 0, a padded slot's are 0,
-        # and the users are the slots with a positive own gain; NaN fails
-        checked = np.where(occupied[..., None], per_slot, -np.abs(per_slot))
-        if not ((checked >= 0).all() and ((own > 0) == occupied).all()):
-            own_bad = (occupied & ~(own > 0)).any(axis=-1)
+        # and the users are the slots with a positive own gain; NaN fails.
+        # Without padding only the first rule has anything to check
+        if full:
+            valid = (per_slot >= 0).all()
+        else:
+            checked = np.where(occupied[..., None], per_slot, -np.abs(per_slot))
+            valid = (checked >= 0).all() and (positive == occupied).all()
+        if not valid:
+            own_bad = (occupied & ~positive).any(axis=-1)
             pad_bad = (~occupied[..., None] & (per_slot != 0)).any(axis=(2, 3))
             bad = own_bad | pad_bad | ~(per_slot >= 0).all(axis=(2, 3))
             i, m = np.argwhere(bad)[0]
@@ -163,7 +178,7 @@ class NetworkTopology:
                     "padding must come first and hold zero gains" if pad_bad[i, m]
                     else "gains must be >= 0")
             raise ValueError(f"group ({i},{m}): {rule}")
-        real = ids[occupied]
+        real = ids.ravel() if full else ids[occupied]
         ranked = np.sort(real)
         if (ranked[1:] == ranked[:-1]).any():
             repeated = np.ones(real.size, dtype=bool)
@@ -185,7 +200,8 @@ class NetworkTopology:
             ids = ids.ravel()[slot]
             own = own.ravel()[slot]
         gains = np.array(per_slot.swapaxes(2, 3), order="C")
-        own = np.where(occupied, own, np.inf)
+        if not full:
+            own = np.where(occupied, own, np.inf)
         cross = per_slot / own[..., None]
         cross[cells, :, :, cells] = 0.0
         for name, value in (("gains", gains), ("user_ids", ids), ("occupied", occupied),
@@ -216,15 +232,20 @@ class NetworkTopology:
 def _store(container, name: str, what: str):
     """Keep a container's input, a front-padded array or nested groups, as
     one read-only front-padded array ``name``.  Every user's value must be
-    positive, so the users' slots are the positive ones."""
+    positive, so the users' slots are the positive ones.  An array whose
+    values are all positive holds no padding and is checked by that one
+    test; the signs are compared with the users' slots only where there
+    is padding."""
     values = getattr(container, name)
     if isinstance(values, np.ndarray):
         padded = np.array(values, dtype=float)
         n_max = padded.shape[-1]
-        occupied = np.arange(n_max) >= n_max - (padded > 0).sum(axis=-1, keepdims=True)
+        positive = padded > 0
+        occupied = None if positive.all() else \
+            np.arange(n_max) >= n_max - positive.sum(axis=-1, keepdims=True)
     else:
         padded, occupied = front_pad(values)
-    if not np.array_equal(np.sign(padded), occupied):
+    if occupied is not None and not np.array_equal(np.sign(padded), occupied):
         raise ValueError(f"{what} must be positive")
     padded.flags.writeable = False
     object.__setattr__(container, name, padded)

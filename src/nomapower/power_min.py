@@ -17,7 +17,10 @@ with rate maximization's alpha and weak-demand sums.  A :class:`_Drop`
 holds one problem: the demands, checked against the topology once, their
 bundle, and the least fixed point (:func:`_least_fixed_point`) with the
 effective interference it ends on.  ``nomapower run`` builds one per
-seed, and every budget point and start of the seed reads it.
+seed, and every budget point and start of the seed reads it.  The bundle
+depends on the demands and the bandwidth alone, so a process builds it
+once per distinct pair (:func:`_shared_constants`) and every drop with
+the same demands reads the same read-only arrays.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ COVER_RTOL = 1e-9
 RUNAWAY_FACTOR = 1e9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedPointReport:
-    """Outcome of a sum-power fixed-point solve (dpc_spm or solve_spm)."""
+    """Outcome of a sum-power fixed-point solve (dpc_spm or solve_spm).
+    ``==`` compares identity, as for the containers."""
 
     q_star: np.ndarray
     iterations: int
@@ -119,17 +123,31 @@ class _GroupConstants:
                                self.weak[i])
 
 
+@lru_cache(maxsize=16)
+def _shared_constants(shape, data, bandwidth) -> _GroupConstants:
+    """:meth:`_GroupConstants.build` of the padded demands of ``shape``
+    whose float64 bytes are ``data``, built once per distinct demands and
+    bandwidth and shared as read-only arrays."""
+    constants = _GroupConstants.build(np.frombuffer(data).reshape(shape), bandwidth)
+    for value in vars(constants).values():
+        value.flags.writeable = False
+    return constants
+
+
 class _Drop:
     """One problem: the ``topology``, the ``demands``, checked once to hold
     one demand per user of it, their :class:`_GroupConstants`
-    (``constants``) and the least fixed point (:attr:`fixed_point`),
-    solved on first use with at most ``max_iter`` linear solves."""
+    (``constants``, read-only and shared by every drop of the process with
+    the same demands and bandwidth) and the least fixed point
+    (:attr:`fixed_point`), solved on first use with at most ``max_iter``
+    linear solves."""
 
     def __init__(self, topology: NetworkTopology, demands: RateDemands,
                  max_iter: int = 100):
         self.topology, self.demands, self.max_iter = topology, demands, max_iter
-        self.constants = _GroupConstants.build(demands.padded_for(topology),
-                                               topology.bandwidth)
+        rates = demands.padded_for(topology)
+        self.constants = _shared_constants(rates.shape, rates.tobytes(),
+                                           topology.bandwidth)
 
     @classmethod
     def of(cls, topology, demands, drop=None) -> _Drop:
@@ -223,7 +241,8 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
     Non-convergence is reported, not raised: it indicates the demands are
     likely infeasible at any power level.  The per-BS ``budgets`` only
     set the default start, split evenly over the subchannels, and the
-    runaway scale (``RUNAWAY_FACTOR`` times the largest).
+    runaway scale (``RUNAWAY_FACTOR`` times the largest).  An explicit
+    ``q0`` must be a finite non-negative (I, M) array.
     """
     budgets = _checked_budgets(topology, budgets)
     if max_iter < 1:
@@ -237,6 +256,8 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
             raise ValueError("q0 has the wrong shape")
         if np.any(q < 0):
             raise ValueError("q0 must be non-negative")
+        if not np.isfinite(q).all():
+            raise ValueError("q0 must be finite")
 
     weights = _Drop(topology, demands).constants.weights
     ratio, noise = topology.cross_ratio, topology.noise_ratio

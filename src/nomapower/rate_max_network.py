@@ -56,9 +56,10 @@ class InfeasibleSubproblemError(ValueError):
         super().__init__(f"infeasible subproblem: constraint family {family!r} {detail}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DcIterate:
-    """One BS's step; ``x_i`` is (M, n_max)."""
+    """One BS's step; ``x_i`` is (M, n_max).  ``==`` compares identity, as
+    for the containers."""
 
     q_i: np.ndarray
     x_i: np.ndarray
@@ -66,10 +67,11 @@ class DcIterate:
     improved: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SrmReport:
     """Outcome of the distributed sum-rate maximization; ``x`` is the
-    padded (I, M, n_max) proxy array at the final point."""
+    padded (I, M, n_max) proxy array at the final point.  ``==`` compares
+    identity, as for the containers."""
 
     q: np.ndarray
     x: np.ndarray
@@ -323,10 +325,10 @@ def _start(drop, budgets, q0, x0):
 
     ``q0`` None gives the default totals, the drop's fixed point scaled
     by the least :func:`_headroom`, and ``x0`` None proxies at ``h``.
-    Unless both are None the start is checked: ``q0`` must be a
-    non-negative (I, M) array within the ``budgets``, ``x0`` padded like
-    the topology and at or above ``h``, and ``q`` must cover the need
-    w . x; otherwise it raises :class:`InfeasibleInitialPointError`.
+    Unless both are None the start is checked: ``q0`` must be a finite
+    non-negative (I, M) array within the ``budgets``, ``x0`` finite,
+    padded like the topology and at or above ``h``, and ``q`` must cover
+    the need w . x; otherwise it raises :class:`InfeasibleInitialPointError`.
     """
     topology, constants = drop.topology, drop.constants
     if q0 is None:
@@ -336,6 +338,8 @@ def _start(drop, budgets, q0, x0):
         q = np.array(q0, dtype=float)
         if q.shape != (topology.num_cells, topology.num_subchannels) or np.any(q < 0):
             raise InfeasibleInitialPointError("q0 must be a non-negative (I, M) array")
+        if not np.isfinite(q).all():
+            raise InfeasibleInitialPointError("q0 must be finite")
         if not within_budgets(budgets, q).all():
             raise InfeasibleInitialPointError("q0 exceeds a per-cell budget")
     z = normalized_interference(topology, q)
@@ -348,6 +352,8 @@ def _start(drop, budgets, q0, x0):
         if x.shape != occupied.shape or np.any(x[~occupied] != 0.0):
             raise InfeasibleInitialPointError(
                 "x0 must be an (I, M, n_max) array padded like the topology, 0 in padding")
+        if not np.isfinite(x).all():
+            raise InfeasibleInitialPointError("x0 must be finite")
         below = (occupied & (x < h * (1.0 - COVER_RTOL))).any(axis=-1)
         if below.any():
             i, m = np.argwhere(below)[0]

@@ -471,6 +471,20 @@ class TestDenseInput:
             "id ndim": (gains, ids[..., None]),
             "duplicate ids": (gains, np.array([[[0, 1, 2]], [[0, 3, 1]]])),
         }
+        # every slot holds a user: no padding, so no padding rule applies,
+        # and the sign and id checks must still catch each of these
+        full = rng.uniform(0.1, 0.3, size=(2, 1, 2, 3))
+        full[[0, 1], :, [0, 1]] = [[0.5, 1.0, 2.0]]
+        full_ids = np.array([[[0, 1, 2]], [[3, 4, 5]]])
+        assert self.build(full, full_ids).occupied.all()
+        gains, ids = full, full_ids             # changed() now edits these gains
+        cases.update({
+            "no padding, nan cross gain": (changed((0, 0, 1, 1), np.nan), ids),
+            "no padding, negative cross gain": (changed((1, 0, 0, 0), -0.1), ids),
+            "no padding, -inf cross gain": (changed((1, 0, 0, 2), -np.inf), ids),
+            "no padding, nan own gain": (changed((0, 0, 0, 1), np.nan), ids),
+            "no padding, duplicate ids": (gains, np.array([[[0, 1, 2]], [[3, 2, 5]]])),
+        })
         for case, (bad_gains, bad_ids) in cases.items():
             with pytest.raises(ValueError):
                 self.build(bad_gains, bad_ids)
@@ -518,6 +532,19 @@ def test_padded_input_is_positive_with_padding_first():
             PowerAllocation(np.array(bad))
     with pytest.raises(ValueError, match="powers must be positive"):
         PowerAllocation(((np.array([0.0, 1.0]),),))
+    # every slot holds a user: a NaN, zero or negative value among
+    # positive ones is refused, and a positive array is kept as it is
+    full = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])
+    assert np.array_equal(RateDemands(full).rates, full)
+    assert np.array_equal(PowerAllocation(full).powers, full)
+    for index, value in (((1, 0, 1), np.nan), ((0, 0, 2), 0.0), ((1, 0, 2), -1.0),
+                         ((0, 0, 0), -np.inf), ((1, 0, 0), np.nan)):
+        bad = full.copy()
+        bad[index] = value
+        with pytest.raises(ValueError, match="rate demands must be positive"):
+            RateDemands(bad)
+        with pytest.raises(ValueError, match="powers must be positive"):
+            PowerAllocation(bad)
 
 
 def test_demands_must_be_positive():

@@ -186,6 +186,17 @@ class TestFixedPoint:
         with pytest.raises(ValueError, match="wrong shape"):
             dpc_spm(top, dem, budgets, q0=np.ones((1, 1)))
 
+    def test_start_that_is_not_finite_raises(self):
+        # NaN passes a test for negative entries, and a start of NaN or inf
+        # would end in an all-NaN q_star that reads like "no fixed point"
+        top, dem, budgets = symmetric_two_cell()
+        for value, match in ((np.nan, "finite"), (np.inf, "finite"),
+                             (-np.inf, "non-negative")):
+            q0 = np.ones((2, 1))
+            q0[1, 0] = value
+            with pytest.raises(ValueError, match=f"q0 must be {match}"):
+                dpc_spm(top, dem, budgets, q0=q0)
+
 
 def per_group_dpc_spm(top, dem, budgets, max_iter=10_000):
     """dpc_spm's Gauss-Seidel iteration and stopping rule, one (i, m) group
@@ -472,3 +483,48 @@ class TestAssemble:
             for i, m in top.groups():
                 rates = rate_via_decoding_chain(top, alloc, report.q_star, i, m)
                 assert rates == pytest.approx(wanted[i][m], rel=1e-9)
+
+
+class TestSharedConstants:
+    """_Drop reads its demand constants from a cache of at most 16 bundles,
+    keyed by the padded rates and the bandwidth."""
+
+    FIELDS = ("weights", "growth", "alpha", "weak")
+
+    def assert_built(self, got, rates, bandwidth):
+        want = power_min._GroupConstants.build(rates, bandwidth)
+        for name in self.FIELDS:
+            value = getattr(got, name)
+            assert value.shape == getattr(want, name).shape, name
+            assert np.array_equal(value, getattr(want, name)), name
+
+    def test_cached_bundle_is_the_built_one_and_read_only(self):
+        assert power_min._shared_constants.cache_info().maxsize == 16
+        rng = np.random.default_rng(61)
+        top = sample_topology(rng, num_cells=3, num_subchannels=2, users=2)
+        dem = sample_demands(rng, top, rate=(0.2, 0.6))
+        cached = power_min._Drop(top, dem).constants
+        self.assert_built(cached, dem.rates, top.bandwidth)
+        for name in self.FIELDS:
+            value = getattr(cached, name)
+            assert not value.flags.writeable, name
+            with pytest.raises(ValueError):
+                value[(0,) * value.ndim] = 1.0
+        # a drop of equal demands, held in another object, shares the bundle
+        again = RateDemands(dem.rates.copy())
+        assert power_min._Drop(top, again).constants is cached
+
+    def test_other_demands_or_bandwidth_give_another_bundle(self):
+        rng = np.random.default_rng(62)
+        top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
+        dem = sample_demands(rng, top, rate=(0.2, 0.6))
+        base = power_min._Drop(top, dem).constants
+        wider = NetworkTopology(bandwidth=2.0 * top.bandwidth,
+                                noise_power=top.noise_power, gains=top.gains,
+                                user_ids=top.user_ids)
+        rates = dem.rates.copy()
+        rates[1, 0, -1] *= 1.5
+        for other_top, other_dem in ((wider, dem), (top, RateDemands(rates))):
+            got = power_min._Drop(other_top, other_dem).constants
+            assert got is not base and not np.array_equal(got.growth, base.growth)
+            self.assert_built(got, other_dem.rates, other_top.bandwidth)

@@ -584,16 +584,19 @@ class TestRunScenario:
 
     def test_one_constants_bundle_per_multistart_drop(self, monkeypatch):
         # the fixed point, the random starts and all four dpc_srm calls of
-        # a drop read one bundle, where each dpc_srm call built its own
+        # a drop read one bundle, where each dpc_srm call built its own;
+        # the three seeds' uniform demands are one demand vector, so they
+        # share it, counted from an empty cache
         build = power_min._GroupConstants.build
         calls = []
         monkeypatch.setattr(power_min._GroupConstants, "build", staticmethod(
             lambda *args: calls.append(1) or build(*args)))
+        power_min._shared_constants.cache_clear()
         config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
                                 multistart=4)
         artifacts = run_scenario(config)
         assert artifacts.ok and all(row.converged for row in artifacts.summary)
-        assert len(calls) == len(artifacts.summary) == 3
+        assert len(artifacts.summary) == 3 and len(calls) == 1
 
     @pytest.mark.parametrize("multistart", [1, 2])
     def test_the_traced_run_contract(self, monkeypatch, multistart):
@@ -676,12 +679,38 @@ class TestRunScenario:
                                 counted("interference", evaluate))
         monkeypatch.setattr(power_min, "_weights", counted("weights", weights))
         monkeypatch.setattr(np, "argwhere", counted("argwhere", argwhere))
+        power_min._shared_constants.cache_clear()   # counted from an empty cache
         artifacts = run_scenario(ScenarioConfig(seed=0))
         monkeypatch.undo()
         (row,) = artifacts.summary
         assert artifacts.ok and row.converged and row.iterations >= 1
         assert counts == {"interference": row.iterations + 1, "weights": 1,
                           "argwhere": 0}
+
+    @pytest.mark.parametrize("algorithm", ["power-min", "rate-max"])
+    def test_sweep_matches_its_points_run_one_at_a_time(self, algorithm):
+        # the benchmark runs one (seed, budget) point per call, so the
+        # seeds' shared demand constants come from the cache; each point
+        # here is solved from an empty one
+        config = ScenarioConfig(seed=0, num_seeds=4, algorithm=algorithm,
+                                budget_dbm_sweep=[20.0, 30.0, 40.0])
+        sweep = run_scenario(config)
+        rows, traces, allocations = [], {}, {}
+        for seed in range(4):
+            for budget in config.budget_dbm_sweep:
+                power_min._shared_constants.cache_clear()
+                point = run_scenario(dataclasses.replace(
+                    config, seed=seed, num_seeds=1, budget_dbm_sweep=[budget]))
+                assert point.ok
+                rows += point.summary
+                traces.update(point.traces)
+                allocations.update(point.allocations)
+        assert sweep.ok and len(rows) == 12
+        assert repr(sweep.summary) == repr(rows)
+        assert repr(sweep.traces) == repr(traces)
+        assert list(sweep.allocations) == list(allocations)
+        for name, allocation in sweep.allocations.items():
+            assert np.array_equal(allocation.powers, allocations[name].powers), name
 
     def test_csv_reproducibility(self, tmp_path):
         config = small_config(budget_dbm_sweep=[25.0, 30.0])
