@@ -16,7 +16,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
+from nomapower import (Problem, ScenarioConfig, build_demands, dpc_spm, dpc_srm,
                        generate_channels)
 from nomapower.scenario import dbm_to_watts
 
@@ -35,10 +35,10 @@ def main():
                             pairing="SW", budget_dbm_sweep=[args.budget_dbm],
                             rate_demand_bps=0.3e6)
     topology = generate_channels(config, args.seed)
-    demands = build_demands(config, topology)
+    problem = Problem(topology, build_demands(config, topology))
     budgets = np.full(topology.num_cells, dbm_to_watts(args.budget_dbm))
 
-    spm = dpc_spm(topology, demands, budgets)
+    spm = dpc_spm(problem, budgets)
     print(f"sum-power minimization: converged={spm.converged} "
           f"iterations={spm.iterations}")
     for k, value in enumerate(spm.trace, start=1):
@@ -48,7 +48,7 @@ def main():
         print("demands infeasible for this drop; no rate run")
         return
 
-    srm = dpc_srm(topology, demands, budgets)
+    srm = dpc_srm(problem, budgets)
     print(f"sum-rate maximization: converged={srm.converged} "
           f"outer sweeps={srm.outer_iterations} "
           f"subproblem solves={srm.subproblem_solves}")

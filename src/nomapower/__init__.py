@@ -7,15 +7,15 @@ per-group power split (``power_min.group_split``: weak users at their
 demands, the strongest user at its minimum power, plus alpha times the
 surplus over the required power for rate maximization); the network
 coupling is handled by a standard interference-function fixed point
-(power minimization, solved exactly by ``solve_spm`` or by the
-distributed sweep ``dpc_spm``) and a distributed loop of exact per-BS
+(power minimization, solved exactly by ``Problem.fixed_point`` or by
+the distributed sweep ``dpc_spm``) and a distributed loop of exact per-BS
 steps, each the single-cell closed form water-filled under the budget
-(rate maximization).
+(rate maximization).  A ``Problem`` holds one drop, its channels and
+demands, and every solver takes one.
 """
 
 from .network import NetworkTopology, PowerAllocation, RateDemands
-from .power_min import (FixedPointReport, assemble_full_solution, dpc_spm,
-                        solve_spm)
+from .power_min import FixedPointReport, Problem, dpc_spm
 from .rate_max_network import (InfeasibleInitialPointError, SrmReport, dpc_srm,
                                random_feasible_start)
 from .scenario import (RunArtifacts, ScenarioConfig, build_demands,
@@ -24,7 +24,7 @@ from .scenario import (RunArtifacts, ScenarioConfig, build_demands,
 
 __all__ = [
     "NetworkTopology", "PowerAllocation", "RateDemands",
-    "FixedPointReport", "assemble_full_solution", "dpc_spm", "solve_spm",
+    "FixedPointReport", "Problem", "dpc_spm",
     "InfeasibleInitialPointError", "SrmReport", "dpc_srm",
     "random_feasible_start",
     "RunArtifacts", "ScenarioConfig", "build_demands", "generate_channels",

@@ -93,10 +93,11 @@ class NetworkTopology:
     shape and pads them once, and the same checks and sort follow.  Input
     whose own gains are all positive holds no padding, as every drop
     built from a config: it skips the padding rules, which have nothing
-    to check there, and keeps the checks on signs, ids and order.  The
-    sorted arrays passed back to the constructor build the same topology.
-    The gains' BS axis counts the cells; the per-BS budgets are no part
-    of the network, and every function that reads them takes them.
+    to check there, and keeps the checks on signs, ids and order.  Every
+    gain must be finite.  The sorted arrays passed back to the
+    constructor build the same topology.  The gains' BS axis counts the
+    cells; the per-BS budgets are no part of the network, and every
+    function that reads them takes them.
 
     ``==`` compares identity, as for the other containers here: two
     topologies are equal only when they are one object, and their arrays
@@ -161,21 +162,24 @@ class NetworkTopology:
         ids = np.array(ids, dtype=int) if full else \
             np.where(occupied, np.asarray(ids, dtype=int), 0)
 
-        # one masked pass: a user's gains are >= 0, a padded slot's are 0,
-        # and the users are the slots with a positive own gain; NaN fails.
+        # one masked pass: a user's gains are finite and >= 0, a padded
+        # slot's are 0, and the users are the slots with a positive own
+        # gain; NaN fails (the least and the largest gain propagate it).
         # Without padding only the first rule has anything to check
-        if full:
-            valid = (per_slot >= 0).all()
-        else:
-            checked = np.where(occupied[..., None], per_slot, -np.abs(per_slot))
-            valid = (checked >= 0).all() and (positive == occupied).all()
+        checked = per_slot if full else \
+            np.where(occupied[..., None], per_slot, -np.abs(per_slot))
+        valid = np.minimum.reduce(checked, axis=None, initial=0.0) >= 0 \
+            and np.maximum.reduce(checked, axis=None, initial=0.0) < np.inf \
+            and (full or (positive == occupied).all())
         if not valid:
             own_bad = (occupied & ~positive).any(axis=-1)
             pad_bad = (~occupied[..., None] & (per_slot != 0)).any(axis=(2, 3))
-            bad = own_bad | pad_bad | ~(per_slot >= 0).all(axis=(2, 3))
+            infinite = (per_slot == np.inf).any(axis=(2, 3))
+            bad = own_bad | pad_bad | infinite | ~(per_slot >= 0).all(axis=(2, 3))
             i, m = np.argwhere(bad)[0]
             rule = ("own gains must be > 0" if own_bad[i, m] else
                     "padding must come first and hold zero gains" if pad_bad[i, m]
+                    else "gains must be finite" if infinite[i, m]
                     else "gains must be >= 0")
             raise ValueError(f"group ({i},{m}): {rule}")
         real = ids.ravel() if full else ids[occupied]
@@ -230,14 +234,18 @@ class NetworkTopology:
 
 
 def _store(container, name: str, what: str):
-    """Keep a container's input, a front-padded array or nested groups, as
-    one read-only front-padded array ``name``.  Every user's value must be
+    """Keep a container's input, a front-padded (I, M, n_max) array or
+    nested groups, as one read-only front-padded array ``name``; an array
+    of another rank raises ValueError.  Every user's value must be
     positive, so the users' slots are the positive ones.  An array whose
     values are all positive holds no padding and is checked by that one
     test; the signs are compared with the users' slots only where there
     is padding."""
     values = getattr(container, name)
     if isinstance(values, np.ndarray):
+        if values.ndim != 3:
+            raise ValueError(f"{what} must be an (I, M, n_max) array,"
+                             f" got shape {values.shape}")
         padded = np.array(values, dtype=float)
         n_max = padded.shape[-1]
         positive = padded > 0

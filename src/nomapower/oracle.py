@@ -25,8 +25,7 @@ import numpy as np
 
 from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       suffix_sums, unpad)
-from .power_min import (ROUND_RTOL, _checked_budgets, group_split,
-                        min_power_user_allocation)
+from .power_min import ROUND_RTOL, _checked_budgets, group_split
 
 
 class OracleInfeasibleError(RuntimeError):
@@ -65,6 +64,14 @@ def demand_weights(demands: np.ndarray, bandwidth: float) -> np.ndarray:
     before = np.zeros_like(r)
     before[..., 1:] = np.cumsum(r, axis=-1)[..., :-1]
     return (np.exp2(r) - 1.0) * np.exp2(before)
+
+
+def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
+                              bandwidth: float) -> np.ndarray:
+    """Closed-form minimum-power split: :func:`group_split` with every
+    user, the strongest too, exactly at its demand, so all powers are
+    strictly positive; padded arrays split as there."""
+    return group_split(np.exp2(np.asarray(demands, dtype=float) / bandwidth), h)
 
 
 def tight_constraint_matrix(demands: np.ndarray, bandwidth: float) -> np.ndarray:

@@ -7,20 +7,20 @@ Substituting the closed form into the network problem leaves only the
 per-BS totals ``q``, coupled through the interference map ``f``; ``f``
 is a standard interference function, so the distributed
 fixed-point sweep (:func:`dpc_spm`) converges to the component-wise
-minimal solution whenever one exists.  :func:`solve_spm` reaches the same
-point exactly in a few small linear solves and certifies when there is
-none.
+minimal solution whenever one exists.  :attr:`Problem.fixed_point`
+reaches the same point exactly in a few small linear solves
+(:func:`_least_fixed_point`) and certifies when there is none.
 
 Both problems derive a group's 2^(R/B) and its demand weights here, with
 one formula (:func:`_weights`); :class:`_GroupConstants` bundles them
-with rate maximization's alpha and weak-demand sums.  A :class:`_Drop`
-holds one problem: the demands, checked against the topology once, their
-bundle, and the least fixed point (:func:`_least_fixed_point`) with the
-effective interference it ends on.  ``nomapower run`` builds one per
-seed, and every budget point and start of the seed reads it.  The bundle
+with rate maximization's alpha and weak-demand sums.  A :class:`Problem`
+holds one drop: the demands, checked against the topology once, their
+bundle, and the least fixed point with the effective interference it
+ends on.  Every solver takes one; ``nomapower run`` builds one per seed,
+and every budget point and start of the seed reads it.  The bundle
 depends on the demands and the bandwidth alone, so a process builds it
-once per distinct pair (:func:`_shared_constants`) and every drop with
-the same demands reads the same read-only arrays.
+once per distinct pair (:func:`_shared_constants`) and every problem
+with the same demands reads the same read-only arrays.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from .network import (NetworkTopology, PowerAllocation, RateDemands,
                       dense_interference, normalized_interference, suffix_max)
 
 # dpc_spm stops once sum |q - f(q)| is at most REL_TOL times the sum power.
-# assemble_full_solution rejects a q_star with max |q - f(q)| above
-# RESIDUAL_TOL times its sum power: solve_spm's is below 1e-15, dpc_spm's at
+# Problem.split rejects a q_star with max |q - f(q)| above RESIDUAL_TOL
+# times its sum power: the fixed point's is below 1e-15, dpc_spm's at
 # most 1.6e-10, and 1e-3 off in a drop's smallest group at least 4e-8 (7 x 4)
 REL_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -58,7 +58,8 @@ RUNAWAY_FACTOR = 1e9
 
 @dataclass(frozen=True, eq=False)
 class FixedPointReport:
-    """Outcome of a sum-power fixed-point solve (dpc_spm or solve_spm).
+    """Outcome of a sum-power fixed-point solve (dpc_spm or
+    :attr:`Problem.fixed_point`).
     ``==`` compares identity, as for the containers."""
 
     q_star: np.ndarray
@@ -134,43 +135,49 @@ def _shared_constants(shape, data, bandwidth) -> _GroupConstants:
     return constants
 
 
-class _Drop:
-    """One problem: the ``topology``, the ``demands``, checked once to hold
+class Problem:
+    """One drop: the ``topology``, the ``demands``, checked once to hold
     one demand per user of it, their :class:`_GroupConstants`
-    (``constants``, read-only and shared by every drop of the process with
-    the same demands and bandwidth) and the least fixed point
+    (``constants``, read-only and shared by every problem of the process
+    with the same demands and bandwidth) and the least fixed point
     (:attr:`fixed_point`), solved on first use with at most ``max_iter``
-    linear solves."""
+    linear solves.  Every solver takes one.  The constants and the fixed
+    point derive from the inputs, so no attribute can be rebound."""
 
     def __init__(self, topology: NetworkTopology, demands: RateDemands,
                  max_iter: int = 100):
-        self.topology, self.demands, self.max_iter = topology, demands, max_iter
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
         rates = demands.padded_for(topology)
-        self.constants = _shared_constants(rates.shape, rates.tobytes(),
-                                           topology.bandwidth)
+        # written through __dict__, since __setattr__ refuses every name
+        fields = self.__dict__
+        fields["topology"], fields["demands"] = topology, demands
+        fields["max_iter"] = max_iter
+        fields["constants"] = _shared_constants(rates.shape, rates.tobytes(),
+                                                topology.bandwidth)
 
-    @classmethod
-    def of(cls, topology, demands, drop=None) -> _Drop:
-        """``drop`` when it was built from these very ``topology`` and
-        ``demands`` objects, a new drop of them when it is None."""
-        if drop is None:
-            return cls(topology, demands)
-        if drop.topology is not topology or drop.demands is not demands:
-            raise ValueError("drop was built from another topology or demands")
-        return drop
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Problem is read-only: cannot set {name!r}")
 
     @cached_property
     def fixed_point(self):
-        """:func:`_least_fixed_point`'s report and interference at q*."""
+        """The least fixed point of the interference map: the
+        :class:`FixedPointReport` of :func:`_least_fixed_point` and the
+        effective interference at its ``q_star``."""
         return _least_fixed_point(self.topology, self.constants.weights, self.max_iter)
 
     def split(self, q_star=None) -> PowerAllocation:
-        """:func:`assemble_full_solution` at ``q_star``; None splits the
-        fixed point at the interference and residual its solve ended on."""
+        """Per-user powers at the fixed point ``q_star``, every group split
+        at once at the effective interference there; None splits
+        :attr:`fixed_point` at the interference and residual its solve
+        ended on.  Raises ValueError when ``q_star`` is not (I, M) or is off
+        the fixed point by more than ``RESIDUAL_TOL`` times its sum power."""
         if q_star is None:
             report, h = self.fixed_point
             q_star, residual = report.q_star, report.residual
         else:
+            if np.shape(q_star) != self.topology.occupied.shape[:2]:
+                raise ValueError("q_star must be an (I, M) array")
             h = dense_interference(self.topology, q_star)
             residual = _residual(self.constants.weights, q_star, h)
         bound = RESIDUAL_TOL * float(np.sum(q_star))
@@ -202,23 +209,16 @@ def group_split(growth: np.ndarray, h: np.ndarray, extra=0.0) -> np.ndarray:
     return b[..., :-1] - b[..., 1:]
 
 
-def min_power_user_allocation(demands: np.ndarray, h: np.ndarray,
-                              bandwidth: float) -> np.ndarray:
-    """Closed-form minimum-power split: :func:`group_split` with every
-    user, the strongest too, exactly at its demand, so all powers are
-    strictly positive; padded arrays split as there."""
-    return group_split(np.exp2(np.asarray(demands, dtype=float) / bandwidth), h)
-
-
 def interference_map(topology: NetworkTopology, demands: RateDemands,
                      q: np.ndarray) -> np.ndarray:
     """Reduced interference map f(q), an (I, M) array.
 
     f_im(q) is the minimum total power BS i needs on subchannel m to meet
     its users' demands against the interference produced by ``q``; it
-    equals the group total of :func:`min_power_user_allocation`.
+    equals the group total of :func:`group_split` with every user at its
+    demand.
     """
-    return _reduced_map(topology, _Drop(topology, demands).constants.weights, q)
+    return _reduced_map(topology, Problem(topology, demands).constants.weights, q)
 
 
 def _reduced_map(topology, weights, q):
@@ -226,10 +226,9 @@ def _reduced_map(topology, weights, q):
     return (weights * dense_interference(topology, q)).sum(axis=-1)
 
 
-def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray,
-            q0: np.ndarray | None = None,
+def dpc_spm(problem: Problem, budgets: np.ndarray, q0: np.ndarray | None = None,
             max_iter: int = 10_000) -> FixedPointReport:
-    """Distributed power control for sum-power minimization.
+    """Distributed power control for sum-power minimization of ``problem``.
 
     Iterates q_im <- f_im(q) as a Gauss-Seidel sweep: q is refreshed in
     place, cell by cell in ascending order, each cell updating its whole
@@ -244,6 +243,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
     runaway scale (``RUNAWAY_FACTOR`` times the largest).  An explicit
     ``q0`` must be a finite non-negative (I, M) array.
     """
+    topology = problem.topology
     budgets = _checked_budgets(topology, budgets)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -259,7 +259,7 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
         if not np.isfinite(q).all():
             raise ValueError("q0 must be finite")
 
-    weights = _Drop(topology, demands).constants.weights
+    weights = problem.constants.weights
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     trace = []
     converged = False
@@ -288,34 +288,6 @@ def dpc_spm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
                             converged=converged, trace=np.array(trace))
 
 
-def solve_spm(topology: NetworkTopology, demands: RateDemands,
-              max_iter: int = 100) -> FixedPointReport:
-    """Least fixed point of the interference map, by policy iteration.
-
-    Fixing, for every user j, the decoding user l >= j that sets its
-    effective interference (the choice sigma) makes f affine on each
-    subchannel: f(q)[:, m] = A q[:, m] + b with a non-negative A and a
-    positive b, and f is the maximum of these maps over all choices.
-    Starting at q = 0, each step records the choice that attains f at
-    the current q and solves the M systems (I - A) q = b at once; once
-    the choice repeats, f(q) = q.  The iterates rise monotonically and
-    never pass the least fixed point, so that is where they stop
-    (Howard's policy iteration on Yates' standard function).
-
-    Since f >= A q + b with b > 0, a solve that is not finite and
-    positive certifies that A has spectral radius >= 1 and f has no
-    fixed point: ``converged`` is False and ``q_star`` is +inf.  The
-    solve reads no budget.  ``iterations`` counts linear
-    solves, ``trace`` holds the sum power after each, and ``max_iter``
-    caps the solves against floating-point ties.
-
-    The demand constants are derived once, and the solve evaluates the
-    interference once per linear solve; the last evaluation gives the
-    residual.
-    """
-    return _Drop(topology, demands, max_iter).fixed_point[0]
-
-
 @lru_cache(maxsize=16)
 def _policy_layout(shape):
     """Constant arrays of the policy iteration on (I, M, n_max) groups,
@@ -335,14 +307,32 @@ def _policy_layout(shape):
 
 
 def _least_fixed_point(topology, weights, max_iter=100):
-    """:func:`solve_spm` from the front-padded demand weights.
+    """Least fixed point of the interference map of the front-padded
+    demand ``weights``, by policy iteration.
+
+    Fixing, for every user j, the decoding user l >= j that sets its
+    effective interference (the choice sigma) makes f affine on each
+    subchannel: f(q)[:, m] = A q[:, m] + b with a non-negative A and a
+    positive b, and f is the maximum of these maps over all choices.
+    Starting at q = 0, each step records the choice that attains f at
+    the current q and solves the M systems (I - A) q = b at once; once
+    the choice repeats, f(q) = q.  The iterates rise monotonically and
+    never pass the least fixed point, so that is where they stop
+    (Howard's policy iteration on Yates' standard function).
+
+    Since f >= A q + b with b > 0, a solve that is not finite and
+    positive certifies that A has spectral radius >= 1 and f has no
+    fixed point: ``converged`` is False and ``q_star`` is +inf.  The
+    solve reads no budget.  ``iterations`` counts linear solves,
+    ``trace`` holds the sum power after each, and ``max_iter`` (>= 1)
+    caps the solves against floating-point ties.  The solve evaluates
+    the interference once per linear solve; the last evaluation gives
+    the residual.
 
     Returns the report and the effective interference at ``q_star``,
-    (I, M, n_max), from the solve's last interference evaluation; it is
-    None when ``q_star`` is not finite.
+    (I, M, n_max), from that last evaluation; it is None when ``q_star``
+    is not finite.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     later, first, identity = _policy_layout(noise.shape)
     q = np.zeros(noise.shape[:2])
@@ -393,13 +383,7 @@ def _residual(weights, q, h):
 
 def assemble_full_solution(topology: NetworkTopology, demands: RateDemands,
                            q_star: np.ndarray) -> PowerAllocation:
-    """Per-user powers at a converged fixed point.
-
-    Evaluates the effective interference at ``q_star`` and applies the
-    closed-form split to every group at once; group totals reproduce
-    ``q_star``.  Raises ValueError when ``q_star`` is off the fixed point
-    by more than ``RESIDUAL_TOL`` times its sum power.  ``nomapower
-    run`` splits each seed's fixed point with :meth:`_Drop.split`, at the
-    effective interference of the solve, and evaluates none.
-    """
-    return _Drop(topology, demands).split(q_star)
+    """:meth:`Problem.split` of a new problem at ``q_star``; no solver
+    calls it, and it stays because the benchmark's tracer wraps it by
+    name."""
+    return Problem(topology, demands).split(q_star)

@@ -25,10 +25,9 @@ The closed forms read power-min's demand weights w: a group needs w . x,
 and at a total q its weak users sit at their demands while the strongest
 user gets its minimum power plus alpha times the surplus q - w . x.
 :func:`dpc_srm` reads these per-group constants, and the fixed point
-its default start scales, from power-min's
-:class:`~nomapower.power_min._Drop`, and hands the bundle, or a step its
-cell's row of it, to every helper in place of the demands.  No constant
-is derived here.
+its default start scales, from the :class:`~nomapower.power_min.Problem`
+it takes, and hands the bundle, or a step its cell's row of it, to every
+helper in place of the demands.  No constant is derived here.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import (NetworkTopology, PowerAllocation, RateDemands,
-                      dense_interference, group_rates, normalized_interference,
-                      suffix_max)
-from .power_min import (COVER_RTOL, ROUND_RTOL, _checked_budgets, _Drop,
+from .network import (NetworkTopology, PowerAllocation, dense_interference,
+                      group_rates, normalized_interference, suffix_max)
+from .power_min import (COVER_RTOL, ROUND_RTOL, Problem, _checked_budgets,
                         _GroupConstants, _reduced_map, group_split,
                         within_budgets)
 
@@ -196,11 +194,11 @@ def solve_convex_subproblem(topology: NetworkTopology, constants: _GroupConstant
     return DcIterate(q_i=q_new, x_i=lb, objective_value=new_value, improved=True)
 
 
-def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray,
-            q0: np.ndarray | None = None, x0: np.ndarray | None = None,
-            tol: float = 1e-3, max_outer: int = 100, *,
-            drop: _Drop | None = None) -> SrmReport:
-    """Distributed sum-rate power control under the (I,) per-BS ``budgets``.
+def dpc_srm(problem: Problem, budgets: np.ndarray, q0: np.ndarray | None = None,
+            x0: np.ndarray | None = None, tol: float = 1e-3,
+            max_outer: int = 100) -> SrmReport:
+    """Distributed sum-rate power control of ``problem`` under the (I,)
+    per-BS ``budgets``.
 
     Sweeps cells in ascending order; each BS takes one exact step on its
     own variables with the rest frozen (:func:`solve_convex_subproblem`:
@@ -230,22 +228,19 @@ def dpc_srm(topology: NetworkTopology, demands: RateDemands, budgets: np.ndarray
     once, at its start, and runs no step.  A single cell has no caps and
     steps.
 
-    Without an explicit start the sum-power fixed point
-    (:func:`~nomapower.power_min.solve_spm`) is scaled uniformly by the
-    tightest cell's budget headroom, with the proxies at the effective
-    interference there: feasible by construction, so not checked.  An
-    explicit ``x0`` is an (I, M, n_max) array front-padded like the
-    topology with 0 in padding.  An explicit infeasible start raises
-    :class:`InfeasibleInitialPointError`.  ``drop``, the private
-    :class:`~nomapower.power_min._Drop` of these very ``topology`` and
-    ``demands`` objects (another raises ValueError), hands over their
-    checked constants and fixed point; None builds one.  ``nomapower
-    run`` hands one drop per seed to every call of the seed.
+    Without an explicit start the problem's sum-power fixed point
+    (:attr:`~nomapower.power_min.Problem.fixed_point`, solved once per
+    problem) is scaled uniformly by the tightest cell's budget headroom,
+    with the proxies at the effective interference there: feasible by
+    construction, so not checked.  An explicit ``x0`` is an (I, M, n_max)
+    array front-padded like the topology with 0 in padding.  An explicit
+    infeasible start raises :class:`InfeasibleInitialPointError`.
+    ``nomapower run`` hands one problem per seed to every call of the
+    seed.
     """
+    topology, constants = problem.topology, problem.constants
     budgets = _checked_budgets(topology, budgets)
-    drop = _Drop.of(topology, demands, drop)
-    constants = drop.constants
-    q, x, z, h = _start(drop, budgets, q0, x0)
+    q, x, z, h = _start(problem, budgets, q0, x0)
     k_cells = cell_objective(topology, constants, q, x)
     caps = power_cap(topology, q, x, z)
     rows = None
@@ -319,20 +314,20 @@ def _stalled(topology, constants, budgets, q, x, h, caps, checked=False):
                     and within_budgets(budgets, q).all())))
 
 
-def _start(drop, budgets, q0, x0):
+def _start(problem, budgets, q0, x0):
     """The starting totals ``q`` and proxies ``x``, with the normalized
     interference ``z`` and effective interference ``h`` at ``q``.
 
-    ``q0`` None gives the default totals, the drop's fixed point scaled
+    ``q0`` None gives the default totals, the problem's fixed point scaled
     by the least :func:`_headroom`, and ``x0`` None proxies at ``h``.
     Unless both are None the start is checked: ``q0`` must be a finite
     non-negative (I, M) array within the ``budgets``, ``x0`` finite,
     padded like the topology and at or above ``h``, and ``q`` must cover
     the need w . x; otherwise it raises :class:`InfeasibleInitialPointError`.
     """
-    topology, constants = drop.topology, drop.constants
+    topology, constants = problem.topology, problem.constants
     if q0 is None:
-        fp, _ = drop.fixed_point
+        fp, _ = problem.fixed_point
         q = fp.q_star * float(np.min(_headroom(fp, budgets)))
     else:
         q = np.array(q0, dtype=float)
@@ -393,10 +388,10 @@ def _headroom(fp, budgets):
     return budgets / fp.q_star.sum(axis=1)
 
 
-def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
-                          budgets: np.ndarray, rng: np.random.Generator, *,
-                          drop: _Drop | None = None):
-    """Random feasible (q0, x0) under the (I,) ``budgets``, for multi-start runs.
+def random_feasible_start(problem: Problem, budgets: np.ndarray,
+                          rng: np.random.Generator):
+    """Random feasible (q0, x0) of ``problem`` under the (I,) ``budgets``,
+    for multi-start runs of :func:`dpc_srm`.
 
     Scales the sum-power fixed point by random per-cell factors within
     the budget headroom and repairs the demand coupling by a monotone
@@ -405,13 +400,13 @@ def random_feasible_start(topology: NetworkTopology, demands: RateDemands,
     violated.  Each group's spare power is then handed to the proxies as
     random slack above the effective interference.  ``x0`` is padded like
     the topology, 0 in padding.  Raises :class:`InfeasibleInitialPointError`
-    when the demands admit no allocation within the budgets.  ``drop``
-    hands over the constants and the fixed point as in :func:`dpc_srm`.
+    when the demands admit no allocation within the budgets.  The
+    constants and the fixed point are the problem's, as in :func:`dpc_srm`.
     """
+    topology = problem.topology
     budgets = _checked_budgets(topology, budgets)
-    drop = _Drop.of(topology, demands, drop)
-    w = drop.constants.weights
-    fp, _ = drop.fixed_point
+    w = problem.constants.weights
+    fp, _ = problem.fixed_point
     headroom = _headroom(fp, budgets)
     factors = rng.uniform(1.0, np.maximum(headroom, 1.0))
     q = fp.q_star * factors[:, None]

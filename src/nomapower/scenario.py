@@ -26,8 +26,7 @@ import yaml
 from . import fixtures
 from .network import (NetworkTopology, RateDemands, dense_rates, group_rates,
                       unpad)
-from .power_min import (COVER_RTOL, _Drop, assemble_full_solution, solve_spm,
-                        within_budgets)
+from .power_min import COVER_RTOL, Problem, within_budgets
 from .rate_max_network import (InfeasibleInitialPointError, dpc_srm,
                                random_feasible_start)
 
@@ -129,7 +128,7 @@ class ScenarioConfig:
     antenna_gain_dbi: float = _key("radio", 14.0, _float)
     min_distance_m: float = _key("radio", 10.0, _float, "positive")
     power_tol_w: float = _key("solver", 1.0e-8, _float, "positive")  # deprecated, unread
-    # caps power-min's solve_spm only; rate-max's start solve stops after 100
+    # caps power-min's fixed-point solve only; rate-max's stops after 100
     max_iterations: int = _key("solver", 10_000, _int, "positive")
     rate_tol: float = _key("solver", 1.0e-3, _float, "positive")
     max_outer: int = _key("solver", 100, _int, "positive")
@@ -415,26 +414,27 @@ class RunArtifacts:
 def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     """Solve every (seed, budget) point of the sweep and collect artifacts.
 
-    Each seed is one :class:`~nomapower.power_min._Drop`: its channels and
+    Each seed is one :class:`~nomapower.power_min.Problem`: its channels and
     demands, checked once, their constants, and the least sum-power fixed
     point q* with the effective interference there, solved once.  q*
     does not depend on the budgets, so a budget point only tests q*
     against them.  Power-min splits q* once per seed; that split gives
     every feasible point's allocation and sums, and only :func:`_validate`
-    evaluates the interference again.  Rate-max hands the drop to every
-    ``dpc_srm`` call of the seed (:func:`_rate_max_point`).
+    evaluates the interference again.  Rate-max hands the problem to
+    every ``dpc_srm`` and ``random_feasible_start`` call of the seed
+    (:func:`_rate_max_point`).
     """
     summary = []
     traces = {}
     allocations = {}
     failures = []
     power_min = config.algorithm == "power-min"
-    # rate-max's start solve keeps dpc_srm's own cap of 100 linear solves
+    # rate-max's start solve keeps Problem's default cap of 100 linear solves
     max_iter = config.max_iterations if power_min else 100
     for seed in range(config.seed, config.seed + config.num_seeds):
         topology = generate_channels(config, seed)
-        drop = _Drop(topology, build_demands(config, topology), max_iter)
-        report, h = drop.fixed_point
+        problem = Problem(topology, build_demands(config, topology), max_iter)
+        report, h = problem.fixed_point
         trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
         solved = None       # power-min's (allocation, sum power, sum rate) of q*
         for budget_dbm in config.budget_dbm_sweep:
@@ -443,7 +443,7 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
             if power_min:
                 feasible = report.fits(budgets)
                 if feasible and solved is None:
-                    allocation = drop.split()
+                    allocation = problem.split()
                     solved = (allocation, float(report.q_star.sum()), float(
                         group_rates(allocation.powers, h, topology.bandwidth).sum()))
                 allocation, power, rate = (solved if feasible else
@@ -454,32 +454,30 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
                 traces[name] = trace
             else:
                 row, traces[name], allocation = _rate_max_point(
-                    config, drop, budgets, seed, budget_dbm, name)
+                    config, problem, budgets, seed, budget_dbm, name)
             summary.append(row)
             if allocation is not None:
                 allocations[name] = allocation
-                problem = _validate(topology, drop.demands, budgets, allocation)
-                if problem:
-                    failures.append(f"seed {seed}, budget {budget_dbm} dBm: {problem}")
+                fault = _validate(topology, problem.demands, budgets, allocation)
+                if fault:
+                    failures.append(f"seed {seed}, budget {budget_dbm} dBm: {fault}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
 
 
-def _rate_max_point(config, drop, budgets, seed, budget_dbm, name):
-    """Best of ``config.multistart`` dpc_srm runs on the seed's ``drop`` at
-    its ``budgets``: the default start, then random starts from a
-    generator seeded by the seed alone; every call reads the drop."""
-    topology, demands = drop.topology, drop.demands
-    solve = partial(dpc_srm, topology, demands, budgets, tol=config.rate_tol,
-                    max_outer=config.max_outer, drop=drop)
+def _rate_max_point(config, problem, budgets, seed, budget_dbm, name):
+    """Best of ``config.multistart`` dpc_srm runs on the seed's ``problem``
+    at its ``budgets``: the default start, then random starts from a
+    generator seeded by the seed alone; every call takes the problem."""
+    solve = partial(dpc_srm, problem, budgets, tol=config.rate_tol,
+                    max_outer=config.max_outer)
     row = partial(SummaryRow, seed, budget_dbm, config.algorithm, config.pairing)
     try:
         best = solve()
         if config.multistart > 1:
             rng = np.random.default_rng(seed + 0x5EED)
             for _ in range(config.multistart - 1):
-                q0, x0 = random_feasible_start(topology, demands, budgets, rng,
-                                               drop=drop)
+                q0, x0 = random_feasible_start(problem, budgets, rng)
                 candidate = solve(q0=q0, x0=x0)
                 if candidate.sum_rate > best.sum_rate:
                     best = candidate
@@ -598,9 +596,10 @@ def run_fixture_checks() -> bool:
         return bool(good)
 
     topology, demands, budgets = fixtures.symmetric_two_cell()
-    report = solve_spm(topology, demands)
+    problem = Problem(topology, demands)
+    report = problem.fixed_point[0]
     total, want = float(report.q_star.sum()), fixtures.SYMMETRIC_TWO_CELL_SUM_POWER
-    powers = assemble_full_solution(topology, demands, report.q_star).powers[0, 0]
+    powers = problem.split().powers[0, 0]
     ok = check("symmetric two-cell minimum sum power",
                report.fits(budgets) and math.isclose(total, want, rel_tol=COVER_RTOL)
                and np.allclose(powers, fixtures.SYMMETRIC_TWO_CELL_USER_POWERS,
@@ -608,7 +607,7 @@ def run_fixture_checks() -> bool:
                total, want)
 
     topology, demands, budgets = fixtures.rate_max_single_cell()
-    srm = dpc_srm(topology, demands, budgets)
+    srm = dpc_srm(Problem(topology, demands), budgets)
     want = float(fixtures.RATE_MAX_SINGLE_CELL_SUM_RATE)
     ok &= check("single-cell maximum sum rate",
                 math.isclose(srm.sum_rate, want, rel_tol=COVER_RTOL), srm.sum_rate, want)

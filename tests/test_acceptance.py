@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import budgets_for, sample_demands, sample_topology
-from nomapower import (ScenarioConfig, build_demands, dpc_spm, dpc_srm,
+from nomapower import (Problem, ScenarioConfig, build_demands, dpc_spm, dpc_srm,
                        generate_channels, random_feasible_start,
                        run_scenario, write_outputs)
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
@@ -19,9 +19,10 @@ from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
 from nomapower.network import group_rates
 from nomapower.oracle import (fd_hessian_psd, grid_power_min,
                               grid_rate_max_group, interference_over_gain,
-                              minimal_group_powers, optimal_single_cell_rate,
-                              rate_constraint_slack, standard_function_probe)
-from nomapower.power_min import interference_map, min_power_user_allocation
+                              min_power_user_allocation, minimal_group_powers,
+                              optimal_single_cell_rate, rate_constraint_slack,
+                              standard_function_probe)
+from nomapower.power_min import interference_map
 
 
 class Budget:
@@ -83,12 +84,12 @@ def test_criterion_3_fixed_point_optimality():
         top = sample_topology(rng, num_cells=2, num_subchannels=1, users=2)
         dem = sample_demands(rng, top, rate=(0.3, 1.0))
         budgets = budgets_for(top, 3.0)
-        report = dpc_spm(top, dem, budgets)
+        report = dpc_spm(Problem(top, dem), budgets)
         assert report.fits(budgets)
         best = grid_power_min(top, dem, budgets, resolution=delta)
         assert report.q_star.sum() <= best.total_power + 2 * delta * 2
     top, dem, budgets = symmetric_two_cell()
-    report = dpc_spm(top, dem, budgets)
+    report = dpc_spm(Problem(top, dem), budgets)
     assert report.q_star == pytest.approx(np.ones((2, 1)), abs=1e-6)
     budget.done("criterion 3: fixed-point optimality against the grid oracle")
 
@@ -154,17 +155,19 @@ def test_criterion_7_dc_monotonicity_and_equivalence():
                               users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
         budgets = budgets_for(top, 4.0)
+        problem = Problem(top, dem)
         if trial % 2 == 0:
-            report = dpc_srm(top, dem, budgets)
+            report = dpc_srm(problem, budgets)
         else:
-            q0, x0 = random_feasible_start(top, dem, budgets, rng)
-            report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
+            q0, x0 = random_feasible_start(problem, budgets, rng)
+            report = dpc_srm(problem, budgets, q0=q0, x0=x0)
         assert np.all(np.diff(report.trace) <= 1e-9)
         for i, m in top.groups():
             h = np.maximum.accumulate(
                 interference_over_gain(top, report.q, i, m)[::-1])[::-1]
             assert np.asarray(report.x[i][m]) == pytest.approx(h, rel=1e-6)
-    single = dpc_srm(*rate_max_single_cell())
+    top, dem, budgets = rate_max_single_cell()
+    single = dpc_srm(Problem(top, dem), budgets)
     assert single.sum_rate == pytest.approx(RATE_MAX_SINGLE_CELL_SUM_RATE,
                                             rel=1e-6)
     budget.done("criterion 7: DC loop is monotone and matches the closed form")
@@ -189,11 +192,12 @@ def test_criterion_8_pairing_trend():
             top = generate_channels(config, seed)
             dem = build_demands(config, top)
             budgets = budgets_for(top, 1.0)      # the config's 30 dBm
-            report = dpc_spm(top, dem, budgets)
+            problem = Problem(top, dem)
+            report = dpc_spm(problem, budgets)
             if not report.fits(budgets):
                 continue
             feasible[pairing] += 1
-            srm = dpc_srm(top, dem, budgets)
+            srm = dpc_srm(problem, budgets)
             per_seed[pairing] = (float(report.q_star.sum()), srm.sum_rate)
         if len(per_seed) < 2:
             continue                   # compare pairings on the same drop

@@ -4,7 +4,7 @@ units.
 Each transform builds a new drop through ``NetworkTopology`` and
 ``RateDemands`` from a paper-size drop (the default config at 30 dBm), and
 maps the transformed answer back before comparing it with the original:
-``solve_spm``'s least fixed point ``q*`` and ``dpc_srm``'s sum rate from
+the problem's least fixed point ``q*`` and ``dpc_srm``'s sum rate from
 its default start.  A relabelling or a change of units changes neither,
 so every check holds up to rounding.
 
@@ -21,8 +21,8 @@ headroom in place of the least one moves the rolled sum rate by up to
 3e-3 of itself.
 
 Monotone properties of the model follow: the rate-max sum rate
-``run_scenario`` reports does not fall as the budget rises, and
-``solve_spm``'s ``q*``, the least fixed point of a monotone standard
+``run_scenario`` reports does not fall as the budget rises, and the
+problem's ``q*``, the least fixed point of a monotone standard
 function, does not fall as one user's demand or one cross gain rises.
 They are checked up to the same ``RTOL``, as is the noise-and-budgets
 transform through ``run_scenario``: 30 dB more noise and budget leave
@@ -38,9 +38,8 @@ import math
 import numpy as np
 import pytest
 
-from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
-                       build_demands, dpc_srm, generate_channels, run_scenario,
-                       solve_spm)
+from nomapower import (NetworkTopology, Problem, RateDemands, ScenarioConfig,
+                       build_demands, dpc_srm, generate_channels, run_scenario)
 from nomapower.scenario import dbm_to_watts
 
 RTOL = 1e-14
@@ -90,7 +89,7 @@ TRANSFORMS = (roll_cells, reverse_subchannels, scale_noise_and_budgets,
 
 @pytest.fixture(scope="module")
 def drops():
-    """Each seed's (topology, demands, budgets, solve_spm report, dpc_srm
+    """Each seed's (topology, demands, budgets, fixed-point report, dpc_srm
     sum rate or None where the drop has no fixed point within its budget)."""
     config = ScenarioConfig(algorithm="rate-max")
     out = []
@@ -98,9 +97,10 @@ def drops():
         top = generate_channels(config, seed)
         dem = build_demands(config, top)
         budgets = np.full(top.num_cells, dbm_to_watts(config.budget_dbm_sweep[0]))
-        spm = solve_spm(top, dem)
+        problem = Problem(top, dem)
+        spm = problem.fixed_point[0]
         out.append((top, dem, budgets, spm,
-                    dpc_srm(top, dem, budgets).sum_rate if spm.fits(budgets) else None))
+                    dpc_srm(problem, budgets).sum_rate if spm.fits(budgets) else None))
     assert sum(rate is not None for *_, rate in out) >= 30
     return out
 
@@ -109,13 +109,14 @@ def drops():
 def test_answers_survive_the_transform(drops, transform):
     for seed, (top, dem, budgets, spm, sum_rate) in zip(SEEDS, drops):
         top_t, dem_t, budgets_t, undo, rate_scale = transform(top, dem, budgets)
-        spm_t = solve_spm(top_t, dem_t)
+        problem_t = Problem(top_t, dem_t)
+        spm_t = problem_t.fixed_point[0]
         assert spm_t.fits(budgets_t) == spm.fits(budgets), seed
         if sum_rate is None:
             continue
         np.testing.assert_allclose(undo(spm_t.q_star), spm.q_star, rtol=0,
                                    atol=RTOL * spm.q_star.max(), err_msg=f"seed {seed}")
-        rate_t = dpc_srm(top_t, dem_t, budgets_t).sum_rate / rate_scale
+        rate_t = dpc_srm(problem_t, budgets_t).sum_rate / rate_scale
         assert rate_t == pytest.approx(sum_rate, rel=RTOL, abs=0), seed
 
 
@@ -147,7 +148,7 @@ def test_fixed_point_does_not_fall_as_one_demand_rises(drops):
         user = tuple(np.argwhere(top.occupied)[seed % top.occupied.sum()])
         rates = np.array(dem.rates, dtype=float)
         rates[user] *= 1.1
-        spm_up = solve_spm(top, RateDemands(rates))
+        spm_up = Problem(top, RateDemands(rates)).fixed_point[0]
         if not spm_up.fits(budgets):
             continue
         assert np.all(spm_up.q_star >= spm.q_star - RTOL * spm.q_star.max()), seed
@@ -196,8 +197,8 @@ def test_fixed_point_does_not_fall_as_one_cross_gain_rises(drops):
         for link in links[rng.choice(len(links), size=5, replace=False)]:
             gains = np.array(top.gains)
             gains[tuple(link)] *= 1.1
-            spm_up = solve_spm(NetworkTopology(top.bandwidth, top.noise_power,
-                                               gains, top.user_ids), dem)
+            spm_up = Problem(NetworkTopology(top.bandwidth, top.noise_power,
+                                             gains, top.user_ids), dem).fixed_point[0]
             assert np.all(spm_up.q_star >= spm.q_star - RTOL * spm.q_star.max()), \
                 (seed, tuple(link))
             raised += 1
@@ -210,10 +211,12 @@ def test_feasibility_survives_a_falling_demand_scale(drops):
     checked = 0
     for seed, (top, dem, budgets, *_) in zip(SEEDS, drops):
         for scale in (1.0, 1.5, 2.0, 3.0):
-            if not solve_spm(top, RateDemands(dem.rates * scale)).fits(budgets):
+            scaled = Problem(top, RateDemands(dem.rates * scale)).fixed_point[0]
+            if not scaled.fits(budgets):
                 continue
             for fall in (0.5, 0.9, 0.99):
                 lower = RateDemands(dem.rates * (scale * fall))
-                assert solve_spm(top, lower).fits(budgets), (seed, scale, fall)
+                assert Problem(top, lower).fixed_point[0].fits(budgets), \
+                    (seed, scale, fall)
                 checked += 1
     assert checked >= 300

@@ -6,14 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import sample_topology
-from nomapower import (NetworkTopology, PowerAllocation, RateDemands,
-                       assemble_full_solution, dpc_spm, dpc_srm,
-                       random_feasible_start, scenario, solve_spm)
+from nomapower import (NetworkTopology, PowerAllocation, Problem, RateDemands,
+                       dpc_spm, dpc_srm, random_feasible_start, scenario)
 from nomapower.network import (dense_interference, dense_rates, front_pad,
                                group_rates, suffix_sums, unpad)
 from nomapower.oracle import (grid_power_min, rate_constraint_slack,
                               rate_via_decoding_chain)
-from nomapower.power_min import interference_map
+from nomapower.power_min import assemble_full_solution, interference_map
 
 
 def two_cell_example():
@@ -165,6 +164,25 @@ class TestTopologyConstruction:
             with pytest.raises(ValueError, match="finite"):
                 NetworkTopology(**kwargs)
 
+    def test_infinite_gains_are_refused(self):
+        # +inf passes a test for gains >= 0: an own gain of inf set its
+        # user's ratios to 0 (after an inf / inf warning) and the fixed
+        # point converged, and a cross gain of inf certified no fixed
+        # point.  Each is refused, nested, padded and with no padding
+        g0, g1 = np.array([[1.0, 2.0], [0.1, 0.2]]), np.array([[0.1, 0.2], [1.0, 2.0]])
+        padded = np.zeros((2, 1, 2, 3))
+        padded[0, 0, :, 1:], padded[1, 0, :, 1:] = g0, g1    # slot 0 is padding
+        full = padded[..., 1:]
+        for index in ((0, 0, 0, 1), (0, 0, 1, 1), (1, 0, 0, 0)):   # own, cross, cross
+            nested = [g0.copy(), g1.copy()]
+            nested[index[0]][index[2:]] = np.inf
+            for gains in (((nested[0],), (nested[1],)), full.copy(), padded.copy()):
+                if isinstance(gains, np.ndarray):
+                    gains[index[:3] + (index[3] + gains.shape[-1] - 2,)] = np.inf
+                with pytest.raises(ValueError, match=rf"group \({index[0]},0\): "
+                                                     "gains must be finite"):
+                    NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=gains)
+
     @pytest.mark.parametrize("budgets", [[5.0, np.nan], [5.0, np.inf], [-1.0, 5.0],
                                          [5.0, 0.0], [5.0], [[5.0, 5.0]], 5.0],
                              ids=["nan", "inf", "negative", "zero", "one-short",
@@ -174,9 +192,9 @@ class TestTopologyConstruction:
         # them checks them with the rule the constructor once applied
         top = two_cell_example()
         demands = RateDemands.uniform(top, 1.0)
-        for call in (lambda: dpc_spm(top, demands, budgets),
-                     lambda: dpc_srm(top, demands, budgets),
-                     lambda: random_feasible_start(top, demands, budgets,
+        for call in (lambda: dpc_spm(Problem(top, demands), budgets),
+                     lambda: dpc_srm(Problem(top, demands), budgets),
+                     lambda: random_feasible_start(Problem(top, demands), budgets,
                                                    np.random.default_rng(0)),
                      lambda: grid_power_min(top, demands, budgets, resolution=0.5)):
             with pytest.raises(ValueError, match="budgets must be a 1-D positive"
@@ -512,13 +530,13 @@ def test_demands_for_other_groups_are_rejected():
         return NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=gains)
 
     top, other = build(((1, 3), (3, 1))), build(((3, 1), (1, 3)))
-    q_star = solve_spm(top, RateDemands.uniform(top, 0.5)).q_star
+    q_star = Problem(top, RateDemands.uniform(top, 0.5)).fixed_point[0].q_star
     demands = RateDemands.uniform(other, 0.5)
     assert demands.rates.shape == top.occupied.shape
-    for call in (lambda: solve_spm(top, demands),
+    for call in (lambda: Problem(top, demands),
                  lambda: interference_map(top, demands, q_star),
                  lambda: assemble_full_solution(top, demands, q_star),
-                 lambda: dpc_srm(top, demands, np.full(2, 100.0))):
+                 lambda: dpc_srm(Problem(top, demands), np.full(2, 100.0))):
         with pytest.raises(ValueError, match="one per user of the topology"):
             call()
 
@@ -545,6 +563,15 @@ def test_padded_input_is_positive_with_padding_first():
             RateDemands(bad)
         with pytest.raises(ValueError, match="powers must be positive"):
             PowerAllocation(bad)
+
+
+@pytest.mark.parametrize("shape", [(), (2,), (1, 2), (1, 1, 1, 2)])
+def test_container_arrays_must_be_three_dimensional(shape):
+    # a 1-D demands array used to build and fail only against a topology,
+    # and a 0-d powers array raised an IndexError
+    for container, what in ((RateDemands, "rate demands"), (PowerAllocation, "powers")):
+        with pytest.raises(ValueError, match=rf"{what} must be an \(I, M, n_max\) array"):
+            container(np.ones(shape))
 
 
 def test_demands_must_be_positive():

@@ -2,18 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import budgets_for, sample_demands, sample_topology
-from nomapower import NetworkTopology, RateDemands, random_feasible_start
+from nomapower import NetworkTopology, Problem, RateDemands, random_feasible_start
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import (dense_interference, group_rates,
                                normalized_interference, unpad)
 from nomapower.oracle import (OracleInfeasibleError, fd_hessian_psd,
                               grid_budget_split, grid_power_min,
-                              grid_rate_max_group, minimal_group_powers,
-                              optimal_single_cell_rate,
+                              grid_rate_max_group, min_power_user_allocation,
+                              minimal_group_powers, optimal_single_cell_rate,
                               reference_interference_map,
                               standard_function_probe)
-from nomapower.power_min import (_GroupConstants, interference_map,
-                                 min_power_user_allocation)
+from nomapower.power_min import _GroupConstants, interference_map
 from nomapower.rate_max_network import (cell_objective, power_cap,
                                         solve_convex_subproblem)
 
@@ -165,7 +164,8 @@ class TestGridBudgetSplit:
             top = sample_topology(rng, num_cells=cells, num_subchannels=M,
                                   users=(1, 4))
             dem = sample_demands(rng, top, rate=(0.2, 0.8))
-            q0, x0 = random_feasible_start(top, dem, budgets_for(top, budget), rng)
+            q0, x0 = random_feasible_start(Problem(top, dem), budgets_for(top, budget),
+                                           rng)
             for i in range(cells):
                 caps = power_cap(top, q0, x0, normalized_interference(top, q0))[i]
                 consts = _GroupConstants.build(dem.rates, top.bandwidth)

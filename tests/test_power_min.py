@@ -6,16 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import budgets_for, sample_demands, sample_topology
-from nomapower import (NetworkTopology, RateDemands, ScenarioConfig,
-                       assemble_full_solution, build_demands, dpc_spm,
-                       generate_channels, network, power_min, solve_spm)
+from nomapower import (NetworkTopology, Problem, RateDemands, ScenarioConfig,
+                       build_demands, dpc_spm, generate_channels, network,
+                       power_min)
 from nomapower.fixtures import symmetric_two_cell
 from nomapower.network import unpad
 from nomapower.oracle import (demand_weights, interference_over_gain,
-                              rate_constraint_slack, rate_via_decoding_chain,
-                              reference_interference_map)
+                              min_power_user_allocation, rate_constraint_slack,
+                              rate_via_decoding_chain, reference_interference_map)
 from nomapower.power_min import (REL_TOL, RUNAWAY_FACTOR, interference_map,
-                                 min_power_user_allocation, within_budgets)
+                                 within_budgets)
 
 
 class TestClosedForm:
@@ -110,7 +110,7 @@ class TestInterferenceMap:
 class TestFixedPoint:
     def test_symmetric_instance_converges_to_one(self):
         top, dem, budgets = symmetric_two_cell()
-        report = dpc_spm(top, dem, budgets)
+        report = dpc_spm(Problem(top, dem), budgets)
         assert report.converged
         assert report.q_star == pytest.approx(np.ones((2, 1)), abs=1e-8)
         assert np.all(within_budgets(budgets, report.q_star))
@@ -122,13 +122,14 @@ class TestFixedPoint:
         from nomapower import NetworkTopology
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_spm(top, dem, np.array([5.0]))
+        report = dpc_spm(Problem(top, dem), np.array([5.0]))
         assert report.converged and report.iterations == 1
 
     def test_starting_points_agree(self):
         top, dem, budgets = symmetric_two_cell()
-        from_zero = dpc_spm(top, dem, budgets, q0=np.zeros((2, 1)))
-        from_budget = dpc_spm(top, dem, budgets)
+        problem = Problem(top, dem)
+        from_zero = dpc_spm(problem, budgets, q0=np.zeros((2, 1)))
+        from_budget = dpc_spm(problem, budgets)
         # each run stops at sum |q - f(q)| <= REL_TOL * sum q, so it is off
         # q* by at most ||(I - A)^-1||_1 = 2.5 times that (A = [[0, .6], [.6, 0]])
         gap = np.abs(from_zero.q_star - from_budget.q_star).sum()
@@ -139,14 +140,15 @@ class TestFixedPoint:
         for _ in range(10):
             top = sample_topology(rng, num_cells=2, users=2)
             dem = sample_demands(rng, top)
-            report = dpc_spm(top, dem, budgets_for(top), q0=np.zeros((2, 1)))
+            report = dpc_spm(Problem(top, dem), budgets_for(top),
+                             q0=np.zeros((2, 1)))
             assert report.converged
             assert np.all(np.diff(report.trace) >= -1e-12)
 
     def test_budget_infeasibility_is_flagged_not_raised(self):
         top, dem, _ = symmetric_two_cell()
         small = np.array([0.5, 0.5])
-        report = dpc_spm(top, dem, small)
+        report = dpc_spm(Problem(top, dem), small)
         assert report.converged            # the fixed point still exists
         assert not np.any(within_budgets(small, report.q_star))
         assert not report.fits(small)
@@ -158,14 +160,14 @@ class TestFixedPoint:
         from nomapower import NetworkTopology
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_spm(top, dem, np.array([10.0, 10.0]), max_iter=200)
+        report = dpc_spm(Problem(top, dem), np.array([10.0, 10.0]), max_iter=200)
         assert not report.converged
 
     def test_component_wise_minimality(self):
         rng = np.random.default_rng(15)
         top = sample_topology(rng, num_cells=2, users=2)
         dem = sample_demands(rng, top)
-        report = dpc_spm(top, dem, budgets_for(top))
+        report = dpc_spm(Problem(top, dem), budgets_for(top))
         assert report.converged
         q_star = report.q_star
         found = 0
@@ -180,11 +182,11 @@ class TestFixedPoint:
     def test_validates_arguments(self):
         top, dem, budgets = symmetric_two_cell()
         with pytest.raises(ValueError):
-            dpc_spm(top, dem, budgets, max_iter=0)
+            dpc_spm(Problem(top, dem), budgets, max_iter=0)
         with pytest.raises(ValueError):
-            dpc_spm(top, dem, budgets, q0=np.full((2, 1), -1.0))
+            dpc_spm(Problem(top, dem), budgets, q0=np.full((2, 1), -1.0))
         with pytest.raises(ValueError, match="wrong shape"):
-            dpc_spm(top, dem, budgets, q0=np.ones((1, 1)))
+            dpc_spm(Problem(top, dem), budgets, q0=np.ones((1, 1)))
 
     def test_start_that_is_not_finite_raises(self):
         # NaN passes a test for negative entries, and a start of NaN or inf
@@ -195,7 +197,7 @@ class TestFixedPoint:
             q0 = np.ones((2, 1))
             q0[1, 0] = value
             with pytest.raises(ValueError, match=f"q0 must be {match}"):
-                dpc_spm(top, dem, budgets, q0=q0)
+                dpc_spm(Problem(top, dem), budgets, q0=q0)
 
 
 def per_group_dpc_spm(top, dem, budgets, max_iter=10_000):
@@ -231,7 +233,7 @@ class TestSweepOrder:
             top = sample_topology(rng, num_cells=3, num_subchannels=3,
                                   users=(1, 4), cross_ratio=(0.05, 0.4))
             dem = sample_demands(rng, top)
-            report = dpc_spm(top, dem, budgets_for(top))
+            report = dpc_spm(Problem(top, dem), budgets_for(top))
             q, iterations, converged = per_group_dpc_spm(top, dem, budgets_for(top))
             assert report.converged == converged
             assert report.iterations == iterations
@@ -255,8 +257,9 @@ class TestSolveSpm:
             budgets = budgets_for(top, budget)
             sizes.update(top.occupied[i, m].sum() for i, m in top.groups())
             dem = sample_demands(rng, top)
-            reference = dpc_spm(top, dem, budgets)
-            exact = solve_spm(top, dem)
+            problem = Problem(top, dem)
+            reference = dpc_spm(problem, budgets)
+            exact = problem.fixed_point[0]
             outcomes.add((reference.converged, reference.fits(budgets)))
             if not reference.converged:
                 # dpc_spm ran away; there is no fixed point to find
@@ -279,7 +282,7 @@ class TestSolveSpm:
             top = sample_topology(rng, num_cells=3, num_subchannels=2,
                                   users=(1, 5))
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
-            report = solve_spm(top, dem)
+            report = Problem(top, dem).fixed_point[0]
             assert report.converged
             q = report.q_star
             assert report.residual <= 1e-12 * q.max()
@@ -303,7 +306,7 @@ class TestSolveSpm:
         for module in bound:
             monkeypatch.setattr(module, "normalized_interference",
                                 lambda *args: calls.append(args) or evaluate(*args))
-        report = solve_spm(top, dem)
+        report = Problem(top, dem).fixed_point[0]
         assert len(calls) == 1
         assert report.converged and report.iterations == 1
         q = report.q_star
@@ -318,7 +321,8 @@ class TestSolveSpm:
         for _ in range(30):
             top = sample_topology(rng, num_cells=3, num_subchannels=2,
                                   users=(1, 5), cross_ratio=(0.02, 0.3))
-            report = solve_spm(top, sample_demands(rng, top, rate=(0.2, 0.6)))
+            dem = sample_demands(rng, top, rate=(0.2, 0.6))
+            report = Problem(top, dem).fixed_point[0]
             assert report.converged
             assert len(report.trace) == report.iterations
             assert np.all(np.diff(report.trace) >= 0.0)
@@ -329,7 +333,7 @@ class TestSolveSpm:
         rng = np.random.default_rng(15)
         top = sample_topology(rng, num_cells=2, users=2)
         dem = sample_demands(rng, top)
-        report = solve_spm(top, dem)
+        report = Problem(top, dem).fixed_point[0]
         assert report.converged
         q_star = report.q_star
         found = 0
@@ -346,7 +350,7 @@ class TestSolveSpm:
         g0 = np.array([[1.0, 1.0], [3.0, 3.0]])
         g1 = np.array([[3.0, 3.0], [1.0, 1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
-        report = solve_spm(top, RateDemands.uniform(top, 1.0))
+        report = Problem(top, RateDemands.uniform(top, 1.0)).fixed_point[0]
         assert not report.converged
         assert report.iterations == 1
         assert not report.fits(np.array([10.0, 10.0]))
@@ -359,14 +363,14 @@ class TestSolveSpm:
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,), (g,)))
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(np.eye(2) - top.cross_ratio[:, 0, 0], np.ones(2))
-        report = solve_spm(top, RateDemands.uniform(top, 1.0))
+        report = Problem(top, RateDemands.uniform(top, 1.0)).fixed_point[0]
         assert not report.converged and report.iterations == 1
         assert np.all(report.q_star == np.inf) and report.residual == np.inf
 
     def test_over_budget_fixed_point_still_converges(self):
         top, dem, _ = symmetric_two_cell()
         small = np.array([0.5, 0.5])
-        report = solve_spm(top, dem)
+        report = Problem(top, dem).fixed_point[0]
         assert report.converged
         assert report.q_star == pytest.approx(np.ones((2, 1)), rel=1e-12)
         assert not np.any(within_budgets(small, report.q_star))
@@ -381,8 +385,9 @@ class TestSolveSpm:
                               gains=((group0,), (group0[::-1],)))
         dem = RateDemands.uniform(top, 1.0)
         budgets = np.array([1000.0, 1000.0])
-        assert not dpc_spm(top, dem, budgets, max_iter=200).converged
-        report = solve_spm(top, dem)
+        problem = Problem(top, dem)
+        assert not dpc_spm(problem, budgets, max_iter=200).converged
+        report = problem.fixed_point[0]
         assert report.fits(budgets)
         assert report.q_star.ravel() == pytest.approx([400.0, 400.0], rel=1e-9)
 
@@ -395,10 +400,11 @@ class TestSolveSpm:
                                      (np.array([[0.1], [0.5]]), g3)))
         dem = RateDemands.uniform(top, 1.0)
         budgets = np.array([5.0, 5.0])
-        report = solve_spm(top, dem)
+        problem = Problem(top, dem)
+        report = problem.fixed_point[0]
         assert report.fits(budgets)
         assert report.q_star[0, 1] == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(report.q_star, dpc_spm(top, dem, budgets).q_star,
+        np.testing.assert_allclose(report.q_star, dpc_spm(problem, budgets).q_star,
                                    rtol=1e-8, atol=0.0)
 
     def test_max_iter_stops_before_the_choice_repeats(self):
@@ -409,24 +415,59 @@ class TestSolveSpm:
         g1 = np.array([[0.1, 0.2], [0.5, 1.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g0,), (g1,)))
         dem = RateDemands.uniform(top, 1.0)
-        full = solve_spm(top, dem)
+        full = Problem(top, dem).fixed_point[0]
         assert full.converged and full.iterations == 2
         assert full.q_star.ravel() == pytest.approx([27 / 32, 29 / 32], rel=1e-12)
-        report = solve_spm(top, dem, max_iter=1)
+        report = Problem(top, dem, max_iter=1).fixed_point[0]
         assert not report.converged and report.iterations == 1
         assert np.all(report.q_star < full.q_star)
 
     def test_validates_arguments(self):
         top, dem, _ = symmetric_two_cell()
         with pytest.raises(ValueError):
-            solve_spm(top, dem, max_iter=0)
+            Problem(top, dem, max_iter=0).fixed_point[0]
+
+
+class TestProblem:
+    def test_max_iter_is_refused_when_built(self, monkeypatch):
+        # a bad cap used to pass the constructor and raise only when the
+        # fixed point was first read, which can be deep inside dpc_srm
+        top, dem, _ = symmetric_two_cell()
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_iter must be >= 1"):
+                Problem(top, dem, max_iter=bad)
+        solves = []
+        solve = power_min._least_fixed_point
+        monkeypatch.setattr(power_min, "_least_fixed_point",
+                            lambda *args: solves.append(args) or solve(*args))
+        problem = Problem(top, dem, max_iter=1)
+        assert solves == []                         # solved on first use only
+        assert problem.fixed_point[0].iterations == 1 and len(solves) == 1
+
+    def test_is_read_only(self):
+        # the constants and the cached fixed point derive from the inputs,
+        # so no attribute may be rebound
+        top, dem, _ = symmetric_two_cell()
+        problem = Problem(top, dem)
+        solved = problem.fixed_point
+        kept = dict(vars(problem))
+        other_top, other_dem, _ = symmetric_two_cell()
+        for name, value in (("topology", other_top), ("demands", other_dem),
+                            ("constants", Problem(other_top, other_dem).constants),
+                            ("max_iter", 5), ("fixed_point", None)):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(problem, name, value)
+        assert vars(problem).keys() == kept.keys()
+        assert all(vars(problem)[name] is value for name, value in kept.items())
+        assert problem.fixed_point is solved
 
 
 class TestAssemble:
     def test_symmetric_fixture_powers(self):
         top, dem, budgets = symmetric_two_cell()
-        report = dpc_spm(top, dem, budgets)
-        alloc = assemble_full_solution(top, dem, report.q_star)
+        problem = Problem(top, dem)
+        report = dpc_spm(problem, budgets)
+        alloc = problem.split(report.q_star)
         for i in range(2):
             assert alloc.powers[i][0] == pytest.approx([0.7, 0.3], abs=1e-7)
         np.testing.assert_allclose(alloc.cell_powers(), report.q_star,
@@ -437,48 +478,59 @@ class TestAssemble:
         from nomapower import NetworkTopology
         top = NetworkTopology(bandwidth=1.0, noise_power=0.1, gains=((g,),))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_spm(top, dem, np.array([5.0]))
-        alloc = assemble_full_solution(top, dem, report.q_star)
+        problem = Problem(top, dem)
+        report = dpc_spm(problem, np.array([5.0]))
+        alloc = problem.split(report.q_star)
         assert alloc.powers[0][0] == pytest.approx([0.3, 0.1])
         assert report.q_star[0, 0] == pytest.approx(0.4)
 
     def test_vanishing_demand_limit(self):
         top, _, budgets = symmetric_two_cell()
         dem = RateDemands.uniform(top, 1e-9)
-        report = dpc_spm(top, dem, budgets)
-        alloc = assemble_full_solution(top, dem, report.q_star)
+        problem = Problem(top, dem)
+        report = dpc_spm(problem, budgets)
+        alloc = problem.split(report.q_star)
         assert float(alloc.cell_powers().sum()) == pytest.approx(0.0, abs=1e-8)
 
     def test_rejects_non_fixed_points(self):
         top, dem, _ = symmetric_two_cell()
         with pytest.raises(ValueError, match="not a fixed point"):
-            assemble_full_solution(top, dem, np.array([[2.0], [2.0]]))
+            Problem(top, dem).split(np.array([[2.0], [2.0]]))
+
+    def test_rejects_a_q_star_of_another_shape(self):
+        # a (1, 1) q_star broadcast over both cells and passed as q* = 1
+        top, dem, _ = symmetric_two_cell()
+        for q_star in (np.ones((1, 1)), np.ones((2, 1, 1)), np.ones(2)):
+            with pytest.raises(ValueError, match=r"q_star must be an \(I, M\) array"):
+                Problem(top, dem).split(q_star)
 
     def test_rejects_one_group_off_by_a_thousandth_at_paper_scale(self):
         config = ScenarioConfig()
         top = generate_channels(config, 0)
         dem = build_demands(config, top)
-        q_star = solve_spm(top, dem).q_star
-        assemble_full_solution(top, dem, q_star)
+        problem = Problem(top, dem)
+        q_star = problem.fixed_point[0].q_star
+        problem.split(q_star)
         budgets = np.full(top.num_cells, 1.0)       # the config's 30 dBm
-        assemble_full_solution(top, dem, dpc_spm(top, dem, budgets).q_star)
+        problem.split(dpc_spm(problem, budgets).q_star)
         for group in np.ndindex(q_star.shape):
             off = q_star.copy()
             off[group] *= 1.0 + 1e-3
             with pytest.raises(ValueError, match="not a fixed point"):
-                assemble_full_solution(top, dem, off)
-        # solve_spm's q_star when it certifies that no fixed point exists
+                problem.split(off)
+        # the fixed point's q_star when it certifies that none exists
         with pytest.raises(ValueError, match="not a fixed point"):
-            assemble_full_solution(top, dem, np.full_like(q_star, np.inf))
+            problem.split(np.full_like(q_star, np.inf))
 
     def test_rates_meet_demands_exactly(self):
         rng = np.random.default_rng(16)
         for _ in range(10):
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=(2, 4))
             dem = sample_demands(rng, top)
-            report = dpc_spm(top, dem, budgets_for(top))
+            problem = Problem(top, dem)
+            report = dpc_spm(problem, budgets_for(top))
             assert report.converged
-            alloc = assemble_full_solution(top, dem, report.q_star)
+            alloc = problem.split(report.q_star)
             wanted = unpad(dem.rates, top.occupied)
             for i, m in top.groups():
                 rates = rate_via_decoding_chain(top, alloc, report.q_star, i, m)
@@ -486,7 +538,7 @@ class TestAssemble:
 
 
 class TestSharedConstants:
-    """_Drop reads its demand constants from a cache of at most 16 bundles,
+    """Problem reads its demand constants from a cache of at most 16 bundles,
     keyed by the padded rates and the bandwidth."""
 
     FIELDS = ("weights", "growth", "alpha", "weak")
@@ -503,28 +555,28 @@ class TestSharedConstants:
         rng = np.random.default_rng(61)
         top = sample_topology(rng, num_cells=3, num_subchannels=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        cached = power_min._Drop(top, dem).constants
+        cached = Problem(top, dem).constants
         self.assert_built(cached, dem.rates, top.bandwidth)
         for name in self.FIELDS:
             value = getattr(cached, name)
             assert not value.flags.writeable, name
             with pytest.raises(ValueError):
                 value[(0,) * value.ndim] = 1.0
-        # a drop of equal demands, held in another object, shares the bundle
+        # a problem of equal demands, held in another object, shares the bundle
         again = RateDemands(dem.rates.copy())
-        assert power_min._Drop(top, again).constants is cached
+        assert Problem(top, again).constants is cached
 
     def test_other_demands_or_bandwidth_give_another_bundle(self):
         rng = np.random.default_rng(62)
         top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        base = power_min._Drop(top, dem).constants
+        base = Problem(top, dem).constants
         wider = NetworkTopology(bandwidth=2.0 * top.bandwidth,
                                 noise_power=top.noise_power, gains=top.gains,
                                 user_ids=top.user_ids)
         rates = dem.rates.copy()
         rates[1, 0, -1] *= 1.5
         for other_top, other_dem in ((wider, dem), (top, RateDemands(rates))):
-            got = power_min._Drop(other_top, other_dem).constants
+            got = Problem(other_top, other_dem).constants
             assert got is not base and not np.array_equal(got.growth, base.growth)
             self.assert_built(got, other_dem.rates, other_top.bandwidth)

@@ -14,9 +14,9 @@ from conftest import sample_group
 from nomapower.network import front_pad, group_rates
 from nomapower.oracle import (OracleInfeasibleError,
                               boundary_allocation_matches_minimum,
-                              demand_weights, minimal_group_powers,
-                              optimal_single_cell_rate)
-from nomapower.power_min import _GroupConstants, min_power_user_allocation
+                              demand_weights, min_power_user_allocation,
+                              minimal_group_powers, optimal_single_cell_rate)
+from nomapower.power_min import _GroupConstants
 from nomapower.rate_max_network import InfeasibleInitialPointError, _assemble
 
 R2 = np.array([1.0, 1.0])

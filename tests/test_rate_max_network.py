@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from conftest import budgets_for, sample_demands, sample_topology
-from nomapower import (NetworkTopology, RateDemands, ScenarioConfig, build_demands,
-                       dpc_srm, generate_channels, random_feasible_start, solve_spm)
+from nomapower import (NetworkTopology, Problem, RateDemands, ScenarioConfig,
+                       build_demands, dpc_srm, generate_channels,
+                       random_feasible_start)
 from nomapower import network, oracle, power_min, rate_max_network
 from nomapower.fixtures import (RATE_MAX_SINGLE_CELL_SUM_RATE,
                                 rate_max_single_cell, symmetric_two_cell)
@@ -181,7 +182,8 @@ class TestSubproblem:
         for _ in range(10):
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
-            q0, x0 = random_feasible_start(top, dem, budgets_for(top, 4.0), rng)
+            q0, x0 = random_feasible_start(Problem(top, dem), budgets_for(top, 4.0),
+                                           rng)
             for i in range(2):
                 caps = power_cap(top, q0, x0, normalized_interference(top, q0))[i]
                 consts = constants(top, dem)
@@ -210,7 +212,8 @@ class TestSubproblem:
 
 class TestDpcSrm:
     def test_single_cell_single_subchannel_matches_closed_form(self):
-        report = dpc_srm(*rate_max_single_cell())
+        top, dem, budgets = rate_max_single_cell()
+        report = dpc_srm(Problem(top, dem), budgets)
         assert report.converged
         assert report.sum_rate == pytest.approx(RATE_MAX_SINGLE_CELL_SUM_RATE,
                                                 rel=1e-9)
@@ -223,7 +226,7 @@ class TestDpcSrm:
         g1 = np.array([[0.0, 0.0], [1.0, 2.0]])
         top = NetworkTopology(bandwidth=1.0, noise_power=2.0, gains=((g0,), (g1,)))
         dem = RateDemands.uniform(top, 1.0)
-        report = dpc_srm(top, dem, np.array([10.0, 10.0]))
+        report = dpc_srm(Problem(top, dem), np.array([10.0, 10.0]))
         assert report.sum_rate == pytest.approx(
             2.0 * RATE_MAX_SINGLE_CELL_SUM_RATE, rel=1e-9)
 
@@ -233,15 +236,16 @@ class TestDpcSrm:
             top = sample_topology(rng, num_cells=2, num_subchannels=1, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
             budgets = budgets_for(top, 4.0)
-            q0, x0 = random_feasible_start(top, dem, budgets, rng)
-            report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
+            problem = Problem(top, dem)
+            q0, x0 = random_feasible_start(problem, budgets, rng)
+            report = dpc_srm(problem, budgets, q0=q0, x0=x0)
             assert np.all(np.diff(report.trace) <= 1e-9)
 
     def test_proxies_settle_on_effective_interference(self):
         rng = np.random.default_rng(36)
         top = sample_topology(rng, num_cells=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        report = dpc_srm(top, dem, budgets_for(top, 4.0))
+        report = dpc_srm(Problem(top, dem), budgets_for(top, 4.0))
         for i, m in top.groups():
             h = np.maximum.accumulate(
                 interference_over_gain(top, report.q, i, m)[::-1])[::-1]
@@ -253,7 +257,7 @@ class TestDpcSrm:
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
             from nomapower import dpc_spm
-            fp = dpc_spm(top, dem, budgets_for(top))
+            fp = dpc_spm(Problem(top, dem), budgets_for(top))
             q = fp.q_star * rng.uniform(1.0, 1.5)
             profile = dense_interference(top, q)
             consts = constants(top, dem)
@@ -268,7 +272,7 @@ class TestDpcSrm:
 
     def test_sum_rate_matches_per_user_rates(self):
         top, dem, budgets = symmetric_two_cell()
-        report = dpc_srm(top, dem, budgets)
+        report = dpc_srm(Problem(top, dem), budgets)
         direct = sum(float(np.sum(rate_via_decoding_chain(top, report.allocation,
                                                           report.q, i, m)))
                      for i, m in top.groups())
@@ -276,17 +280,19 @@ class TestDpcSrm:
 
     def test_infeasible_start_raises(self):
         top, dem, budgets = rate_max_single_cell()
+        problem = Problem(top, dem)
         with pytest.raises(InfeasibleInitialPointError):
-            dpc_srm(top, dem, budgets, q0=np.array([[20.0]]))       # over budget
+            dpc_srm(problem, budgets, q0=np.array([[20.0]]))       # over budget
         with pytest.raises(InfeasibleInitialPointError):
-            dpc_srm(top, dem, budgets, q0=np.array([[8.0]]),
+            dpc_srm(problem, budgets, q0=np.array([[8.0]]),
                     x0=np.array([[[0.1, 0.05]]]))          # below interference
 
     def test_start_a_tenth_of_a_billionth_over_budget_raises(self):
         top, dem, budgets = rate_max_single_cell()
-        dpc_srm(top, dem, budgets, q0=budgets[:, None])     # at the budget: accepted
+        problem = Problem(top, dem)
+        dpc_srm(problem, budgets, q0=budgets[:, None])     # at the budget: accepted
         with pytest.raises(InfeasibleInitialPointError, match="per-cell budget"):
-            dpc_srm(top, dem, budgets, q0=budgets[:, None] * (1.0 + 1e-10))
+            dpc_srm(problem, budgets, q0=budgets[:, None] * (1.0 + 1e-10))
 
     def test_misshapen_or_uncovered_start_raises(self):
         # subchannel 0 serves one user per cell, so slot 0 is padding there
@@ -297,7 +303,8 @@ class TestDpcSrm:
         top = NetworkTopology(bandwidth=1.0, noise_power=0.2,
                               gains=((g_a, g_b), (g_c, g_d)))
         dem = RateDemands.uniform(top, 0.4)
-        q = solve_spm(top, dem).q_star          # every demand coupling tight
+        problem = Problem(top, dem)
+        q = problem.fixed_point[0].q_star          # every demand coupling tight
         x = np.where(top.occupied, dense_interference(top, q), 0.0)
         padded = x.copy()
         padded[0, 0, 0] = 1.0
@@ -307,23 +314,24 @@ class TestDpcSrm:
                               (q, padded, "padded like the topology"),
                               (q, 2.0 * x, "cannot cover the demands")):
             with pytest.raises(InfeasibleInitialPointError, match=match):
-                dpc_srm(top, dem, np.array([8.0, 8.0]), q0=q0, x0=x0)
+                dpc_srm(problem, np.array([8.0, 8.0]), q0=q0, x0=x0)
 
     def test_start_that_is_not_finite_raises(self):
         # NaN compares False, so it passed every bound of the start and
         # ran the loop to a NaN trace, or read as a budget overrun
         top, dem, budgets = symmetric_two_cell()
-        q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(3))
-        dpc_srm(top, dem, budgets, q0=q0, x0=x0)            # the start is feasible
+        problem = Problem(top, dem)
+        q0, x0 = random_feasible_start(problem, budgets, np.random.default_rng(3))
+        dpc_srm(problem, budgets, q0=q0, x0=x0)            # the start is feasible
         for value in (np.nan, np.inf):
             bad_q, bad_x = q0.copy(), x0.copy()
             bad_q[1, 0] = bad_x[0, 0, -1] = value
             with pytest.raises(InfeasibleInitialPointError, match="q0 must be finite"):
-                dpc_srm(top, dem, budgets, q0=bad_q, x0=x0)
+                dpc_srm(problem, budgets, q0=bad_q, x0=x0)
             with pytest.raises(InfeasibleInitialPointError, match="q0 must be finite"):
-                dpc_srm(top, dem, budgets, q0=bad_q)
+                dpc_srm(problem, budgets, q0=bad_q)
             with pytest.raises(InfeasibleInitialPointError, match="x0 must be finite"):
-                dpc_srm(top, dem, budgets, q0=q0, x0=bad_x)
+                dpc_srm(problem, budgets, q0=q0, x0=bad_x)
 
     def test_reports_compare_by_identity(self):
         # a dataclass __eq__ would compare the arrays inside a tuple and
@@ -331,8 +339,9 @@ class TestDpcSrm:
         # None; == and != must return bools and a report must hash
         top, dem, budgets = symmetric_two_cell()
         step = rate_max_network.DcIterate(np.ones(1), np.ones((1, 2)), 1.0, True)
-        pairs = ((solve_spm(top, dem), solve_spm(top, dem)),
-                 (dpc_srm(top, dem, budgets), dpc_srm(top, dem, budgets)),
+        problem = Problem(top, dem)
+        pairs = ((Problem(top, dem).fixed_point[0], Problem(top, dem).fixed_point[0]),
+                 (dpc_srm(problem, budgets), dpc_srm(problem, budgets)),
                  (step, dataclasses.replace(step)))
         for a, b in pairs:
             assert (a == a) is True and (a != a) is False
@@ -341,7 +350,7 @@ class TestDpcSrm:
 
     def test_assemble_refuses_totals_below_the_required_power(self):
         top, dem, budgets = symmetric_two_cell()
-        q = dpc_srm(top, dem, budgets).q
+        q = dpc_srm(Problem(top, dem), budgets).q
         h = dense_interference(top, q)
         required = (constants(top, dem).weights * h).sum(axis=-1)
         with pytest.raises(InfeasibleInitialPointError,
@@ -353,15 +362,16 @@ class TestDpcSrm:
         # stalling, so the step runs; the same totals at tight proxies
         # stall at once and report the sum rate at q0
         top, dem, budgets = symmetric_two_cell()
-        q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(2))
-        start = dpc_srm(top, dem, budgets, q0=q0, max_outer=1)
+        problem = Problem(top, dem)
+        q0, x0 = random_feasible_start(problem, budgets, np.random.default_rng(2))
+        start = dpc_srm(problem, budgets, q0=q0, max_outer=1)
         assert np.array_equal(start.q, q0)
 
         def refuse(*args):
             raise InfeasibleSubproblemError("power budget", "(cell 0)")
 
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", refuse)
-        report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
+        report = dpc_srm(problem, budgets, q0=q0, x0=x0)
         assert not report.converged
         assert report.diagnostic == \
             "infeasible subproblem: constraint family 'power budget' (cell 0)"
@@ -373,14 +383,14 @@ class TestDpcSrm:
         top, _, budgets = rate_max_single_cell()
         dem = RateDemands.uniform(top, 10.0)       # needs far more than 10 W
         with pytest.raises(InfeasibleInitialPointError):
-            dpc_srm(top, dem, budgets)
+            dpc_srm(Problem(top, dem), budgets)
 
     def test_group_constants_are_built_once_per_call(self, monkeypatch):
         rng = np.random.default_rng(56)
         top = sample_topology(rng, num_cells=3, num_subchannels=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
         budgets = budgets_for(top, 4.0)
-        q0, x0 = random_feasible_start(top, dem, budgets, rng)
+        q0, x0 = random_feasible_start(Problem(top, dem), budgets, rng)
         calls = []
         build, weights = _GroupConstants.build, oracle.demand_weights
 
@@ -399,42 +409,34 @@ class TestDpcSrm:
         # the bundle is shared per distinct demands and bandwidth, so the
         # count starts from an empty cache
         power_min._shared_constants.cache_clear()
-        report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
+        report = dpc_srm(Problem(top, dem), budgets, q0=q0, x0=x0)
         assert report.subproblem_solves >= 2 * top.num_cells    # 2 sweeps or more
         assert calls == ["build"]
-        # a drop of the same demands reads the shared bundle, and a call
-        # handed that drop builds none either
-        drop = power_min._Drop(top, dem)
-        got = dpc_srm(top, dem, budgets, q0=q0, x0=x0, drop=drop)
+        # another problem of the same demands reads the shared bundle, and
+        # a call handed that problem builds none either
+        got = dpc_srm(Problem(top, dem), budgets, q0=q0, x0=x0)
         assert got.sum_rate == report.sum_rate
         assert calls == ["build"]
 
     def test_kept_constants_follow_the_bandwidth_and_check_the_topology(self):
-        # a drop builds its constants at its topology's bandwidth and checks
-        # the demands against that topology once; a solver refuses the drop
-        # of other objects, and the demands keep nothing
+        # a problem builds its constants at its topology's bandwidth and
+        # checks the demands against that topology once, and the demands
+        # keep nothing
         rng = np.random.default_rng(57)
         top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
-        drop = power_min._Drop(top, dem)
+        problem = Problem(top, dem)
         for name in ("weights", "growth", "alpha", "weak"):
-            assert np.array_equal(getattr(drop.constants, name),
+            assert np.array_equal(getattr(problem.constants, name),
                                   getattr(constants(top, dem), name))
-        assert drop.fixed_point is drop.fixed_point     # solved once
+        assert problem.fixed_point is problem.fixed_point     # solved once
         wide = dataclasses.replace(top, bandwidth=2.0 * top.bandwidth)
-        assert np.array_equal(power_min._Drop(wide, dem).constants.growth,
+        assert np.array_equal(Problem(wide, dem).constants.growth,
                               np.exp2(dem.rates / wide.bandwidth))
         assert not hasattr(dem, "_constants") and "_constants" not in repr(dem)
         other = sample_topology(rng, num_cells=2, num_subchannels=2, users=3)
         with pytest.raises(ValueError, match="one per user"):
-            power_min._Drop(other, dem)
-        budgets = budgets_for(top, 4.0)
-        for foreign in (power_min._Drop(wide, dem),
-                        power_min._Drop(top, RateDemands(dem.rates))):
-            with pytest.raises(ValueError, match="another topology or demands"):
-                dpc_srm(top, dem, budgets, drop=foreign)
-            with pytest.raises(ValueError, match="another topology or demands"):
-                random_feasible_start(top, dem, budgets, rng, drop=foreign)
+            Problem(other, dem)
 
     def test_one_interference_evaluation_per_accepted_step(self, monkeypatch):
         # on a paper-size drop the default start evaluates the normalized
@@ -445,7 +447,8 @@ class TestDpcSrm:
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
         budgets = budgets_for(top, 1.0)              # the config's 30 dBm
-        q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(0))
+        problem = Problem(top, dem)
+        q0, x0 = random_feasible_start(problem, budgets, np.random.default_rng(0))
         calls, moved = [], []
         evaluate = network.normalized_interference
         step = rate_max_network.solve_convex_subproblem
@@ -462,12 +465,12 @@ class TestDpcSrm:
         for module in (network, rate_max_network):
             monkeypatch.setattr(module, "normalized_interference", counted_evaluate)
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted_step)
-        report = dpc_srm(top, dem, budgets)
+        report = dpc_srm(problem, budgets)
         assert len(calls) == 1 and moved == []      # a stalled sweep runs no step
         assert report.subproblem_solves == top.num_cells
         calls.clear()
         moved.clear()
-        report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)
+        report = dpc_srm(problem, budgets, q0=q0, x0=x0)
         assert report.converged and any(moved)
         assert len(calls) == 1 + sum(moved)
 
@@ -480,15 +483,15 @@ class TestDpcSrm:
         demands = build_demands(config, topology)
         for budget_dbm in (20.0, 30.0, 40.0):
             budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-            report = dpc_srm(topology, demands, budgets, tol=config.rate_tol,
+            report = dpc_srm(Problem(topology, demands), budgets, tol=config.rate_tol,
                              max_outer=config.max_outer)
             assert report.converged, budget_dbm
             assert report.diagnostic == "", budget_dbm
 
     def test_explicit_default_start_gives_the_default_report(self):
         # the default start handed over explicitly, checked, and the default
-        # start read from a handed drop must give the report of a call that
-        # builds its own drop, bit for bit
+        # start of a problem another call has used must give the report of
+        # a call on a new problem, bit for bit
         config = ScenarioConfig(algorithm="rate-max")
         solved = 0
         for seed in range(4):
@@ -503,11 +506,11 @@ class TestDpcSrm:
                     headroom = rate_max_network._headroom(fp, budgets)
                 except InfeasibleInitialPointError:
                     continue
-                want = dpc_srm(topology, demands, budgets)
-                drop = power_min._Drop(topology, demands)
-                for got in (dpc_srm(topology, demands, budgets,
+                want = dpc_srm(Problem(topology, demands), budgets)
+                problem = Problem(topology, demands)
+                for got in (dpc_srm(problem, budgets,
                                     q0=fp.q_star * float(np.min(headroom))),
-                            dpc_srm(topology, demands, budgets, drop=drop)):
+                            dpc_srm(problem, budgets)):
                     for name in ("q", "x", "trace"):
                         assert np.array_equal(getattr(got, name), getattr(want, name)), name
                     assert np.array_equal(got.allocation.powers, want.allocation.powers)
@@ -523,8 +526,9 @@ class TestDpcSrm:
         dem = sample_demands(rng, top, rate=(0.2, 0.6))
         budgets = budgets_for(top, 4.0)
         for _ in range(5):
-            q0, x0 = random_feasible_start(top, dem, budgets, rng)
-            report = dpc_srm(top, dem, budgets, q0=q0, x0=x0)    # must not raise
+            problem = Problem(top, dem)
+            q0, x0 = random_feasible_start(problem, budgets, rng)
+            report = dpc_srm(problem, budgets, q0=q0, x0=x0)    # must not raise
             assert np.all(report.q.sum(axis=1) <= budgets * (1 + 1e-9))
 
     def test_single_user_and_mixed_groups_degenerate_cleanly(self):
@@ -536,7 +540,7 @@ class TestDpcSrm:
         top = NetworkTopology(bandwidth=1.0, noise_power=0.2,
                               gains=((g_a, g_b), (g_c, g_d)))
         dem = RateDemands.uniform(top, 0.4)
-        report = dpc_srm(top, dem, np.array([8.0, 8.0]))
+        report = dpc_srm(Problem(top, dem), np.array([8.0, 8.0]))
         assert np.all(np.diff(report.trace) <= 1e-9)
         np.testing.assert_allclose(report.allocation.cell_powers(), report.q,
                                    rtol=1e-6, atol=0)
@@ -552,7 +556,7 @@ class TestDpcSrm:
             top = sample_topology(rng, num_cells=2, num_subchannels=2, users=2)
             dem = sample_demands(rng, top, rate=(0.2, 0.6))
             budgets = budgets_for(top, 4.0)
-            report = dpc_srm(top, dem, budgets)
+            report = dpc_srm(Problem(top, dem), budgets)
             scale = float(budgets.max())
             assert np.all(report.q.sum(axis=1) <= budgets + 1e-7 * scale)
             for i, m in top.groups():
@@ -576,7 +580,7 @@ def paper_drops(seeds, budgets_dbm=(20.0, 30.0, 40.0)):
         demands = build_demands(config, topology)
         for budget_dbm in budgets_dbm:
             budgets = np.full(topology.num_cells, dbm_to_watts(budget_dbm))
-            if solve_spm(topology, demands).fits(budgets):
+            if Problem(topology, demands).fixed_point[0].fits(budgets):
                 yield topology, demands, budgets
 
 
@@ -598,7 +602,7 @@ class TestPinnedStep:
             return evaluate(*args)
 
         monkeypatch.setattr(rate_max_network, "cell_objective", counted)
-        report = dpc_srm(top, dem, budgets_for(top, 1.0))
+        report = dpc_srm(Problem(top, dem), budgets_for(top, 1.0))
         assert report.subproblem_solves == top.num_cells
         assert len(calls) == 1
 
@@ -614,7 +618,7 @@ class TestPinnedStep:
         monkeypatch.setattr(rate_max_network, "solve_convex_subproblem", counted)
         drops = 0
         for top, dem, budgets in paper_drops(range(10)):
-            report = dpc_srm(top, dem, budgets)
+            report = dpc_srm(Problem(top, dem), budgets)
             assert report.converged and report.outer_iterations == 1
             assert report.subproblem_solves == top.num_cells
             assert np.ptp(report.trace) == 0.0
@@ -626,7 +630,7 @@ class TestPinnedStep:
         # water-fill, returns that start and its objective bit for bit
         steps = 0
         for top, dem, budgets in paper_drops(range(10)):
-            report = dpc_srm(top, dem, budgets)
+            report = dpc_srm(Problem(top, dem), budgets)
             q, x = report.q, report.x
             consts = constants(top, dem)
             z = normalized_interference(top, q)
@@ -648,7 +652,8 @@ class TestPinnedStep:
         # A single cell has no caps, so its default start steps as well
         runs = []
         for seed, (top, dem, budgets) in enumerate(paper_drops(range(10))):
-            q0, x0 = random_feasible_start(top, dem, budgets, np.random.default_rng(seed))
+            q0, x0 = random_feasible_start(Problem(top, dem), budgets,
+                                           np.random.default_rng(seed))
             runs += [(top, dem, budgets, {}), (top, dem, budgets, {"q0": q0, "x0": x0})]
         config = ScenarioConfig(algorithm="rate-max", num_cells=1)
         for seed in range(3):
@@ -656,12 +661,12 @@ class TestPinnedStep:
             runs.append((top, build_demands(config, top), budgets_for(top, 1.0), {}))
         fields = ("q", "x", "trace", "converged", "outer_iterations",
                   "subproblem_solves", "diagnostic")
-        reports = [dpc_srm(top, dem, budgets, **start)
+        reports = [dpc_srm(Problem(top, dem), budgets, **start)
                    for top, dem, budgets, start in runs]
         monkeypatch.setattr(rate_max_network, "_stalled", lambda *args: False)
         moved = 0
         for (top, dem, budgets, start), want in zip(runs, reports):
-            got = dpc_srm(top, dem, budgets, **start)
+            got = dpc_srm(Problem(top, dem), budgets, **start)
             for name in fields:
                 assert np.array_equal(getattr(got, name), getattr(want, name)), name
             assert np.array_equal(got.allocation.powers, want.allocation.powers)
@@ -676,7 +681,7 @@ class TestPinnedStep:
         dem = build_demands(config, top)
         consts = constants(top, dem)
         budgets = budgets_for(top, 1.0)              # the config's 30 dBm
-        start = dpc_srm(top, dem, budgets)
+        start = dpc_srm(Problem(top, dem), budgets)
         q, x = start.q, start.x
         z = normalized_interference(top, q)
         h = network.suffix_max(z)
@@ -704,7 +709,7 @@ class TestPinnedStep:
         config = ScenarioConfig(seed=0, algorithm="rate-max")
         top = generate_channels(config, config.seed)
         dem = build_demands(config, top)
-        q0, x0 = random_feasible_start(top, dem, budgets_for(top, 1.0),
+        q0, x0 = random_feasible_start(Problem(top, dem), budgets_for(top, 1.0),
                                        np.random.default_rng(0))
         consts = constants(top, dem)
         h = dense_interference(top, q0)

@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nomapower import (PowerAllocation, assemble_full_solution, dpc_spm,
-                       load_config, network, power_min, rate_max_network,
-                       run_scenario, scenario, write_outputs)
+from nomapower import (PowerAllocation, Problem, dpc_spm, load_config, network,
+                       power_min, rate_max_network, run_scenario, scenario,
+                       write_outputs)
 from nomapower.cli import build_parser, main
 from nomapower.scenario import (ALGORITHMS, OUTPUT_FORMATS, ConfigError,
                                 ScenarioConfig, _drop_users, _site_layout, _validate,
@@ -951,8 +951,8 @@ class TestRunScenario:
         top = generate_channels(config, 3)
         demands = build_demands(config, top)
         budgets = np.full(top.num_cells, dbm_to_watts(30.0))
-        allocation = assemble_full_solution(top, demands,
-                                            dpc_spm(top, demands, budgets).q_star)
+        problem = Problem(top, demands)
+        allocation = problem.split(dpc_spm(problem, budgets).q_star)
         assert _validate(top, demands, budgets, allocation) is None
         # halving a weak user's power lowers only that user's rate; the
         # other cell sees less interference
@@ -966,14 +966,14 @@ class TestRunScenario:
                                                             tmp_path, capsys):
         # 1e-7 less power for cell 1's weak user on subchannel 1 costs it
         # about 1e-7 of its rate and touches no other user's; the run path
-        # splits q* with the drop's split, which assemble_full_solution wraps
-        def starve(drop, *args):
-            powers = split(drop, *args).powers.copy()
+        # splits q* with the problem's split
+        def starve(problem, *args):
+            powers = split(problem, *args).powers.copy()
             powers[1, 1, 0] *= 1.0 - 1e-7
             return PowerAllocation(powers)
 
-        split = power_min._Drop.split
-        monkeypatch.setattr(power_min._Drop, "split", starve)
+        split = Problem.split
+        monkeypatch.setattr(Problem, "split", starve)
         message = "seed 3, budget 30.0 dBm: rate demand missed in group (1,1)"
         artifacts = run_scenario(small_config())
         assert not artifacts.ok
@@ -989,8 +989,8 @@ class TestRunScenario:
         top = generate_channels(config, 3)
         demands = build_demands(config, top)
         budgets = np.full(top.num_cells, dbm_to_watts(30.0))
-        allocation = assemble_full_solution(top, demands,
-                                            dpc_spm(top, demands, budgets).q_star)
+        problem = Problem(top, demands)
+        allocation = problem.split(dpc_spm(problem, budgets).q_star)
         totals = allocation.cell_powers().sum(axis=1)
         tight = totals * np.array([1.0, 0.5])
         assert _validate(top, demands, tight, allocation) == "budget exceeded"
