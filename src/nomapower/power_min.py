@@ -25,6 +25,7 @@ with the same demands reads the same read-only arrays.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -87,6 +88,16 @@ def _checked_budgets(topology: NetworkTopology, budgets) -> np.ndarray:
     return checked
 
 
+def _checked_max_iter(max_iter) -> int:
+    """``max_iter`` as an int: an integer (not a bool) of at least 1."""
+    if type(max_iter) is not int and (    # plain ints skip the slow ABC checks
+            isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    return int(max_iter)
+
+
 def _weights(r, growth):
     """Demand weights from the demands over B, ``r``, and 2^r, ``growth``."""
     before = np.zeros_like(r)
@@ -141,13 +152,13 @@ class Problem:
     (``constants``, read-only and shared by every problem of the process
     with the same demands and bandwidth) and the least fixed point
     (:attr:`fixed_point`), solved on first use with at most ``max_iter``
-    linear solves.  Every solver takes one.  The constants and the fixed
-    point derive from the inputs, so no attribute can be rebound."""
+    linear solves, an integer >= 1.  Every solver takes one.  The
+    constants and the fixed point derive from the inputs, so no attribute
+    can be rebound and their arrays are read-only."""
 
     def __init__(self, topology: NetworkTopology, demands: RateDemands,
                  max_iter: int = 100):
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        max_iter = _checked_max_iter(max_iter)
         rates = demands.padded_for(topology)
         # written through __dict__, since __setattr__ refuses every name
         fields = self.__dict__
@@ -241,12 +252,12 @@ def dpc_spm(problem: Problem, budgets: np.ndarray, q0: np.ndarray | None = None,
     likely infeasible at any power level.  The per-BS ``budgets`` only
     set the default start, split evenly over the subchannels, and the
     runaway scale (``RUNAWAY_FACTOR`` times the largest).  An explicit
-    ``q0`` must be a finite non-negative (I, M) array.
+    ``q0`` must be a finite non-negative (I, M) array, and ``max_iter`` an
+    integer >= 1.
     """
     topology = problem.topology
     budgets = _checked_budgets(topology, budgets)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = _checked_max_iter(max_iter)
     if q0 is None:
         q = np.repeat(budgets[:, None] / topology.num_subchannels,
                       topology.num_subchannels, axis=1)
@@ -331,7 +342,8 @@ def _least_fixed_point(topology, weights, max_iter=100):
 
     Returns the report and the effective interference at ``q_star``,
     (I, M, n_max), from that last evaluation; it is None when ``q_star``
-    is not finite.
+    is not finite.  The report's ``q_star`` and ``trace`` and the
+    interference are read-only.
     """
     ratio, noise = topology.cross_ratio, topology.noise_ratio
     later, first, identity = _policy_layout(noise.shape)
@@ -371,9 +383,13 @@ def _least_fixed_point(topology, weights, max_iter=100):
         # interference is z at its decoding user, the largest z from its
         # slot on
         h = suffix_max(z)
+        h.flags.writeable = False
         residual = _residual(weights, q, h)
+    trace = np.array(trace)
+    # a problem shares its fixed point with every reader, so it is read-only
+    q.flags.writeable = trace.flags.writeable = False
     return FixedPointReport(q_star=q, iterations=len(trace), residual=residual,
-                            converged=converged, trace=np.array(trace)), h
+                            converged=converged, trace=trace), h
 
 
 def _residual(weights, q, h):

@@ -10,10 +10,12 @@ CSV or JSON form.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
 import numbers
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -423,6 +425,14 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     evaluates the interference again.  Rate-max hands the problem to
     every ``dpc_srm`` and ``random_feasible_start`` call of the seed
     (:func:`_rate_max_point`).
+
+    The process keeps the last seed's problem across calls
+    (:func:`_problem`).  Callers that solve one (seed, budget) point per
+    call, such as the benchmark, so draw a seed's channels and solve its
+    fixed point once for all its budgets.  ``nomapower run`` gains
+    nothing from it, since one call already shares each seed's problem
+    over its sweep, and neither does ``scripts/pairing_sweep.py``, whose
+    power-min and rate-max calls cap the fixed point differently.
     """
     summary = []
     traces = {}
@@ -432,8 +442,8 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
     # rate-max's start solve keeps Problem's default cap of 100 linear solves
     max_iter = config.max_iterations if power_min else 100
     for seed in range(config.seed, config.seed + config.num_seeds):
-        topology = generate_channels(config, seed)
-        problem = Problem(topology, build_demands(config, topology), max_iter)
+        problem = _problem(config, seed, max_iter)
+        topology = problem.topology
         report, h = problem.fixed_point
         trace = [(k + 1, float(v)) for k, v in enumerate(report.trace)]
         solved = None       # power-min's (allocation, sum power, sum rate) of q*
@@ -463,6 +473,42 @@ def run_scenario(config: ScenarioConfig) -> RunArtifacts:
                     failures.append(f"seed {seed}, budget {budget_dbm} dBm: {fault}")
     return RunArtifacts(summary=summary, traces=traces, allocations=allocations,
                         validation_failures=failures)
+
+
+# ScenarioConfig fields that no drop reads: the seed and the fixed point's
+# cap enter _problem as arguments, and the rest steer the sweep and the
+# solvers.  Every other field keys the drop, a field added later included
+_UNREAD_BY_A_DROP = ("seed", "num_seeds", "algorithm", "multistart",
+                     "budget_dbm_sweep", "rate_tol", "max_outer", "power_tol_w",
+                     "max_iterations")
+_drop_fields = operator.attrgetter(*(
+    f.name for f in dataclasses.fields(ScenarioConfig)
+    if f.name not in _UNREAD_BY_A_DROP))
+
+_last_drop = None       # (key, problem) of the drop _problem built last
+
+
+def _problem(config, seed, max_iter):
+    """The :class:`~nomapower.power_min.Problem` of ``seed``'s drop under
+    ``config``, whose fixed point takes at most ``max_iter`` linear solves.
+
+    The process remembers the last drop built, keyed by the seed,
+    ``max_iter`` and every config field a drop reads, and hands it out
+    again while the key holds: the problem is read-only and its fixed
+    point, solved on first use, is shared.  The key keeps copies of the
+    config's lists, so a list changed in place gives a new drop.
+    """
+    global _last_drop
+    key = (seed, max_iter, *_drop_fields(config))
+    last = _last_drop       # read once: another thread may replace it
+    if last is not None and last[0] == key:
+        return last[1]
+    topology = generate_channels(config, seed)
+    problem = Problem(topology, build_demands(config, topology), max_iter)
+    if list in map(type, key):
+        key = copy.deepcopy(key)
+    _last_drop = key, problem
+    return problem
 
 
 def _rate_max_point(config, problem, budgets, seed, budget_dbm, name):

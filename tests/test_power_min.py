@@ -444,6 +444,44 @@ class TestProblem:
         assert solves == []                         # solved on first use only
         assert problem.fixed_point[0].iterations == 1 and len(solves) == 1
 
+    @pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None])
+    def test_max_iter_must_be_an_integer(self, bad):
+        # a float cap never stopped the fixed point's solve, True passed as
+        # 1, and dpc_spm raised TypeError from range
+        top, dem, budgets = symmetric_two_cell()
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            Problem(top, dem, max_iter=bad)
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            dpc_spm(Problem(top, dem), budgets, max_iter=bad)
+
+    def test_max_iter_takes_a_numpy_integer(self):
+        top, dem, budgets = symmetric_two_cell()
+        problem = Problem(top, dem, max_iter=np.int64(1))
+        assert type(problem.max_iter) is int and problem.max_iter == 1
+        assert problem.fixed_point[0].iterations == 1
+        assert dpc_spm(problem, budgets, max_iter=np.int32(2)).iterations <= 2
+
+    def test_fixed_point_arrays_are_read_only(self):
+        # every split and rate-max start of a problem reads its fixed point,
+        # so a write into it would change them all
+        top, dem, _ = symmetric_two_cell()
+        problem = Problem(top, dem)
+        report, h = problem.fixed_point
+        q_star = report.q_star.copy()
+        for array in (report.q_star, report.trace, h):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+        assert np.array_equal(problem.fixed_point[0].q_star, q_star)
+        assert np.array_equal(problem.split().cell_powers(), q_star)
+
+    def test_a_fixed_point_that_is_not_found_is_read_only(self):
+        top, dem, _ = symmetric_two_cell()
+        report, h = Problem(top, RateDemands(dem.rates * 20.0)).fixed_point
+        assert not report.converged and h is None
+        for array in (report.q_star, report.trace):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
+
     def test_is_read_only(self):
         # the constants and the cached fixed point derive from the inputs,
         # so no attribute may be rebound

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -571,6 +572,7 @@ class TestRunScenario:
             config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
                                     multistart=multistart, budget_dbm_sweep=sweep)
             with monkeypatch.context() as patch:
+                patch.setattr(scenario, "_last_drop", None)     # an empty memo
                 for module in bound:
                     patch.setattr(module, "_least_fixed_point", counted)
                 patch.setattr(dataclasses, "replace",
@@ -592,6 +594,7 @@ class TestRunScenario:
         monkeypatch.setattr(power_min._GroupConstants, "build", staticmethod(
             lambda *args: calls.append(1) or build(*args)))
         power_min._shared_constants.cache_clear()
+        monkeypatch.setattr(scenario, "_last_drop", None)
         config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
                                 multistart=4)
         artifacts = run_scenario(config)
@@ -626,6 +629,7 @@ class TestRunScenario:
         check, checks = network.RateDemands.padded_for, []
         monkeypatch.setattr(network.RateDemands, "padded_for",
                             lambda *args: checks.append(1) or check(*args))
+        monkeypatch.setattr(scenario, "_last_drop", None)   # counted from an empty memo
         config = ScenarioConfig(seed=0, num_seeds=3, algorithm="rate-max",
                                 multistart=multistart,
                                 budget_dbm_sweep=[20.0, 30.0, 40.0])
@@ -680,6 +684,7 @@ class TestRunScenario:
         monkeypatch.setattr(power_min, "_weights", counted("weights", weights))
         monkeypatch.setattr(np, "argwhere", counted("argwhere", argwhere))
         power_min._shared_constants.cache_clear()   # counted from an empty cache
+        monkeypatch.setattr(scenario, "_last_drop", None)   # and an empty memo
         artifacts = run_scenario(ScenarioConfig(seed=0))
         monkeypatch.undo()
         (row,) = artifacts.summary
@@ -688,10 +693,10 @@ class TestRunScenario:
                           "argwhere": 0}
 
     @pytest.mark.parametrize("algorithm", ["power-min", "rate-max"])
-    def test_sweep_matches_its_points_run_one_at_a_time(self, algorithm):
+    def test_sweep_matches_its_points_run_one_at_a_time(self, monkeypatch, algorithm):
         # the benchmark runs one (seed, budget) point per call, so the
-        # seeds' shared demand constants come from the cache; each point
-        # here is solved from an empty one
+        # seeds' shared demand constants come from the cache and a seed's
+        # drop from the memo; each point here is solved from empty ones
         config = ScenarioConfig(seed=0, num_seeds=4, algorithm=algorithm,
                                 budget_dbm_sweep=[20.0, 30.0, 40.0])
         sweep = run_scenario(config)
@@ -699,6 +704,7 @@ class TestRunScenario:
         for seed in range(4):
             for budget in config.budget_dbm_sweep:
                 power_min._shared_constants.cache_clear()
+                monkeypatch.setattr(scenario, "_last_drop", None)
                 point = run_scenario(dataclasses.replace(
                     config, seed=seed, num_seeds=1, budget_dbm_sweep=[budget]))
                 assert point.ok
@@ -711,6 +717,160 @@ class TestRunScenario:
         assert list(sweep.allocations) == list(allocations)
         for name, allocation in sweep.allocations.items():
             assert np.array_equal(allocation.powers, allocations[name].powers), name
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_warm_points_write_the_sweep_s_bytes(self, tmp_path, monkeypatch,
+                                                 algorithm):
+        # points run one at a time after the sweep: each seed's first point
+        # builds its drop and the others take it from the memo; merged,
+        # they write the sweep's bytes, as CSV and as JSON
+        draw, draws = scenario.generate_channels, []
+        monkeypatch.setattr(scenario, "generate_channels",
+                            lambda config, seed: draws.append(seed) or draw(config, seed))
+        config = ScenarioConfig(seed=0, num_seeds=4, algorithm=algorithm,
+                                budget_dbm_sweep=[20.0, 30.0, 40.0])
+        sweep = run_scenario(config)
+        points = scenario.RunArtifacts([], {}, {}, [])
+        for seed in range(4):
+            for budget in config.budget_dbm_sweep:
+                point = run_scenario(dataclasses.replace(
+                    config, seed=seed, num_seeds=1, budget_dbm_sweep=[budget]))
+                points.summary += point.summary
+                points.traces.update(point.traces)
+                points.allocations.update(point.allocations)
+                points.validation_failures += point.validation_failures
+        assert draws == [0, 1, 2, 3] * 2
+        assert sweep.ok and points.ok and len(points.summary) == 12
+        for fmt in OUTPUT_FORMATS:
+            written = [write_outputs(artifacts, tmp_path / fmt / label, fmt)
+                       for label, artifacts in (("sweep", sweep), ("points", points))]
+            for path, twin in zip(*written):
+                assert path.name == twin.name
+                assert path.read_bytes() == twin.read_bytes(), path.name
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_points_of_one_seed_share_its_drop(self, monkeypatch, algorithm):
+        # one call per budget, as the benchmark makes them: the seed's
+        # channels are drawn and its fixed point solved once for all three
+        draw, draws = scenario.generate_channels, []
+        solve, solves = power_min._least_fixed_point, []
+        monkeypatch.setattr(scenario, "generate_channels",
+                            lambda config, seed: draws.append(seed) or draw(config, seed))
+        monkeypatch.setattr(power_min, "_least_fixed_point",
+                            lambda *args: solves.append(1) or solve(*args))
+        monkeypatch.setattr(scenario, "_last_drop", None)
+        for budget in (20.0, 30.0, 40.0):
+            artifacts = run_scenario(ScenarioConfig(
+                seed=0, algorithm=algorithm, budget_dbm_sweep=[budget]))
+            assert artifacts.ok and len(artifacts.summary) == 1
+        assert (draws, len(solves)) == ([0], 1)
+
+    def test_the_drop_memo_keys_every_field_a_drop_reads(self, monkeypatch):
+        # each field changed to another valid value, from the default config
+        # or the one given: a field no drop reads hands out the same drop,
+        # any other a new one, equal to the drop built from scratch.  A
+        # field added to ScenarioConfig must be added here
+        custom = {"layout": "custom",
+                  "site_positions_m": [[0.0, 0.0], [800.0, 0.0], [400.0, 700.0]]}
+        moved = {**custom, "site_positions_m": [[0.0, 0.0], [900.0, 0.0], [400.0, 700.0]]}
+        changes = {
+            "seed": ({}, {"seed": 5}),
+            "num_seeds": ({}, {"num_seeds": 3}),
+            "algorithm": ({}, {"algorithm": "rate-max"}),
+            "multistart": ({}, {"multistart": 4}),
+            "layout": ({}, custom),
+            "site_positions_m": (custom, moved),
+            "inter_site_distance_m": ({}, {"inter_site_distance_m": 900.0}),
+            "cell_radius_m": ({}, {"cell_radius_m": 300.0}),
+            "num_cells": ({}, {"num_cells": 4}),
+            "users_per_cell": ({}, {"users_per_cell": 6, "num_subchannels": 3}),
+            "users_per_subchannel": None,       # pairing allows 2 only
+            "num_subchannels": ({}, {"num_subchannels": 3, "users_per_cell": 6}),
+            "pairing": ({}, {"pairing": "SS"}),
+            "bandwidth_hz": ({}, {"bandwidth_hz": 2.0e6}),
+            "noise_power_dbm": ({}, {"noise_power_dbm": -110.0}),
+            "budget_dbm_sweep": ({}, {"budget_dbm_sweep": [20.0, 40.0]}),
+            "rate_demand_bps": ({}, {"rate_demand_bps": 0.2e6}),
+            "pathloss_intercept_db": ({}, {"pathloss_intercept_db": 130.0}),
+            "pathloss_slope_db": ({}, {"pathloss_slope_db": 35.0}),
+            "shadowing_std_db": ({}, {"shadowing_std_db": 6.0}),
+            "antenna_gain_dbi": ({}, {"antenna_gain_dbi": 12.0}),
+            "min_distance_m": ({}, {"min_distance_m": 200.0}),
+            "power_tol_w": ({}, {"power_tol_w": 1.0e-6}),
+            "max_iterations": ({}, {"max_iterations": 50}),
+            "rate_tol": ({}, {"rate_tol": 1.0e-2}),
+            "max_outer": ({}, {"max_outer": 5}),
+        }
+        assert list(changes) == [f.name for f in dataclasses.fields(ScenarioConfig)]
+        with pytest.raises(ConfigError, match="2 users per subchannel"):
+            ScenarioConfig(users_per_subchannel=3, users_per_cell=6)
+
+        def fresh(config, seed=0, max_iter=100):
+            topology = generate_channels(config, seed)
+            return Problem(topology, build_demands(config, topology), max_iter)
+
+        def same_drop(a, b):
+            return (np.array_equal(a.topology.gains, b.topology.gains)
+                    and np.array_equal(a.topology.user_ids, b.topology.user_ids)
+                    and np.array_equal(a.demands.rates, b.demands.rates)
+                    and np.array_equal(a.fixed_point[0].q_star, b.fixed_point[0].q_star))
+
+        for name, change in changes.items():
+            if change is None:
+                continue
+            before, after = (ScenarioConfig(**overrides) for overrides in change)
+            monkeypatch.setattr(scenario, "_last_drop", None)
+            first = scenario._problem(before, 0, 100)
+            again = scenario._problem(after, 0, 100)
+            if name in scenario._UNREAD_BY_A_DROP:
+                assert again is first and same_drop(fresh(after), first), name
+            else:
+                assert again is not first and not same_drop(again, first), name
+                assert same_drop(again, fresh(after)), name
+        # the seed and the cap are keys too, and so is the content of a list
+        config = ScenarioConfig(rate_demand_bps=[0.1e6, 0.2e6, 0.3e6, 0.4e6])
+        first = scenario._problem(config, 0, 100)
+        assert scenario._problem(config, 0, 100) is first
+        for seed, max_iter in ((1, 100), (0, 50)):
+            assert scenario._problem(config, seed, max_iter) is not first
+        first = scenario._problem(config, 0, 100)
+        config.rate_demand_bps[0] = 0.2e6
+        again = scenario._problem(config, 0, 100)
+        assert again is not first and same_drop(again, fresh(config))
+
+    def test_threads_sharing_the_drop_memo_get_their_own_drops(self, monkeypatch):
+        # threads that run points of different seeds swap the memo under
+        # each other; every point must still match its cold solve
+        config = ScenarioConfig(algorithm="rate-max", budget_dbm_sweep=[20.0, 30.0, 40.0])
+        points = [dataclasses.replace(config, seed=seed, num_seeds=1,
+                                      budget_dbm_sweep=[budget])
+                  for seed in range(6) for budget in config.budget_dbm_sweep]
+        expected = {}
+        for point in points:
+            monkeypatch.setattr(scenario, "_last_drop", None)
+            expected[point.seed, point.budget_dbm_sweep[0]] = repr(
+                run_scenario(point).summary)
+        wrong = []
+
+        def work(offset):
+            for point in points[offset:] + points[:offset]:
+                got = repr(run_scenario(point).summary)
+                if got != expected[point.seed, point.budget_dbm_sweep[0]]:
+                    wrong.append(point.seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(3 * k + k % 2,))
+                       for k in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert wrong == []
 
     def test_csv_reproducibility(self, tmp_path):
         config = small_config(budget_dbm_sweep=[25.0, 30.0])
@@ -808,6 +968,7 @@ class TestRunScenario:
         draw = scenario.generate_channels
         monkeypatch.setattr(scenario, "generate_channels",
                             lambda config, seed: calls.append(seed) or draw(config, seed))
+        monkeypatch.setattr(scenario, "_last_drop", None)   # counted from an empty memo
         config = small_config(num_seeds=2, budget_dbm_sweep=[20.0, 30.0, 40.0])
         artifacts = run_scenario(config)
         assert calls == [3, 4]
